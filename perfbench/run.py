@@ -32,7 +32,7 @@ sys.dont_write_bytecode = True  # write nothing into the source tree
 
 import trace_summary  # noqa: E402
 
-WORKLOADS = ("point_txn", "bulk_rules", "restart")
+WORKLOADS = ("point_txn", "bulk_rules")
 # Every run of the benchmark binary ends within this many seconds of the
 # first one's start, so a hung run cannot hold the caller past 3 minutes.
 RUN_BUDGET_S = 170
@@ -152,9 +152,10 @@ def main():
         wanted = spec["per_layer"]
 
     print("perfbench: %s seed %d: %d cycles in %.1f s, samples %s, "
-          "error_rate %.6f" % (args.workload, args.seed, res["cycles"],
-                               res["loop_s"], json.dumps(res["samples"]),
-                               res["failed"] / max(1, res["attempted"])))
+          "probe %.4f ms, error_rate %.6f" % (
+              args.workload, args.seed, res["cycles"], res["loop_s"],
+              json.dumps(res["samples"]), res["probe_ms"],
+              res["failed"] / max(1, res["attempted"])))
     metrics = {}
     for m in wanted:
         if m["name"] not in res["metrics"]:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-WORKLOADS = ("point_txn", "bulk_rules", "restart")
+WORKLOADS = ("point_txn", "bulk_rules")
 CYCLES = "6"
 
 

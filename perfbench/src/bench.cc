@@ -4,7 +4,7 @@
 // own model of the state, and prints one JSON result line. Workloads,
 // metrics and the traced run are described in perfbench/README.md.
 //
-//   perfbench --workload point_txn|bulk_rules|restart --seed N
+//   perfbench --workload point_txn|bulk_rules --seed N
 //             --seconds S --dir DIR [--trace-out FILE] [--counts-out FILE]
 //             [--cycles N] [--small] [--setups N]
 //
@@ -29,6 +29,7 @@
 #include "core/pretty.h"
 #include "gen.h"
 #include "obs/metrics.h"
+#include "probe.h"
 #include "storage/codec.h"
 #include "trace.h"
 
@@ -203,7 +204,7 @@ class Bench {
   explicit Bench(const Options& opt)
       : opt_(opt), tracer_(!opt.trace_out.empty()) {
     EnterpriseParams params;
-    if (opt.workload == "point_txn" || opt.workload == "restart") {
+    if (opt.workload == "point_txn") {
       params.employees = opt.small ? 256 : 4096;
       params.departments = opt.small ? 16 : 64;
       views_ = {"rich", "chain"};
@@ -215,9 +216,8 @@ class Bench {
     } else {
       Fatal("unknown workload '" + opt.workload + "'");
     }
-    restart_ = opt.workload == "restart";
     bulk_ = opt.workload == "bulk_rules";
-    rounds_per_cycle_ = restart_ ? 4 : bulk_ ? 16 : 32;
+    rounds_per_cycle_ = bulk_ ? 16 : 32;
     ent_ = MakeEnterprise(params, opt.seed);
     base_text_ = BaseText(ent_);
     start_boss_ = ent_.boss;
@@ -263,7 +263,6 @@ class Bench {
   void Round(Rng& rng, int r);
   void PointRound(Rng& rng, bool up);
   void BulkRound(Rng& rng, int sign);
-  void DeptRound(Rng& rng, int d, int64_t delta);
   void Cycle(Rng& rng);
   void PointOracles();
   void BulkOracles();
@@ -283,16 +282,12 @@ class Bench {
   const Options opt_;
   Tracer tracer_;
   Registry registry_;
+  HostProbe probe_;
   Enterprise ent_;
   std::string base_text_;
   std::vector<const char*> views_;
-  bool restart_ = false;
   bool bulk_ = false;
   int rounds_per_cycle_ = 0;
-  // restart: the department whose raise is pending, and the department
-  // the current cycle raises and cuts again.
-  int pending_dept_ = 0;
-  int mirrored_dept_ = 0;
   size_t movers_ = 0;
   std::vector<int> leaves_;  // employees on the bottom level
 
@@ -310,16 +305,18 @@ class Bench {
   // bulk_rules: the post-set-up base each mirrored pair must return to.
   std::string expect_base_;
 
-  // Measurements.
+  // Measurements. Op latencies are scaled to the probe's nominal host
+  // speed when their cycle ends.
   bool recording_ = false;
   int cycle_ = 0;
   std::vector<double> commit_ms_, read_ms_, query_ms_, checkpoint_ms_,
       reopen_ms_;
+  std::vector<double> probe_ms_;  // raw probe times of the timed loop
+  int64_t probe_ns_ = 0;          // wall time spent in the probe
+  double cycle_scale_ = 1;        // the last cycle's host-speed scale
   std::vector<OpCounts> counts_;
   uint64_t attempted_ = 0;
   uint64_t failed_ = 0;
-  double loop_op_ms_ = 0;
-  uint64_t loop_ops_ = 0;
   double store_bytes_per_fact_ = 0;
 };
 
@@ -359,8 +356,6 @@ void Bench::Record(const char* kind, double ms, OpCounts counts,
   counts.cycle = cycle_;
   counts_.push_back(counts);
   samples.push_back(ms);
-  loop_op_ms_ += ms;
-  ++loop_ops_;
 }
 
 bool Bench::Commit(const std::string& text, size_t expected_rows) {
@@ -724,57 +719,45 @@ void Bench::PointOracles() {
   CheckRich(view);
 }
 
-void Bench::DeptRound(Rng& rng, int d, int64_t delta) {
-  const size_t dept_size = ent_.members[d].size();
-  if (Commit(DeptRaiseText(d, delta), 2 * dept_size)) {
-    for (int i : ent_.members[d]) sal_[i] += delta;
-  }
-  Read("rich", [&](verso::ResultSet& rs) { CheckRich(rs); });
-  const int i = ent_.members[d][rng.Below(dept_size)];
-  Query(PayQueryText(i), [&](verso::ResultSet& rs) { CheckPay(rs, i); });
-}
-
 void Bench::Round(Rng& rng, int r) {
   if (bulk_) {
     BulkRound(rng, r % 2 == 0 ? 1 : -1);
     if (r % 2 == 1) BulkOracles();
-  } else if (!restart_) {
-    PointRound(rng, r % 2 == 0);
   } else {
-    // Four department-sized commits per cycle: the cut that undoes the
-    // raise the previous cycle left pending, a mirrored raise and cut,
-    // and a new pending raise. Replay then always has net changes to
-    // recover, while every salary stays within kDeptRaise of its start.
-    const int depts = static_cast<int>(ent_.members.size());
-    switch (r % 4) {
-      case 0:
-        DeptRound(rng, pending_dept_, -kDeptRaise);
-        mirrored_dept_ = static_cast<int>(rng.Below(depts));
-        break;
-      case 1:
-        DeptRound(rng, mirrored_dept_, kDeptRaise);
-        break;
-      case 2:
-        DeptRound(rng, mirrored_dept_, -kDeptRaise);
-        break;
-      case 3:
-        pending_dept_ = static_cast<int>(rng.Below(depts));
-        DeptRound(rng, pending_dept_, kDeptRaise);
-        break;
-    }
+    PointRound(rng, r % 2 == 0);
   }
 }
 
 void Bench::Cycle(Rng& rng) {
   // Every workload repeats one cycle: checkpoint, a fixed number of
   // rounds left in the WAL, close, reopen (recovery, view re-creation,
-  // first view read), and a check of the recovered state.
+  // first view read), and a check of the recovered state. The probe runs
+  // after every round, between ops (in the warm-up cycle too, which
+  // scales set-up time).
+  std::vector<double>* series[] = {&commit_ms_, &read_ms_, &query_ms_,
+                                   &checkpoint_ms_, &reopen_ms_};
+  size_t marks[5];
+  for (int k = 0; k < 5; ++k) marks[k] = series[k]->size();
+  std::vector<double> probe;
   Checkpoint();
-  for (int r = 0; r < rounds_per_cycle_; ++r) Round(rng, r);
+  for (int r = 0; r < rounds_per_cycle_; ++r) {
+    Round(rng, r);
+    const int64_t t = NowNs();
+    probe.push_back(probe_.SampleMs());
+    probe_ns_ += NowNs() - t;
+  }
   const std::string base = RenderBase();
   const std::string chain = RenderView("chain");
   Reopen();
   CheckRecovered(base, chain);
+  cycle_scale_ = kProbeNominalMs / Percentile(probe, 0.5);
+  if (!recording_) return;
+  // This cycle's latencies at the nominal host speed.
+  for (int k = 0; k < 5; ++k) {
+    std::vector<double>& s = *series[k];
+    for (size_t i = marks[k]; i < s.size(); ++i) s[i] *= cycle_scale_;
+  }
+  probe_ms_.insert(probe_ms_.end(), probe.begin(), probe.end());
 }
 
 void Bench::SetupOnce() {
@@ -798,16 +781,11 @@ void Bench::SetupOnce() {
   session_->Refresh();
   expect_base_ = RenderBase();
 
-  // Warm-up: one whole cycle, from its own seed stream (restart first
-  // leaves the raise its first cycle undoes). It ends with a reopen, as
-  // every loop cycle does: a base recovered from the store is laid out
-  // in memory differently from the imported one, and its ops run at a
-  // different speed, so the loop starts in the state it stays in.
+  // Warm-up: one whole cycle, from its own seed stream. It ends with a
+  // reopen, as every loop cycle does: a base recovered from the store is
+  // laid out in memory differently from the imported one, and its ops run
+  // at a different speed, so the loop starts in the state it stays in.
   Rng warm(opt_.seed ^ 0x5eed5eedULL);
-  if (restart_) {
-    pending_dept_ = static_cast<int>(warm.Below(ent_.members.size()));
-    DeptRound(warm, pending_dept_, kDeptRaise);
-  }
   Cycle(warm);
 }
 
@@ -863,6 +841,14 @@ void Bench::PrintResult(double setup_s, double loop_s, int cycles) {
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
   const double peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
+  // Ops per second of (scaled) op time.
+  double op_ms = 0;
+  size_t ops = 0;
+  for (const std::vector<double>* s :
+       {&commit_ms_, &read_ms_, &query_ms_, &checkpoint_ms_, &reopen_ms_}) {
+    for (double ms : *s) op_ms += ms;
+    ops += s->size();
+  }
   double commits = 0;
   int64_t wal_bytes = 0;
   for (const OpCounts& c : counts_) {
@@ -872,7 +858,7 @@ void Bench::PrintResult(double setup_s, double loop_s, int cycles) {
   }
   std::printf(
       "{\"workload\":\"%s\",\"seed\":%llu,\"attempted\":%llu,\"failed\":%llu,"
-      "\"loop_s\":%.6f,\"cycles\":%d,"
+      "\"loop_s\":%.6f,\"cycles\":%d,\"probe_ms\":%.6f,"
       "\"samples\":{\"setup\":%d,\"commit\":%zu,\"read\":%zu,\"query\":%zu,"
       "\"checkpoint\":%zu,\"reopen\":%zu},"
       "\"metrics\":{\"setup_s\":%.9g,\"commit_p50_ms\":%.9g,"
@@ -883,14 +869,14 @@ void Bench::PrintResult(double setup_s, double loop_s, int cycles) {
       "\"peak_rss_mb\":%.9g,\"error_rate\":%.9g}}\n",
       opt_.workload.c_str(), static_cast<unsigned long long>(opt_.seed),
       static_cast<unsigned long long>(attempted_),
-      static_cast<unsigned long long>(failed_), loop_s, cycles, opt_.setups,
+      static_cast<unsigned long long>(failed_), loop_s, cycles,
+      Percentile(probe_ms_, 0.5), opt_.setups,
       commit_ms_.size(), read_ms_.size(), query_ms_.size(),
       checkpoint_ms_.size(), reopen_ms_.size(), setup_s,
       Percentile(commit_ms_, 0.5), Percentile(commit_ms_, 0.95),
       Percentile(read_ms_, 0.5), Percentile(read_ms_, 0.95),
       Percentile(query_ms_, 0.5), Percentile(query_ms_, 0.95),
-      loop_op_ms_ > 0 ? static_cast<double>(loop_ops_) * 1000.0 / loop_op_ms_
-                      : 0.0,
+      op_ms > 0 ? static_cast<double>(ops) * 1000.0 / op_ms : 0.0,
       Percentile(checkpoint_ms_, 0.5), Percentile(reopen_ms_, 0.5),
       commits > 0 ? static_cast<double>(wal_bytes) / commits : 0.0,
       store_bytes_per_fact_, peak_rss_mb,
@@ -908,17 +894,20 @@ int Bench::Run() {
                ent_.members[0].size(), base_text_.size());
   // Set-up, several times from scratch, before the loop (the last one's
   // state is what the loop runs on) and after it, so that setup_s, their
-  // median, does not rest on one moment's host speed.
+  // median, does not rest on one moment's host speed. Each one, less its
+  // probe time, is scaled by its warm-up cycle's probe times.
   std::vector<double> setup_s;
   auto setup = [&] {
+    const int64_t probe_before = probe_ns_;
     const int64_t t = NowNs();
     SetupOnce();
-    setup_s.push_back(static_cast<double>(NowNs() - t) / 1e9);
+    const int64_t ns = NowNs() - t - (probe_ns_ - probe_before);
+    setup_s.push_back(static_cast<double>(ns) / 1e9 * cycle_scale_);
   };
   for (int s = 0; s < (opt_.setups + 1) / 2; ++s) setup();
   if (bulk_) {
     BulkOracles();
-  } else if (!restart_) {
+  } else {
     PointOracles();
   }
 
@@ -939,7 +928,7 @@ int Bench::Run() {
   const double loop_s = static_cast<double>(NowNs() - loop_start) / 1e9;
   recording_ = false;
   tracer_.set_measuring(false);
-  if (!bulk_ && !restart_) PointOracles();
+  if (!bulk_) PointOracles();
 
   StationarityGuard();
   if (!opt_.counts_out.empty()) WriteCounts();

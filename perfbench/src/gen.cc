@@ -167,12 +167,6 @@ std::string UpQueryText(int i) {
          ".up -> B, B.boss -> C.";
 }
 
-std::string DeptRaiseText(int d, int64_t delta) {
-  return "t: mod[E].sal -> (S, S2) <- E.dept -> " + Dept(d) +
-         " / sal -> S, S2 = S " + (delta < 0 ? "- " : "+ ") +
-         std::to_string(delta < 0 ? -delta : delta) + ".";
-}
-
 std::string BulkText(int sign) {
   const char* op = sign < 0 ? " - " : " + ";
   return std::string(

@@ -38,7 +38,6 @@ constexpr int64_t kLowMin = 20000;
 constexpr int64_t kLowMax = 48999;
 constexpr int64_t kHighMin = 51000;
 constexpr int64_t kHighMax = 89999;
-constexpr int64_t kDeptRaise = 10;
 /// bulk_rules raises: managers get kBulkMgrRaise, everyone else
 /// kBulkRaise; the mirror commit subtracts the same amounts.
 constexpr int64_t kBulkMgrRaise = 20;
@@ -102,8 +101,6 @@ std::string SetSalaryText(int i, int64_t salary);
 std::string PayQueryText(int i);
 /// Recursive point query: employee i's ancestors as `up`.
 std::string UpQueryText(int i);
-/// Department-sized commit: every member of department d gets +delta.
-std::string DeptRaiseText(int d, int64_t delta);
 /// The bulk_rules program (Example 1 shape, three strata): raise every
 /// salary by sign * (kBulkMgrRaise | kBulkRaise) and swap boss/alt of
 /// every mover. sign = +1 and sign = -1 are mirror images.
