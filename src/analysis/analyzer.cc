@@ -272,16 +272,12 @@ void FinishMetrics(const AnalysisReport& report) {
 
 AnalysisContext ContextFromBase(const ObjectBase& base) {
   AnalysisContext context;
-  std::set<uint32_t> methods;
-  for (const auto& [vid, state] : base.versions()) {
-    (void)vid;
-    for (const auto& [method, apps] : state->methods()) {
-      (void)apps;
-      methods.insert(method.value);
-    }
+  // The method index's keys, already ascending.
+  context.base_methods.reserve(base.versions_by_method().size());
+  for (const auto& [method, vids] : base.versions_by_method()) {
+    (void)vids;
+    context.base_methods.push_back(method);
   }
-  context.base_methods.reserve(methods.size());
-  for (uint32_t m : methods) context.base_methods.push_back(MethodId(m));
   context.has_base = true;
   return context;
 }

@@ -24,11 +24,9 @@ DeltaLog CollectFacts(const ObjectBase& base,
                       const std::vector<MethodId>& methods) {
   DeltaLog rows;
   for (MethodId method : methods) {
-    const std::unordered_map<Vid, uint32_t>* vids =
-        base.VidsWithMethod(method);
+    const ObjectBase::VidSet* vids = base.VidsWithMethod(method);
     if (vids == nullptr) continue;
-    for (const auto& [vid, count] : *vids) {
-      (void)count;
+    for (Vid vid : *vids) {
       Status status = base.ForEachApp(vid, method, [&](const GroundApp& app) {
         rows.push_back(DeltaFact{vid, method, app, /*added=*/true});
         return Status::Ok();

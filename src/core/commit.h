@@ -12,6 +12,10 @@ namespace verso {
 /// method-applications back onto the plain OID. Objects whose final
 /// version carries nothing but `exists` vanish from ob'.
 ///
+/// ob' starts as an O(1) copy of `result`, and only the objects with
+/// non-plain versions (ObjectBase::non_plain_versions) are rewritten, so
+/// the cost follows what the program versioned, not the base size.
+///
 /// `symbols` is only used for diagnostics; `versions` is consulted (and
 /// not extended) for roots/depths.
 Result<ObjectBase> BuildNewObjectBase(const ObjectBase& result,

@@ -1,6 +1,33 @@
 #include "core/engine.h"
 
+#include "obs/metrics.h"
+
 namespace verso {
+
+namespace {
+
+/// Phase-span handles into the global registry, bound once (registration
+/// takes a mutex; a run must not): the working copy's existence seal,
+/// the T_P fixpoint over all strata, and the construction of ob'. On the
+/// commit path they split commit.evaluate_us.
+struct RunMetrics {
+  Histogram& seal_us;
+  Histogram& fixpoint_us;
+  Histogram& build_base_us;
+
+  static RunMetrics& Get() {
+    static RunMetrics* metrics =
+        new RunMetrics(MetricsRegistry::Global());  // never dies
+    return *metrics;
+  }
+
+  explicit RunMetrics(MetricsRegistry& registry)
+      : seal_us(registry.GetHistogram("commit.seal_us")),
+        fixpoint_us(registry.GetHistogram("commit.fixpoint_us")),
+        build_base_us(registry.GetHistogram("commit.build_base_us")) {}
+};
+
+}  // namespace
 
 void Engine::AddFact(ObjectBase& base, std::string_view object,
                      std::string_view method, std::initializer_list<Oid> args,
@@ -31,16 +58,24 @@ Result<RunOutcome> Engine::Run(Program& program, const ObjectBase& input,
                                const EvalOptions& options, TraceSink* trace) {
   VERSO_RETURN_IF_ERROR(program.Analyze(symbols_));
   VERSO_ASSIGN_OR_RETURN(Stratification stratification, Stratify(program));
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  RunMetrics& metrics = RunMetrics::Get();
 
+  ScopedTimer seal_span(registry, metrics.seal_us);
   ObjectBase working = input;
   working.SealExistence();
+  seal_span.Stop();
 
+  ScopedTimer fixpoint_span(registry, metrics.fixpoint_us);
   Evaluator evaluator(symbols_, versions_, options, trace);
   VERSO_ASSIGN_OR_RETURN(EvalStats stats,
                          evaluator.Run(program, stratification, working));
+  fixpoint_span.Stop();
 
+  ScopedTimer build_span(registry, metrics.build_base_us);
   VERSO_ASSIGN_OR_RETURN(ObjectBase fresh,
                          BuildNewObjectBase(working, symbols_, versions_));
+  build_span.Stop();
 
   RunOutcome outcome{std::move(working), std::move(fresh),
                      std::move(stratification), std::move(stats),

@@ -40,9 +40,11 @@ Result<EvalStats> Evaluator::Run(const Program& program,
   EvalStats stats;
   stats.strata.resize(stratification.stratum_count());
 
+  // A plain version is a subterm of every version of its object, so it
+  // can never break linearity: only the non-plain ones need noting.
   std::unordered_map<Oid, Vid> deepest;
   if (options_.check_version_linearity) {
-    for (const auto& [vid, state] : base.versions()) {
+    for (Vid vid : base.non_plain_versions()) {
       VERSO_RETURN_IF_ERROR(NoteMaterialized(vid, deepest));
     }
   }

@@ -223,8 +223,7 @@ class Matcher {
     if (candidates == nullptr) return Status::Ok();
     VidShape shape = ctx_.versions.InternShape(vterm.ops);
     Trail& trail = scratch_[pos].version;
-    for (const auto& [vid, count] : *candidates) {
-      (void)count;
+    for (Vid vid : *candidates) {
       if (ctx_.versions.shape(vid) != shape) continue;
       trail.clear();
       if (BindObj(vterm.base, ctx_.versions.root(vid), &trail)) {

@@ -1,7 +1,6 @@
 #include "core/object_base.h"
 
 #include <algorithm>
-#include <cassert>
 #include <mutex>
 
 namespace verso {
@@ -95,60 +94,71 @@ bool VersionState::OnlyExists(MethodId exists_method) const {
   return methods_.size() == 1 && methods_.front().first == exists_method;
 }
 
-ObjectBase::MethodIndex& ObjectBase::MutableIndex() {
-  if (method_index_.use_count() > 1) {
-    method_index_ = std::make_shared<MethodIndex>(*method_index_);
-  }
-  return *method_index_;
-}
-
 bool ObjectBase::Insert(Vid version, MethodId method, GroundApp app) {
-  StatePtr& slot = states_[version];
-  if (slot == nullptr) {
+  const bool plain = versions_->depth(version) == 0;
+  const StatePtr* current = states_.Find(version);
+  if (current == nullptr) {
+    if (!plain) non_plain_.Insert(version);
+    StatePtr& slot = states_.Slot(version);
     slot = std::make_shared<VersionState>();
-  } else if (slot.use_count() > 1) {
-    // Shared state: check membership before detaching so a duplicate
-    // insert never clones. The unique-owner path skips this pre-check —
-    // VersionState::Insert does its own duplicate test in one search.
-    if (slot->Contains(method, app)) return false;
-    slot = std::make_shared<VersionState>(*slot);
+    slot->Insert(method, std::move(app));
+    CountPlain(version, *slot, /*entering=*/true);
+    ++fact_count_;
+    IndexAdd(version, method);
+    return true;
   }
-  if (!slot->Insert(method, std::move(app))) return false;
+  // Membership on the read path first: a duplicate insert must neither
+  // path-copy the trie nor detach a shared state.
+  const VersionState& state = **current;
+  const std::vector<GroundApp>* apps = state.Find(method);
+  if (apps != nullptr && std::binary_search(apps->begin(), apps->end(), app)) {
+    return false;
+  }
+  // The plain-version counts can move only when the state gains an
+  // `exists` fact or holds nothing but `exists` facts.
+  const bool recount =
+      plain && (method == exists_method_ || state.OnlyExists(exists_method_));
+  // Own the trie path before testing the state's count: a leaf shared
+  // with another base holds the same handle without counting twice.
+  StatePtr& slot = states_.Slot(version);
+  if (recount) CountPlain(version, *slot, /*entering=*/false);
+  if (slot.use_count() > 1) slot = std::make_shared<VersionState>(*slot);
+  slot->Insert(method, std::move(app));
+  if (recount) CountPlain(version, *slot, /*entering=*/true);
   ++fact_count_;
-  IndexAdd(version, method, 1);
+  if (apps == nullptr) IndexAdd(version, method);
   return true;
 }
 
 bool ObjectBase::Erase(Vid version, MethodId method, const GroundApp& app) {
-  auto it = states_.find(version);
-  if (it == states_.end()) return false;
-  StatePtr& slot = it->second;
-  if (slot.use_count() > 1) {
-    if (!slot->Contains(method, app)) return false;  // miss: keep sharing
-    slot = std::make_shared<VersionState>(*slot);
-  }
-  if (!slot->Erase(method, app)) return false;
+  const StatePtr* current = states_.Find(version);
+  if (current == nullptr || !(*current)->Contains(method, app)) return false;
+  StatePtr& slot = states_.Slot(version);
+  CountPlain(version, *slot, /*entering=*/false);
+  if (slot.use_count() > 1) slot = std::make_shared<VersionState>(*slot);
+  slot->Erase(method, app);
   --fact_count_;
-  IndexRemove(version, method, 1);
-  if (slot->empty()) states_.erase(it);
+  const bool lost_method = slot->FindShared(method) == nullptr;
+  if (slot->empty()) {
+    states_.Erase(version);  // `slot` dangles from here on
+    if (versions_->depth(version) != 0) non_plain_.Erase(version);
+  } else {
+    CountPlain(version, *slot, /*entering=*/true);
+  }
+  if (lost_method) IndexRemove(version, method);
   return true;
 }
 
 bool ObjectBase::Contains(Vid version, MethodId method,
                           const GroundApp& app) const {
-  auto it = states_.find(version);
-  return it != states_.end() && it->second->Contains(method, app);
-}
-
-const VersionState* ObjectBase::StateOf(Vid version) const {
-  auto it = states_.find(version);
-  return it == states_.end() ? nullptr : it->second.get();
+  const VersionState* state = StateOf(version);
+  return state != nullptr && state->Contains(method, app);
 }
 
 std::shared_ptr<const VersionState> ObjectBase::SharedStateOf(
     Vid version) const {
-  auto it = states_.find(version);
-  return it == states_.end() ? nullptr : it->second;
+  const StatePtr* state = states_.Find(version);
+  return state == nullptr ? nullptr : *state;
 }
 
 bool ObjectBase::ReplaceVersion(Vid version, VersionState state,
@@ -160,7 +170,6 @@ bool ObjectBase::ReplaceVersion(Vid version, VersionState state,
 bool ObjectBase::AdoptVersion(Vid version,
                               std::shared_ptr<const VersionState> state,
                               DeltaLog* diff) {
-  if (state == nullptr) state = std::make_shared<VersionState>();
   // Dropping const is safe under the COW discipline: every mutator
   // detaches while the handle is shared, and once this base is the sole
   // owner the state is genuinely its to write.
@@ -170,98 +179,60 @@ bool ObjectBase::AdoptVersion(Vid version,
 
 bool ObjectBase::InstallVersion(Vid version, StatePtr incoming,
                                 DeltaLog* diff) {
-  auto it = states_.find(version);
-  if (it == states_.end()) {
-    if (incoming->empty()) return false;
-    // New version: index all methods; every fact is an addition.
-    for (const auto& [method, apps] : incoming->methods()) {
-      IndexAdd(version, method, static_cast<uint32_t>(apps.size()));
-      if (diff != nullptr) {
-        for (const GroundApp& app : apps) {
-          diff->push_back({version, method, app, /*added=*/true});
-        }
-      }
-    }
-    fact_count_ += incoming->fact_count();
-    states_.emplace(version, std::move(incoming));
-    return true;
-  }
+  if (incoming != nullptr && incoming->empty()) incoming = nullptr;
+  const StatePtr* slot = states_.Find(version);
+  const VersionState* old_state = slot == nullptr ? nullptr : slot->get();
+  if (old_state == incoming.get()) return false;  // same handle (or none)
 
-  if (it->second == incoming) return false;  // same handle: nothing to do
-
-  // Merge-walk the two sorted method lists, diffing each method's sorted
-  // application vector. This finds the fact-level changes in one pass (no
-  // deep == pre-check) and keeps the method index adjusted incrementally.
-  // Methods whose storage both states share are skipped outright — under
-  // T_P step-2 sharing, only the methods the updates touched cost work.
+  // One merge walk finds the fact-level changes; under T_P step-2
+  // sharing only the methods the updates touched cost work.
   bool changed = false;
-  const VersionState::MethodList& old_methods = it->second->methods();
-  const VersionState::MethodList& new_methods = incoming->methods();
+  ForEachFactChange(old_state, incoming.get(),
+                    [&](MethodId method, const GroundApp& app, bool added) {
+                      changed = true;
+                      if (diff != nullptr) {
+                        diff->push_back({version, method, app, added});
+                      }
+                    });
+  if (!changed) return false;
+
+  // The method sets change only where one state has a method the other
+  // lacks: merge the two sorted method lists.
+  static const VersionState::MethodList kNone;
+  const VersionState::MethodList& old_methods =
+      old_state == nullptr ? kNone : old_state->methods();
+  const VersionState::MethodList& new_methods =
+      incoming == nullptr ? kNone : incoming->methods();
   size_t oi = 0;
   size_t ni = 0;
-  auto removed = [&](MethodId method, const GroundApp& app) {
-    changed = true;
-    if (diff != nullptr) diff->push_back({version, method, app, false});
-  };
-  auto added = [&](MethodId method, const GroundApp& app) {
-    changed = true;
-    if (diff != nullptr) diff->push_back({version, method, app, true});
-  };
   while (oi < old_methods.size() || ni < new_methods.size()) {
     if (ni == new_methods.size() ||
         (oi < old_methods.size() &&
          old_methods[oi].first < new_methods[ni].first)) {
-      const auto& [method, apps] = old_methods[oi++];
-      for (const GroundApp& app : apps) removed(method, app);
-      IndexRemove(version, method, static_cast<uint32_t>(apps.size()));
-      continue;
-    }
-    if (oi == old_methods.size() ||
-        new_methods[ni].first < old_methods[oi].first) {
-      const auto& [method, apps] = new_methods[ni++];
-      for (const GroundApp& app : apps) added(method, app);
-      IndexAdd(version, method, static_cast<uint32_t>(apps.size()));
-      continue;
-    }
-    // Same method on both sides: shared storage means no change.
-    if (SharesStorage(old_methods[oi].second, new_methods[ni].second)) {
+      IndexRemove(version, old_methods[oi++].first);
+    } else if (oi == old_methods.size() ||
+               new_methods[ni].first < old_methods[oi].first) {
+      IndexAdd(version, new_methods[ni++].first);
+    } else {
       ++oi;
       ++ni;
-      continue;
     }
-    // Diff the sorted application vectors.
-    const MethodId method = old_methods[oi].first;
-    const std::vector<GroundApp>& old_apps = old_methods[oi++].second.get();
-    const std::vector<GroundApp>& new_apps = new_methods[ni++].second.get();
-    size_t oa = 0;
-    size_t na = 0;
-    uint32_t removed_count = 0;
-    uint32_t added_count = 0;
-    while (oa < old_apps.size() || na < new_apps.size()) {
-      if (na == new_apps.size() ||
-          (oa < old_apps.size() && old_apps[oa] < new_apps[na])) {
-        removed(method, old_apps[oa++]);
-        ++removed_count;
-      } else if (oa == old_apps.size() || new_apps[na] < old_apps[oa]) {
-        added(method, new_apps[na++]);
-        ++added_count;
-      } else {
-        ++oa;
-        ++na;
-      }
-    }
-    if (removed_count != 0) IndexRemove(version, method, removed_count);
-    if (added_count != 0) IndexAdd(version, method, added_count);
   }
-  if (!changed) return false;
 
-  fact_count_ -= it->second->fact_count();
-  if (incoming->empty()) {
-    states_.erase(it);
+  const bool plain = versions_->depth(version) == 0;
+  if (old_state != nullptr) {
+    fact_count_ -= old_state->fact_count();
+    CountPlain(version, *old_state, /*entering=*/false);
+  }
+  if (incoming == nullptr) {
+    states_.Erase(version);
+    if (!plain) non_plain_.Erase(version);
     return true;
   }
   fact_count_ += incoming->fact_count();
-  it->second = std::move(incoming);
+  CountPlain(version, *incoming, /*entering=*/true);
+  if (old_state == nullptr && !plain) non_plain_.Insert(version);
+  states_.Slot(version) = std::move(incoming);
   return true;
 }
 
@@ -281,10 +252,12 @@ Vid ObjectBase::LatestExistingStage(Vid v) const {
 }
 
 void ObjectBase::SealExistence() {
+  if (unsealed_plain_ == 0) return;
   std::vector<Vid> roots;
-  roots.reserve(states_.size());
   for (const auto& [vid, state] : states_) {
-    if (versions_->depth(vid) == 0) roots.push_back(vid);
+    if (versions_->depth(vid) == 0 && !VersionExists(vid)) {
+      roots.push_back(vid);
+    }
   }
   for (Vid vid : roots) {
     GroundApp app;
@@ -293,26 +266,30 @@ void ObjectBase::SealExistence() {
   }
 }
 
-const std::unordered_map<Vid, uint32_t>* ObjectBase::VidsWithMethod(
-    MethodId method) const {
-  auto it = method_index_->find(method);
-  return it == method_index_->end() ? nullptr : &it->second;
+void ObjectBase::CountPlain(Vid version, const VersionState& state,
+                            bool entering) {
+  if (versions_->depth(version) != 0) return;
+  GroundApp exists;
+  exists.result = versions_->root(version);
+  const size_t unsealed = state.Contains(exists_method_, exists) ? 0 : 1;
+  const size_t exists_only = state.OnlyExists(exists_method_) ? 1 : 0;
+  if (entering) {
+    unsealed_plain_ += unsealed;
+    exists_only_plain_ += exists_only;
+  } else {
+    unsealed_plain_ -= unsealed;
+    exists_only_plain_ -= exists_only;
+  }
 }
 
-void ObjectBase::IndexAdd(Vid version, MethodId method, uint32_t count) {
-  MutableIndex()[method][version] += count;
+void ObjectBase::IndexAdd(Vid version, MethodId method) {
+  by_method_.Slot(method).Insert(version);
 }
 
-void ObjectBase::IndexRemove(Vid version, MethodId method, uint32_t count) {
-  MethodIndex& index = MutableIndex();
-  auto mit = index.find(method);
-  assert(mit != index.end());
-  auto vit = mit->second.find(version);
-  assert(vit != mit->second.end());
-  assert(vit->second >= count);
-  vit->second -= count;
-  if (vit->second == 0) mit->second.erase(vit);
-  if (mit->second.empty()) index.erase(mit);
+void ObjectBase::IndexRemove(Vid version, MethodId method) {
+  VidSet& vids = by_method_.Slot(method);
+  vids.Erase(version);
+  if (vids.empty()) by_method_.Erase(method);
 }
 
 }  // namespace verso

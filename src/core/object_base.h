@@ -5,11 +5,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/delta.h"
+#include "core/id_trie.h"
 #include "core/ids.h"
 #include "core/term.h"
 #include "core/version_table.h"
@@ -294,37 +294,107 @@ class VersionState {
   size_t fact_count_ = 0;
 };
 
+/// Calls fn(method, app, added) for every fact held by exactly one of
+/// two states (nullptr = the empty state): method by method in ascending
+/// order, and within a method in sorted application order, removals and
+/// additions interleaved. Methods whose application storage both states
+/// share are skipped without comparing their contents.
+template <typename Fn>
+void ForEachFactChange(const VersionState* before, const VersionState* after,
+                       Fn&& fn) {
+  using Entry = VersionState::MethodEntry;
+  const Entry* o = nullptr;
+  const Entry* o_end = nullptr;
+  const Entry* n = nullptr;
+  const Entry* n_end = nullptr;
+  if (before != nullptr) {
+    o = before->methods().data();
+    o_end = o + before->methods().size();
+  }
+  if (after != nullptr) {
+    n = after->methods().data();
+    n_end = n + after->methods().size();
+  }
+  while (o != o_end || n != n_end) {
+    if (n == n_end || (o != o_end && o->first < n->first)) {
+      for (const GroundApp& app : o->second) fn(o->first, app, /*added=*/false);
+      ++o;
+      continue;
+    }
+    if (o == o_end || n->first < o->first) {
+      for (const GroundApp& app : n->second) fn(n->first, app, /*added=*/true);
+      ++n;
+      continue;
+    }
+    const MethodId method = o->first;
+    const SharedApps& old_shared = (o++)->second;
+    const SharedApps& new_shared = (n++)->second;
+    if (SharesStorage(old_shared, new_shared)) continue;
+    const std::vector<GroundApp>& old_apps = old_shared.get();
+    const std::vector<GroundApp>& new_apps = new_shared.get();
+    size_t oa = 0;
+    size_t na = 0;
+    while (oa < old_apps.size() || na < new_apps.size()) {
+      if (na == new_apps.size() ||
+          (oa < old_apps.size() && old_apps[oa] < new_apps[na])) {
+        fn(method, old_apps[oa++], /*added=*/false);
+      } else if (oa == old_apps.size() || new_apps[na] < old_apps[oa]) {
+        fn(method, new_apps[na++], /*added=*/true);
+      } else {
+        ++oa;
+        ++na;
+      }
+    }
+  }
+}
+
 /// An object base: a set of ground version-terms `v.m@args -> r`
-/// (paper Section 2.1), indexed
-///   * per version: its full VersionState (the copy unit of T_P step 2),
-///   * per method: which versions carry it (drives matching of patterns
-///     whose version variable is unbound, filtered by VID shape),
-///   * per (method, result): lazily, inside each method's IndexedApps
-///     node (drives matching of bound-result literals).
+/// (paper Section 2.1), held in three persistent tries (IdTrie) keyed by
+/// the dense Vid / MethodId values:
+///   * version -> its VersionState (the copy unit of T_P step 2);
+///   * method -> the set of versions carrying it (drives matching of
+///     patterns whose version variable is unbound, filtered by VID
+///     shape). Whether a version carries a method is read off its state;
+///     the set changes only when a state gains or loses a method;
+///   * the set of non-plain versions (depth > 0): the versions a commit
+///     folds back onto their objects, and the only ones that can break
+///     version linearity.
+/// Per (method, result) lookups go through the lazily built index inside
+/// each method's IndexedApps node.
 ///
-/// Per-version states are refcounted immutable handles: copying an
-/// ObjectBase is O(#versions) pointer bumps plus one shared-index bump —
-/// no fact is copied. Mutators detach the touched version's state (and,
-/// once per copy, the method index) before writing, so snapshot-isolated
-/// readers (Connection::Pin), the evaluator's working copy, and T_P
-/// step-2 copies all share every version that never changes.
+/// Copying an ObjectBase bumps one root count per trie: no node, state or
+/// fact is copied (a snapshot pin of a 4096-object base takes about 1 µs
+/// on a 4-vCPU VM, BM_SnapPinUnderCommits). A write path-copies only the
+/// trie nodes from the root to the written version's leaf that another
+/// base still shares (three 32-way levels cover 32768 versions) and
+/// detaches that version's state if shared; a base that owns a node alone
+/// writes it in place. Snapshot readers (Connection::Pin), the
+/// evaluator's working copy, the query's working copy and each view's
+/// result thus share every version and every trie node that neither side
+/// wrote. Iteration is in ascending Vid order, and ComputeDelta /
+/// operator== skip the subtrees two bases share.
+///
+/// Two counts over the plain (depth-0) versions let whole-base passes
+/// return at once when they have nothing to do: the versions lacking
+/// their `exists` fact (SealExistence) and the versions whose only facts
+/// are `exists` ones (BuildNewObjectBase drops those objects).
 ///
 /// The ObjectBase does not own the symbol/version tables; it references
-/// the VersionTable to answer shape/`v*` queries.
+/// the VersionTable to answer shape/depth/`v*` queries.
 class ObjectBase {
  public:
   using StatePtr = std::shared_ptr<VersionState>;
-  using StateMap = std::unordered_map<Vid, StatePtr>;
-  using MethodIndex =
-      std::unordered_map<MethodId, std::unordered_map<Vid, uint32_t>>;
+  /// version -> state, iterated as (Vid, const StatePtr&) pairs.
+  using VersionMap = IdTrie<Vid, StatePtr>;
+  using VidSet = IdTrie<Vid>;
+  /// method -> the versions carrying it.
+  using VersionsByMethod = IdTrie<MethodId, VidSet>;
 
   ObjectBase(MethodId exists_method, const VersionTable* versions)
-      : exists_method_(exists_method),
-        versions_(versions),
-        method_index_(std::make_shared<MethodIndex>()) {}
+      : exists_method_(exists_method), versions_(versions) {}
 
-  /// Copyable by design — and cheap: the copy shares every version state
-  /// and the method index with the source until one side writes.
+  /// Copyable by design — and O(1): the copy shares every trie node and
+  /// version state with the source until one side writes.
   ObjectBase(const ObjectBase&) = default;
   ObjectBase& operator=(const ObjectBase&) = default;
   ObjectBase(ObjectBase&&) = default;
@@ -358,7 +428,10 @@ class ObjectBase {
   }
 
   /// The state of a version, or nullptr if it has no facts.
-  const VersionState* StateOf(Vid version) const;
+  const VersionState* StateOf(Vid version) const {
+    const StatePtr* state = states_.Find(version);
+    return state == nullptr ? nullptr : state->get();
+  }
 
   /// The refcounted handle of a version's state (nullptr if the version
   /// has no facts). Lets callers share the state into another base
@@ -368,19 +441,17 @@ class ObjectBase {
   /// Swaps in a whole new state for `version` (the evaluator's application
   /// of T_P replaces the states of all relevant VIDs). An empty state
   /// removes the version. Returns true iff anything changed; when `diff`
-  /// is given, the fact-level changes (merge of the old and new sorted
-  /// states) are appended to it instead of being detected by a deep
-  /// equality check, and the method index is adjusted incrementally.
-  /// Methods whose application storage the old and new state share are
-  /// skipped without comparing contents.
+  /// is given, the fact-level changes (ForEachFactChange of the old and
+  /// new states) are appended to it. Methods whose application storage
+  /// the old and new state share are skipped without comparing contents.
   bool ReplaceVersion(Vid version, VersionState state,
                       DeltaLog* diff = nullptr);
 
   /// ReplaceVersion without the copy: installs `state` as a shared
   /// handle, so this base and the handle's other owners keep sharing the
-  /// storage (each side detaches on its first write). Used by
-  /// BuildNewObjectBase to move an object's final-version state onto its
-  /// plain OID with zero fact copies.
+  /// storage (each side detaches on its first write). A null handle
+  /// removes the version. Used by BuildNewObjectBase to move an object's
+  /// final-version state onto its plain OID with zero fact copies.
   bool AdoptVersion(Vid version, std::shared_ptr<const VersionState> state,
                     DeltaLog* diff = nullptr);
 
@@ -394,15 +465,24 @@ class ObjectBase {
   Vid LatestExistingStage(Vid v) const;
 
   /// Ensures every depth-0 version in the base carries its exists-fact
-  /// (the paper assumes `o.exists -> o` for every object of ob).
+  /// (the paper assumes `o.exists -> o` for every object of ob). Returns
+  /// at once when no plain version lacks it — the case for every base a
+  /// commit built.
   void SealExistence();
 
-  /// Versions carrying at least one fact for `method` (with multiplicity
-  /// count), or nullptr. Iteration order is unspecified.
-  const std::unordered_map<Vid, uint32_t>* VidsWithMethod(
-      MethodId method) const;
+  /// Versions carrying at least one fact for `method`, ascending, or
+  /// nullptr when none does.
+  const VidSet* VidsWithMethod(MethodId method) const {
+    return by_method_.Find(method);
+  }
 
-  const StateMap& versions() const { return states_; }
+  const VersionMap& versions() const { return states_; }
+  /// Every method some version carries, ascending, with its versions.
+  const VersionsByMethod& versions_by_method() const { return by_method_; }
+  /// The versions of depth > 0, ascending.
+  const VidSet& non_plain_versions() const { return non_plain_; }
+  /// Plain versions whose only facts are `exists` facts.
+  size_t exists_only_plain_count() const { return exists_only_plain_; }
 
   size_t fact_count() const { return fact_count_; }
   size_t version_count() const { return states_.size(); }
@@ -415,34 +495,39 @@ class ObjectBase {
   /// real table out of range.
   void set_version_table(const VersionTable* versions) { versions_ = versions; }
 
+  /// Equal fact sets. One walk over both version tries that skips shared
+  /// subtrees and shared states, so comparing a base with a lightly
+  /// edited copy costs what the edits touched.
   friend bool operator==(const ObjectBase& a, const ObjectBase& b) {
-    if (a.states_.size() != b.states_.size()) return false;
-    for (const auto& [vid, state] : a.states_) {
-      auto it = b.states_.find(vid);
-      if (it == b.states_.end()) return false;
-      if (state == it->second) continue;  // shared storage: equal for free
-      if (!(*state == *it->second)) return false;
-    }
-    return true;
+    if (a.fact_count_ != b.fact_count_) return false;
+    return VersionMap::Diff(
+        a.states_, b.states_,
+        [](Vid, const StatePtr* x, const StatePtr* y) {
+          return x != nullptr && y != nullptr && **x == **y;
+        });
   }
 
  private:
   MethodId exists_method_;
   const VersionTable* versions_;
 
-  StateMap states_;
-  std::shared_ptr<MethodIndex> method_index_;
+  VersionMap states_;
+  VersionsByMethod by_method_;
+  VidSet non_plain_;
   size_t fact_count_ = 0;
-
-  /// Detach-before-write for the shared method index.
-  MethodIndex& MutableIndex();
+  size_t unsealed_plain_ = 0;
+  size_t exists_only_plain_ = 0;
 
   /// Shared tail of ReplaceVersion/AdoptVersion: diffs the existing state
-  /// against *incoming and installs the handle itself on change.
+  /// against `incoming` (null = empty) and installs the handle on change.
   bool InstallVersion(Vid version, StatePtr incoming, DeltaLog* diff);
 
-  void IndexAdd(Vid version, MethodId method, uint32_t count);
-  void IndexRemove(Vid version, MethodId method, uint32_t count);
+  /// Moves the plain-version counts for `state` of `version` leaving
+  /// (entering = false) or entering the base; no-op for non-plain ones.
+  void CountPlain(Vid version, const VersionState& state, bool entering);
+
+  void IndexAdd(Vid version, MethodId method);
+  void IndexRemove(Vid version, MethodId method);
 };
 
 }  // namespace verso

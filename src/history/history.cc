@@ -14,22 +14,11 @@ void DiffStates(const VersionState* before, const VersionState& after,
   // (method, args) to classify modifies.
   std::vector<std::pair<MethodId, GroundApp>> raw_added;
   std::vector<std::pair<MethodId, GroundApp>> raw_removed;
-  for (const auto& [method, apps] : after.methods()) {
-    for (const GroundApp& app : apps) {
-      if (before == nullptr || !before->ContainsApp(method, app)) {
-        raw_added.emplace_back(method, app);
-      }
-    }
-  }
-  if (before != nullptr) {
-    for (const auto& [method, apps] : before->methods()) {
-      for (const GroundApp& app : apps) {
-        if (!after.ContainsApp(method, app)) {
-          raw_removed.emplace_back(method, app);
-        }
-      }
-    }
-  }
+  ForEachFactChange(before, &after,
+                    [&](MethodId method, const GroundApp& app, bool added) {
+                      (added ? raw_added : raw_removed)
+                          .emplace_back(method, app);
+                    });
   // Pair one removed with one added per (method, args): a modify.
   std::vector<bool> added_used(raw_added.size(), false);
   for (const auto& [method, removed_app] : raw_removed) {

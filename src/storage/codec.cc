@@ -231,42 +231,25 @@ Status DecodeVersionRecordInto(std::string_view data, SymbolTable& symbols,
 }
 
 FactDelta ComputeDelta(const ObjectBase& before, const ObjectBase& after) {
-  // Structural sharing makes this O(changed state): a version whose state
-  // handle both bases share — and, below that, a method whose application
-  // storage both states share — cannot contribute a delta fact, so whole
-  // subtrees of the comparison are skipped by pointer equality. Bases
-  // that share nothing degrade to the original per-fact membership scan.
+  // One walk over both version tries: subtrees and states the two bases
+  // share cannot contribute a delta fact and are skipped by pointer
+  // equality, and inside a changed state so are the methods whose
+  // application storage both sides share. A commit's ob' descends from
+  // the committed base by O(1) copies, so this costs what it changed.
   FactDelta delta;
-  for (const auto& [vid, state] : after.versions()) {
-    const VersionState* other = before.StateOf(vid);
-    if (other == state.get()) continue;  // shared state: unchanged
-    for (const auto& [method, apps] : state->methods()) {
-      if (other != nullptr) {
-        const SharedApps* shared = other->FindShared(method);
-        if (shared != nullptr && SharesStorage(*shared, apps)) continue;
-      }
-      for (const GroundApp& app : apps) {
-        if (other == nullptr || !other->ContainsApp(method, app)) {
-          delta.added.push_back({vid, method, app});
-        }
-      }
-    }
-  }
-  for (const auto& [vid, state] : before.versions()) {
-    const VersionState* other = after.StateOf(vid);
-    if (other == state.get()) continue;
-    for (const auto& [method, apps] : state->methods()) {
-      if (other != nullptr) {
-        const SharedApps* shared = other->FindShared(method);
-        if (shared != nullptr && SharesStorage(*shared, apps)) continue;
-      }
-      for (const GroundApp& app : apps) {
-        if (other == nullptr || !other->ContainsApp(method, app)) {
-          delta.removed.push_back({vid, method, app});
-        }
-      }
-    }
-  }
+  ObjectBase::VersionMap::Diff(
+      before.versions(), after.versions(),
+      [&](Vid vid, const ObjectBase::StatePtr* was,
+          const ObjectBase::StatePtr* now) {
+        ForEachFactChange(
+            was == nullptr ? nullptr : was->get(),
+            now == nullptr ? nullptr : now->get(),
+            [&](MethodId method, const GroundApp& app, bool added) {
+              (added ? delta.added : delta.removed)
+                  .push_back({vid, method, app});
+            });
+        return true;
+      });
   return delta;
 }
 

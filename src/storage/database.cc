@@ -14,10 +14,12 @@ namespace verso {
 namespace {
 
 /// Commit-path handles into the global registry, bound once (registration
-/// takes a mutex; the commit path must not). The five histograms are the
-/// per-commit phase spans: evaluate, WAL append (durability, retries and
-/// backoff included), in-memory install, observer/view fan-out, and the
-/// whole transaction end to end.
+/// takes a mutex; the commit path must not). The histograms are the
+/// per-commit phase spans: evaluate (Engine::Run splits it into
+/// commit.seal_us / commit.fixpoint_us / commit.build_base_us, which are
+/// registered here too); the delta diff against the committed base; WAL
+/// append (durability, retries and backoff included); in-memory install;
+/// observer/view fan-out; and the whole transaction end to end.
 struct CommitMetrics {
   Counter& commits;
   Counter& batches;
@@ -25,6 +27,7 @@ struct CommitMetrics {
   Counter& rejected_readonly;
   Counter& delta_facts;
   Histogram& evaluate_us;
+  Histogram& diff_us;
   Histogram& wal_append_us;
   Histogram& install_us;
   Histogram& fanout_us;
@@ -43,10 +46,15 @@ struct CommitMetrics {
         rejected_readonly(registry.GetCounter("commit.rejected_readonly")),
         delta_facts(registry.GetCounter("commit.delta_facts")),
         evaluate_us(registry.GetHistogram("commit.evaluate_us")),
+        diff_us(registry.GetHistogram("commit.diff_us")),
         wal_append_us(registry.GetHistogram("commit.wal_append_us")),
         install_us(registry.GetHistogram("commit.install_us")),
         fanout_us(registry.GetHistogram("commit.fanout_us")),
-        total_us(registry.GetHistogram("commit.total_us")) {}
+        total_us(registry.GetHistogram("commit.total_us")) {
+    registry.GetHistogram("commit.seal_us");
+    registry.GetHistogram("commit.fixpoint_us");
+    registry.GetHistogram("commit.build_base_us");
+  }
 };
 
 /// Checkpoint/recovery handles. The recovery pair makes bounded recovery
@@ -350,7 +358,9 @@ Status Database::CommitDelta(const ObjectBase& next, DeltaLog* committed) {
   VERSO_RETURN_IF_ERROR(CheckWritable());
   MetricsRegistry& registry = MetricsRegistry::Global();
   CommitMetrics& metrics = CommitMetrics::Get();
+  ScopedTimer diff_timer(registry, metrics.diff_us);
   FactDelta delta = ComputeDelta(current_, next);
+  diff_timer.Stop();
   if (delta.empty()) {
     metrics.noops.Add();
     return Status::Ok();
@@ -433,7 +443,9 @@ Result<std::vector<RunOutcome>> Database::ExecuteBatch(
   for (Program* program : programs) {
     VERSO_ASSIGN_OR_RETURN(RunOutcome outcome,
                            engine_.Run(*program, *working, options, trace));
+    ScopedTimer diff_timer(registry, metrics.diff_us);
     deltas.push_back(ComputeDelta(*working, outcome.new_base));
+    diff_timer.Stop();
     outcomes.push_back(std::move(outcome));
     working = &outcomes.back().new_base;
   }

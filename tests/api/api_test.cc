@@ -33,7 +33,7 @@ bool Holds(const Connection& conn, const ObjectBase& base, const char* object,
   // needs no table mutation: scan the method index instead.
   const auto* vids = base.VidsWithMethod(m);
   if (vids == nullptr) return false;
-  for (const auto& [vid, count] : *vids) {
+  for (Vid vid : *vids) {
     const VersionState* state = base.StateOf(vid);
     const std::vector<GroundApp>* apps = state->Find(m);
     if (apps == nullptr) continue;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,6 +48,65 @@ TEST(CowSnapshotTest, PinSharesStateWithTheCommittedBase) {
   for (const auto& [vid, state] : live.versions()) {
     EXPECT_EQ(pinned.SharedStateOf(vid), state);
   }
+}
+
+/// A write's committed delta as sorted "+fact" / "-fact" lines.
+std::vector<std::string> DeltaLines(ResultSet& rs) {
+  std::vector<std::string> lines;
+  while (rs.Next()) {
+    lines.push_back((rs.added() ? "+" : "-") + rs.RowToString());
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+constexpr const char* kRaiseX =
+    "t: mod[x].sal -> (S, S2) <- x.sal -> S, S2 = S + 1.";
+
+TEST(CowSnapshotTest, FirstCommitAfterImportSealsEveryObject) {
+  // kBase carries no exists facts. The first commit adds one per object
+  // on top of its own change; from then on a commit's delta holds only
+  // what the program changed.
+  std::unique_ptr<Connection> conn = MemConnection();
+  ASSERT_TRUE(conn->ImportText(kBase).ok());
+  std::unique_ptr<Session> session = conn->OpenSession();
+  Result<ResultSet> first = session->Execute(kRaiseX);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(DeltaLines(*first),
+            (std::vector<std::string>{
+                "+x.exists -> x.", "+x.sal -> 2001.", "+y.exists -> y.",
+                "+z.exists -> z.", "-x.sal -> 2000."}));
+  Result<ResultSet> second = session->Execute(kRaiseX);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(DeltaLines(*second),
+            (std::vector<std::string>{"+x.sal -> 2002.", "-x.sal -> 2001."}));
+}
+
+TEST(CowSnapshotTest, CommitKeepsUntouchedStatesSharedWithThePin) {
+  std::unique_ptr<Connection> conn = MemConnection();
+  ASSERT_TRUE(conn->ImportText(kBase).ok());
+  std::unique_ptr<Session> writer = conn->OpenSession();
+  ASSERT_TRUE(writer->Execute(kRaiseX).ok());  // seals the base
+
+  // A reader pins the sealed base; the writer then commits a change to x
+  // alone. Every other object's state in the new committed base is the
+  // very handle the pin holds.
+  std::unique_ptr<Session> reader = conn->OpenSession();
+  const ObjectBase& pinned = reader->base();
+  ASSERT_TRUE(writer->Execute(kRaiseX).ok());
+  const ObjectBase& live = conn->database().current();
+  Vid x = conn->engine().versions().OfOid(
+      conn->engine().symbols().Symbol("x"));
+  size_t untouched = 0;
+  for (const auto& [vid, state] : pinned.versions()) {
+    if (vid == x) {
+      EXPECT_NE(live.SharedStateOf(vid), state);
+      continue;
+    }
+    EXPECT_EQ(live.SharedStateOf(vid), state);
+    ++untouched;
+  }
+  EXPECT_EQ(untouched, 2u);
 }
 
 TEST(CowSnapshotTest, PinnedReadersAreImmuneToLaterCommits) {

@@ -104,6 +104,19 @@ TEST_F(EvaluatorTest, UntouchedObjectsSurviveUnchanged) {
   EXPECT_EQ(r->stats.versions_materialized, 1u);
 }
 
+TEST_F(EvaluatorTest, UntouchedExistsOnlyObjectIsDropped) {
+  // `b` carries nothing but its exists fact and the program never
+  // versions it: the commit still drops it, like an object whose final
+  // version lost everything but `exists`.
+  Result<RunOutcome> r =
+      Run("a.sal -> 1.  b.exists -> b.",
+          "f: mod[a].sal -> (S, S2) <- a.sal -> S, S2 = S + 1.");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ObjectBaseToString(r->new_base, engine_.symbols(),
+                               engine_.versions()),
+            "a.exists -> a.\na.sal -> 2.\n");
+}
+
 // ---- Commit (Section 5) -------------------------------------------------
 
 class CommitTest : public ::testing::Test {
@@ -140,6 +153,18 @@ TEST_F(CommitTest, ExistsOnlyFinalVersionVanishes) {
   Result<ObjectBase> fresh = BuildNewObjectBase(base_, symbols_, versions_);
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(fresh->fact_count(), 0u);
+}
+
+TEST_F(CommitTest, ExistsOnlyPlainObjectVanishesWithoutVersions) {
+  // No non-plain version at all: the exists-only object is dropped and
+  // the rest of the base is kept as it is.
+  Facts("a.exists -> a.  a.m -> 1.  b.exists -> b.");
+  Result<ObjectBase> fresh = BuildNewObjectBase(base_, symbols_, versions_);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(ObjectBaseToString(*fresh, symbols_, versions_),
+            "a.exists -> a.\na.m -> 1.\n");
+  Vid a = versions_.OfOid(symbols_.Symbol("a"));
+  EXPECT_EQ(fresh->SharedStateOf(a), base_.SharedStateOf(a));
 }
 
 TEST_F(CommitTest, IncomparableVersionsAreRejected) {

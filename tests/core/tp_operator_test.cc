@@ -40,7 +40,7 @@ class TpOperatorTest : public ::testing::Test {
     std::string text = std::string(chain) + ".probe -> probe.";
     Status s = ParseObjectBaseInto(text, symbols_, versions_, scratch);
     EXPECT_TRUE(s.ok()) << s.ToString();
-    return scratch.versions().begin()->first;
+    return (*scratch.versions().begin()).first;
   }
 
   GroundApp App(Oid result) {

@@ -4,13 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <random>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "baselines/baselines.h"
 #include "core/engine.h"
 #include "core/pretty.h"
 #include "parser/parser.h"
+#include "storage/codec.h"
 #include "workloads/workloads.h"
 
 namespace verso {
@@ -289,6 +295,357 @@ TEST(PropertyTest, ResultIndexLookupsMatchFullScans) {
       }
       EXPECT_TRUE(copy == rebuilt);
     }
+  }
+}
+
+// The persistent object base against a plain model. Random inserts,
+// erases, version replacements, adoptions, copies and destructions run
+// over a few thousand versions (plain and non-plain), so the version
+// trie has three levels and sparse leaves and copies share nodes at
+// every level. Every live base must keep agreeing with its own
+// std::map model — so no copy sees another's later writes — on
+// StateOf, VidsWithMethod (size, members, ascending order),
+// non_plain_versions, the exists-only count, fact_count, ==,
+// SealExistence, and on ComputeDelta against every other live base and
+// against a rebuilt base that shares no storage.
+TEST(PropertyTest, PersistentBaseMatchesMapModel) {
+  // (vid, method, arg, result) — every app carries one argument.
+  using Fact = std::tuple<uint32_t, uint32_t, uint32_t, uint32_t>;
+  using Model = std::set<Fact>;
+  for (uint64_t seed : {5ull, 55ull, 555ull}) {
+    std::mt19937_64 rng(seed);
+    SymbolTable symbols;
+    VersionTable versions;
+    const MethodId exists = symbols.exists_method();
+
+    // 2500 plain versions and mod() versions of every fifth object:
+    // Vids 0..2999, interleaved. `sibling` pairs o with mod(o).
+    std::vector<Vid> vids;
+    std::map<uint32_t, Vid> sibling;
+    for (int i = 0; i < 2500; ++i) {
+      Vid plain = versions.OfOid(symbols.Symbol("o" + std::to_string(i)));
+      vids.push_back(plain);
+      if (i % 5 == 0) {
+        Vid staged = versions.Child(plain, UpdateKind::kModify);
+        vids.push_back(staged);
+        sibling[plain.value] = staged;
+        sibling[staged.value] = plain;
+      }
+    }
+    std::vector<MethodId> methods = {exists};
+    for (int i = 0; i < 4; ++i) {
+      methods.push_back(symbols.Method("m" + std::to_string(i)));
+    }
+    std::vector<Oid> values;
+    for (int i = 0; i < 3; ++i) values.push_back(symbols.Int(i));
+
+    auto fact_of = [](Vid vid, MethodId method, const GroundApp& app) {
+      return Fact{vid.value, method.value, app.args[0].value,
+                  app.result.value};
+    };
+    auto app_of = [](const Fact& fact) {
+      GroundApp app;
+      app.args.push_back(Oid(std::get<2>(fact)));
+      app.result = Oid(std::get<3>(fact));
+      return app;
+    };
+    // A random fact; exists facts follow the paper's `v.exists -> root`.
+    auto random_fact = [&](Vid vid) {
+      MethodId method = methods[rng() % methods.size()];
+      GroundApp app;
+      app.args.push_back(values[rng() % values.size()]);
+      app.result = method == exists ? Oid(versions.root(vid).value)
+                                    : values[rng() % values.size()];
+      return fact_of(vid, method, app);
+    };
+    auto facts_of = [](const Model& model, uint32_t vid) {
+      return Model(model.lower_bound(Fact{vid, 0, 0, 0}),
+                   model.lower_bound(Fact{vid + 1, 0, 0, 0}));
+    };
+    auto state_facts = [&](Vid vid, const VersionState* state) {
+      Model out;
+      if (state == nullptr) return out;
+      for (const auto& [method, apps] : state->methods()) {
+        for (const GroundApp& app : apps) out.insert(fact_of(vid, method, app));
+      }
+      return out;
+    };
+
+    std::vector<ObjectBase> bases;
+    std::vector<Model> models;
+    bases.emplace_back(exists, &versions);
+    models.emplace_back();
+
+    auto check = [&](const ObjectBase& base, const Model& model) {
+      ASSERT_EQ(base.fact_count(), model.size());
+      // Versions: ascending, exactly the model's, each state exact.
+      std::set<uint32_t> model_vids;
+      for (const Fact& fact : model) model_vids.insert(std::get<0>(fact));
+      std::vector<uint32_t> seen;
+      for (const auto& [vid, state] : base.versions()) {
+        seen.push_back(vid.value);
+        EXPECT_EQ(state_facts(vid, state.get()), facts_of(model, vid.value));
+      }
+      EXPECT_EQ(seen, std::vector<uint32_t>(model_vids.begin(),
+                                            model_vids.end()));
+      EXPECT_EQ(base.version_count(), model_vids.size());
+      for (int probe = 0; probe < 64; ++probe) {
+        Vid vid = vids[rng() % vids.size()];
+        EXPECT_EQ(base.StateOf(vid) == nullptr,
+                  facts_of(model, vid.value).empty());
+      }
+      // Non-plain versions: ascending, exactly the model's.
+      std::vector<uint32_t> non_plain;
+      for (Vid vid : base.non_plain_versions()) non_plain.push_back(vid.value);
+      std::vector<uint32_t> expected_non_plain;
+      for (uint32_t vid : model_vids) {
+        if (versions.depth(Vid(vid)) != 0) expected_non_plain.push_back(vid);
+      }
+      EXPECT_EQ(non_plain, expected_non_plain);
+      // Plain versions holding only exists facts: the count that lets
+      // BuildNewObjectBase skip its walk over exists-only objects.
+      size_t exists_only = 0;
+      for (uint32_t vid : model_vids) {
+        if (versions.depth(Vid(vid)) != 0) continue;
+        bool only = true;
+        for (const Fact& fact : facts_of(model, vid)) {
+          only = only && std::get<1>(fact) == exists.value;
+        }
+        if (only) ++exists_only;
+      }
+      EXPECT_EQ(base.exists_only_plain_count(), exists_only);
+      // Method sets: ascending, exactly the versions carrying the method.
+      for (MethodId method : methods) {
+        std::set<uint32_t> carriers;
+        for (const Fact& fact : model) {
+          if (std::get<1>(fact) == method.value) {
+            carriers.insert(std::get<0>(fact));
+          }
+        }
+        const ObjectBase::VidSet* set = base.VidsWithMethod(method);
+        if (carriers.empty()) {
+          EXPECT_EQ(set, nullptr);
+          continue;
+        }
+        ASSERT_NE(set, nullptr);
+        EXPECT_EQ(set->size(), carriers.size());
+        std::vector<uint32_t> members;
+        for (Vid vid : *set) members.push_back(vid.value);
+        EXPECT_EQ(members,
+                  std::vector<uint32_t>(carriers.begin(), carriers.end()));
+        for (int probe = 0; probe < 16; ++probe) {
+          Vid vid = vids[rng() % vids.size()];
+          EXPECT_EQ(set->Contains(vid), carriers.count(vid.value) == 1);
+        }
+      }
+    };
+    // ComputeDelta(a, b) is exactly the model's fact-set difference.
+    auto check_delta = [&](const ObjectBase& a, const Model& ma,
+                           const ObjectBase& b, const Model& mb) {
+      FactDelta delta = ComputeDelta(a, b);
+      Model added;
+      Model removed;
+      for (const DecodedFact& f : delta.added) {
+        EXPECT_TRUE(added.insert(fact_of(f.vid, f.method, f.app)).second);
+      }
+      for (const DecodedFact& f : delta.removed) {
+        EXPECT_TRUE(removed.insert(fact_of(f.vid, f.method, f.app)).second);
+      }
+      Model want_added;
+      Model want_removed;
+      std::set_difference(mb.begin(), mb.end(), ma.begin(), ma.end(),
+                          std::inserter(want_added, want_added.end()));
+      std::set_difference(ma.begin(), ma.end(), mb.begin(), mb.end(),
+                          std::inserter(want_removed, want_removed.end()));
+      EXPECT_EQ(added, want_added);
+      EXPECT_EQ(removed, want_removed);
+      EXPECT_EQ(a == b, ma == mb);
+    };
+    // Erases from a copy every fact `drop` selects: whole leaves and
+    // whole method sets empty out, so pruning is exercised.
+    auto erase_where = [&](const ObjectBase& base, const Model& model,
+                           auto drop, ObjectBase* out, Model* out_model) {
+      *out = base;
+      *out_model = model;
+      for (const Fact& fact : model) {
+        if (!drop(fact)) continue;
+        EXPECT_TRUE(out->Erase(Vid(std::get<0>(fact)),
+                               MethodId(std::get<1>(fact)), app_of(fact)));
+        out_model->erase(fact);
+      }
+    };
+    auto check_all = [&]() {
+      for (size_t i = 0; i < bases.size(); ++i) {
+        check(bases[i], models[i]);
+        // Copies that lose one method entirely, every version below 300,
+        // or every version from 32 up (a one-leaf trie next to a
+        // three-level one).
+        const uint32_t gone = methods[rng() % methods.size()].value;
+        ObjectBase thinned(exists, &versions);
+        Model thinned_model;
+        erase_where(
+            bases[i], models[i],
+            [&](const Fact& f) { return std::get<1>(f) == gone; }, &thinned,
+            &thinned_model);
+        check(thinned, thinned_model);
+        check_delta(bases[i], models[i], thinned, thinned_model);
+        erase_where(
+            bases[i], models[i],
+            [](const Fact& f) { return std::get<0>(f) < 300; }, &thinned,
+            &thinned_model);
+        check(thinned, thinned_model);
+        check_delta(thinned, thinned_model, bases[i], models[i]);
+        erase_where(
+            bases[i], models[i],
+            [](const Fact& f) { return std::get<0>(f) >= 32; }, &thinned,
+            &thinned_model);
+        check(thinned, thinned_model);
+        check_delta(bases[i], models[i], thinned, thinned_model);
+        check_delta(thinned, thinned_model, bases[i], models[i]);
+        // The same facts built fresh: a one-leaf trie against a
+        // three-level one.
+        ObjectBase low(exists, &versions);
+        for (const Fact& fact : thinned_model) {
+          low.Insert(Vid(std::get<0>(fact)), MethodId(std::get<1>(fact)),
+                     app_of(fact));
+        }
+        check(low, thinned_model);
+        check_delta(bases[i], models[i], low, thinned_model);
+        check_delta(low, thinned_model, bases[i], models[i]);
+        ObjectBase empty(exists, &versions);
+        check_delta(empty, Model(), bases[i], models[i]);
+        // A base rebuilt fact by fact shares no storage with it.
+        ObjectBase rebuilt(exists, &versions);
+        for (const Fact& fact : models[i]) {
+          rebuilt.Insert(Vid(std::get<0>(fact)), MethodId(std::get<1>(fact)),
+                         app_of(fact));
+        }
+        check_delta(bases[i], models[i], rebuilt, models[i]);
+        check_delta(rebuilt, models[i], bases[0], models[0]);
+        for (size_t j = 0; j < bases.size(); ++j) {
+          check_delta(bases[i], models[i], bases[j], models[j]);
+        }
+        // SealExistence adds exactly the missing `o.exists -> o` facts
+        // (argument-free, unlike the model's random ones).
+        ObjectBase sealed = bases[i];
+        sealed.SealExistence();
+        size_t plain_without_exists = 0;
+        for (const auto& [vid, state] : bases[i].versions()) {
+          GroundApp sealed_exists;
+          sealed_exists.result = versions.root(vid);
+          if (versions.depth(vid) == 0 &&
+              !state->Contains(exists, sealed_exists)) {
+            ++plain_without_exists;
+            EXPECT_TRUE(sealed.Contains(vid, exists, sealed_exists));
+          }
+        }
+        EXPECT_EQ(sealed.fact_count(),
+                  bases[i].fact_count() + plain_without_exists);
+      }
+    };
+
+    for (int step = 0; step < 6000; ++step) {
+      const size_t w = rng() % bases.size();
+      ObjectBase& base = bases[w];
+      Model& model = models[w];
+      const Vid vid = vids[rng() % vids.size()];
+      switch (rng() % 12) {
+        case 0:
+        case 1:
+        case 2:
+        case 3: {
+          Fact fact = random_fact(vid);
+          EXPECT_EQ(base.Insert(vid, MethodId(std::get<1>(fact)), app_of(fact)),
+                    model.insert(fact).second);
+          break;
+        }
+        case 4:
+        case 5: {  // Erase a present fact (or miss on an empty model).
+          Fact fact = random_fact(vid);
+          if (!model.empty() && rng() % 4 != 0) {
+            auto it = model.lower_bound(fact);
+            if (it == model.end()) it = model.begin();
+            fact = *it;
+          }
+          EXPECT_EQ(base.Erase(Vid(std::get<0>(fact)),
+                               MethodId(std::get<1>(fact)), app_of(fact)),
+                    model.erase(fact) == 1);
+          break;
+        }
+        case 6: {  // Replace a version with an edited copy of its state.
+          const VersionState* current = base.StateOf(vid);
+          VersionState next = current == nullptr ? VersionState() : *current;
+          Model next_facts = facts_of(model, vid.value);
+          for (int k = 0; k < 3; ++k) {
+            Fact fact = random_fact(vid);
+            if (rng() % 3 == 0) {
+              next.Erase(MethodId(std::get<1>(fact)), app_of(fact));
+              next_facts.erase(fact);
+            } else {
+              next.Insert(MethodId(std::get<1>(fact)), app_of(fact));
+              next_facts.insert(fact);
+            }
+          }
+          DeltaLog diff;
+          base.ReplaceVersion(vid, std::move(next), &diff);
+          for (const Fact& fact : facts_of(model, vid.value)) {
+            model.erase(fact);
+          }
+          model.insert(next_facts.begin(), next_facts.end());
+          break;
+        }
+        case 7: {  // Adopt a live base's state of o or mod(o) (or none).
+          // Facts never mention their VID, but exists facts name the
+          // root: adopt only between versions of one object.
+          const size_t from = rng() % bases.size();
+          auto pair = sibling.find(vid.value);
+          const Vid source =
+              pair != sibling.end() && rng() % 2 == 0 ? pair->second : vid;
+          std::shared_ptr<const VersionState> state =
+              rng() % 5 == 0 ? nullptr : bases[from].SharedStateOf(source);
+          Model adopted;
+          if (state != nullptr) {
+            for (const Fact& fact : facts_of(models[from], source.value)) {
+              adopted.insert(Fact{vid.value, std::get<1>(fact),
+                                  std::get<2>(fact), std::get<3>(fact)});
+            }
+          }
+          base.AdoptVersion(vid, std::move(state));
+          for (const Fact& fact : facts_of(model, vid.value)) {
+            model.erase(fact);
+          }
+          model.insert(adopted.begin(), adopted.end());
+          break;
+        }
+        case 8:
+        case 9: {  // Copy: later writes on either side must not leak.
+          if (bases.size() < 5) {
+            bases.push_back(base);
+            models.push_back(model);
+          }
+          break;
+        }
+        case 10: {  // Destroy a base (never the last one).
+          if (bases.size() > 1) {
+            bases.erase(bases.begin() + static_cast<long>(w));
+            models.erase(models.begin() + static_cast<long>(w));
+          }
+          break;
+        }
+        case 11: {  // Assign over a base: drops its old nodes.
+          const size_t from = rng() % bases.size();
+          bases[w] = bases[from];
+          models[w] = models[from];
+          break;
+        }
+      }
+      if (step % 1000 == 999) {
+        check_all();
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+    check_all();
+    EXPECT_GE(models[0].size() + models.back().size(), 1000u);
   }
 }
 

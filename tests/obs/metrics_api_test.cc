@@ -96,6 +96,15 @@ TEST(MetricsApiTest, QueryMetricsEqualsDumpMetricsAfterScriptedWorkload) {
   EXPECT_GE(MetricValue(entries, "commit.batches"), 1);
   EXPECT_GT(MetricValue(entries, "commit.delta_facts"), 0);
   EXPECT_GT(MetricValue(entries, "commit.total_us.count"), 0);
+  // One evaluate span for the raise and one for the batch; inside them
+  // one seal / fixpoint / build-base span per transaction (the raise and
+  // both batch members). Every commit path, the import included, times
+  // its delta diff.
+  EXPECT_EQ(MetricValue(entries, "commit.evaluate_us.count"), 2);
+  EXPECT_EQ(MetricValue(entries, "commit.seal_us.count"), 3);
+  EXPECT_EQ(MetricValue(entries, "commit.fixpoint_us.count"), 3);
+  EXPECT_EQ(MetricValue(entries, "commit.build_base_us.count"), 3);
+  EXPECT_EQ(MetricValue(entries, "commit.diff_us.count"), 4);
   EXPECT_GT(MetricValue(entries, "eval.strata"), 0);
   EXPECT_GT(MetricValue(entries, "eval.rounds"), 0);
   EXPECT_GT(MetricValue(entries, "eval.updates_derived"), 0);

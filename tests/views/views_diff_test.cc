@@ -67,8 +67,7 @@ class ViewsDiffTest : public ::testing::Test {
     MethodId m = engine_.symbols().Method(method);
     const auto* vids = base.VidsWithMethod(m);
     if (vids == nullptr) return facts;
-    for (const auto& [vid, count] : *vids) {
-      (void)count;
+    for (Vid vid : *vids) {
       if (engine_.versions().depth(vid) != 0) continue;
       const std::vector<GroundApp>* apps = base.StateOf(vid)->Find(m);
       if (apps == nullptr) continue;
