@@ -14,13 +14,10 @@
 # registry-disabled ablation — the On/Off pairs bound the
 # instrumentation's overhead), bench_store (src/store backends:
 # put/get/scan, checkpoint cost, and checkpointed cold-open vs
-# full-WAL-replay restart), bench_analysis (the static rule-program
+# full-WAL-replay restart), and bench_analysis (the static rule-program
 # analyzer: full analysis runs at 256-4096 generated rules and the
-# prepare overhead it adds to a Statement, on vs off), and
-# bench_parallel (the parallel derivation path: the recursive fixpoint,
-# graph-closure recomputation, and DRed maintenance each swept over
-# 1/2/4/8 evaluation lanes; threads=1 is the serial baseline). JSON
-# results land next to this repo's root so successive PRs can diff them.
+# prepare overhead it adds to a Statement, on vs off). JSON results land
+# next to this repo's root so successive PRs can diff them.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -30,7 +27,7 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
       --target bench_tp_operator bench_fig2_enterprise bench_views \
                bench_api bench_snapshots bench_index bench_obs bench_store \
-               bench_analysis bench_parallel
+               bench_analysis
 
 "$BUILD_DIR"/bench_tp_operator \
     --benchmark_format=json \
@@ -74,12 +71,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
     --benchmark_format=json \
     --benchmark_out=BENCH_analysis.json \
     --benchmark_out_format=json
-"$BUILD_DIR"/bench_parallel \
-    --benchmark_format=json \
-    --benchmark_out=BENCH_parallel.json \
-    --benchmark_out_format=json
 
 echo "Wrote BENCH_tp.json, BENCH_fig2.json, BENCH_views.json," \
      "BENCH_api.json, BENCH_snapshots.json, BENCH_index.json," \
-     "BENCH_obs.json, BENCH_store.json, BENCH_analysis.json, and" \
-     "BENCH_parallel.json"
+     "BENCH_obs.json, BENCH_store.json, and BENCH_analysis.json"

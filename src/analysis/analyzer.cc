@@ -614,37 +614,4 @@ AnalysisReport AnalyzeDerivedProgram(const QueryProgram& program,
   return report;
 }
 
-std::function<bool(const Program&, const std::vector<uint32_t>&)>
-MakeParallelAdmission(std::shared_ptr<const AnalysisReport> report) {
-  if (report == nullptr || !report->stratifiable ||
-      report->program_kind != AnalysisReport::ProgramKind::kUpdate) {
-    return [](const Program&, const std::vector<uint32_t>&) { return false; };
-  }
-  // Precomputed verdicts, keyed by the stratum's sorted rule set. The
-  // rule count double-checks the closure is asked about the program it
-  // was built for.
-  struct Verdicts {
-    size_t rule_count;
-    std::vector<std::pair<std::vector<uint32_t>, bool>> by_rules;
-  };
-  auto verdicts = std::make_shared<Verdicts>();
-  verdicts->rule_count = report->rule_count;
-  for (const AnalysisReport::StratumReport& stratum : report->strata) {
-    std::vector<uint32_t> key = stratum.rules;
-    std::sort(key.begin(), key.end());
-    verdicts->by_rules.emplace_back(std::move(key),
-                                    stratum.conflict_pairs.empty());
-  }
-  return [verdicts](const Program& program,
-                    const std::vector<uint32_t>& rules) {
-    if (program.rules.size() != verdicts->rule_count) return false;
-    std::vector<uint32_t> key = rules;
-    std::sort(key.begin(), key.end());
-    for (const auto& entry : verdicts->by_rules) {
-      if (entry.first == key) return entry.second;
-    }
-    return false;
-  };
-}
-
 }  // namespace verso

@@ -1,9 +1,7 @@
 #ifndef VERSO_ANALYSIS_ANALYZER_H_
 #define VERSO_ANALYSIS_ANALYZER_H_
 
-#include <functional>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,8 +20,8 @@
 /// Today a bad program surfaces at runtime (or worse, silently). This
 /// pass runs over the PARSED program, before any evaluation, and reports
 /// structured diagnostics plus a rule dependency graph with a per-stratum
-/// independence verdict — the "provably disjoint write sets" input the
-/// ROADMAP's parallel stratum evaluation needs.
+/// independence verdict: whether the stratum's rules have provably
+/// disjoint write sets.
 ///
 /// The analysis is diagnostic-only and behavior-preserving: it never
 /// mutates the program it inspects and never changes evaluation results
@@ -97,8 +95,8 @@ struct AnalysisReport {
   std::vector<uint32_t> stratum_of_rule;
 
   /// Per-stratum independence verdict: `independent` holds iff every
-  /// rule pair of the stratum has provably disjoint write sets — the
-  /// precondition for fanning the stratum across a worker pool.
+  /// rule pair of the stratum has provably disjoint write sets. It is a
+  /// diagnostic only: evaluation does not consult it.
   struct StratumReport {
     std::vector<uint32_t> rules;  // program order
     bool independent = true;
@@ -148,19 +146,6 @@ AnalysisReport AnalyzeUpdateProgram(const Program& program,
 AnalysisReport AnalyzeDerivedProgram(const QueryProgram& program,
                                      const SymbolTable& symbols,
                                      const AnalysisContext& context = {});
-
-/// Builds the evaluator's parallel-admission policy
-/// (EvalOptions::admit_parallel) from an update-program's analysis
-/// report: a stratum may fan out across the worker pool iff the
-/// update-conflict check proved its rules free of conflicting write sets
-/// (stratum conflict_pairs empty). Confluent overlaps ARE admitted — the
-/// parallel path merges worker outputs in deterministic serial order, so
-/// confluence suffices for bit-identical results. Verdicts are computed
-/// once here, at Statement prepare time; the returned closure only looks
-/// them up by the stratum's rule set. A null or non-stratifiable report,
-/// and rule sets the report does not know, admit nothing.
-std::function<bool(const Program&, const std::vector<uint32_t>&)>
-MakeParallelAdmission(std::shared_ptr<const AnalysisReport> report);
 
 }  // namespace verso
 

@@ -353,13 +353,6 @@ class Statement {
   Program program_;        // kUpdate
   QueryProgram query_;     // kQuery, kCreateView
   std::shared_ptr<const AnalysisReport> analysis_;  // prepare-time report
-  /// kUpdate, prepared with analysis on: the cached per-stratum parallel
-  /// admission verdict (analysis::MakeParallelAdmission over analysis_).
-  /// Wired into EvalOptions::admit_parallel at Execute time, so repeated
-  /// executions reuse the prepare-time analysis instead of re-deriving
-  /// conflict verdicts per run.
-  std::function<bool(const Program&, const std::vector<uint32_t>&)>
-      admit_parallel_;
 };
 
 /// A per-client handle. Opening a session pins the current commit epoch:
@@ -563,17 +556,9 @@ class Connection : public ViewDeltaSink {
   std::shared_ptr<const internal::Snapshot> Pin();
   void InvalidateSnapshot() { cached_.reset(); }
 
-  /// `admit` is the statement's cached parallel-admission verdict (may
-  /// be null); a policy installed globally via ConnectionOptions::eval
-  /// takes precedence.
-  Result<ResultSet> ExecuteWrite(
-      Session& session, Program& program,
-      const std::function<bool(const Program&, const std::vector<uint32_t>&)>&
-          admit = nullptr);
+  Result<ResultSet> ExecuteWrite(Session& session, Program& program);
   Result<std::vector<ResultSet>> ExecuteWriteBatch(
-      Session& session, const std::vector<Program*>& programs,
-      const std::vector<std::function<
-          bool(const Program&, const std::vector<uint32_t>&)>>& admits = {});
+      Session& session, const std::vector<Program*>& programs);
   Result<ResultSet> CreateView(Session& session, const std::string& name,
                                const QueryProgram& program);
   Result<ResultSet> DropView(Session& session, const std::string& name);

@@ -50,7 +50,6 @@ Connection::~Connection() = default;
 void Connection::Finish() {
   db_->set_trace(metrics_trace_.get());
   catalog_ = std::make_unique<ViewCatalog>(*engine_, metrics_trace_.get());
-  catalog_->set_num_threads(options_.query.num_threads);
   catalog_->Attach(*db_);
   catalog_->SetDeltaSink(this);
 }
@@ -221,13 +220,10 @@ void Connection::OnViewDelta(const MaterializedView& view,
   }
 }
 
-Result<ResultSet> Connection::ExecuteWrite(
-    Session& session, Program& program,
-    const std::function<bool(const Program&, const std::vector<uint32_t>&)>&
-        admit) {
-  EvalOptions eval = options_.eval;
-  if (eval.admit_parallel == nullptr) eval.admit_parallel = admit;
-  Result<RunOutcome> out = db_->Execute(program, eval, metrics_trace_.get());
+Result<ResultSet> Connection::ExecuteWrite(Session& session,
+                                           Program& program) {
+  Result<RunOutcome> out =
+      db_->Execute(program, options_.eval, metrics_trace_.get());
   if (!out.ok()) {
     if (out.status().code() == StatusCode::kObserverFailed) {
       // The commit stands (see CommitObserver); only the observer work is
@@ -250,31 +246,9 @@ Result<ResultSet> Connection::ExecuteWrite(
 }
 
 Result<std::vector<ResultSet>> Connection::ExecuteWriteBatch(
-    Session& session, const std::vector<Program*>& programs,
-    const std::vector<std::function<
-        bool(const Program&, const std::vector<uint32_t>&)>>& admits) {
-  EvalOptions eval = options_.eval;
-  if (eval.admit_parallel == nullptr && admits.size() == programs.size()) {
-    // One closure serves the whole batch: dispatch on program identity to
-    // each member statement's cached prepare-time verdict.
-    auto table = std::make_shared<std::vector<std::pair<
-        const Program*,
-        std::function<bool(const Program&, const std::vector<uint32_t>&)>>>>();
-    for (size_t i = 0; i < programs.size(); ++i) {
-      if (admits[i] != nullptr) table->emplace_back(programs[i], admits[i]);
-    }
-    if (!table->empty()) {
-      eval.admit_parallel = [table](const Program& program,
-                                    const std::vector<uint32_t>& rules) {
-        for (const auto& entry : *table) {
-          if (entry.first == &program) return entry.second(program, rules);
-        }
-        return false;
-      };
-    }
-  }
+    Session& session, const std::vector<Program*>& programs) {
   Result<std::vector<RunOutcome>> out =
-      db_->ExecuteBatch(programs, eval, metrics_trace_.get());
+      db_->ExecuteBatch(programs, options_.eval, metrics_trace_.get());
   if (!out.ok()) {
     if (out.status().code() == StatusCode::kObserverFailed) {
       InvalidateSnapshot();

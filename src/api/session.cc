@@ -23,19 +23,15 @@ Result<ResultSet> Session::Execute(std::string_view text) {
 Result<std::vector<ResultSet>> Session::ExecuteBatch(
     const std::vector<Statement*>& statements) {
   std::vector<Program*> programs;
-  std::vector<std::function<bool(const Program&, const std::vector<uint32_t>&)>>
-      admits;
   programs.reserve(statements.size());
-  admits.reserve(statements.size());
   for (Statement* stmt : statements) {
     if (stmt == nullptr || stmt->kind() != Statement::Kind::kUpdate) {
       return Status::InvalidArgument(
           "ExecuteBatch takes update-program statements only");
     }
     programs.push_back(&stmt->program_);
-    admits.push_back(stmt->admit_parallel_);
   }
-  return conn_->ExecuteWriteBatch(*this, programs, admits);
+  return conn_->ExecuteWriteBatch(*this, programs);
 }
 
 const ObjectBase& Session::base() const { return snap().base; }

@@ -249,9 +249,6 @@ Result<Statement> Session::Prepare(std::string_view text) {
         AnalyzeUpdateProgram(stmt.program_, symbols));
     VERSO_RETURN_IF_ERROR(report->FirstBlocking(conn_->options_.analysis));
     stmt.analysis_ = std::move(report);
-    // Cache the parallel-admission verdict now: repeated Execute calls
-    // reuse the prepare-time conflict analysis.
-    stmt.admit_parallel_ = MakeParallelAdmission(stmt.analysis_);
   }
   return stmt;
 }
@@ -260,7 +257,7 @@ Result<ResultSet> Statement::Execute() {
   Connection* conn = session_->conn_;
   switch (kind_) {
     case Kind::kUpdate:
-      return conn->ExecuteWrite(*session_, program_, admit_parallel_);
+      return conn->ExecuteWrite(*session_, program_);
 
     case Kind::kQuery: {
       const internal::Snapshot& snap = session_->snap();

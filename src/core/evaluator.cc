@@ -2,17 +2,6 @@
 
 namespace verso {
 
-namespace {
-
-/// Minimum work before a round fans out: tiny rounds are dominated by
-/// lane setup, and thresholds on serial-deterministic quantities (rule
-/// and delta counts, never timing) keep the parallel/serial decision
-/// itself reproducible run to run.
-constexpr size_t kMinParallelRules = 2;
-constexpr size_t kMinParallelDeltaFacts = 16;
-
-}  // namespace
-
 Status Evaluator::NoteMaterialized(
     Vid vid, std::unordered_map<Oid, Vid>& deepest) const {
   Oid root = versions_.root(vid);
@@ -56,11 +45,6 @@ Result<EvalStats> Evaluator::Run(const Program& program,
     if (trace_ != nullptr) trace_->OnStratumBegin(stratum, rules.size());
     StratumStats& sstats = stats.strata[stratum];
 
-    const bool admitted = options_.num_threads > 1 &&
-                          options_.admit_parallel != nullptr &&
-                          options_.admit_parallel(program, rules);
-    ParallelTelemetry ptel;
-
     TpStratumState sstate;
     DeltaLog delta;
     DeltaLog next_delta;
@@ -75,20 +59,8 @@ Result<EvalStats> Evaluator::Run(const Program& program,
 
       TpRoundStats rstats;
       if (round == 0 || !options_.semi_naive) {
-        if (admitted && rules.size() >= kMinParallelRules) {
-          VERSO_RETURN_IF_ERROR(
-              tp.DeriveFullParallel(program, rules, base,
-                                    options_.num_threads, sstate, rstats,
-                                    trace_, ptel));
-        } else {
-          VERSO_RETURN_IF_ERROR(
-              tp.DeriveFull(program, rules, base, sstate, rstats, trace_));
-        }
-      } else if (admitted && delta.size() >= kMinParallelDeltaFacts) {
         VERSO_RETURN_IF_ERROR(
-            tp.DeriveSeededParallel(program, rules, base, delta,
-                                    options_.num_threads, sstate, rstats,
-                                    trace_, ptel));
+            tp.DeriveFull(program, rules, base, sstate, rstats, trace_));
       } else {
         VERSO_RETURN_IF_ERROR(tp.DeriveSeeded(program, rules, base, delta,
                                               sstate, rstats, trace_));
@@ -140,10 +112,6 @@ Result<EvalStats> Evaluator::Run(const Program& program,
       trace_->OnIndexUse(stratum, sstats.index_probes, sstats.index_hits,
                          sstats.indexed_scan_avoided_facts);
       trace_->OnStratumFixpoint(stratum, sstats.rounds);
-      if (ptel.used()) {
-        trace_->OnParallelEval(stratum, ptel.parallel_rounds, ptel.tasks,
-                               ptel.fallback_rounds, ptel.queue_wait_us);
-      }
     }
   }
   return stats;

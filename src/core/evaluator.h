@@ -2,7 +2,6 @@
 #define VERSO_CORE_EVALUATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -31,21 +30,6 @@ struct EvalOptions {
   /// identical cumulative T¹ sets; naive mode is kept for differential
   /// testing and the ablation benchmarks.
   bool semi_naive = true;
-
-  /// Evaluation lanes for admitted strata: the calling thread plus
-  /// num_threads - 1 workers of the shared pool. 0 or 1 evaluates
-  /// serially. Parallel derivation is bit-identical to serial by
-  /// construction (results, statistics, delta stream, and trace events),
-  /// so this is purely a performance knob.
-  int num_threads = 0;
-
-  /// Admission policy for parallel derivation, consulted once per
-  /// stratum. Unset admits nothing: only strata a static analysis has
-  /// certified should fan out (analysis::MakeParallelAdmission supplies
-  /// the standard policy — strata free of update conflicts). Strata the
-  /// policy rejects evaluate serially regardless of num_threads.
-  std::function<bool(const Program&, const std::vector<uint32_t>&)>
-      admit_parallel;
 };
 
 struct StratumStats {

@@ -21,9 +21,9 @@ namespace verso {
 /// largest key: ids below 32 fit one leaf, below 1024 two levels, below
 /// 32768 three.
 ///
-///   * Nodes are shared between tries and refcounted with atomic counts,
-///     so copies of one frozen trie can be taken, read and dropped on
-///     several threads at once. Copying a trie bumps one root count.
+///   * Nodes are shared between tries and refcounted. Copying a trie
+///     bumps one root count. The counts are atomic although no code path
+///     shares nodes across threads today.
 ///   * A write copies the nodes on its root-to-leaf path that another
 ///     trie shares (bumping their children's counts) and writes in place
 ///     into nodes this trie owns alone. A write thus costs at most one
@@ -34,8 +34,7 @@ namespace verso {
 ///   * Iteration visits keys in ascending order.
 ///   * Diff walks two tries at once and skips the subtrees they share.
 ///
-/// Writes to one trie need exclusive access to it, as for any value;
-/// only the sharing between tries is thread-safe.
+/// Writes to one trie need exclusive access to it, as for any value.
 template <typename Key, typename Value = void>
 class IdTrie {
   static constexpr bool kIsSet = std::is_void_v<Value>;

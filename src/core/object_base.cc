@@ -8,10 +8,9 @@ namespace verso {
 bool SharedApps::result_index_enabled_ = true;
 
 void IndexedApps::BuildIndex() const {
-  // Nodes are immutable while shared across evaluation lanes, but the
-  // lazy build itself is a const-path mutation: serialize concurrent
-  // first probes of the same node. One process-wide mutex (not one per
-  // node) — builds are rare, nodes are many.
+  // Serializes concurrent first probes of one node (see result_index()).
+  // One process-wide mutex, not one per node: builds are rare, nodes are
+  // many.
   static std::mutex build_mu;
   std::lock_guard<std::mutex> lock(build_mu);
   if (index_built_.load(std::memory_order_relaxed)) return;

@@ -43,10 +43,7 @@ struct IndexStats {
 /// rebuilt on demand after any mutation, built through a const handle
 /// (a lazy build must never count as a write, or it would detach COW
 /// sharing), and ignored by equality. Between commits a node is
-/// immutable, so a built index could safely be shared across threads —
-/// the groundwork for parallel stratum evaluation; today the refcount
-/// discipline (like everything below the Connection facade) is
-/// single-threaded, and lazy builds rely on that.
+/// immutable.
 class IndexedApps {
  public:
   /// Flat (result, offset) pairs sorted lexicographically: a lookup is
@@ -73,12 +70,13 @@ class IndexedApps {
     return apps_;
   }
 
-  /// The result index, built on first use. Safe to race from read-only
-  /// evaluation lanes: the build publishes under a mutex with an
-  /// acquire/release flag, so concurrent first probes of a shared node
-  /// see either "not built" (and take the build lock) or the fully built
-  /// index. Mutation paths (InvalidateIndex) remain single-threaded by
-  /// the COW detach discipline.
+  /// The result index, built on first use. The build runs under a
+  /// process-wide mutex and publishes through an acquire/release flag,
+  /// so concurrent first probes of one node would see either "not built"
+  /// (and take the lock) or the fully built index. That synchronisation
+  /// is kept although no code path shares nodes across threads today.
+  /// Mutation paths (InvalidateIndex) have a sole owner by the COW
+  /// detach discipline.
   const ResultIndex& result_index() const {
     if (!index_built_.load(std::memory_order_acquire)) BuildIndex();
     return by_result_;
@@ -489,11 +487,6 @@ class ObjectBase {
 
   MethodId exists_method() const { return exists_method_; }
   const VersionTable* version_table() const { return versions_; }
-  /// Rebinds the referenced version table. Parallel evaluation lanes copy
-  /// the frozen base and point the copy at their own overlay VersionTable,
-  /// so v*/exists walks resolve overlay-fresh VIDs instead of indexing the
-  /// real table out of range.
-  void set_version_table(const VersionTable* versions) { versions_ = versions; }
 
   /// Equal fact sets. One walk over both version tries that skips shared
   /// subtrees and shared states, so comparing a base with a lightly

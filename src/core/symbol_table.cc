@@ -8,36 +8,20 @@ SymbolTable::SymbolTable() {
   exists_method_ = Method("exists");
 }
 
-SymbolTable::SymbolTable(OverlayTag, const SymbolTable& base)
-    : base_(&base),
-      base_oids_(static_cast<uint32_t>(base.oid_count())),
-      base_methods_(static_cast<uint32_t>(base.method_count())),
-      exists_method_(base.exists_method()) {
-  assert(base.base_ == nullptr && "overlays do not stack");
-}
-
 Oid SymbolTable::Symbol(std::string_view name) {
-  if (base_ != nullptr) {
-    Oid found = base_->FindSymbol(name);
-    if (found.valid()) return found;
-  }
   uint32_t sym = symbol_names_.Intern(name);
   auto it = symbol_to_oid_.find(sym);
   if (it != symbol_to_oid_.end()) return it->second;
-  Oid id(base_oids_ + static_cast<uint32_t>(entries_.size()));
+  Oid id(static_cast<uint32_t>(entries_.size()));
   entries_.push_back({OidKind::kSymbol, sym});
   symbol_to_oid_.emplace(sym, id);
   return id;
 }
 
 Oid SymbolTable::Number(const Numeric& value) {
-  if (base_ != nullptr) {
-    Oid found = base_->FindNumber(value);
-    if (found.valid()) return found;
-  }
   auto it = number_to_oid_.find(value);
   if (it != number_to_oid_.end()) return it->second;
-  Oid id(base_oids_ + static_cast<uint32_t>(entries_.size()));
+  Oid id(static_cast<uint32_t>(entries_.size()));
   entries_.push_back(
       {OidKind::kNumber, static_cast<uint32_t>(numbers_.size())});
   numbers_.push_back(value);
@@ -48,108 +32,48 @@ Oid SymbolTable::Number(const Numeric& value) {
 Oid SymbolTable::Int(int64_t value) { return Number(Numeric::FromInt(value)); }
 
 Oid SymbolTable::String(std::string_view text) {
-  if (base_ != nullptr) {
-    Oid found = base_->FindString(text);
-    if (found.valid()) return found;
-  }
   uint32_t sid = string_values_.Intern(text);
   auto it = string_to_oid_.find(sid);
   if (it != string_to_oid_.end()) return it->second;
-  Oid id(base_oids_ + static_cast<uint32_t>(entries_.size()));
+  Oid id(static_cast<uint32_t>(entries_.size()));
   entries_.push_back({OidKind::kString, sid});
   string_to_oid_.emplace(sid, id);
   return id;
 }
 
 Oid SymbolTable::FindSymbol(std::string_view name) const {
-  if (base_ != nullptr) {
-    Oid found = base_->FindSymbol(name);
-    if (found.valid()) return found;
-  }
   uint32_t sym = symbol_names_.Find(name);
   if (sym == StringInterner::kNotFound) return Oid();
   auto it = symbol_to_oid_.find(sym);
   return it == symbol_to_oid_.end() ? Oid() : it->second;
 }
 
-Oid SymbolTable::FindNumber(const Numeric& value) const {
-  if (base_ != nullptr) {
-    Oid found = base_->FindNumber(value);
-    if (found.valid()) return found;
-  }
-  auto it = number_to_oid_.find(value);
-  return it == number_to_oid_.end() ? Oid() : it->second;
-}
-
-Oid SymbolTable::FindString(std::string_view text) const {
-  if (base_ != nullptr) {
-    Oid found = base_->FindString(text);
-    if (found.valid()) return found;
-  }
-  uint32_t sid = string_values_.Find(text);
-  if (sid == StringInterner::kNotFound) return Oid();
-  auto it = string_to_oid_.find(sid);
-  return it == string_to_oid_.end() ? Oid() : it->second;
-}
-
 std::string_view SymbolTable::SymbolName(Oid id) const {
   assert(kind(id) == OidKind::kSymbol);
-  if (id.value < base_oids_) return base_->SymbolName(id);
-  return symbol_names_.Get(entries_[id.value - base_oids_].payload);
+  return symbol_names_.Get(entries_[id.value].payload);
 }
 
 const Numeric& SymbolTable::NumberValue(Oid id) const {
   assert(kind(id) == OidKind::kNumber);
-  if (id.value < base_oids_) return base_->NumberValue(id);
-  return numbers_[entries_[id.value - base_oids_].payload];
+  return numbers_[entries_[id.value].payload];
 }
 
 std::string_view SymbolTable::StringValue(Oid id) const {
   assert(kind(id) == OidKind::kString);
-  if (id.value < base_oids_) return base_->StringValue(id);
-  return string_values_.Get(entries_[id.value - base_oids_].payload);
+  return string_values_.Get(entries_[id.value].payload);
 }
 
 MethodId SymbolTable::Method(std::string_view name) {
-  if (base_ != nullptr) {
-    MethodId found = base_->FindMethod(name);
-    if (found.valid()) return found;
-    return MethodId(base_methods_ + method_names_.Intern(name));
-  }
   return MethodId(method_names_.Intern(name));
 }
 
 MethodId SymbolTable::FindMethod(std::string_view name) const {
-  if (base_ != nullptr) {
-    MethodId found = base_->FindMethod(name);
-    if (found.valid()) return found;
-  }
   uint32_t id = method_names_.Find(name);
-  return id == StringInterner::kNotFound ? MethodId()
-                                         : MethodId(base_methods_ + id);
+  return id == StringInterner::kNotFound ? MethodId() : MethodId(id);
 }
 
 std::string_view SymbolTable::MethodName(MethodId id) const {
-  if (id.value < base_methods_) return base_->MethodName(id);
-  return method_names_.Get(id.value - base_methods_);
-}
-
-Oid SymbolTable::ReplayOid(uint32_t local_index, SymbolTable& target) const {
-  const Entry& e = entries_[local_index];
-  switch (e.kind) {
-    case OidKind::kSymbol:
-      return target.Symbol(symbol_names_.Get(e.payload));
-    case OidKind::kNumber:
-      return target.Number(numbers_[e.payload]);
-    case OidKind::kString:
-      return target.String(string_values_.Get(e.payload));
-  }
-  return Oid();
-}
-
-MethodId SymbolTable::ReplayMethod(uint32_t local_index,
-                                   SymbolTable& target) const {
-  return target.Method(method_names_.Get(local_index));
+  return method_names_.Get(id.value);
 }
 
 std::string SymbolTable::OidToString(Oid id) const {

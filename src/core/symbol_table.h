@@ -24,24 +24,9 @@ enum class OidKind : uint8_t {
 /// The universe of OIDs and method names for one engine instance.
 /// Interns symbols, numbers, strings, and method names; OIDs are dense and
 /// stable. Not thread-safe; one SymbolTable per evaluation universe.
-///
-/// Overlay mode (the parallel-evaluation scratch): an overlay table layers
-/// fresh interning on top of a frozen base table it never mutates. Lookups
-/// consult the base first, so values present there keep their ids; fresh
-/// values get ids from the base's counts upward, and the overlay's local
-/// entries double as an ordered intern log. A worker lane matches against
-/// its own overlay while other lanes share the same immutable base; after
-/// the lanes join, ReplayOid/ReplayMethod re-interns each lane's log into
-/// the real table in a deterministic order, yielding the id remapping that
-/// makes parallel results bit-identical to serial ones. An overlay must
-/// not outlive a mutation of its base.
 class SymbolTable {
  public:
-  struct OverlayTag {};
-
   SymbolTable();
-  /// An overlay over `base` (see class comment). Read-only on `base`.
-  SymbolTable(OverlayTag, const SymbolTable& base);
   SymbolTable(const SymbolTable&) = delete;
   SymbolTable& operator=(const SymbolTable&) = delete;
 
@@ -56,13 +41,8 @@ class SymbolTable {
 
   /// Lookup without interning; returns an invalid Oid when absent.
   Oid FindSymbol(std::string_view name) const;
-  Oid FindNumber(const Numeric& value) const;
-  Oid FindString(std::string_view text) const;
 
-  OidKind kind(Oid id) const {
-    return id.value < base_oids_ ? base_->kind(id)
-                                 : entries_[id.value - base_oids_].kind;
-  }
+  OidKind kind(Oid id) const { return entries_[id.value].kind; }
   bool IsNumber(Oid id) const { return kind(id) == OidKind::kNumber; }
 
   /// Payload accessors; caller must check the kind first.
@@ -80,24 +60,8 @@ class SymbolTable {
   /// allowed in rule heads.
   MethodId exists_method() const { return exists_method_; }
 
-  size_t oid_count() const { return base_oids_ + entries_.size(); }
-  size_t method_count() const { return base_methods_ + method_names_.size(); }
-
-  /// Overlay introspection and replay. The overlay's fresh entries form an
-  /// ordered intern log: local index i is the oid base_oids() + i (method
-  /// base_methods() + i). Replay re-interns one logged entry into `target`
-  /// (normally the overlay's own base, after the parallel lanes joined),
-  /// returning the id it has there — existing values hit, genuinely fresh
-  /// ones extend `target` in exactly the order serial evaluation would
-  /// have.
-  uint32_t base_oids() const { return base_oids_; }
-  uint32_t base_methods() const { return base_methods_; }
-  uint32_t fresh_oids() const { return static_cast<uint32_t>(entries_.size()); }
-  uint32_t fresh_methods() const {
-    return static_cast<uint32_t>(method_names_.size());
-  }
-  Oid ReplayOid(uint32_t local_index, SymbolTable& target) const;
-  MethodId ReplayMethod(uint32_t local_index, SymbolTable& target) const;
+  size_t oid_count() const { return entries_.size(); }
+  size_t method_count() const { return method_names_.size(); }
 
   /// Renders an OID in surface syntax: symbol name, numeric literal, or a
   /// double-quoted string.
@@ -115,11 +79,6 @@ class SymbolTable {
     OidKind kind;
     uint32_t payload;  // index into the kind-specific pool
   };
-
-  /// Overlay mode only: the frozen base and its counts at layering time.
-  const SymbolTable* base_ = nullptr;
-  uint32_t base_oids_ = 0;
-  uint32_t base_methods_ = 0;
 
   std::vector<Entry> entries_;
 

@@ -1,7 +1,6 @@
 #include "core/tp_operator.h"
 
 #include <algorithm>
-#include <memory>
 #include <unordered_set>
 
 namespace verso {
@@ -75,151 +74,6 @@ void ApplyUpdatesToState(VersionState& state,
     const GroundUpdate* u = updates[i];
     if (UpdateAddition(*u, &addition)) state.Insert(u->method, addition);
   }
-}
-
-/// What one parallel task recorded: candidate updates (with lane-local
-/// ids), its lane's overlay log position at task end, and the counters
-/// the task accumulated. Folded into the shared state by the serial
-/// merge, in task order.
-struct LaneTaskOutput {
-  int lane = -1;
-  EvalLane::Mark end;
-  std::vector<GroundUpdate> updates;
-  size_t body_matches = 0;
-  size_t seed_probes = 0;
-  IndexStats index;
-  Status status = Status::Ok();
-  bool threw = false;
-};
-
-/// Worker-side mirror of TpOperator::DeriveFromBindings: identical
-/// control flow and intern sequence against the lane's overlay universe,
-/// recording candidates instead of merging into shared state.
-Status WorkerDeriveFromBindings(const Rule& rule, const Bindings& bindings,
-                                EvalLane& lane, const TpStratumState& state,
-                                LaneTaskOutput& out) {
-  ++out.body_matches;
-  Vid v = ResolveVid(rule.head.version, bindings, lane.versions);
-  if (!v.valid()) {
-    return Status::Internal(rule.DisplayName() +
-                            ": unbound head version after matching");
-  }
-  auto derive = [&](GroundUpdate&& update) {
-    // Pre-drop: an update already in the frozen T¹ would be a !fresh
-    // no-op at the merge. T¹ entries only hold ids below the lane's base
-    // counts, so the membership probe is exact even for candidates
-    // carrying lane-fresh ids (those can never be members). Dropping it
-    // here also skips the target intern below, exactly as the serial
-    // derive skips Child for a non-fresh update.
-    if (state.t1.count(update) != 0) return;
-    // Target intern, mirroring the serial derive's Child call on a fresh
-    // insert so the overlay log replays to the serial id sequence. When
-    // the candidate turns out to be a cross-lane duplicate at the merge,
-    // the earlier task replays first and this entry re-interns as a
-    // value-keyed hit — no out-of-order fresh id.
-    lane.versions.Child(update.version, update.kind);
-    out.updates.push_back(std::move(update));
-  };
-
-  if (rule.head.delete_all) {
-    Vid vstar = lane.base.LatestExistingStage(v);
-    if (!vstar.valid()) return Status::Ok();
-    const VersionState* vstate = lane.base.StateOf(vstar);
-    if (vstate == nullptr) return Status::Ok();
-    for (const auto& [method, apps] : vstate->methods()) {
-      if (method == lane.base.exists_method()) continue;
-      for (const GroundApp& app : apps) {
-        GroundUpdate update;
-        update.kind = UpdateKind::kDelete;
-        update.version = v;
-        update.method = method;
-        update.app = app;
-        derive(std::move(update));
-      }
-    }
-    return Status::Ok();
-  }
-
-  GroundUpdate update;
-  update.kind = rule.head.kind;
-  update.version = v;
-  update.method = rule.head.app.method;
-  update.app = ResolveApp(rule.head.app, bindings);
-  if (rule.head.kind == UpdateKind::kModify) {
-    update.new_result = rule.head.new_result.is_var
-                            ? bindings[rule.head.new_result.var.value]
-                            : rule.head.new_result.oid;
-  }
-  if (rule.head.kind != UpdateKind::kInsert) {
-    Vid vstar = lane.base.LatestExistingStage(v);
-    if (!vstar.valid() ||
-        !lane.base.ContainsApp(vstar, update.method, update.app)) {
-      return Status::Ok();
-    }
-  }
-  derive(std::move(update));
-  return Status::Ok();
-}
-
-/// One merge step in the serial task order: bookkeeping the serial
-/// derivation would have done between the previous task and this one,
-/// plus the task's recorded output.
-struct MergeSource {
-  LaneTaskOutput* out = nullptr;
-  const Rule* rule = nullptr;
-  size_t pre_skipped = 0;  // seed_pairs_skipped owed before this task
-  bool residual = false;
-};
-
-/// Replays the lanes' overlay logs and recorded candidates through the
-/// serial derivation bookkeeping, in task order. Returns the first task
-/// error in serial position (updates recorded before the error are
-/// merged, later tasks' are not — matching serial's stop-on-error
-/// prefix).
-Status MergeLaneOutputs(const std::vector<MergeSource>& sources,
-                        const std::vector<std::unique_ptr<EvalLane>>& lanes,
-                        SymbolTable& symbols, VersionTable& versions,
-                        TpStratumState& state, TpRoundStats& stats,
-                        TraceSink* trace) {
-  for (const MergeSource& src : sources) {
-    stats.seed_pairs_skipped += src.pre_skipped;
-    if (src.residual) ++stats.residual_rules;
-    EvalLane& lane = *lanes[src.out->lane];
-    lane.ReplayTo(src.out->end, symbols, versions);
-    for (GroundUpdate& rec : src.out->updates) {
-      GroundUpdate update = lane.MapUpdate(std::move(rec));
-      auto [it, fresh] = state.t1.insert(std::move(update));
-      if (fresh) {
-        ++stats.fresh_updates;
-        const GroundUpdate* u = &*it;
-        Vid target = versions.Child(u->version, u->kind);
-        TpStratumState::TargetUpdates& tu = state.by_target[target];
-        if (tu.updates.size() == tu.applied) state.dirty.push_back(target);
-        tu.updates.push_back(u);
-        if (trace != nullptr) trace->OnUpdateDerived(*src.rule, *u);
-      }
-    }
-    stats.body_matches += src.out->body_matches;
-    stats.seed_probes += src.out->seed_probes;
-    stats.index.index_probes += src.out->index.index_probes;
-    stats.index.index_hits += src.out->index.index_hits;
-    stats.index.indexed_scan_avoided_facts +=
-        src.out->index.indexed_scan_avoided_facts;
-    VERSO_RETURN_IF_ERROR(src.out->status);
-  }
-  return Status::Ok();
-}
-
-std::vector<std::unique_ptr<EvalLane>> MakeLanes(int count,
-                                                 const SymbolTable& symbols,
-                                                 const VersionTable& versions,
-                                                 const ObjectBase& base) {
-  std::vector<std::unique_ptr<EvalLane>> lanes;
-  lanes.reserve(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    lanes.push_back(std::make_unique<EvalLane>(symbols, versions, base));
-  }
-  return lanes;
 }
 
 }  // namespace
@@ -369,208 +223,6 @@ Status TpOperator::DeriveSeeded(const Program& program,
     ++stats.residual_rules;
     VERSO_RETURN_IF_ERROR(ForEachBodyMatch(rule, ctx, sink));
   }
-  return Status::Ok();
-}
-
-Status TpOperator::DeriveFullParallel(const Program& program,
-                                      const std::vector<uint32_t>& rule_indices,
-                                      const ObjectBase& base, int lanes,
-                                      TpStratumState& state,
-                                      TpRoundStats& stats, TraceSink* trace,
-                                      ParallelTelemetry& telemetry) {
-  const size_t task_count = rule_indices.size();
-  if (task_count == 0) return Status::Ok();
-  const int lane_count =
-      static_cast<int>(std::min<size_t>(static_cast<size_t>(lanes),
-                                        task_count));
-  std::vector<std::unique_ptr<EvalLane>> eval_lanes =
-      MakeLanes(lane_count, symbols_, versions_, base);
-  std::vector<LaneTaskOutput> outputs(task_count);
-
-  RunTasksOnLanes(
-      lane_count, task_count,
-      [&](int lane_index, size_t task) {
-        LaneTaskOutput& out = outputs[task];
-        out.lane = lane_index;
-        EvalLane& lane = *eval_lanes[lane_index];
-        try {
-          const Rule& rule = program.rules[rule_indices[task]];
-          MatchContext ctx{lane.symbols, lane.versions, lane.base,
-                           &out.index};
-          out.status = ForEachBodyMatch(
-              rule, ctx, [&](const Bindings& bindings) -> Status {
-                return WorkerDeriveFromBindings(rule, bindings, lane, state,
-                                                out);
-              });
-        } catch (...) {
-          out.threw = true;
-        }
-        out.end = lane.mark();
-      },
-      telemetry);
-
-  for (const LaneTaskOutput& out : outputs) {
-    if (out.threw) {
-      // No lane touched shared state: discard everything and rerun the
-      // round serially from the same inputs.
-      ++telemetry.fallback_rounds;
-      return DeriveFull(program, rule_indices, base, state, stats, trace);
-    }
-  }
-  ++telemetry.parallel_rounds;
-
-  std::vector<MergeSource> sources(task_count);
-  for (size_t i = 0; i < task_count; ++i) {
-    sources[i].out = &outputs[i];
-    sources[i].rule = &program.rules[rule_indices[i]];
-  }
-  return MergeLaneOutputs(sources, eval_lanes, symbols_, versions_, state,
-                          stats, trace);
-}
-
-Status TpOperator::DeriveSeededParallel(
-    const Program& program, const std::vector<uint32_t>& rule_indices,
-    const ObjectBase& base, const DeltaLog& delta, int lanes,
-    TpStratumState& state, TpRoundStats& stats, TraceSink* trace,
-    ParallelTelemetry& telemetry) {
-  // Caller-side bookkeeping, identical to DeriveSeeded's preamble.
-  std::unordered_set<uint32_t> touched_methods;
-  size_t added_total = 0;
-  for (const DeltaFact& fact : delta) {
-    touched_methods.insert(fact.method.value);
-    if (fact.added) ++added_total;
-  }
-  DeltaIndex index;
-  index.Build(delta, versions_);
-
-  // Partition the serial iteration into tasks: chunks of each seed
-  // bucket, and whole residual rules. seed_pairs_skipped increments that
-  // serial interleaves between probes attach to the next task so the
-  // stats stay exact even on error prefixes.
-  struct TaskSpec {
-    const Rule* rule = nullptr;
-    uint32_t literal = 0;
-    const std::vector<const DeltaFact*>* bucket = nullptr;
-    size_t begin = 0;
-    size_t end = 0;
-    size_t pre_skipped = 0;
-    bool residual = false;
-  };
-  std::vector<TaskSpec> specs;
-  size_t pending_skipped = 0;
-  for (uint32_t rule_index : rule_indices) {
-    const Rule& rule = program.rules[rule_index];
-    if (rule.fully_seedable) {
-      for (uint32_t li : rule.seed_literals) {
-        MethodId method;
-        VidShape shape;
-        if (!SeedKeyForLiteral(rule, li, versions_, &method, &shape)) {
-          continue;
-        }
-        const std::vector<const DeltaFact*>* bucket =
-            index.Added(method, shape);
-        if (bucket == nullptr) {
-          pending_skipped += added_total;
-          continue;
-        }
-        pending_skipped += added_total - bucket->size();
-        const size_t chunk = std::max<size_t>(
-            1, bucket->size() / (static_cast<size_t>(lanes) * 4));
-        for (size_t b = 0; b < bucket->size(); b += chunk) {
-          TaskSpec spec;
-          spec.rule = &rule;
-          spec.literal = li;
-          spec.bucket = bucket;
-          spec.begin = b;
-          spec.end = std::min(bucket->size(), b + chunk);
-          spec.pre_skipped = pending_skipped;
-          pending_skipped = 0;
-          specs.push_back(spec);
-        }
-      }
-      continue;
-    }
-    bool relevant = rule.rerun_on_any_delta;
-    for (size_t i = 0; !relevant && i < rule.relevant_methods.size(); ++i) {
-      relevant = touched_methods.count(rule.relevant_methods[i].value) != 0;
-    }
-    if (!relevant) continue;
-    TaskSpec spec;
-    spec.rule = &rule;
-    spec.residual = true;
-    spec.pre_skipped = pending_skipped;
-    pending_skipped = 0;
-    specs.push_back(spec);
-  }
-  if (specs.empty()) {
-    stats.seed_pairs_skipped += pending_skipped;
-    return Status::Ok();
-  }
-
-  const int lane_count = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(lanes), specs.size()));
-  std::vector<std::unique_ptr<EvalLane>> eval_lanes =
-      MakeLanes(lane_count, symbols_, versions_, base);
-  std::vector<LaneTaskOutput> outputs(specs.size());
-
-  RunTasksOnLanes(
-      lane_count, specs.size(),
-      [&](int lane_index, size_t task) {
-        const TaskSpec& spec = specs[task];
-        LaneTaskOutput& out = outputs[task];
-        out.lane = lane_index;
-        EvalLane& lane = *eval_lanes[lane_index];
-        try {
-          const Rule& rule = *spec.rule;
-          MatchContext ctx{lane.symbols, lane.versions, lane.base,
-                           &out.index};
-          auto sink = [&](const Bindings& bindings) -> Status {
-            return WorkerDeriveFromBindings(rule, bindings, lane, state, out);
-          };
-          if (spec.residual) {
-            out.status = ForEachBodyMatch(rule, ctx, sink);
-          } else {
-            Bindings seed;
-            for (size_t i = spec.begin; i < spec.end; ++i) {
-              const DeltaFact* fact = (*spec.bucket)[i];
-              if (!SeedBindingsFromDelta(rule, spec.literal, *fact,
-                                         lane.versions, seed)) {
-                continue;
-              }
-              ++out.seed_probes;
-              out.status = ForEachBodyMatchFrom(
-                  rule, ctx, seed, static_cast<int>(spec.literal), sink);
-              if (!out.status.ok()) break;
-            }
-          }
-        } catch (...) {
-          out.threw = true;
-        }
-        out.end = lane.mark();
-      },
-      telemetry);
-
-  for (const LaneTaskOutput& out : outputs) {
-    if (out.threw) {
-      ++telemetry.fallback_rounds;
-      return DeriveSeeded(program, rule_indices, base, delta, state, stats,
-                          trace);
-    }
-  }
-  ++telemetry.parallel_rounds;
-
-  std::vector<MergeSource> sources(specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    sources[i].out = &outputs[i];
-    sources[i].rule = specs[i].rule;
-    sources[i].pre_skipped = specs[i].pre_skipped;
-    sources[i].residual = specs[i].residual;
-  }
-  Status merged = MergeLaneOutputs(sources, eval_lanes, symbols_, versions_,
-                                   state, stats, trace);
-  VERSO_RETURN_IF_ERROR(merged);
-  // Skips owed after the last task (rules the delta never reached).
-  stats.seed_pairs_skipped += pending_skipped;
   return Status::Ok();
 }
 

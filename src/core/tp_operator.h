@@ -8,7 +8,6 @@
 #include "core/delta.h"
 #include "core/match.h"
 #include "core/object_base.h"
-#include "core/parallel_eval.h"
 #include "core/program.h"
 #include "core/trace.h"
 #include "core/update.h"
@@ -112,29 +111,6 @@ class TpOperator {
                       const ObjectBase& base, const DeltaLog& delta,
                       TpStratumState& state, TpRoundStats& stats,
                       TraceSink* trace);
-
-  /// Parallel step-1 variants: partition the round's derivation work into
-  /// tasks (one per rule for full matching; per-bucket chunks of seeded
-  /// probes plus one task per residual rule for delta rounds) and fan
-  /// them across up to `lanes` evaluation lanes over the frozen base.
-  /// Lanes record candidate updates against private overlay tables; a
-  /// serial merge in task order then replays each lane's intern log and
-  /// feeds the remapped candidates through exactly the serial derivation
-  /// bookkeeping — `state`, `stats`, and the OnUpdateDerived stream come
-  /// out bit-identical to DeriveFull/DeriveSeeded. A lane that throws
-  /// discards the whole fan-out and reruns the round serially
-  /// (telemetry.fallback_rounds).
-  Status DeriveFullParallel(const Program& program,
-                            const std::vector<uint32_t>& rule_indices,
-                            const ObjectBase& base, int lanes,
-                            TpStratumState& state, TpRoundStats& stats,
-                            TraceSink* trace, ParallelTelemetry& telemetry);
-  Status DeriveSeededParallel(const Program& program,
-                              const std::vector<uint32_t>& rule_indices,
-                              const ObjectBase& base, const DeltaLog& delta,
-                              int lanes, TpStratumState& state,
-                              TpRoundStats& stats, TraceSink* trace,
-                              ParallelTelemetry& telemetry);
 
   /// Steps 2 and 3 for the round's fresh updates, installed as diffs into
   /// `base`: active targets are edited in place (fact-level changes

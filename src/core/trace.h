@@ -90,26 +90,6 @@ class TraceSink {
     (void)overdeleted;
     (void)rederived;
   }
-  /// A stratum's fixpoint used the parallel derivation path:
-  /// `parallel_rounds` rounds fanned out and merged, dispatching
-  /// `worker_tasks` work items in total; `fallback_rounds` rounds were
-  /// rerun serially after a lane threw. `queue_wait_us` holds one sample
-  /// per dispatched pool job (time from enqueue to execution start).
-  /// Emitted after OnStratumFixpoint, and only for strata where at least
-  /// one round actually took the parallel path — serial evaluation emits
-  /// nothing, keeping all other event streams bit-identical between
-  /// serial and parallel runs. Deliberately not recorded by
-  /// RecordingTrace/StreamTrace (their output must not depend on
-  /// num_threads); the metrics bridge is the intended consumer.
-  virtual void OnParallelEval(uint32_t stratum, size_t parallel_rounds,
-                              size_t worker_tasks, size_t fallback_rounds,
-                              const std::vector<uint64_t>& queue_wait_us) {
-    (void)stratum;
-    (void)parallel_rounds;
-    (void)worker_tasks;
-    (void)fallback_rounds;
-    (void)queue_wait_us;
-  }
   /// The storage layer hit an I/O fault on operation `op` ("wal-append",
   /// "checkpoint-snapshot", "checkpoint-truncate", ...). `attempt` counts
   /// retries already spent on the operation (0 = first try); `degraded`

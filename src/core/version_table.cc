@@ -11,129 +11,65 @@ VersionTable::VersionTable() {
   vids_by_shape_.emplace_back();
 }
 
-VersionTable::VersionTable(OverlayTag, const VersionTable& base)
-    : base_(&base),
-      base_vids_(static_cast<uint32_t>(base.size())),
-      base_shapes_(static_cast<uint32_t>(base.shape_ops_.size())) {
-  assert(base.base_ == nullptr && "overlays do not stack");
-}
-
-Vid VersionTable::FindOfOid(Oid o) const {
-  auto it = oid_to_vid_.find(o);
-  return it == oid_to_vid_.end() ? Vid() : it->second;
-}
-
-Vid VersionTable::FindChild(Vid parent, UpdateKind kind) const {
-  uint64_t key = (static_cast<uint64_t>(parent.value) << 2) |
-                 static_cast<uint64_t>(kind);
-  auto it = child_index_.find(key);
-  return it == child_index_.end() ? Vid() : it->second;
-}
-
-VidShape VersionTable::FindShape(const std::vector<UpdateKind>& ops) const {
-  auto it = shape_index_.find(ops);
-  return it == shape_index_.end() ? VidShape(UINT32_MAX) : it->second;
-}
-
-std::vector<Vid>& VersionTable::LocalVidsOfShape(VidShape shape) {
-  // Overlay mode: vids_by_shape_ is indexed by the absolute shape id and
-  // holds only the overlay's own VIDs. Base mode: indexed as before, one
-  // slot per interned shape.
-  if (vids_by_shape_.size() <= shape.value) {
-    vids_by_shape_.resize(shape.value + 1);
-  }
-  return vids_by_shape_[shape.value];
-}
-
 Vid VersionTable::OfOid(Oid o) {
-  if (base_ != nullptr) {
-    Vid found = base_->FindOfOid(o);
-    if (found.valid()) return found;
-  }
   auto it = oid_to_vid_.find(o);
   if (it != oid_to_vid_.end()) return it->second;
-  Vid v(base_vids_ + static_cast<uint32_t>(entries_.size()));
+  Vid v(static_cast<uint32_t>(entries_.size()));
   entries_.push_back({o, Vid(), UpdateKind::kInsert, 0, VidShape(0)});
   oid_to_vid_.emplace(o, v);
-  LocalVidsOfShape(VidShape(0)).push_back(v);
+  vids_by_shape_[0].push_back(v);
   return v;
 }
 
 Vid VersionTable::Child(Vid parent, UpdateKind kind) {
-  if (base_ != nullptr && parent.value < base_vids_) {
-    Vid found = base_->FindChild(parent, kind);
-    if (found.valid()) return found;
-  }
   uint64_t key = (static_cast<uint64_t>(parent.value) << 2) |
                  static_cast<uint64_t>(kind);
   auto it = child_index_.find(key);
   if (it != child_index_.end()) return it->second;
 
-  const Entry& p = entry(parent);
+  const Entry& p = entries_[parent.value];
   std::vector<UpdateKind> ops;
   ops.reserve(p.depth + 1);
   ops.push_back(kind);
-  const std::vector<UpdateKind>& parent_ops = ShapeOps(p.shape);
+  const std::vector<UpdateKind>& parent_ops = shape_ops_[p.shape.value];
   ops.insert(ops.end(), parent_ops.begin(), parent_ops.end());
   VidShape shape = InternShape(ops);
 
-  Vid v(base_vids_ + static_cast<uint32_t>(entries_.size()));
+  Vid v(static_cast<uint32_t>(entries_.size()));
   entries_.push_back({p.root, parent, kind, p.depth + 1, shape});
   child_index_.emplace(key, v);
-  LocalVidsOfShape(shape).push_back(v);
+  vids_by_shape_[shape.value].push_back(v);
   return v;
 }
 
 bool VersionTable::IsSubterm(Vid a, Vid b) const {
-  const Entry& ea = entry(a);
-  const Entry& eb = entry(b);
+  const Entry& ea = entries_[a.value];
+  const Entry& eb = entries_[b.value];
   if (ea.root != eb.root) return false;
   if (ea.depth > eb.depth) return false;
   Vid cur = b;
-  for (uint32_t d = eb.depth; d > ea.depth; --d) cur = entry(cur).parent;
+  for (uint32_t d = eb.depth; d > ea.depth; --d) cur = entries_[cur.value].parent;
   return cur == a;
 }
 
 VidShape VersionTable::InternShape(const std::vector<UpdateKind>& ops) {
-  if (base_ != nullptr) {
-    VidShape found = base_->FindShape(ops);
-    if (found.value != UINT32_MAX) return found;
-  }
   auto it = shape_index_.find(ops);
   if (it != shape_index_.end()) return it->second;
-  VidShape shape(base_shapes_ + static_cast<uint32_t>(shape_ops_.size()));
+  VidShape shape(static_cast<uint32_t>(shape_ops_.size()));
   shape_ops_.push_back(ops);
   shape_index_.emplace(ops, shape);
+  vids_by_shape_.emplace_back();
   return shape;
 }
 
 const std::vector<Vid>& VersionTable::VidsWithShape(VidShape shape) const {
   static const std::vector<Vid> kEmpty;
-  if (base_ == nullptr) {
-    if (shape.value >= vids_by_shape_.size()) return kEmpty;
-    return vids_by_shape_[shape.value];
-  }
-  const std::vector<Vid>* local =
-      shape.value < vids_by_shape_.size() ? &vids_by_shape_[shape.value]
-                                          : nullptr;
-  if (local == nullptr || local->empty()) {
-    return shape.value < base_shapes_ ? base_->VidsWithShape(shape) : kEmpty;
-  }
-  MergedShape& merged = merged_cache_[shape.value];
-  if (merged.overlay_count != local->size()) {
-    merged.vids.clear();
-    if (shape.value < base_shapes_) {
-      const std::vector<Vid>& from_base = base_->VidsWithShape(shape);
-      merged.vids.assign(from_base.begin(), from_base.end());
-    }
-    merged.vids.insert(merged.vids.end(), local->begin(), local->end());
-    merged.overlay_count = local->size();
-  }
-  return merged.vids;
+  if (shape.value >= vids_by_shape_.size()) return kEmpty;
+  return vids_by_shape_[shape.value];
 }
 
 std::string VersionTable::ToString(Vid v, const SymbolTable& symbols) const {
-  const Entry& e = entry(v);
+  const Entry& e = entries_[v.value];
   if (e.depth == 0) return symbols.OidToString(e.root);
   std::string out(UpdateKindName(e.kind));
   out += '(';

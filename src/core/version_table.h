@@ -37,21 +37,9 @@ struct VidShape {
 ///   * `v*` (Section 3) is a walk looking for the deepest `exists` stage.
 ///
 /// Depth-0 VIDs coincide with OIDs and are created lazily by OfOid().
-///
-/// Overlay mode mirrors SymbolTable's: an overlay layers fresh VIDs and
-/// shapes over a frozen base table (value-keyed lookups consult the base
-/// first; fresh entries get ids from the base's counts upward and form an
-/// ordered intern log). Parallel evaluation lanes intern into their own
-/// overlays during matching; after the join, ReplayVid re-interns each
-/// lane's log into the real table deterministically. An overlay must not
-/// outlive a mutation of its base.
 class VersionTable {
  public:
-  struct OverlayTag {};
-
   VersionTable();
-  /// An overlay over `base` (see class comment). Read-only on `base`.
-  VersionTable(OverlayTag, const VersionTable& base);
   VersionTable(const VersionTable&) = delete;
   VersionTable& operator=(const VersionTable&) = delete;
 
@@ -62,13 +50,13 @@ class VersionTable {
   Vid Child(Vid parent, UpdateKind kind);
 
   /// Functor of the outermost update; only valid for depth > 0.
-  UpdateKind kind(Vid v) const { return entry(v).kind; }
+  UpdateKind kind(Vid v) const { return entries_[v.value].kind; }
   /// The VID with the outermost functor stripped; invalid for depth 0.
-  Vid parent(Vid v) const { return entry(v).parent; }
-  uint32_t depth(Vid v) const { return entry(v).depth; }
+  Vid parent(Vid v) const { return entries_[v.value].parent; }
+  uint32_t depth(Vid v) const { return entries_[v.value].depth; }
   /// The object this VID is a version of.
-  Oid root(Vid v) const { return entry(v).root; }
-  VidShape shape(Vid v) const { return entry(v).shape; }
+  Oid root(Vid v) const { return entries_[v.value].root; }
+  VidShape shape(Vid v) const { return entries_[v.value].shape; }
 
   /// True iff `a` is a (not necessarily proper) subterm of `b`; only VIDs
   /// of the same object can be subterms of one another.
@@ -77,31 +65,13 @@ class VersionTable {
   /// Interns a functor chain (outermost first).
   VidShape InternShape(const std::vector<UpdateKind>& ops);
   const std::vector<UpdateKind>& ShapeOps(VidShape shape) const {
-    if (shape.value < base_shapes_) return base_->ShapeOps(shape);
-    return shape_ops_[shape.value - base_shapes_];
+    return shape_ops_[shape.value];
   }
 
   /// All interned VIDs with the given shape. Stable order of creation.
-  /// In overlay mode the returned vector merges the base's VIDs with the
-  /// overlay's (base first — creation order), cached until the overlay
-  /// grows the shape again.
   const std::vector<Vid>& VidsWithShape(VidShape shape) const;
 
-  size_t size() const { return base_vids_ + entries_.size(); }
-
-  /// Overlay introspection and replay (mirrors SymbolTable): local index i
-  /// is the vid base_vids() + i. ReplayVid re-interns one logged entry
-  /// into `target`, translating the entry's root/parent references through
-  /// the caller's maps (identity for ids below the overlay's base counts).
-  uint32_t base_vids() const { return base_vids_; }
-  uint32_t fresh_vids() const { return static_cast<uint32_t>(entries_.size()); }
-  template <typename MapOid, typename MapVid>
-  Vid ReplayVid(uint32_t local_index, VersionTable& target, MapOid&& map_oid,
-                MapVid&& map_vid) const {
-    const Entry& e = entries_[local_index];
-    if (e.depth == 0) return target.OfOid(map_oid(e.root));
-    return target.Child(map_vid(e.parent), e.kind);
-  }
+  size_t size() const { return entries_.size(); }
 
   /// Surface syntax, e.g. "ins(del(mod(henry)))".
   std::string ToString(Vid v, const SymbolTable& symbols) const;
@@ -115,38 +85,14 @@ class VersionTable {
     VidShape shape;
   };
 
-  const Entry& entry(Vid v) const {
-    return v.value < base_vids_ ? base_->entries_[v.value]
-                                : entries_[v.value - base_vids_];
-  }
-
-  Vid FindOfOid(Oid o) const;
-  Vid FindChild(Vid parent, UpdateKind kind) const;
-  VidShape FindShape(const std::vector<UpdateKind>& ops) const;
-  std::vector<Vid>& LocalVidsOfShape(VidShape shape);
-
-  /// Overlay mode only: the frozen base and its counts at layering time.
-  const VersionTable* base_ = nullptr;
-  uint32_t base_vids_ = 0;
-  uint32_t base_shapes_ = 0;
-
   std::vector<Entry> entries_;
   std::unordered_map<Oid, Vid> oid_to_vid_;
   // (parent, kind) -> child
   std::unordered_map<uint64_t, Vid> child_index_;
 
-  // Indexed by shape.value - base_shapes_ for overlay-fresh shapes; in
-  // overlay mode vids_by_shape_ holds only the overlay's VIDs and is
-  // indexed by shape.value directly (sized on demand), with merged_cache_
-  // memoizing base + overlay concatenations per shape.
   std::vector<std::vector<UpdateKind>> shape_ops_;
   std::map<std::vector<UpdateKind>, VidShape> shape_index_;
   std::vector<std::vector<Vid>> vids_by_shape_;
-  struct MergedShape {
-    size_t overlay_count = 0;  // staleness stamp
-    std::vector<Vid> vids;
-  };
-  mutable std::unordered_map<uint32_t, MergedShape> merged_cache_;
 };
 
 }  // namespace verso

@@ -16,11 +16,6 @@ MetricsTraceSink::MetricsTraceSink(MetricsRegistry& registry, TraceSink* next)
       index_probes_(registry.GetCounter("index.probes")),
       index_hits_(registry.GetCounter("index.hits")),
       index_avoided_(registry.GetCounter("index.scan_avoided_facts")),
-      parallel_strata_(registry.GetCounter("eval.parallel_strata")),
-      serial_fallback_strata_(
-          registry.GetCounter("eval.serial_fallback_strata")),
-      worker_tasks_(registry.GetCounter("eval.worker_tasks")),
-      worker_queue_us_(registry.GetHistogram("eval.worker_queue_us")),
       view_runs_(registry.GetCounter("view.maintenance_runs")),
       view_delta_facts_(registry.GetCounter("view.delta_facts")),
       view_added_(registry.GetCounter("view.facts_added")),
@@ -79,20 +74,6 @@ void MetricsTraceSink::OnIndexUse(uint32_t stratum, size_t probes,
 
 void MetricsTraceSink::OnStratumFixpoint(uint32_t stratum, uint32_t rounds) {
   if (next_ != nullptr) next_->OnStratumFixpoint(stratum, rounds);
-}
-
-void MetricsTraceSink::OnParallelEval(uint32_t stratum, size_t parallel_rounds,
-                                      size_t worker_tasks,
-                                      size_t fallback_rounds,
-                                      const std::vector<uint64_t>& queue_wait_us) {
-  if (parallel_rounds > 0) parallel_strata_.Add();
-  if (fallback_rounds > 0) serial_fallback_strata_.Add();
-  worker_tasks_.Add(worker_tasks);
-  for (uint64_t us : queue_wait_us) worker_queue_us_.Record(us);
-  if (next_ != nullptr) {
-    next_->OnParallelEval(stratum, parallel_rounds, worker_tasks,
-                          fallback_rounds, queue_wait_us);
-  }
 }
 
 void MetricsTraceSink::OnViewMaintenance(std::string_view view,

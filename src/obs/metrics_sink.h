@@ -36,9 +36,6 @@ class MetricsTraceSink : public TraceSink {
   void OnIndexUse(uint32_t stratum, size_t probes, size_t hits,
                   size_t avoided_facts) override;
   void OnStratumFixpoint(uint32_t stratum, uint32_t rounds) override;
-  void OnParallelEval(uint32_t stratum, size_t parallel_rounds,
-                      size_t worker_tasks, size_t fallback_rounds,
-                      const std::vector<uint64_t>& queue_wait_us) override;
   void OnViewMaintenance(std::string_view view, size_t delta_facts,
                          size_t added, size_t removed, size_t overdeleted,
                          size_t rederived) override;
@@ -59,10 +56,6 @@ class MetricsTraceSink : public TraceSink {
   Counter& index_probes_;
   Counter& index_hits_;
   Counter& index_avoided_;
-  Counter& parallel_strata_;
-  Counter& serial_fallback_strata_;
-  Counter& worker_tasks_;
-  Histogram& worker_queue_us_;
   Counter& view_runs_;
   Counter& view_delta_facts_;
   Counter& view_added_;

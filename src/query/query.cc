@@ -1,14 +1,12 @@
 #include "query/query.h"
 
 #include <algorithm>
-#include <memory>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "core/delta.h"
 #include "core/match.h"
-#include "core/parallel_eval.h"
 #include "parser/parser.h"
 
 namespace verso {
@@ -250,52 +248,19 @@ Result<DeltaFact> ResolveHeadFact(const Rule& rule, const Bindings& bindings,
                    ResolveApp(rule.head.app, bindings), /*added=*/true};
 }
 
-namespace {
-
-/// Minimum work before a query-fixpoint round fans out (deterministic
-/// serial quantities only, mirroring the evaluator's thresholds).
-constexpr size_t kMinParallelQueryRules = 2;
-constexpr size_t kMinParallelFrontier = 16;
-
-/// One parallel task's recording: derived head facts in lane ids, the
-/// lane's overlay log position at task end, and the task's counters.
-struct QueryTaskOutput {
-  int lane = -1;
-  EvalLane::Mark end;
-  std::vector<DeltaFact> facts;
-  size_t delta_joins = 0;
-  IndexStats index;
-  Status status = Status::Ok();
-  bool threw = false;
-};
-
-std::vector<std::unique_ptr<EvalLane>> MakeQueryLanes(
-    int count, const SymbolTable& symbols, const VersionTable& versions,
-    const ObjectBase& working) {
-  std::vector<std::unique_ptr<EvalLane>> lanes;
-  lanes.reserve(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    lanes.push_back(std::make_unique<EvalLane>(symbols, versions, working));
-  }
-  return lanes;
-}
-
-}  // namespace
-
 Status SolveRecursiveStratum(const QueryProgram& program,
                              const QueryStratum& stratum,
                              SymbolTable& symbols, VersionTable& versions,
                              ObjectBase& working, uint32_t max_rounds,
-                             QueryStats* stats, int num_threads) {
+                             QueryStats* stats) {
   IndexStats istats;
   MatchContext ctx{symbols, versions, working, &istats};
   DeltaLog frontier;
   DeltaLog delta;
-  // Rounds are frozen: head facts are buffered during derivation — the
-  // matcher holds pointers into the base's fact vectors, and parallel
-  // lanes share the round-start state — and installed only at the round
-  // boundary. The fixpoint is monotone, so batching installs changes
-  // round packaging but not the result.
+  // Rounds are frozen: head facts are buffered during derivation (the
+  // matcher holds pointers into the base's fact vectors) and installed
+  // only at the round boundary. The fixpoint is monotone, so batching
+  // installs changes round packaging but not the result.
   std::vector<DeltaFact> pending;
   auto derive_head = [&](const Rule& rule,
                          const Bindings& bindings) -> Status {
@@ -314,82 +279,14 @@ Status SolveRecursiveStratum(const QueryProgram& program,
     pending.clear();
   };
 
-  // Merges parallel task outputs in task order: replay each lane's
-  // overlay log, remap the recorded facts into `pending`, fold counters.
-  // A task that threw aborts the merge so the caller can rerun the round
-  // serially (lanes never touch shared state).
-  auto merge_outputs =
-      [&](std::vector<QueryTaskOutput>& outputs,
-          const std::vector<std::unique_ptr<EvalLane>>& lanes,
-          bool* fell_back) -> Status {
-    for (const QueryTaskOutput& out : outputs) {
-      if (out.threw) {
-        *fell_back = true;
-        return Status::Ok();
-      }
-    }
-    for (QueryTaskOutput& out : outputs) {
-      EvalLane& lane = *lanes[out.lane];
-      lane.ReplayTo(out.end, symbols, versions);
-      for (DeltaFact& fact : out.facts) {
-        pending.push_back(lane.MapFact(std::move(fact)));
-      }
-      if (stats != nullptr) stats->delta_joins += out.delta_joins;
-      istats.index_probes += out.index.index_probes;
-      istats.index_hits += out.index.index_hits;
-      istats.indexed_scan_avoided_facts += out.index.indexed_scan_avoided_facts;
-      VERSO_RETURN_IF_ERROR(out.status);
-    }
-    return Status::Ok();
-  };
-
   // Round 0: full evaluation of every rule in the stratum.
   if (stats != nullptr) ++stats->rounds;
-  bool round0_done = false;
-  if (num_threads > 1 && stratum.rules.size() >= kMinParallelQueryRules) {
-    const size_t task_count = stratum.rules.size();
-    const int lane_count = static_cast<int>(std::min<size_t>(
-        static_cast<size_t>(num_threads), task_count));
-    std::vector<std::unique_ptr<EvalLane>> lanes =
-        MakeQueryLanes(lane_count, symbols, versions, working);
-    std::vector<QueryTaskOutput> outputs(task_count);
-    ParallelTelemetry ptel;
-    RunTasksOnLanes(
-        lane_count, task_count,
-        [&](int lane_index, size_t task) {
-          QueryTaskOutput& out = outputs[task];
-          out.lane = lane_index;
-          EvalLane& lane = *lanes[lane_index];
-          try {
-            const Rule& rule = program.rules[stratum.rules[task]];
-            MatchContext lane_ctx{lane.symbols, lane.versions, lane.base,
-                                  &out.index};
-            out.status = ForEachBodyMatch(
-                rule, lane_ctx, [&](const Bindings& bindings) -> Status {
-                  VERSO_ASSIGN_OR_RETURN(
-                      DeltaFact head,
-                      ResolveHeadFact(rule, bindings, lane.versions));
-                  out.facts.push_back(std::move(head));
-                  return Status::Ok();
-                });
-          } catch (...) {
-            out.threw = true;
-          }
-          out.end = lane.mark();
-        },
-        ptel);
-    bool fell_back = false;
-    VERSO_RETURN_IF_ERROR(merge_outputs(outputs, lanes, &fell_back));
-    round0_done = !fell_back;
-  }
-  if (!round0_done) {
-    for (uint32_t r : stratum.rules) {
-      const Rule& rule = program.rules[r];
-      VERSO_RETURN_IF_ERROR(ForEachBodyMatch(
-          rule, ctx, [&](const Bindings& bindings) {
-            return derive_head(rule, bindings);
-          }));
-    }
+  for (uint32_t r : stratum.rules) {
+    const Rule& rule = program.rules[r];
+    VERSO_RETURN_IF_ERROR(ForEachBodyMatch(
+        rule, ctx, [&](const Bindings& bindings) {
+          return derive_head(rule, bindings);
+        }));
   }
   install_pending();
 
@@ -407,20 +304,14 @@ Status SolveRecursiveStratum(const QueryProgram& program,
     if (stats != nullptr) ++stats->rounds;
     index.Build(frontier, versions);
 
-    // The round's probe work as (rule, literal, frontier-chunk) specs —
-    // the serial loop runs them inline, the parallel path fans them out.
+    // The round's probe work as (rule, literal, frontier bucket) specs:
+    // every seed key is interned before the first probe runs.
     struct ProbeSpec {
       const Rule* rule = nullptr;
       uint32_t literal = 0;
       const std::vector<const DeltaFact*>* bucket = nullptr;
-      size_t begin = 0;
-      size_t end = 0;
     };
     std::vector<ProbeSpec> specs;
-    const bool parallel_round =
-        num_threads > 1 && frontier.size() >= kMinParallelFrontier;
-    const size_t chunk_denominator =
-        parallel_round ? static_cast<size_t>(num_threads) * 4 : 1;
     for (uint32_t r : stratum.rules) {
       const Rule& rule = program.rules[r];
       for (size_t li = 0; li < rule.body.size(); ++li) {
@@ -446,80 +337,24 @@ Status SolveRecursiveStratum(const QueryProgram& program,
         if (stats != nullptr) {
           stats->seed_pairs_skipped += frontier.size() - bucket->size();
         }
-        const size_t chunk =
-            std::max<size_t>(1, bucket->size() / chunk_denominator);
-        for (size_t b = 0; b < bucket->size(); b += chunk) {
-          specs.push_back({&rule, static_cast<uint32_t>(li), bucket, b,
-                           std::min(bucket->size(), b + chunk)});
-        }
+        specs.push_back({&rule, static_cast<uint32_t>(li), bucket});
       }
     }
 
-    bool round_done = false;
-    if (parallel_round && !specs.empty()) {
-      const int lane_count = static_cast<int>(std::min<size_t>(
-          static_cast<size_t>(num_threads), specs.size()));
-      std::vector<std::unique_ptr<EvalLane>> lanes =
-          MakeQueryLanes(lane_count, symbols, versions, working);
-      std::vector<QueryTaskOutput> outputs(specs.size());
-      ParallelTelemetry ptel;
-      RunTasksOnLanes(
-          lane_count, specs.size(),
-          [&](int lane_index, size_t task) {
-            const ProbeSpec& spec = specs[task];
-            QueryTaskOutput& out = outputs[task];
-            out.lane = lane_index;
-            EvalLane& lane = *lanes[lane_index];
-            try {
-              const Rule& rule = *spec.rule;
-              MatchContext lane_ctx{lane.symbols, lane.versions, lane.base,
-                                    &out.index};
-              for (size_t i = spec.begin; i < spec.end; ++i) {
-                Bindings seed;
-                if (!SeedBindingsFromDelta(rule, spec.literal,
-                                           *(*spec.bucket)[i], lane.versions,
-                                           seed)) {
-                  continue;
-                }
-                ++out.delta_joins;
-                out.status = ForEachBodyMatchFrom(
-                    rule, lane_ctx, seed, static_cast<int>(spec.literal),
-                    [&](const Bindings& bindings) -> Status {
-                      VERSO_ASSIGN_OR_RETURN(
-                          DeltaFact head,
-                          ResolveHeadFact(rule, bindings, lane.versions));
-                      out.facts.push_back(std::move(head));
-                      return Status::Ok();
-                    });
-                if (!out.status.ok()) break;
-              }
-            } catch (...) {
-              out.threw = true;
-            }
-            out.end = lane.mark();
-          },
-          ptel);
-      bool fell_back = false;
-      VERSO_RETURN_IF_ERROR(merge_outputs(outputs, lanes, &fell_back));
-      round_done = !fell_back;
-      if (fell_back) pending.clear();
-    }
-    if (!round_done) {
-      for (const ProbeSpec& spec : specs) {
-        const Rule& rule = *spec.rule;
-        for (size_t i = spec.begin; i < spec.end; ++i) {
-          Bindings seed;
-          if (!SeedBindingsFromDelta(rule, spec.literal, *(*spec.bucket)[i],
-                                     versions, seed)) {
-            continue;
-          }
-          if (stats != nullptr) ++stats->delta_joins;
-          VERSO_RETURN_IF_ERROR(ForEachBodyMatchFrom(
-              rule, ctx, seed, static_cast<int>(spec.literal),
-              [&](const Bindings& bindings) {
-                return derive_head(rule, bindings);
-              }));
+    for (const ProbeSpec& spec : specs) {
+      const Rule& rule = *spec.rule;
+      for (const DeltaFact* fact : *spec.bucket) {
+        Bindings seed;
+        if (!SeedBindingsFromDelta(rule, spec.literal, *fact, versions,
+                                   seed)) {
+          continue;
         }
+        if (stats != nullptr) ++stats->delta_joins;
+        VERSO_RETURN_IF_ERROR(ForEachBodyMatchFrom(
+            rule, ctx, seed, static_cast<int>(spec.literal),
+            [&](const Bindings& bindings) {
+              return derive_head(rule, bindings);
+            }));
       }
     }
     install_pending();
@@ -563,7 +398,7 @@ Result<ObjectBase> EvaluateQueries(QueryProgram& program,
     if (stratum.recursive && options.semi_naive) {
       VERSO_RETURN_IF_ERROR(SolveRecursiveStratum(
           program, stratum, symbols, versions, working,
-          options.max_rounds_per_stratum, &local, options.num_threads));
+          options.max_rounds_per_stratum, &local));
       continue;
     }
 

@@ -91,13 +91,6 @@ struct QueryOptions {
   /// Naive re-derivation is kept for the ablation benchmark.
   bool semi_naive = true;
   uint32_t max_rounds_per_stratum = 1u << 20;
-
-  /// Evaluation lanes for recursive strata (caller + num_threads - 1
-  /// pool workers); 0 or 1 evaluates serially. The derived-method
-  /// fixpoint is monotone and every round derives against the frozen
-  /// round-start state, so fan-out needs no admission analysis and is
-  /// bit-identical to serial evaluation.
-  int num_threads = 0;
 };
 
 /// Resolves a rule's head under a complete body binding to the ground
@@ -109,10 +102,9 @@ Result<DeltaFact> ResolveHeadFact(const Rule& rule, const Bindings& bindings,
 
 /// Semi-naive fixpoint of one recursive stratum over `working`: round 0
 /// full-matches every stratum rule, later rounds probe only the frontier
-/// facts, found through their (method, shape) index. Rounds are frozen —
-/// derivation reads only the state the round began with; every head fact
-/// installs at the round boundary — which is what makes the fan-out with
-/// `num_threads` > 1 bit-identical to serial evaluation. Counters
+/// facts, found through their (method, shape) index. Rounds are frozen:
+/// derivation reads only the state the round began with, and every head
+/// fact installs into `working` at the round boundary. Counters
 /// accumulate into `stats` when given (rounds, derived_facts,
 /// delta_joins, seed_pairs_skipped). Rules must already be analyzed
 /// (AnalyzeQueryProgram). Shared by EvaluateQueries and the views
@@ -121,7 +113,7 @@ Status SolveRecursiveStratum(const QueryProgram& program,
                              const QueryStratum& stratum,
                              SymbolTable& symbols, VersionTable& versions,
                              ObjectBase& working, uint32_t max_rounds,
-                             QueryStats* stats, int num_threads = 0);
+                             QueryStats* stats);
 
 /// Evaluates the derived methods over `base`, returning a new object base
 /// containing `base` plus all derived facts. Fails if a derived method

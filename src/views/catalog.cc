@@ -11,7 +11,7 @@ Status ViewCatalog::Register(std::string name, QueryProgram program,
   VERSO_ASSIGN_OR_RETURN(
       std::unique_ptr<MaterializedView> view,
       MaterializedView::Create(name, std::move(program), base, symbols_,
-                               versions_, trace_, analysis, num_threads_));
+                               versions_, trace_, analysis));
   views_.emplace(std::move(name), std::move(view));
   ++ddl_generation_;
   return Status::Ok();

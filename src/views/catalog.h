@@ -84,11 +84,6 @@ class ViewCatalog : public CommitObserver {
   /// Replaces the trace sink used for views registered from now on.
   void set_trace(TraceSink* trace) { trace_ = trace; }
 
-  /// Evaluation lanes views registered from now on use for their initial
-  /// materialization and DRed maintenance (see MaterializedView::Create);
-  /// 0 or 1 keeps everything serial.
-  void set_num_threads(int num_threads) { num_threads_ = num_threads; }
-
   /// Monotone counter bumped by every successful Register/Drop. Cached
   /// snapshots (Connection::Pin) compare it to detect view DDL between
   /// commits — CREATE VIEW / DROP VIEW do not advance the commit epoch,
@@ -110,7 +105,6 @@ class ViewCatalog : public CommitObserver {
   SymbolTable& symbols_;
   VersionTable& versions_;
   TraceSink* trace_;
-  int num_threads_ = 0;
   ViewDeltaSink* sink_ = nullptr;
   Database* attached_ = nullptr;
   uint64_t ddl_generation_ = 0;

@@ -1,23 +1,14 @@
 #include "views/view.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "core/match.h"
-#include "core/parallel_eval.h"
 
 namespace verso {
 
 namespace {
 
 constexpr uint32_t kMaxRounds = 1u << 20;
-
-/// Minimum work before a DRed phase fans out across the worker pool:
-/// an overdeletion wave of fewer triggers / a rederivation pass over
-/// fewer facts stays serial (deterministic serial quantities, so the
-/// serial and parallel paths make identical decisions).
-constexpr size_t kMinParallelTriggers = 16;
-constexpr size_t kMinParallelRederive = 16;
 
 /// True iff body literal `li` (a version-literal of the fact's method),
 /// instantiated under a complete `bindings`, denotes exactly `fact`.
@@ -44,117 +35,12 @@ DeltaFact ToDeltaFact(const ViewFactKey& key, bool added) {
   return DeltaFact{key.vid, key.method, key.app, added};
 }
 
-/// Context-parameterized core of MaterializedView::ProbeTrigger: probes a
-/// changed fact through its positive (or negated) body occurrences of the
-/// stratum's rules against ctx's object base. Shared by the serial member
-/// wrapper and the parallel lanes, which pass their overlay tables and a
-/// frozen base copy.
-Status ProbeTriggerCtx(const QueryProgram& program,
-                       const QueryStratum& stratum, const DeltaFact& fact,
-                       bool through_negation, MatchContext& ctx,
-                       uint64_t& seed_probes,
-                       std::vector<ViewFactKey>& heads) {
-  Bindings seed;
-  for (uint32_t r : stratum.rules) {
-    const Rule& rule = program.rules[r];
-    for (uint32_t li = 0; li < rule.body.size(); ++li) {
-      const Literal& lit = rule.body[li];
-      if (lit.kind != Literal::Kind::kVersion) continue;
-      if (lit.negated != through_negation) continue;
-      if (lit.version.app.method != fact.method) continue;
-      if (!UnifyLiteralPattern(rule, li, fact, ctx.versions, seed)) continue;
-      ++seed_probes;
-      VERSO_RETURN_IF_ERROR(ForEachBodyMatchFrom(
-          rule, ctx, seed, static_cast<int>(li),
-          [&](const Bindings& bindings) -> Status {
-            // Count each derivation at its lowest matching occurrence.
-            for (uint32_t j = 0; j < li; ++j) {
-              const Literal& lj = rule.body[j];
-              if (lj.kind != Literal::Kind::kVersion) continue;
-              if (lj.negated != through_negation) continue;
-              if (lj.version.app.method != fact.method) continue;
-              if (LiteralGroundsToFact(rule, j, bindings, fact,
-                                       ctx.versions)) {
-                return Status::Ok();
-              }
-            }
-            VERSO_ASSIGN_OR_RETURN(
-                DeltaFact head,
-                ResolveHeadFact(rule, bindings, ctx.versions));
-            heads.push_back({head.vid, head.method, std::move(head.app)});
-            return Status::Ok();
-          }));
-    }
-  }
-  return Status::Ok();
-}
-
-/// Context-parameterized core of MaterializedView::HasDerivation.
-Result<bool> HasDerivationCtx(const QueryProgram& program,
-                              const QueryStratum& stratum,
-                              const ViewFactKey& fact, MatchContext& ctx,
-                              uint64_t& rederive_probes) {
-  DeltaFact probe = ToDeltaFact(fact, /*added=*/true);
-  Bindings seed;
-  for (uint32_t r : stratum.rules) {
-    const Rule& rule = program.rules[r];
-    if (rule.head.app.method != fact.method) continue;
-    if (!SeedBindingsFromHead(rule, probe, ctx.versions, seed)) continue;
-    ++rederive_probes;
-    bool found = false;
-    Status status = ForEachBodyMatchFrom(
-        rule, ctx, seed, /*skip_literal=*/-1,
-        [&](const Bindings&) -> Status {
-          found = true;
-          // Abort enumeration: one derivation is enough.
-          return Status::NotFound("derivation found");
-        });
-    if (found) return true;
-    VERSO_RETURN_IF_ERROR(status);
-  }
-  return false;
-}
-
-/// One parallel probe task's recording (heads for Phase A, the
-/// derivability verdict for Phase B), merged in task order.
-struct ProbeTaskOutput {
-  int lane = -1;
-  EvalLane::Mark end;
-  std::vector<ViewFactKey> heads;
-  bool derivable = false;
-  uint64_t seed_probes = 0;
-  uint64_t rederive_probes = 0;
-  IndexStats index;
-  Status status = Status::Ok();
-  bool threw = false;
-};
-
-std::vector<std::unique_ptr<EvalLane>> MakeViewLanes(
-    int count, const SymbolTable& symbols, const VersionTable& versions,
-    const ObjectBase& working) {
-  std::vector<std::unique_ptr<EvalLane>> lanes;
-  lanes.reserve(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    lanes.push_back(std::make_unique<EvalLane>(symbols, versions, working));
-  }
-  return lanes;
-}
-
-/// Remaps a lane-local head key into real-table ids.
-ViewFactKey MapHead(const EvalLane& lane, ViewFactKey head) {
-  head.vid = lane.MapVid(head.vid);
-  head.method = lane.MapMethod(head.method);
-  for (Oid& arg : head.app.args) arg = lane.MapOid(arg);
-  head.app.result = lane.MapOid(head.app.result);
-  return head;
-}
-
 }  // namespace
 
 Result<std::unique_ptr<MaterializedView>> MaterializedView::Create(
     std::string name, QueryProgram program, const ObjectBase& base,
     SymbolTable& symbols, VersionTable& versions, TraceSink* trace,
-    const AnalysisOptions& analysis, int num_threads) {
+    const AnalysisOptions& analysis) {
   for (MethodId m : program.derived_methods) {
     if (base.VidsWithMethod(m) != nullptr) {
       return Status::InvalidArgument(
@@ -172,8 +58,7 @@ Result<std::unique_ptr<MaterializedView>> MaterializedView::Create(
     VERSO_RETURN_IF_ERROR(report->FirstBlocking(analysis));
   }
   std::unique_ptr<MaterializedView> view(new MaterializedView(
-      std::move(name), std::move(program), base, symbols, versions, trace,
-      num_threads));
+      std::move(name), std::move(program), base, symbols, versions, trace));
   view->analysis_ = std::move(report);
   VERSO_ASSIGN_OR_RETURN(
       view->stratification_,
@@ -221,7 +106,7 @@ Status MaterializedView::Materialize() {
     QueryStats qstats;
     VERSO_RETURN_IF_ERROR(SolveRecursiveStratum(
         program_, stratum, symbols_, versions_, working_, kMaxRounds,
-        &qstats, num_threads_));
+        &qstats));
     stats_.seed_probes += qstats.delta_joins;
     stats_.index_probes += qstats.index_probes;
     stats_.index_hits += qstats.index_hits;
@@ -247,16 +132,64 @@ Status MaterializedView::ProbeTrigger(const QueryStratum& stratum,
                                       const Trigger& trigger,
                                       std::vector<ViewFactKey>& heads) {
   MatchContext ctx{symbols_, versions_, working_, &istats_};
-  return ProbeTriggerCtx(program_, stratum, trigger.fact,
-                         trigger.through_negation, ctx, stats_.seed_probes,
-                         heads);
+  Bindings seed;
+  for (uint32_t r : stratum.rules) {
+    const Rule& rule = program_.rules[r];
+    for (uint32_t li = 0; li < rule.body.size(); ++li) {
+      const Literal& lit = rule.body[li];
+      if (lit.kind != Literal::Kind::kVersion) continue;
+      if (lit.negated != trigger.through_negation) continue;
+      if (lit.version.app.method != trigger.fact.method) continue;
+      if (!UnifyLiteralPattern(rule, li, trigger.fact, versions_, seed)) {
+        continue;
+      }
+      ++stats_.seed_probes;
+      VERSO_RETURN_IF_ERROR(ForEachBodyMatchFrom(
+          rule, ctx, seed, static_cast<int>(li),
+          [&](const Bindings& bindings) -> Status {
+            // Count each derivation at its lowest matching occurrence.
+            for (uint32_t j = 0; j < li; ++j) {
+              const Literal& lj = rule.body[j];
+              if (lj.kind != Literal::Kind::kVersion) continue;
+              if (lj.negated != trigger.through_negation) continue;
+              if (lj.version.app.method != trigger.fact.method) continue;
+              if (LiteralGroundsToFact(rule, j, bindings, trigger.fact,
+                                       versions_)) {
+                return Status::Ok();
+              }
+            }
+            VERSO_ASSIGN_OR_RETURN(
+                DeltaFact head, ResolveHeadFact(rule, bindings, versions_));
+            heads.push_back({head.vid, head.method, std::move(head.app)});
+            return Status::Ok();
+          }));
+    }
+  }
+  return Status::Ok();
 }
 
 Result<bool> MaterializedView::HasDerivation(const QueryStratum& stratum,
                                              const ViewFactKey& fact) {
   MatchContext ctx{symbols_, versions_, working_, &istats_};
-  return HasDerivationCtx(program_, stratum, fact, ctx,
-                          stats_.rederive_probes);
+  DeltaFact probe = ToDeltaFact(fact, /*added=*/true);
+  Bindings seed;
+  for (uint32_t r : stratum.rules) {
+    const Rule& rule = program_.rules[r];
+    if (rule.head.app.method != fact.method) continue;
+    if (!SeedBindingsFromHead(rule, probe, versions_, seed)) continue;
+    ++stats_.rederive_probes;
+    bool found = false;
+    Status status = ForEachBodyMatchFrom(
+        rule, ctx, seed, /*skip_literal=*/-1,
+        [&](const Bindings&) -> Status {
+          found = true;
+          // Abort enumeration: one derivation is enough.
+          return Status::NotFound("derivation found");
+        });
+    if (found) return true;
+    VERSO_RETURN_IF_ERROR(status);
+  }
+  return false;
 }
 
 Status MaterializedView::MaintainCounting(const QueryStratum& stratum,
@@ -349,8 +282,7 @@ Status MaterializedView::MaintainCounting(const QueryStratum& stratum,
   return Status::Ok();
 }
 
-Status MaterializedView::MaintainDRed(uint32_t stratum_index,
-                                      const QueryStratum& stratum,
+Status MaterializedView::MaintainDRed(const QueryStratum& stratum,
                                       const DeltaLog& input, DeltaLog& out) {
   std::unordered_set<uint32_t> read = ReadMethods(stratum);
   std::vector<const DeltaFact*> facts;
@@ -358,7 +290,6 @@ Status MaterializedView::MaintainDRed(uint32_t stratum_index,
     if (read.count(fact.method.value)) facts.push_back(&fact);
   }
   if (facts.empty()) return Status::Ok();
-  ParallelTelemetry ptel;
 
   // ---- Phase A: overdelete, evaluated against the old base state. ----
   // Restore the old state of this stratum's inputs (the commit and lower
@@ -384,18 +315,14 @@ Status MaterializedView::MaintainDRed(uint32_t stratum_index,
   // nothing is erased until the cascade completes, or derivations that
   // join two simultaneously-overdeleted facts (nonlinear recursion) would
   // be missed. The `overdeleted` set alone dedups the cascade.
-  //
-  // The cascade never touches working_, so each generation of the queue
-  // (the entries appended by the previous one) is a frozen wave: large
-  // waves fan their trigger probes across the worker pool, and the merge
-  // feeds each task's heads through the exact serial dedup in task order
-  // — overdeleted_order, the queue, and every counter come out identical
-  // to a serial run.
   std::unordered_set<ViewFactKey, ViewFactKeyHash> overdeleted;
   std::vector<ViewFactKey> overdeleted_order;
   std::vector<ViewFactKey> heads;
-  auto absorb_heads = [&](std::vector<ViewFactKey>& found) {
-    for (ViewFactKey& head : found) {
+  for (size_t qi = 0; qi < queue.size(); ++qi) {
+    Trigger trigger = queue[qi];
+    heads.clear();
+    VERSO_RETURN_IF_ERROR(ProbeTrigger(stratum, trigger, heads));
+    for (ViewFactKey& head : heads) {
       if (!InWorking(head) || overdeleted.count(head)) continue;
       overdeleted.insert(head);
       overdeleted_order.push_back(head);
@@ -403,72 +330,6 @@ Status MaterializedView::MaintainDRed(uint32_t stratum_index,
       queue.push_back(
           {ToDeltaFact(head, /*added=*/false), /*through_negation=*/false});
     }
-  };
-  for (size_t wave_begin = 0; wave_begin < queue.size();) {
-    const size_t wave_end = queue.size();
-    const size_t wave = wave_end - wave_begin;
-    bool wave_done = false;
-    if (num_threads_ > 1 && wave >= kMinParallelTriggers) {
-      const int lane_count = static_cast<int>(
-          std::min<size_t>(static_cast<size_t>(num_threads_), wave));
-      std::vector<std::unique_ptr<EvalLane>> lanes =
-          MakeViewLanes(lane_count, symbols_, versions_, working_);
-      std::vector<ProbeTaskOutput> outputs(wave);
-      RunTasksOnLanes(
-          lane_count, wave,
-          [&](int lane_index, size_t task) {
-            ProbeTaskOutput& o = outputs[task];
-            o.lane = lane_index;
-            EvalLane& lane = *lanes[lane_index];
-            try {
-              const Trigger& trigger = queue[wave_begin + task];
-              MatchContext lane_ctx{lane.symbols, lane.versions, lane.base,
-                                    &o.index};
-              o.status = ProbeTriggerCtx(program_, stratum, trigger.fact,
-                                         trigger.through_negation, lane_ctx,
-                                         o.seed_probes, o.heads);
-            } catch (...) {
-              o.threw = true;
-            }
-            o.end = lane.mark();
-          },
-          ptel);
-      bool fell_back = false;
-      for (const ProbeTaskOutput& o : outputs) {
-        if (o.threw) fell_back = true;
-      }
-      if (!fell_back) {
-        ++ptel.parallel_rounds;
-        for (ProbeTaskOutput& o : outputs) {
-          EvalLane& lane = *lanes[o.lane];
-          lane.ReplayTo(o.end, symbols_, versions_);
-          heads.clear();
-          heads.reserve(o.heads.size());
-          for (ViewFactKey& head : o.heads) {
-            heads.push_back(MapHead(lane, std::move(head)));
-          }
-          stats_.seed_probes += o.seed_probes;
-          istats_.index_probes += o.index.index_probes;
-          istats_.index_hits += o.index.index_hits;
-          istats_.indexed_scan_avoided_facts +=
-              o.index.indexed_scan_avoided_facts;
-          VERSO_RETURN_IF_ERROR(o.status);
-          absorb_heads(heads);
-        }
-        wave_done = true;
-      } else {
-        ++ptel.fallback_rounds;
-      }
-    }
-    if (!wave_done) {
-      for (size_t qi = wave_begin; qi < wave_end; ++qi) {
-        Trigger trigger = queue[qi];
-        heads.clear();
-        VERSO_RETURN_IF_ERROR(ProbeTrigger(stratum, trigger, heads));
-        absorb_heads(heads);
-      }
-    }
-    wave_begin = wave_end;
   }
 
   // Install the overdeletion and the new state of the inputs.
@@ -489,84 +350,24 @@ Status MaterializedView::MaintainDRed(uint32_t stratum_index,
   // end. Within a recursive stratum all same-stratum body occurrences are
   // positive (stratified negation), so a fact whose only surviving proofs
   // pass through other rederived facts is recovered by Phase C's
-  // insertion propagation — the final state and the emitted delta are the
-  // ones eager per-fact reinsertion would produce, and the frozen probes
-  // can fan across the worker pool bit-identically to the serial path.
+  // insertion propagation: the final state and the emitted delta are the
+  // ones eager per-fact reinsertion would produce.
   std::vector<Trigger> insert_queue;
   for (const DeltaFact* fact : facts) {
     // An addition creates matches through positive occurrences; a removal
     // creates matches through negated occurrences.
     insert_queue.push_back({*fact, /*through_negation=*/!fact->added});
   }
-  std::vector<char> derivable(overdeleted_order.size(), 0);
-  bool rederive_done = false;
-  if (num_threads_ > 1 && overdeleted_order.size() >= kMinParallelRederive) {
-    const size_t task_count = overdeleted_order.size();
-    const int lane_count = static_cast<int>(
-        std::min<size_t>(static_cast<size_t>(num_threads_), task_count));
-    std::vector<std::unique_ptr<EvalLane>> lanes =
-        MakeViewLanes(lane_count, symbols_, versions_, working_);
-    std::vector<ProbeTaskOutput> outputs(task_count);
-    RunTasksOnLanes(
-        lane_count, task_count,
-        [&](int lane_index, size_t task) {
-          ProbeTaskOutput& o = outputs[task];
-          o.lane = lane_index;
-          EvalLane& lane = *lanes[lane_index];
-          try {
-            MatchContext lane_ctx{lane.symbols, lane.versions, lane.base,
-                                  &o.index};
-            Result<bool> found =
-                HasDerivationCtx(program_, stratum, overdeleted_order[task],
-                                 lane_ctx, o.rederive_probes);
-            if (found.ok()) {
-              o.derivable = *found;
-            } else {
-              o.status = found.status();
-            }
-          } catch (...) {
-            o.threw = true;
-          }
-          o.end = lane.mark();
-        },
-        ptel);
-    bool fell_back = false;
-    for (const ProbeTaskOutput& o : outputs) {
-      if (o.threw) fell_back = true;
-    }
-    if (!fell_back) {
-      ++ptel.parallel_rounds;
-      for (size_t i = 0; i < outputs.size(); ++i) {
-        ProbeTaskOutput& o = outputs[i];
-        EvalLane& lane = *lanes[o.lane];
-        lane.ReplayTo(o.end, symbols_, versions_);
-        stats_.rederive_probes += o.rederive_probes;
-        istats_.index_probes += o.index.index_probes;
-        istats_.index_hits += o.index.index_hits;
-        istats_.indexed_scan_avoided_facts +=
-            o.index.indexed_scan_avoided_facts;
-        VERSO_RETURN_IF_ERROR(o.status);
-        derivable[i] = o.derivable ? 1 : 0;
-      }
-      rederive_done = true;
-    } else {
-      ++ptel.fallback_rounds;
-    }
+  std::vector<const ViewFactKey*> rederivable;
+  for (const ViewFactKey& fact : overdeleted_order) {
+    VERSO_ASSIGN_OR_RETURN(bool derivable, HasDerivation(stratum, fact));
+    if (derivable) rederivable.push_back(&fact);
   }
-  if (!rederive_done) {
-    for (size_t i = 0; i < overdeleted_order.size(); ++i) {
-      VERSO_ASSIGN_OR_RETURN(bool found,
-                             HasDerivation(stratum, overdeleted_order[i]));
-      derivable[i] = found ? 1 : 0;
-    }
-  }
-  for (size_t i = 0; i < overdeleted_order.size(); ++i) {
-    if (!derivable[i]) continue;
-    const ViewFactKey& fact = overdeleted_order[i];
-    working_.Insert(fact.vid, fact.method, fact.app);
+  for (const ViewFactKey* fact : rederivable) {
+    working_.Insert(fact->vid, fact->method, fact->app);
     ++stats_.rederived;
     insert_queue.push_back(
-        {ToDeltaFact(fact, /*added=*/true), /*through_negation=*/false});
+        {ToDeltaFact(*fact, /*added=*/true), /*through_negation=*/false});
   }
 
   // ---- Phase C: semi-naive insertion propagation (new state). --------
@@ -599,10 +400,6 @@ Status MaterializedView::MaintainDRed(uint32_t stratum_index,
       out.push_back(ToDeltaFact(fact, /*added=*/true));
       ++stats_.facts_added;
     }
-  }
-  if (trace_ != nullptr && ptel.used()) {
-    trace_->OnParallelEval(stratum_index, ptel.parallel_rounds, ptel.tasks,
-                           ptel.fallback_rounds, ptel.queue_wait_us);
   }
   return Status::Ok();
 }
@@ -659,12 +456,10 @@ Status MaterializedView::MaintainAll(const DeltaLog& delta,
   // Ripple bottom-up: each stratum consumes the commit delta plus every
   // lower stratum's emitted changes.
   DeltaLog stream = delta;
-  for (size_t si = 0; si < stratification_.strata.size(); ++si) {
-    const QueryStratum& stratum = stratification_.strata[si];
+  for (const QueryStratum& stratum : stratification_.strata) {
     DeltaLog emitted;
     if (stratum.recursive) {
-      VERSO_RETURN_IF_ERROR(MaintainDRed(static_cast<uint32_t>(si), stratum,
-                                         stream, emitted));
+      VERSO_RETURN_IF_ERROR(MaintainDRed(stratum, stream, emitted));
     } else {
       VERSO_RETURN_IF_ERROR(MaintainCounting(stratum, stream, emitted));
     }

@@ -84,16 +84,11 @@ class MaterializedView {
   /// creation with rule-level positions (errors always block; warnings
   /// when analysis.warnings_block), and the report stays readable on the
   /// registered view via analysis().
-  /// `num_threads` > 1 fans the initial materialization's recursive
-  /// fixpoints and DRed maintenance probes (Phase A overdeletion waves,
-  /// Phase B rederivation) across the shared worker pool; results and
-  /// emitted deltas are bit-identical to the serial path (0 or 1).
   static Result<std::unique_ptr<MaterializedView>> Create(
       std::string name, QueryProgram program, const ObjectBase& base,
       SymbolTable& symbols, VersionTable& versions,
       TraceSink* trace = nullptr,
-      const AnalysisOptions& analysis = AnalysisOptions(),
-      int num_threads = 0);
+      const AnalysisOptions& analysis = AnalysisOptions());
 
   const std::string& name() const { return name_; }
   /// The maintained result: base plus all derived facts. Identical to a
@@ -142,13 +137,12 @@ class MaterializedView {
 
   MaterializedView(std::string name, QueryProgram program,
                    const ObjectBase& base, SymbolTable& symbols,
-                   VersionTable& versions, TraceSink* trace, int num_threads)
+                   VersionTable& versions, TraceSink* trace)
       : name_(std::move(name)),
         program_(std::move(program)),
         symbols_(symbols),
         versions_(versions),
         trace_(trace),
-        num_threads_(num_threads),
         working_(base) {}
 
   Status Materialize();
@@ -158,8 +152,8 @@ class MaterializedView {
   /// stratum's emitted delta; each appends its own fact changes to `out`.
   Status MaintainCounting(const QueryStratum& stratum, const DeltaLog& input,
                           DeltaLog& out);
-  Status MaintainDRed(uint32_t stratum_index, const QueryStratum& stratum,
-                      const DeltaLog& input, DeltaLog& out);
+  Status MaintainDRed(const QueryStratum& stratum, const DeltaLog& input,
+                      DeltaLog& out);
 
   /// Methods read by the stratum's rule bodies (positive or negated).
   std::unordered_set<uint32_t> ReadMethods(const QueryStratum& stratum) const;
@@ -194,7 +188,6 @@ class MaterializedView {
   SymbolTable& symbols_;
   VersionTable& versions_;
   TraceSink* trace_;
-  int num_threads_;
 
   /// Base plus derived facts (the served result).
   ObjectBase working_;

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/analyzer.h"
 #include "analysis/rw_sets.h"
@@ -83,7 +85,7 @@ TEST(AnalyzerTest, AncestorsProgramOverlapsButDoesNotConflict) {
   EXPECT_EQ(report.warnings(), 0u) << report.ToText();
   EXPECT_TRUE(report.stratifiable);
   // r1 and r2 both ins[X].anc: confluent overlap — no diagnostic, but
-  // the stratum is not provably parallelizable.
+  // the stratum is not independent.
   ASSERT_EQ(report.stratum_of_rule.size(), 2u);
   EXPECT_EQ(report.stratum_of_rule[0], report.stratum_of_rule[1]);
   const AnalysisReport::StratumReport& stratum =
@@ -232,6 +234,47 @@ TEST(AnalyzerTest, DeleteAllOverlapsEveryMethod) {
   wipe.head.version.base = ObjTerm::Var(VarId(0));
   wipe.head.delete_all = true;
   EXPECT_EQ(ClassifyWritePair(ins_rule, wipe), WriteOverlap::kConflict);
+}
+
+// Randomized mixed strata: clean recursive closures on private methods
+// (overlap pairs only) shuffled together with ins-vs-del conflict pairs.
+// Rule dependencies are version-term level, so every draw collapses into
+// ONE stratum; a single conflicting pair anywhere in it must show up in
+// the stratum's conflict pairs and break its independence.
+TEST(AnalyzerTest, RandomMixedStrataReportEveryConflict) {
+  for (uint64_t seed : {1u, 5u, 9u, 13u, 17u, 23u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    const size_t clean_groups = 1 + rng.Below(2);  // 1..2
+    const size_t conflict_groups = rng.Below(3);   // 0..2
+    std::vector<std::string> groups;
+    for (size_t k = 0; k < clean_groups; ++k) {
+      std::string m = "m" + std::to_string(k);
+      std::string p = "c" + std::to_string(k);
+      groups.push_back(p + "a: ins[X]." + m + " -> Y <- X.next -> Y." +
+                       p + "b: ins[X]." + m + " -> Z <- ins(X)." + m +
+                       " -> Y, Y.next -> Z.");
+    }
+    for (size_t k = 0; k < conflict_groups; ++k) {
+      std::string m = "w" + std::to_string(k);
+      std::string p = "p" + std::to_string(k);
+      groups.push_back(p + "a: ins[X]." + m + " -> on <- X.next -> Y." +
+                       p + "b: del[X]." + m + " -> on <- X.next -> Y.");
+    }
+    for (size_t i = groups.size(); i > 1; --i) {
+      std::swap(groups[i - 1], groups[rng.Below(i)]);
+    }
+    std::string program_text;
+    for (const std::string& group : groups) program_text += group;
+
+    Engine engine;
+    AnalysisReport report = AnalyzeUpdateText(engine, program_text);
+    ASSERT_TRUE(report.stratifiable) << report.ToText();
+    ASSERT_EQ(report.strata.size(), 1u) << report.ToText();
+    EXPECT_EQ(report.strata[0].conflict_pairs.empty(), conflict_groups == 0)
+        << report.ToText();
+    if (conflict_groups > 0) EXPECT_FALSE(report.strata[0].independent);
+  }
 }
 
 // ---- dead rules -----------------------------------------------------------

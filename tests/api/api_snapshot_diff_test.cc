@@ -197,28 +197,23 @@ TEST(ApiSnapshotDiffTest, PinnedReadsSurviveOneHundredCommits) {
 }
 
 TEST(ApiSnapshotDiffTest, StoreBackendsStayBitIdentical) {
-  // Four lanes run the same transaction script: an ephemeral in-memory
-  // connection, one persistent connection per store backend, and an
-  // ephemeral connection evaluating everything (updates, queries, view
-  // maintenance) with num_threads = 4. After every commit the committed
-  // base and the live view result must render bit-identically across all
-  // lanes; at the end each persistent lane checkpoints, reopens cold,
-  // and must still match.
+  // Three lanes run the same transaction script: an ephemeral in-memory
+  // connection and one persistent connection per store backend. After
+  // every commit the committed base and the live view result must render
+  // bit-identically across all lanes; at the end each persistent lane
+  // checkpoints, reopens cold, and must still match.
   struct Lane {
     const char* name;
     bool persistent;
     StoreBackend backend;
-    int num_threads;
     std::unique_ptr<FaultInjectingEnv> env;
     std::unique_ptr<Connection> conn;
     std::unique_ptr<Session> session;
   };
   Lane lanes[] = {
-      {"ephemeral", false, StoreBackend::kMem, 0, nullptr, nullptr, nullptr},
-      {"mem", true, StoreBackend::kMem, 0, nullptr, nullptr, nullptr},
-      {"pagelog", true, StoreBackend::kPageLog, 0, nullptr, nullptr,
-       nullptr},
-      {"parallel", false, StoreBackend::kMem, 4, nullptr, nullptr, nullptr},
+      {"ephemeral", false, StoreBackend::kMem, nullptr, nullptr, nullptr},
+      {"mem", true, StoreBackend::kMem, nullptr, nullptr, nullptr},
+      {"pagelog", true, StoreBackend::kPageLog, nullptr, nullptr, nullptr},
   };
 
   std::string base_text;
@@ -242,11 +237,7 @@ TEST(ApiSnapshotDiffTest, StoreBackendsStayBitIdentical) {
       ASSERT_TRUE(opened.ok()) << opened.status().ToString();
       lane.conn = std::move(opened).value();
     } else {
-      ConnectionOptions options;
-      options.eval.num_threads = lane.num_threads;
-      options.query.num_threads = lane.num_threads;
-      Result<std::unique_ptr<Connection>> opened =
-          Connection::OpenInMemory(options);
+      Result<std::unique_ptr<Connection>> opened = Connection::OpenInMemory();
       ASSERT_TRUE(opened.ok()) << opened.status().ToString();
       lane.conn = std::move(opened).value();
     }

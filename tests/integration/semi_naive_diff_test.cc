@@ -4,12 +4,6 @@
 // every paper example and randomized generated workloads. On multi-round
 // fixpoints the delta path must also do strictly less matching work,
 // which is the whole point of seeding from deltas.
-//
-// Every case additionally runs the semi-naive path with num_threads = 4
-// under the real analyzer-derived admission policy
-// (MakeParallelAdmission); the parallel lane must be bit-identical to
-// serial semi-naive in result, committed base, and every per-stratum
-// work counter.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +11,6 @@
 #include <memory>
 #include <string>
 
-#include "analysis/analyzer.h"
 #include "core/engine.h"
 #include "core/pretty.h"
 #include "parser/parser.h"
@@ -37,7 +30,7 @@ struct ModeOutcome {
 using BaseFiller = std::function<void(Engine&, ObjectBase&)>;
 
 ModeOutcome RunMode(const BaseFiller& fill, const std::string& program_text,
-                    bool semi_naive, int num_threads = 0) {
+                    bool semi_naive) {
   Engine engine;
   ObjectBase base = engine.MakeBase();
   fill(engine, base);
@@ -45,14 +38,6 @@ ModeOutcome RunMode(const BaseFiller& fill, const std::string& program_text,
   EXPECT_TRUE(program.ok()) << program.status().ToString();
   EvalOptions options;
   options.semi_naive = semi_naive;
-  options.num_threads = num_threads;
-  if (num_threads > 0) {
-    // The production admission policy: only strata the analyzer proved
-    // free of update conflicts fan out.
-    options.admit_parallel =
-        MakeParallelAdmission(std::make_shared<AnalysisReport>(
-            AnalyzeUpdateProgram(*program, engine.symbols())));
-  }
   Result<RunOutcome> outcome = engine.Run(*program, base, options);
   EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
   ModeOutcome mode;
@@ -92,35 +77,6 @@ std::pair<ModeOutcome, ModeOutcome> Differential(
     EXPECT_EQ(semi.stats.strata[i].rounds, naive.stats.strata[i].rounds)
         << "stratum " << i;
   }
-
-  // Parallel lane: semi-naive at 4 threads under the analyzer's admission
-  // policy must match serial semi-naive bit for bit, including the work
-  // counters the fan-out could plausibly perturb.
-  ModeOutcome parallel =
-      RunMode(fill, program_text, /*semi_naive=*/true, /*num_threads=*/4);
-  EXPECT_EQ(parallel.result_text, semi.result_text);
-  EXPECT_EQ(parallel.new_base_text, semi.new_base_text);
-  EXPECT_EQ(parallel.stats.total_t1_updates(), semi.stats.total_t1_updates());
-  EXPECT_EQ(parallel.stats.total_rounds(), semi.stats.total_rounds());
-  EXPECT_EQ(parallel.stats.total_body_matches(),
-            semi.stats.total_body_matches());
-  EXPECT_EQ(parallel.stats.strata.size(), semi.stats.strata.size());
-  for (size_t i = 0;
-       i < std::min(parallel.stats.strata.size(), semi.stats.strata.size());
-       ++i) {
-    EXPECT_EQ(parallel.stats.strata[i].t1_updates,
-              semi.stats.strata[i].t1_updates)
-        << "parallel stratum " << i;
-    EXPECT_EQ(parallel.stats.strata[i].rounds, semi.stats.strata[i].rounds)
-        << "parallel stratum " << i;
-    EXPECT_EQ(parallel.stats.strata[i].seed_probes,
-              semi.stats.strata[i].seed_probes)
-        << "parallel stratum " << i;
-    EXPECT_EQ(parallel.stats.strata[i].body_matches,
-              semi.stats.strata[i].body_matches)
-        << "parallel stratum " << i;
-  }
-
   return {std::move(semi), std::move(naive)};
 }
 

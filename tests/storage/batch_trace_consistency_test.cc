@@ -132,57 +132,6 @@ TEST(BatchTraceConsistencyTest, RoundZeroConvergingCommitStillReportsIndex) {
   EXPECT_EQ(log.Count("index s0 probes=0"), log.Count("index"));
 }
 
-// The parallel path must not perturb the trace stream: workers never
-// talk to the sink directly — emission stays funneled through the
-// serial merge — so OnDeltaRound/OnIndexUse/... sequences are
-// thread-count-invariant, both per-commit and batched.
-TEST(BatchTraceConsistencyTest, ParallelEvaluationEmitsIdenticalStreams) {
-  EvalOptions parallel;
-  parallel.num_threads = 4;
-  parallel.admit_parallel = [](const Program&,
-                               const std::vector<uint32_t>&) { return true; };
-  EXPECT_EQ(RunSequential(EvalOptions()), RunSequential(parallel));
-  EXPECT_EQ(RunSequential(EvalOptions()), RunBatched(parallel));
-}
-
-// Same invariant on a fixpoint wide enough to actually cross the
-// fan-out thresholds (hundreds of delta facts per round), so the
-// parallel lane genuinely dispatches to workers while tracing.
-TEST(BatchTraceConsistencyTest, WideParallelFixpointKeepsTheStream) {
-  auto run = [](int num_threads) {
-    Engine engine;
-    std::unique_ptr<Database> db =
-        std::move(Database::OpenInMemory(engine)).value();
-    std::string base;
-    for (int i = 0; i < 24; ++i) {
-      std::string n = "n" + std::to_string(i);
-      base += "a" + std::to_string(i) + ": ins[" + n + "].next -> n" +
-              std::to_string((i + 1) % 24) + ".";
-      base += "b" + std::to_string(i) + ": ins[" + n + "].next -> n" +
-              std::to_string((i * 7 + 3) % 24) + ".";
-    }
-    Result<Program> seed = ParseProgram(base, engine);
-    EXPECT_TRUE(seed.ok()) << seed.status().ToString();
-    EXPECT_TRUE(db->Execute(*seed).ok());
-
-    EvalOptions options;
-    options.num_threads = num_threads;
-    options.admit_parallel =
-        [](const Program&, const std::vector<uint32_t>&) { return true; };
-    EventLog log;
-    Result<Program> reach = ParseProgram(
-        "r1: ins[X].reach -> Y <- X.next -> Y."
-        "r2: ins[X].reach -> Z <- ins(X).reach -> Y, Y.next -> Z.",
-        engine);
-    EXPECT_TRUE(reach.ok()) << reach.status().ToString();
-    EXPECT_TRUE(db->Execute(*reach, options, &log).ok());
-    return log.lines();
-  };
-  std::vector<std::string> serial = run(0);
-  EXPECT_GE(serial.size(), 4u);  // a real multi-round stream
-  EXPECT_EQ(serial, run(4));
-}
-
 TEST(BatchTraceConsistencyTest, NaiveModeEmitsDeltaRounds) {
   Engine engine;
   std::unique_ptr<Database> db =

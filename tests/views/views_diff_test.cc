@@ -6,12 +6,6 @@
 // counting (non-recursive, incl. negation) and DRed (recursive) strata.
 // Every mix runs once per store backend (mem, pagelog); the final
 // committed base must be bit-identical across backends.
-//
-// Every combination additionally runs with maintenance fanned out across
-// 4 worker lanes (ViewCatalog::set_num_threads): results AND cumulative
-// ViewStats must be bit-identical to the serial lane — the per-txn
-// differential against a fresh serial EvaluateQueries already pins the
-// facts, and the stats comparison pins the probe-for-probe work stream.
 
 #include <gtest/gtest.h>
 
@@ -140,23 +134,6 @@ class ViewsDiffTest : public ::testing::Test {
            victim.second + ", " + value + ").";
   }
 
-  static void ExpectSameStats(const ViewStats& a, const ViewStats& b) {
-    EXPECT_EQ(a.full_evaluations, b.full_evaluations);
-    EXPECT_EQ(a.maintenance_runs, b.maintenance_runs);
-    EXPECT_EQ(a.delta_facts_seen, b.delta_facts_seen);
-    EXPECT_EQ(a.facts_added, b.facts_added);
-    EXPECT_EQ(a.facts_removed, b.facts_removed);
-    EXPECT_EQ(a.support_increments, b.support_increments);
-    EXPECT_EQ(a.support_decrements, b.support_decrements);
-    EXPECT_EQ(a.overdeleted, b.overdeleted);
-    EXPECT_EQ(a.rederived, b.rederived);
-    EXPECT_EQ(a.seed_probes, b.seed_probes);
-    EXPECT_EQ(a.rederive_probes, b.rederive_probes);
-    EXPECT_EQ(a.index_probes, b.index_probes);
-    EXPECT_EQ(a.index_hits, b.index_hits);
-    EXPECT_EQ(a.indexed_scan_avoided_facts, b.indexed_scan_avoided_facts);
-  }
-
   Engine engine_;
   std::string dir_;
 };
@@ -191,44 +168,35 @@ TEST_F(ViewsDiffTest, GraphMixes) {
 
   uint64_t seed = 0;
   for (const Mix& mix : kMixes) {
-    // The same deterministic mix runs once per (store backend, thread
-    // count); the final committed base must come out bit-identical
-    // regardless of how it was persisted or fanned out along the way.
-    std::string reference_render;
-    ViewStats serial_stats;
-    for (int threads : {0, 4}) {
-      for (StoreBackend backend :
-           {StoreBackend::kMem, StoreBackend::kPageLog}) {
-        SCOPED_TRACE(std::string(mix.name) + " on " +
-                     StoreBackendName(backend) + " threads=" +
-                     std::to_string(threads));
-        std::filesystem::remove_all(dir_);
-        std::unique_ptr<Database> db = OpenDb(backend);
-        ObjectBase base = engine_.MakeBase();
-        MakeGraph(nodes, /*edges=*/24, /*seed=*/7 + seed, engine_, base);
-        ASSERT_TRUE(db->ImportBase(base).ok());
+    // The same deterministic mix runs once per store backend; the final
+    // committed base must come out bit-identical regardless of how it
+    // was persisted along the way.
+    std::string mem_render;
+    for (StoreBackend backend :
+         {StoreBackend::kMem, StoreBackend::kPageLog}) {
+      SCOPED_TRACE(std::string(mix.name) + " on " +
+                   StoreBackendName(backend));
+      std::filesystem::remove_all(dir_);
+      std::unique_ptr<Database> db = OpenDb(backend);
+      ObjectBase base = engine_.MakeBase();
+      MakeGraph(nodes, /*edges=*/24, /*seed=*/7 + seed, engine_, base);
+      ASSERT_TRUE(db->ImportBase(base).ok());
 
-        ViewCatalog catalog(engine_);
-        catalog.set_num_threads(threads);
-        for (size_t v = 0; v < kViews.size(); ++v) {
-          ASSERT_TRUE(catalog
-                          .RegisterText("v" + std::to_string(v), kViews[v],
-                                        db->current())
-                          .ok());
-        }
-        catalog.Attach(*db);
-        RunSequence(*db, catalog, kViews, mix, /*txns=*/40, 1000 + seed,
-                    objects, "edge", /*numeric_method=*/false);
-        if (threads == 0 && backend == StoreBackend::kMem) {
-          reference_render = Render(*db);
-          serial_stats = catalog.TotalStats();
-        } else {
-          EXPECT_EQ(Render(*db), reference_render)
-              << mix.name << ": lanes diverged";
-          if (backend == StoreBackend::kMem) {
-            ExpectSameStats(serial_stats, catalog.TotalStats());
-          }
-        }
+      ViewCatalog catalog(engine_);
+      for (size_t v = 0; v < kViews.size(); ++v) {
+        ASSERT_TRUE(catalog
+                        .RegisterText("v" + std::to_string(v), kViews[v],
+                                      db->current())
+                        .ok());
+      }
+      catalog.Attach(*db);
+      RunSequence(*db, catalog, kViews, mix, /*txns=*/40, 1000 + seed,
+                  objects, "edge", /*numeric_method=*/false);
+      if (backend == StoreBackend::kMem) {
+        mem_render = Render(*db);
+      } else {
+        EXPECT_EQ(Render(*db), mem_render)
+            << mix.name << ": backends diverged";
       }
     }
     ++seed;
@@ -264,45 +232,36 @@ TEST_F(ViewsDiffTest, EnterpriseMixes) {
 
   uint64_t seed = 0;
   for (const Mix& mix : kMixes) {
-    std::string reference_render;
-    ViewStats serial_stats;
-    for (int threads : {0, 4}) {
-      for (StoreBackend backend :
-           {StoreBackend::kMem, StoreBackend::kPageLog}) {
-        SCOPED_TRACE(std::string(mix.name) + " on " +
-                     StoreBackendName(backend) + " threads=" +
-                     std::to_string(threads));
-        std::filesystem::remove_all(dir_);
-        std::unique_ptr<Database> db = OpenDb(backend);
-        ObjectBase base = engine_.MakeBase();
-        options.seed = 42 + seed;
-        MakeEnterprise(options, engine_, base);
-        ASSERT_TRUE(db->ImportBase(base).ok());
+    std::string mem_render;
+    for (StoreBackend backend :
+         {StoreBackend::kMem, StoreBackend::kPageLog}) {
+      SCOPED_TRACE(std::string(mix.name) + " on " +
+                   StoreBackendName(backend));
+      std::filesystem::remove_all(dir_);
+      std::unique_ptr<Database> db = OpenDb(backend);
+      ObjectBase base = engine_.MakeBase();
+      options.seed = 42 + seed;
+      MakeEnterprise(options, engine_, base);
+      ASSERT_TRUE(db->ImportBase(base).ok());
 
-        ViewCatalog catalog(engine_);
-        catalog.set_num_threads(threads);
-        for (size_t v = 0; v < kViews.size(); ++v) {
-          ASSERT_TRUE(catalog
-                          .RegisterText("v" + std::to_string(v), kViews[v],
-                                        db->current())
-                          .ok());
-        }
-        catalog.Attach(*db);
-        // Alternate between the salary column and the boss forest.
-        RunSequence(*db, catalog, kViews, mix, /*txns=*/20, 2000 + seed,
-                    objects, "sal", /*numeric_method=*/true);
-        RunSequence(*db, catalog, kViews, mix, /*txns=*/20, 3000 + seed,
-                    objects, "boss", /*numeric_method=*/false);
-        if (threads == 0 && backend == StoreBackend::kMem) {
-          reference_render = Render(*db);
-          serial_stats = catalog.TotalStats();
-        } else {
-          EXPECT_EQ(Render(*db), reference_render)
-              << mix.name << ": lanes diverged";
-          if (backend == StoreBackend::kMem) {
-            ExpectSameStats(serial_stats, catalog.TotalStats());
-          }
-        }
+      ViewCatalog catalog(engine_);
+      for (size_t v = 0; v < kViews.size(); ++v) {
+        ASSERT_TRUE(catalog
+                        .RegisterText("v" + std::to_string(v), kViews[v],
+                                      db->current())
+                        .ok());
+      }
+      catalog.Attach(*db);
+      // Alternate between the salary column and the boss forest.
+      RunSequence(*db, catalog, kViews, mix, /*txns=*/20, 2000 + seed,
+                  objects, "sal", /*numeric_method=*/true);
+      RunSequence(*db, catalog, kViews, mix, /*txns=*/20, 3000 + seed,
+                  objects, "boss", /*numeric_method=*/false);
+      if (backend == StoreBackend::kMem) {
+        mem_render = Render(*db);
+      } else {
+        EXPECT_EQ(Render(*db), mem_render)
+            << mix.name << ": backends diverged";
       }
     }
     ++seed;
