@@ -1,7 +1,7 @@
 // Store backend throughput (src/store) and the restart economics the
 // subsystem exists for:
 //
-//   * put/get/scan per backend — the raw component API cost;
+//   * put/scan per backend — the raw component API cost;
 //   * BM_DatabaseCheckpoint — folding the committed base into the store;
 //   * BM_ColdOpenCheckpointed vs BM_ColdOpenFullWalReplay — the headline:
 //     after a checkpoint a cold Database::Open loads the store image and
@@ -78,32 +78,6 @@ BENCHMARK_CAPTURE(BM_StorePut, pagelog, StoreBackend::kPageLog)
     ->Arg(256)
     ->Arg(4096);
 
-void BM_StoreGet(benchmark::State& state, StoreBackend backend) {
-  FaultInjectingEnv env;
-  std::unique_ptr<Store> store = MustOpen(backend, &env);
-  const size_t keys = static_cast<size_t>(state.range(0));
-  if (store == nullptr || !Preload(*store, keys, 128).ok()) {
-    state.SkipWithError("setup failed");
-    return;
-  }
-  ReadTransaction read = store->BeginRead();
-  size_t next = 0;
-  for (auto _ : state) {
-    Result<std::string> value = store->Get(read, Key(next));
-    if (!value.ok()) {
-      state.SkipWithError(value.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(*value);
-    next = (next + 1) % keys;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK_CAPTURE(BM_StoreGet, mem, StoreBackend::kMem)->Arg(256)->Arg(4096);
-BENCHMARK_CAPTURE(BM_StoreGet, pagelog, StoreBackend::kPageLog)
-    ->Arg(256)
-    ->Arg(4096);
-
 void BM_StoreScan(benchmark::State& state, StoreBackend backend) {
   FaultInjectingEnv env;
   std::unique_ptr<Store> store = MustOpen(backend, &env);
@@ -112,16 +86,14 @@ void BM_StoreScan(benchmark::State& state, StoreBackend backend) {
     state.SkipWithError("setup failed");
     return;
   }
-  ReadTransaction read = store->BeginRead();
   for (auto _ : state) {
     size_t seen = 0;
     size_t bytes = 0;
-    Status s = store->Scan(read, "b/",
-                           [&](std::string_view, std::string_view value) {
-                             ++seen;
-                             bytes += value.size();
-                             return Status::Ok();
-                           });
+    Status s = store->Scan("b/", [&](std::string_view, std::string_view value) {
+      ++seen;
+      bytes += value.size();
+      return Status::Ok();
+    });
     if (!s.ok() || seen != keys) {
       state.SkipWithError("scan failed");
       return;

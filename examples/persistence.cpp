@@ -15,7 +15,6 @@ int main() {
   const std::string dir = "/tmp/verso_example_db";
   std::remove((dir + "/store.img").c_str());
   std::remove((dir + "/store.plog").c_str());
-  std::remove((dir + "/snapshot.vsnp").c_str());
   std::remove((dir + "/wal.log").c_str());
 
   {

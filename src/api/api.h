@@ -507,7 +507,7 @@ class Connection : public ViewDeltaSink {
   /// Storage-fault counters (io_failures / retries / degraded_entered).
   const StorageStats& storage_stats() const;
 
-  /// Folds the WAL into a fresh snapshot (no-op for in-memory).
+  /// Folds the WAL into the checkpoint store (no-op for in-memory).
   Status Checkpoint();
   size_t wal_records_since_checkpoint() const;
   /// True if recovery at open found a torn/corrupt WAL tail and dropped

@@ -90,11 +90,11 @@ class TraceSink {
     (void)overdeleted;
     (void)rederived;
   }
-  /// The storage layer hit an I/O fault on operation `op` ("wal-append",
-  /// "checkpoint-snapshot", "checkpoint-truncate", ...). `attempt` counts
-  /// retries already spent on the operation (0 = first try); `degraded`
-  /// is true when this fault tipped the database into read-only degraded
-  /// mode. Benches and workloads report fault behavior through this hook
+  /// The storage layer hit an I/O fault on operation `op`: "wal-append",
+  /// "wal-rollback", "checkpoint-store" or "checkpoint-truncate".
+  /// `attempt` counts retries already spent on the operation (0 = first
+  /// try); `degraded` is true when this fault tipped the database into
+  /// read-only degraded mode. Benches and workloads report fault behavior through this hook
   /// the same way they report index hits.
   virtual void OnStorageFault(std::string_view op, const Status& status,
                               uint32_t attempt, bool degraded) {

@@ -13,13 +13,14 @@
 
 namespace verso {
 
-/// Binary encoding of facts, object bases, and fact deltas. OID/VID
-/// handles are engine-local, so everything is serialized *symbolically*
-/// (names and exact numerics) and re-interned on decode; a stored base can
-/// be loaded into any engine.
+/// Binary encoding of facts, per-version store records, and fact deltas.
+/// OID/VID handles are engine-local, so everything is serialized
+/// *symbolically* (names and exact numerics) and re-interned on decode; a
+/// stored base can be loaded into any engine.
 ///
 /// Primitives: unsigned LEB128 varints, zigzag for signed, length-prefixed
-/// strings. Integrity (CRC, framing) is layered on top by snapshot/WAL.
+/// strings. Integrity (CRC, framing) is layered on top by the WAL frame
+/// (storage/wal.h), which the store backends reuse.
 
 class BufferWriter {
  public:
@@ -65,13 +66,6 @@ void EncodeFact(BufferWriter& writer, Vid vid, MethodId method,
 Result<DecodedFact> DecodeFact(BufferReader& reader, SymbolTable& symbols,
                                VersionTable& versions);
 
-/// Whole object base: varint fact count, then facts.
-std::string EncodeObjectBase(const ObjectBase& base,
-                             const SymbolTable& symbols,
-                             const VersionTable& versions);
-Status DecodeObjectBaseInto(std::string_view data, SymbolTable& symbols,
-                            VersionTable& versions, ObjectBase& base);
-
 /// Per-version images for the checkpoint store (src/store): the base is
 /// stored one version per key so recovery is a single range scan and a
 /// checkpoint can delete exactly the versions that disappeared.
@@ -103,14 +97,11 @@ struct FactDelta {
 FactDelta ComputeDelta(const ObjectBase& before, const ObjectBase& after);
 void ApplyDelta(const FactDelta& delta, ObjectBase& base);
 
-std::string EncodeDelta(const FactDelta& delta, const SymbolTable& symbols,
-                        const VersionTable& versions);
-Result<FactDelta> DecodeDelta(std::string_view data, SymbolTable& symbols,
-                              VersionTable& versions);
-
-/// Group-commit payload: the deltas of a whole batch of transactions, in
-/// commit order, framed as one WAL record (WalRecordKind::kBatch).
-/// Format: varint transaction count, then each transaction's delta image.
+/// WAL record payload: the deltas of a batch of transactions, in commit
+/// order — one for Execute, a whole group for ExecuteBatch — framed as one
+/// WAL record. Format: varint transaction count, then per transaction a
+/// varint count and the EncodeFact images of its added facts, then the
+/// same for its removed facts.
 std::string EncodeDeltaBatch(const std::vector<FactDelta>& deltas,
                              const SymbolTable& symbols,
                              const VersionTable& versions);

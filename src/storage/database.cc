@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "storage/codec.h"
-#include "storage/snapshot.h"
 #include "store/store.h"
 #include "util/io.h"
 
@@ -104,12 +103,18 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
   std::unique_ptr<Database> db(new Database(dir, engine, options));
   StorageMetrics& smetrics = StorageMetrics::Get();
   Env* env = db->env_;
+  if (env->FileExists(dir + "/snapshot.vsnp")) {
+    // The pre-store checkpoint: its commits are in no store and no longer
+    // in the WAL, so recovering without it would lose them.
+    return Status::InvalidArgument(
+        "'" + dir + "' holds a snapshot.vsnp checkpoint, which this build "
+        "no longer reads");
+  }
   VERSO_RETURN_IF_ERROR(env->EnsureDirectory(dir));
   const uint64_t recover_start = db->clock_->NowNanos();
   VERSO_ASSIGN_OR_RETURN(db->store_,
                          OpenStore(options.store_backend, dir, env));
-  ReadTransaction base_read = db->store_->BeginRead();
-  Result<uint64_t> generation = db->store_->GetMeta(base_read, "generation");
+  Result<uint64_t> generation = db->store_->GetMeta("generation");
   if (generation.ok()) {
     // The store holds the latest checkpoint generation: rebuild the base
     // from its per-version records in one range scan, then replay only
@@ -117,8 +122,7 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
     db->checkpoint_generation_ = *generation;
     size_t keys = 0;
     VERSO_RETURN_IF_ERROR(db->store_->Scan(
-        base_read, kBasePrefix,
-        [&](std::string_view, std::string_view value) {
+        kBasePrefix, [&](std::string_view, std::string_view value) {
           ++keys;
           return DecodeVersionRecordInto(value, engine.symbols(),
                                          engine.versions(), db->current_);
@@ -126,13 +130,6 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
     smetrics.recovery_store_keys.Add(keys);
   } else if (generation.status().code() != StatusCode::kNotFound) {
     return generation.status();
-  } else if (env->FileExists(db->snapshot_path())) {
-    // Pre-store directory: the legacy snapshot stays the checkpoint of
-    // record until the first store checkpoint supersedes (and removes)
-    // it.
-    VERSO_RETURN_IF_ERROR(ReadSnapshotInto(db->snapshot_path(),
-                                           engine.symbols(), engine.versions(),
-                                           db->current_, env));
   }
   VERSO_ASSIGN_OR_RETURN(WalReadResult wal, ReadWal(db->wal_.path(), env));
   db->recovered_torn_ = wal.truncated_tail;
@@ -196,30 +193,15 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
     VERSO_RETURN_IF_ERROR(
         env->TruncateFile(db->wal_.path(), wal.valid_bytes));
   }
-  for (const WalRecord& record : wal.records) {
+  for (const std::string& record : wal.records) {
     // Replay is idempotent: fact-level deltas have set semantics
     // (duplicate inserts and absent-fact erases are no-ops), so records
-    // whose effects an installed snapshot already folds — the
-    // checkpoint crash window — replay to the identical state.
-    switch (record.kind) {
-      case WalRecordKind::kDelta: {
-        VERSO_ASSIGN_OR_RETURN(
-            FactDelta delta,
-            DecodeDelta(record.payload, engine.symbols(), engine.versions()));
-        ApplyDelta(delta, db->current_);
-        break;
-      }
-      case WalRecordKind::kBatch: {
-        VERSO_ASSIGN_OR_RETURN(
-            std::vector<FactDelta> deltas,
-            DecodeDeltaBatch(record.payload, engine.symbols(),
-                             engine.versions()));
-        for (const FactDelta& delta : deltas) {
-          ApplyDelta(delta, db->current_);
-        }
-        break;
-      }
-    }
+    // whose effects the store generation already folds — the checkpoint
+    // crash window — replay to the identical state.
+    VERSO_ASSIGN_OR_RETURN(
+        std::vector<FactDelta> deltas,
+        DecodeDeltaBatch(record, engine.symbols(), engine.versions()));
+    for (const FactDelta& delta : deltas) ApplyDelta(delta, db->current_);
     ++db->wal_records_;
   }
   db->wal_bytes_ = wal.valid_bytes;
@@ -311,8 +293,7 @@ Status Database::RollbackWalTail(size_t pre_size) {
   return env_->TruncateFile(wal_.path(), pre_size);
 }
 
-Status Database::AppendWalDurable(WalRecordKind kind,
-                                  std::string_view payload) {
+Status Database::AppendWalDurable(std::string_view payload) {
   // The tail position before the append: a failed attempt may have
   // landed a partial frame, and a retry must not stack a fresh frame
   // behind that garbage — recovery would stop at the tear and lose the
@@ -330,7 +311,7 @@ Status Database::AppendWalDurable(WalRecordKind kind,
   uint32_t attempt = 0;
   Status status;
   for (;;) {
-    status = wal_.Append(kind, payload);
+    status = wal_.Append(payload);
     if (status.ok()) return Status::Ok();
     ++stats_.io_failures;
     bool retryable = status.code() == StatusCode::kIoTransient &&
@@ -373,10 +354,10 @@ Status Database::CommitDelta(const ObjectBase& next, DeltaLog* committed) {
     // The span records on failure too (timer destructor), so degraded
     // commits still show up in commit.wal_append_us.
     ScopedTimer wal_timer(registry, metrics.wal_append_us);
-    VERSO_RETURN_IF_ERROR(AppendWalDurable(WalRecordKind::kBatch, payload));
+    VERSO_RETURN_IF_ERROR(AppendWalDurable(payload));
     wal_timer.Stop();
     ++wal_records_;
-    wal_bytes_ += payload.size() + 12;  // v2 frame: 12-byte header
+    wal_bytes_ += payload.size() + 12;  // 12-byte frame header
   }
   {
     ScopedTimer install_timer(registry, metrics.install_us);
@@ -468,10 +449,10 @@ Result<std::vector<RunOutcome>> Database::ExecuteBatch(
     std::string payload =
         EncodeDeltaBatch(deltas, engine_.symbols(), engine_.versions());
     ScopedTimer wal_timer(registry, metrics.wal_append_us);
-    VERSO_RETURN_IF_ERROR(AppendWalDurable(WalRecordKind::kBatch, payload));
+    VERSO_RETURN_IF_ERROR(AppendWalDurable(payload));
     wal_timer.Stop();
     ++wal_records_;
-    wal_bytes_ += payload.size() + 12;  // v2 frame: 12-byte header
+    wal_bytes_ += payload.size() + 12;  // 12-byte frame header
   }
   {
     ScopedTimer install_timer(registry, metrics.install_us);
@@ -531,10 +512,8 @@ Status Database::Checkpoint() {
                                      engine_.versions()));
     live.insert(std::move(key));
   }
-  ReadTransaction stale_scan = store_->BeginRead();
   VERSO_RETURN_IF_ERROR(store_->Scan(
-      stale_scan, kBasePrefix,
-      [&](std::string_view key, std::string_view) {
+      kBasePrefix, [&](std::string_view key, std::string_view) {
         if (live.find(key) == live.end()) txn.Delete(std::string(key));
         return Status::Ok();
       }));
@@ -562,16 +541,6 @@ Status Database::Checkpoint() {
   wal_records_ = 0;
   wal_bytes_ = 0;
   metrics.checkpoints.Add();
-  // A legacy snapshot.vsnp is now strictly older than the store
-  // generation recovery prefers; removing it is cleanup, so a failure
-  // is traced, not returned.
-  if (env_->FileExists(snapshot_path())) {
-    Status removed = env_->RemoveFile(snapshot_path());
-    if (!removed.ok()) {
-      ++stats_.io_failures;
-      TraceFault("checkpoint-clean-snapshot", removed, 0, false);
-    }
-  }
   return Status::Ok();
 }
 

@@ -22,25 +22,21 @@ uint32_t ReadU32(const char* p) {
          static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
 }
 
-constexpr uint32_t kBatchBit = 0x80000000u;
-// v2 frames carry a CRC over the length word itself; legacy v1 frames
-// (bit clear) are still read, so old logs replay byte-for-byte.
-constexpr uint32_t kHeaderCrcBit = 0x40000000u;
-constexpr uint32_t kFlagBits = kBatchBit | kHeaderCrcBit;
+// Every frame sets both high bits of its length word. Frames without them
+// — zero-filled tails, and the v1 and pre-batch frames of early builds —
+// end the valid prefix.
+constexpr uint32_t kTagBits = 0xC0000000u;
+constexpr size_t kHeaderBytes = 12;
 
 }  // namespace
 
-Result<std::string> EncodeWalFrame(WalRecordKind kind,
-                                   std::string_view payload) {
+Result<std::string> EncodeWalFrame(std::string_view payload) {
   if (payload.size() >= (1ull << 30)) {
     return Status::InvalidArgument("WAL payload exceeds 1 GiB frame limit");
   }
-  uint32_t length_word =
-      static_cast<uint32_t>(payload.size()) | kHeaderCrcBit;
-  if (kind == WalRecordKind::kBatch) length_word |= kBatchBit;
   std::string record;
-  record.reserve(payload.size() + 12);
-  AppendU32(record, length_word);
+  record.reserve(payload.size() + kHeaderBytes);
+  AppendU32(record, static_cast<uint32_t>(payload.size()) | kTagBits);
   // Header CRC over the encoded length word: a bit-flip in the length is
   // caught deterministically instead of mis-framing everything after it.
   AppendU32(record, Crc32(record.data(), 4));
@@ -49,8 +45,8 @@ Result<std::string> EncodeWalFrame(WalRecordKind kind,
   return record;
 }
 
-Status WalWriter::Append(WalRecordKind kind, std::string_view payload) {
-  VERSO_ASSIGN_OR_RETURN(std::string record, EncodeWalFrame(kind, payload));
+Status WalWriter::Append(std::string_view payload) {
+  VERSO_ASSIGN_OR_RETURN(std::string record, EncodeWalFrame(payload));
   return env_->AppendFile(path_, record);
 }
 
@@ -60,44 +56,21 @@ Result<WalReadResult> ReadWal(const std::string& path, Env* env) {
   if (!env->FileExists(path)) return result;
   VERSO_ASSIGN_OR_RETURN(std::string file, env->ReadFile(path));
   size_t pos = 0;
-  while (pos + 8 <= file.size()) {
-    uint32_t length_word = ReadU32(file.data() + pos);
-    size_t header = 8;
-    uint32_t crc;
-    if (length_word & kHeaderCrcBit) {
-      // v2 frame: length word | header CRC | payload CRC | payload.
-      header = 12;
-      if (pos + header > file.size()) {
-        result.truncated_tail = true;  // torn mid-header
-        break;
-      }
-      if (Crc32(file.data() + pos, 4) != ReadU32(file.data() + pos + 4)) {
-        result.truncated_tail = true;  // length word is damaged
-        break;
-      }
-      crc = ReadU32(file.data() + pos + 8);
-    } else {
-      crc = ReadU32(file.data() + pos + 4);
-    }
-    WalRecordKind kind = (length_word & kBatchBit) ? WalRecordKind::kBatch
-                                                   : WalRecordKind::kDelta;
-    uint32_t length = length_word & ~kFlagBits;
-    if (pos + header + length > file.size()) {
-      result.truncated_tail = true;  // torn final record: crashed writer
-      break;
-    }
-    const char* payload = file.data() + pos + header;
-    if (Crc32(payload, length) != crc) {
-      result.truncated_tail = true;
-      break;
-    }
-    result.records.push_back(
-        {kind, std::string(payload, length), pos, pos + header + length});
-    pos += header + length;
+  while (file.size() - pos >= kHeaderBytes) {
+    const char* header = file.data() + pos;
+    uint32_t length_word = ReadU32(header);
+    if ((length_word & kTagBits) != kTagBits) break;  // untagged: not a frame
+    if (Crc32(header, 4) != ReadU32(header + 4)) break;  // damaged length
+    uint32_t length = length_word & ~kTagBits;
+    if (file.size() - pos - kHeaderBytes < length) break;  // torn final frame
+    const char* payload = header + kHeaderBytes;
+    if (Crc32(payload, length) != ReadU32(header + 8)) break;
+    result.records.emplace_back(payload, length);
+    pos += kHeaderBytes + length;
   }
-  if (pos != file.size() && !result.truncated_tail) {
-    result.truncated_tail = true;  // trailing garbage shorter than a header
-  }
+  // Anything past the valid prefix — a broken frame, or trailing bytes
+  // shorter than a header — is the torn tail.
+  result.truncated_tail = pos != file.size();
   result.valid_bytes = pos;
   return result;
 }

@@ -10,41 +10,24 @@
 
 namespace verso {
 
-/// Payload framing of a WAL record, distinguished at the frame level so
-/// recovery can replay logs written by any version of the database layer.
-enum class WalRecordKind : uint8_t {
-  /// Legacy framing: the payload is one EncodeDelta image — one committed
-  /// transaction per record.
-  kDelta = 0,
-  /// Batched framing: the payload is one EncodeDeltaBatch image — a whole
-  /// group-committed sequence of transaction deltas in one record (one
-  /// durability write for the batch).
-  kBatch = 1,
-};
-
 /// Append-only write-ahead log of opaque records (the database layers
-/// fact-delta payloads on top). Frame format v2 (what Append writes):
+/// fact-delta batches on top). Frame format:
 ///     u32 length_word | u32 CRC32(length_word) | u32 CRC32(payload) | payload
-/// The length word spends two high bits on flags (payloads are far below
-/// 1 GiB, so they are free): bit 31 marks batched records, bit 30 marks
-/// the v2 header. The header CRC covers the length word, so a bit-flip in
-/// the length no longer mis-frames the rest of the log — v1 frames relied
-/// on the payload CRC landing wrong, which is only probabilistic.
-/// Legacy v1 frames (bit 30 clear) omit the header CRC:
-///     u32 length_word | u32 CRC32(payload) | payload
-/// and stay readable byte-for-byte; ReadWal accepts both in one log.
-/// Recovery reads records until EOF or the first torn/corrupt record;
-/// everything before the tear is returned, the tail is ignored — the
-/// standard RocksDB-style contract for crashed writers.
+/// The length word spends its two high bits on one tag (payloads are far
+/// below 1 GiB, so they are free): every frame sets both. The header CRC
+/// covers the length word, so a bit-flip in the length never mis-frames
+/// the rest of the log.
+/// Recovery reads records until EOF or the first frame that is torn,
+/// fails a CRC, or lacks the tag — a zero-filled tail included (CRC-32 of
+/// zero bytes is zero, so only the tag tells zeros from a frame);
+/// everything before it is returned, the tail is ignored — the standard
+/// RocksDB-style contract for crashed writers.
 class WalWriter {
  public:
   explicit WalWriter(std::string path, Env* env = nullptr)
       : path_(std::move(path)), env_(env != nullptr ? env : Env::Default()) {}
 
-  Status Append(std::string_view payload) {
-    return Append(WalRecordKind::kDelta, payload);
-  }
-  Status Append(WalRecordKind kind, std::string_view payload);
+  Status Append(std::string_view payload);
 
   const std::string& path() const { return path_; }
 
@@ -53,18 +36,9 @@ class WalWriter {
   Env* env_;
 };
 
-struct WalRecord {
-  WalRecordKind kind = WalRecordKind::kDelta;
-  std::string payload;
-  /// Byte offset of this record's frame in the log file, and of the first
-  /// byte after it. Checkpoint recovery uses these to skip records the
-  /// installed snapshot already folds.
-  size_t offset = 0;
-  size_t end_offset = 0;
-};
-
 struct WalReadResult {
-  std::vector<WalRecord> records;
+  /// The payloads of the valid frames, in log order.
+  std::vector<std::string> records;
   /// True if a torn/corrupt tail was skipped (informational). NOTE: a
   /// corrupt record in the MIDDLE of the log is indistinguishable from a
   /// torn tail at that point, so every record after it — even bit-perfect
@@ -81,14 +55,13 @@ struct WalReadResult {
 /// Reads all valid records; a missing file yields zero records.
 Result<WalReadResult> ReadWal(const std::string& path, Env* env = nullptr);
 
-/// Encodes one v2 frame — the exact byte image WalWriter::Append writes.
+/// Encodes one frame — the exact byte image WalWriter::Append writes.
 /// Exposed so other persistence layers (src/store) frame their records
 /// identically and recover them with ReadWal: the page-log backend appends
 /// these frames, and the mem backend's image file is one such frame
 /// installed by atomic rename. Fails for payloads at or past the 1 GiB
-/// frame limit (the two high length bits are flags).
-Result<std::string> EncodeWalFrame(WalRecordKind kind,
-                                   std::string_view payload);
+/// frame limit (the two high length bits are the tag).
+Result<std::string> EncodeWalFrame(std::string_view payload);
 
 }  // namespace verso
 

@@ -6,7 +6,6 @@
 // metric handles.
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,11 +24,6 @@ namespace store_internal {
 constexpr uint64_t kFormatVersion = 1;
 constexpr char kFormatMetaKey[] = "format";
 
-/// Heterogeneous-lookup ordered maps: Scan is an in-order walk, prefix
-/// seeks use lower_bound on string_views without allocating.
-using DataMap = std::map<std::string, std::string, std::less<>>;
-using MetaMap = std::map<std::string, uint64_t, std::less<>>;
-
 /// Record payload: varint op count, then per op a kind byte
 /// (WriteTransaction::Op::Kind), the key, and the value (length-prefixed
 /// string for puts, varint for meta). One format serializes both a
@@ -37,20 +31,21 @@ using MetaMap = std::map<std::string, uint64_t, std::less<>>;
 /// images, page-log compaction) — an image is just one big commit of
 /// every live entry.
 std::string EncodeOps(const std::vector<WriteTransaction::Op>& ops);
-std::string EncodeImage(const DataMap& data, const MetaMap& meta);
+std::string EncodeImage(const Store::DataMap& data,
+                        const Store::MetaMap& meta);
 /// Applies one record to the maps in op order (deletes erase; absent-key
 /// deletes are no-ops, so replay is idempotent).
-Status ApplyRecord(std::string_view payload, DataMap& data, MetaMap& meta);
+Status ApplyRecord(std::string_view payload, Store::DataMap& data,
+                   Store::MetaMap& meta);
 
 /// Rejects stores written by a newer build.
-Status CheckFormat(const MetaMap& meta, const char* backend);
+Status CheckFormat(const Store::MetaMap& meta, const char* backend);
 
 /// store.* handles into the global registry, bound once (registration
 /// takes a mutex; store ops must not).
 struct Metrics {
   Counter& puts;
   Counter& deletes;
-  Counter& gets;
   Counter& scans;
   Counter& commits;
   Counter& compactions;

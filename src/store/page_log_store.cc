@@ -2,19 +2,18 @@
 
 #include <utility>
 
-namespace verso {
+#include "store/internal.h"
 
-using store_internal::DataMap;
-using store_internal::MetaMap;
+namespace verso {
 
 Result<std::unique_ptr<PageLogStore>> PageLogStore::Open(
     const std::string& dir, Env* env) {
   std::unique_ptr<PageLogStore> store(
       new PageLogStore(dir + "/store.plog", env));
   VERSO_ASSIGN_OR_RETURN(WalReadResult log, ReadWal(store->path_, env));
-  for (const WalRecord& record : log.records) {
-    VERSO_RETURN_IF_ERROR(store_internal::ApplyRecord(
-        record.payload, store->data_, store->meta_));
+  for (const std::string& record : log.records) {
+    VERSO_RETURN_IF_ERROR(
+        store_internal::ApplyRecord(record, store->data_, store->meta_));
   }
   store->recovered_torn_ = log.truncated_tail;
   if (log.truncated_tail) {
@@ -30,51 +29,13 @@ Result<std::unique_ptr<PageLogStore>> PageLogStore::Open(
   return store;
 }
 
-Result<std::string> PageLogStore::Get(const ReadTransaction& txn,
-                                      std::string_view key) const {
-  VERSO_RETURN_IF_ERROR(CheckRead(txn));
-  store_internal::Metrics::Get().gets.Add();
-  auto it = data_.find(key);
-  if (it == data_.end()) {
-    return Status::NotFound("no store entry for key");
-  }
-  return it->second;
-}
-
-bool PageLogStore::Contains(const ReadTransaction& txn,
-                            std::string_view key) const {
-  if (!CheckRead(txn).ok()) return false;
-  return data_.find(key) != data_.end();
-}
-
-Status PageLogStore::Scan(const ReadTransaction& txn, std::string_view prefix,
-                          const ScanFn& fn) const {
-  VERSO_RETURN_IF_ERROR(CheckRead(txn));
-  store_internal::Metrics::Get().scans.Add();
-  for (auto it = data_.lower_bound(prefix); it != data_.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    VERSO_RETURN_IF_ERROR(fn(it->first, it->second));
-  }
-  return Status::Ok();
-}
-
-Result<uint64_t> PageLogStore::GetMeta(const ReadTransaction& txn,
-                                       std::string_view name) const {
-  VERSO_RETURN_IF_ERROR(CheckRead(txn));
-  auto it = meta_.find(name);
-  if (it == meta_.end()) {
-    return Status::NotFound("no store meta entry for name");
-  }
-  return it->second;
-}
-
 Status PageLogStore::ApplyCommit(const WriteTransaction& txn) {
   if (!tail_valid_) {
     return Status::IoError(
         "page log tail is unknown after a failed append; reopen the store");
   }
   std::string payload = store_internal::EncodeOps(txn.ops());
-  Status appended = writer_.Append(WalRecordKind::kBatch, payload);
+  Status appended = writer_.Append(payload);
   if (!appended.ok()) {
     // A failed append may have landed a partial frame; roll the file back
     // to the pre-append tail so a later commit extends valid data. If the
@@ -86,20 +47,8 @@ Status PageLogStore::ApplyCommit(const WriteTransaction& txn) {
     if (!rolled.ok()) tail_valid_ = false;
     return appended;
   }
-  bytes_ += payload.size() + 12;  // v2 frame: 12-byte header + payload
-  for (const WriteTransaction::Op& op : txn.ops()) {
-    switch (op.kind) {
-      case WriteTransaction::Op::Kind::kPut:
-        data_[op.key] = op.value;
-        break;
-      case WriteTransaction::Op::Kind::kDelete:
-        data_.erase(op.key);
-        break;
-      case WriteTransaction::Op::Kind::kPutMeta:
-        meta_[op.key] = op.meta;
-        break;
-    }
-  }
+  bytes_ += payload.size() + 12;  // 12-byte frame header + payload
+  ApplyOps(txn, data_, meta_);
   MaybeCompact();
   return Status::Ok();
 }
@@ -125,8 +74,8 @@ void PageLogStore::MaybeCompact() {
   // compacted one, both replaying to the identical index. Best-effort —
   // on failure the un-compacted log still holds everything, so the error
   // is swallowed and the next commit retries the size check.
-  Result<std::string> frame = EncodeWalFrame(
-      WalRecordKind::kBatch, store_internal::EncodeImage(data_, meta_));
+  Result<std::string> frame =
+      EncodeWalFrame(store_internal::EncodeImage(data_, meta_));
   if (!frame.ok()) return;
   if (!env_->WriteFileAtomic(path_, *frame).ok()) return;
   bytes_ = frame->size();

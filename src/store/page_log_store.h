@@ -6,7 +6,6 @@
 #include <string>
 
 #include "storage/wal.h"
-#include "store/internal.h"
 #include "store/store.h"
 #include "util/io.h"
 #include "util/result.h"
@@ -14,31 +13,21 @@
 namespace verso {
 
 /// Append-only page-log backend (StoreBackend::kPageLog). The data file
-/// `<dir>/store.plog` is a sequence of CRC'd v2 WAL frames, one per
+/// `<dir>/store.plog` is a sequence of CRC'd WAL frames, one per
 /// committed transaction, each carrying that commit's put/delete/meta ops;
-/// the in-memory key index is rebuilt on open by replaying the log in
-/// order. A torn final frame (crashed writer) is chopped on open — the
-/// standard crashed-writer contract the WAL itself uses. Commits are
-/// O(delta); once dead bytes dominate (overwrites and deletes), the log
-/// compacts itself by atomically replacing the file with one frame
-/// holding the live image.
+/// the maps are rebuilt on open by replaying the log in order. A torn
+/// final frame (crashed writer) is chopped on open — the standard
+/// crashed-writer contract the WAL itself uses. Commits are O(delta);
+/// once dead bytes dominate (overwrites and deletes), the log compacts
+/// itself by atomically replacing the file with one frame holding the
+/// live image.
 class PageLogStore : public Store {
  public:
   static Result<std::unique_ptr<PageLogStore>> Open(const std::string& dir,
                                                     Env* env);
 
   const char* name() const override { return "pagelog"; }
-  Result<std::string> Get(const ReadTransaction& txn,
-                          std::string_view key) const override;
-  bool Contains(const ReadTransaction& txn,
-                std::string_view key) const override;
-  Status Scan(const ReadTransaction& txn, std::string_view prefix,
-              const ScanFn& fn) const override;
-  Result<uint64_t> GetMeta(const ReadTransaction& txn,
-                           std::string_view name) const override;
-  size_t key_count() const override { return data_.size(); }
 
-  const std::string& log_path() const { return path_; }
   /// True if open found (and chopped) a torn final frame.
   bool recovered_torn_tail() const { return recovered_torn_; }
   /// Current byte length of the log file.
@@ -66,8 +55,6 @@ class PageLogStore : public Store {
   std::string path_;
   WalWriter writer_;
   Env* env_;
-  store_internal::DataMap data_;
-  store_internal::MetaMap meta_;
   size_t bytes_ = 0;
   bool recovered_torn_ = false;
   /// False after a failed append whose rollback also failed: the tail may

@@ -30,7 +30,8 @@ std::string EncodeOps(const std::vector<WriteTransaction::Op>& ops) {
   return writer.Take();
 }
 
-std::string EncodeImage(const DataMap& data, const MetaMap& meta) {
+std::string EncodeImage(const Store::DataMap& data,
+                        const Store::MetaMap& meta) {
   BufferWriter writer;
   writer.Varint(data.size() + meta.size());
   for (const auto& [key, value] : data) {
@@ -46,7 +47,8 @@ std::string EncodeImage(const DataMap& data, const MetaMap& meta) {
   return writer.Take();
 }
 
-Status ApplyRecord(std::string_view payload, DataMap& data, MetaMap& meta) {
+Status ApplyRecord(std::string_view payload, Store::DataMap& data,
+                   Store::MetaMap& meta) {
   BufferReader reader(payload);
   VERSO_ASSIGN_OR_RETURN(uint64_t count, reader.Varint());
   for (uint64_t i = 0; i < count; ++i) {
@@ -77,7 +79,7 @@ Status ApplyRecord(std::string_view payload, DataMap& data, MetaMap& meta) {
   return Status::Ok();
 }
 
-Status CheckFormat(const MetaMap& meta, const char* backend) {
+Status CheckFormat(const Store::MetaMap& meta, const char* backend) {
   auto it = meta.find(kFormatMetaKey);
   if (it == meta.end()) {
     // Legal only for an empty store; a populated store always carries
@@ -105,7 +107,6 @@ Metrics& Metrics::Get() {
 Metrics::Metrics(MetricsRegistry& registry)
     : puts(registry.GetCounter("store.puts")),
       deletes(registry.GetCounter("store.deletes")),
-      gets(registry.GetCounter("store.gets")),
       scans(registry.GetCounter("store.scans")),
       commits(registry.GetCounter("store.commits")),
       compactions(registry.GetCounter("store.compactions")),
@@ -141,6 +142,40 @@ void WriteTransaction::Delete(std::string key) {
 
 void WriteTransaction::PutMeta(std::string name, uint64_t value) {
   ops_.push_back({Op::Kind::kPutMeta, std::move(name), std::string(), value});
+}
+
+Status Store::Scan(std::string_view prefix, const ScanFn& fn) const {
+  store_internal::Metrics::Get().scans.Add();
+  for (auto it = data_.lower_bound(prefix); it != data_.end(); ++it) {
+    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
+    VERSO_RETURN_IF_ERROR(fn(it->first, it->second));
+  }
+  return Status::Ok();
+}
+
+Result<uint64_t> Store::GetMeta(std::string_view name) const {
+  auto it = meta_.find(name);
+  if (it == meta_.end()) {
+    return Status::NotFound("no store meta entry for name");
+  }
+  return it->second;
+}
+
+void Store::ApplyOps(const WriteTransaction& txn, DataMap& data,
+                     MetaMap& meta) {
+  for (const WriteTransaction::Op& op : txn.ops()) {
+    switch (op.kind) {
+      case WriteTransaction::Op::Kind::kPut:
+        data[op.key] = op.value;
+        break;
+      case WriteTransaction::Op::Kind::kDelete:
+        data.erase(op.key);
+        break;
+      case WriteTransaction::Op::Kind::kPutMeta:
+        meta[op.key] = op.meta;
+        break;
+    }
+  }
 }
 
 Status WriteTransaction::Commit() {
@@ -182,10 +217,11 @@ Status WriteTransaction::Commit() {
 
 Result<std::unique_ptr<Store>> OpenStore(StoreBackend backend,
                                          const std::string& dir, Env* env) {
-  if (env == nullptr) env = Env::Default();
-  if (!dir.empty()) {
-    VERSO_RETURN_IF_ERROR(env->EnsureDirectory(dir));
+  if (dir.empty()) {
+    return Status::InvalidArgument("store directory must not be empty");
   }
+  if (env == nullptr) env = Env::Default();
+  VERSO_RETURN_IF_ERROR(env->EnsureDirectory(dir));
   switch (backend) {
     case StoreBackend::kMem: {
       VERSO_ASSIGN_OR_RETURN(std::unique_ptr<MemStore> store,
@@ -193,13 +229,6 @@ Result<std::unique_ptr<Store>> OpenStore(StoreBackend backend,
       return std::unique_ptr<Store>(std::move(store));
     }
     case StoreBackend::kPageLog: {
-      if (dir.empty()) {
-        // An ephemeral page log has nothing to append to; volatile
-        // callers get the volatile backend.
-        VERSO_ASSIGN_OR_RETURN(std::unique_ptr<MemStore> store,
-                               MemStore::Open(dir, env));
-        return std::unique_ptr<Store>(std::move(store));
-      }
       VERSO_ASSIGN_OR_RETURN(std::unique_ptr<PageLogStore> store,
                              PageLogStore::Open(dir, env));
       return std::unique_ptr<Store>(std::move(store));

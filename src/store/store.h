@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -13,22 +14,18 @@
 
 namespace verso {
 
-class Store;
-
 /// Which Store implementation backs a database directory.
 enum class StoreBackend : uint8_t {
-  /// In-memory ordered map; when the store has a directory, every commit
-  /// rewrites `<dir>/store.img` — one CRC'd v2 frame holding the whole
-  /// image — installed by atomic rename. O(base) per commit, simplest
-  /// crash story (the rename is the only commit point): the right trade
-  /// for small bases, and the codec path the pre-store snapshot
-  /// checkpoint used.
+  /// Every commit rewrites `<dir>/store.img` — one CRC'd WAL frame
+  /// holding the whole image — installed by atomic rename. O(base) per
+  /// commit, simplest crash story (the rename is the only commit point):
+  /// the right trade for small bases.
   kMem = 0,
   /// Append-only page log `<dir>/store.plog`: each commit appends one
-  /// CRC'd v2 frame of put/delete ops; an in-memory key index is rebuilt
-  /// by replay on open, and the log compacts itself once dead bytes
-  /// dominate. O(delta) per commit — the backend shape for bases that
-  /// outgrow whole-image rewrites.
+  /// CRC'd WAL frame of put/delete ops, the maps are rebuilt by replay on
+  /// open, and the log compacts itself once dead bytes dominate. O(delta)
+  /// per commit — the backend shape for bases that outgrow whole-image
+  /// rewrites.
   kPageLog = 1,
 };
 
@@ -37,20 +34,7 @@ const char* StoreBackendName(StoreBackend backend);
 /// Inverse of StoreBackendName; kInvalidArgument for unknown names.
 Result<StoreBackend> ParseStoreBackend(std::string_view name);
 
-/// Token for a consistent read view. The embedded contract is
-/// single-threaded (one writer, no concurrent readers mid-commit), so the
-/// token carries no snapshot state — it exists so every read names the
-/// transaction it belongs to and a future MVCC backend can widen it
-/// without touching call sites.
-class ReadTransaction {
- public:
-  const Store* store() const { return store_; }
-
- private:
-  friend class Store;
-  explicit ReadTransaction(const Store* store) : store_(store) {}
-  const Store* store_;
-};
+class Store;
 
 /// A staged batch of writes, atomic at Commit(): either every data op and
 /// meta write is durable and visible, or none is. Destroying an
@@ -98,62 +82,56 @@ using ScanFn =
     std::function<Status(std::string_view key, std::string_view value)>;
 
 /// The storage component the database checkpoints into: ordered key/value
-/// state plus a small named-u64 meta table, read and written under
-/// explicit transactions (nano-node's `nano/store/` component shape). The
+/// state plus a small named-u64 meta table, written under explicit
+/// transactions (nano-node's `nano/store/` component shape). The
 /// database keys encoded object-version records under it ("b/" + version
 /// key) and tracks its checkpoint generation in the meta table; the
-/// evaluator never sees the store — larger-than-RAM bases and bounded
-/// restarts are backend properties, not evaluator rewrites.
+/// evaluator never sees the store.
+///
+/// Both backends serve reads from the same in-memory maps, held here; a
+/// backend only loads them at open and makes each commit durable.
 ///
 /// Not thread-safe; one writer per directory (the embedded contract the
 /// Database layer already imposes).
 class Store {
  public:
+  /// Heterogeneous-lookup ordered maps: Scan is an in-order walk, prefix
+  /// seeks use lower_bound on string_views without allocating.
+  using DataMap = std::map<std::string, std::string, std::less<>>;
+  using MetaMap = std::map<std::string, uint64_t, std::less<>>;
+
   virtual ~Store() = default;
 
   /// StoreBackendName of this backend.
   virtual const char* name() const = 0;
 
-  ReadTransaction BeginRead() const { return ReadTransaction(this); }
   WriteTransaction BeginWrite() { return WriteTransaction(this); }
 
-  /// The value under `key`, or kNotFound.
-  virtual Result<std::string> Get(const ReadTransaction& txn,
-                                  std::string_view key) const = 0;
-  virtual bool Contains(const ReadTransaction& txn,
-                        std::string_view key) const = 0;
   /// Range scan: every entry whose key starts with `prefix` (all entries
   /// for an empty prefix), ascending by key.
-  virtual Status Scan(const ReadTransaction& txn, std::string_view prefix,
-                      const ScanFn& fn) const = 0;
+  Status Scan(std::string_view prefix, const ScanFn& fn) const;
   /// The named meta-table entry, or kNotFound.
-  virtual Result<uint64_t> GetMeta(const ReadTransaction& txn,
-                                   std::string_view name) const = 0;
-
+  Result<uint64_t> GetMeta(std::string_view name) const;
   /// Live data keys (meta entries not counted).
-  virtual size_t key_count() const = 0;
-  bool empty() const { return key_count() == 0; }
+  size_t key_count() const { return data_.size(); }
 
  protected:
   friend class WriteTransaction;
   /// Applies one staged batch atomically: durable first, visible after.
   virtual Status ApplyCommit(const WriteTransaction& txn) = 0;
+  /// Applies `txn`'s ops to the maps in staging order (deletes of absent
+  /// keys are no-ops).
+  static void ApplyOps(const WriteTransaction& txn, DataMap& data,
+                       MetaMap& meta);
 
-  /// Backends validate that a read belongs to this store before honoring
-  /// it — catching the one misuse the lightweight token permits.
-  Status CheckRead(const ReadTransaction& txn) const {
-    if (txn.store() != this) {
-      return Status::InvalidArgument(
-          "read transaction belongs to a different store");
-    }
-    return Status::Ok();
-  }
+  DataMap data_;
+  MetaMap meta_;
 };
 
 /// Opens the chosen backend rooted in `dir` (created if needed; every
-/// byte through `env`, nullptr = Env::Default()). An empty `dir` yields a
-/// volatile in-memory store (ephemeral databases). Refuses a store whose
-/// on-disk format version is newer than this build understands.
+/// byte through `env`, nullptr = Env::Default()). Refuses an empty `dir`
+/// (kInvalidArgument), and a store whose on-disk format version is newer
+/// than this build understands.
 Result<std::unique_ptr<Store>> OpenStore(StoreBackend backend,
                                          const std::string& dir,
                                          Env* env = nullptr);

@@ -1,5 +1,5 @@
-// Persistence substrate: codec round-trips, snapshot integrity, WAL
-// framing with torn-tail recovery, and the Database facade.
+// Persistence substrate: codec round-trips, WAL framing with torn-tail
+// recovery, and the Database facade.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "parser/parser.h"
 #include "storage/codec.h"
 #include "storage/database.h"
-#include "storage/snapshot.h"
 #include "storage/wal.h"
 #include "util/crc32.h"
 #include "util/fault_env.h"
@@ -61,7 +60,7 @@ TEST(CodecTest, StrRoundTripAndTruncation) {
   EXPECT_FALSE(bad.Str().ok());
 }
 
-// ---- object base / delta round-trips --------------------------------------
+// ---- version record / delta round-trips ----------------------------------
 
 class StorageFixture : public ::testing::Test {
  protected:
@@ -91,18 +90,27 @@ constexpr const char* kRichBase = R"(
 )";
 
 TEST_F(StorageFixture, ObjectBaseEncodesAcrossEngines) {
+  // A checkpoint stores the base one version record per key; recovery
+  // decodes each record into whatever engine opens the directory.
   Engine a;
   ObjectBase base = Base(kRichBase, a);
-  std::string payload = EncodeObjectBase(base, a.symbols(), a.versions());
+  std::vector<std::string> records;
+  for (const auto& [vid, state] : base.versions()) {
+    records.push_back(
+        EncodeVersionRecord(vid, *state, a.symbols(), a.versions()));
+  }
+  ASSERT_GT(records.size(), 1u);
 
   // Decode into a *different* engine whose interning order differs.
   Engine b;
   b.symbols().Symbol("unrelated");
   b.symbols().Symbol("phil");
   ObjectBase decoded = b.MakeBase();
-  ASSERT_TRUE(DecodeObjectBaseInto(payload, b.symbols(), b.versions(),
-                                   decoded)
-                  .ok());
+  for (const std::string& record : records) {
+    ASSERT_TRUE(
+        DecodeVersionRecordInto(record, b.symbols(), b.versions(), decoded)
+            .ok());
+  }
   EXPECT_EQ(ObjectBaseToString(decoded, b.symbols(), b.versions()),
             ObjectBaseToString(base, a.symbols(), a.versions()));
 }
@@ -117,58 +125,22 @@ TEST_F(StorageFixture, DeltaComputeApplyInverts) {
   ObjectBase patched = before;
   ApplyDelta(delta, patched);
   EXPECT_TRUE(patched == after);
-
-  std::string payload = EncodeDelta(delta, engine.symbols(),
-                                    engine.versions());
-  Result<FactDelta> back =
-      DecodeDelta(payload, engine.symbols(), engine.versions());
-  ASSERT_TRUE(back.ok());
-  ObjectBase patched2 = before;
-  ApplyDelta(*back, patched2);
-  EXPECT_TRUE(patched2 == after);
 }
 
 TEST_F(StorageFixture, CorruptPayloadIsDetected) {
   Engine engine;
   ObjectBase base = Base("a.m -> 1.", engine);
-  std::string payload = EncodeObjectBase(base, engine.symbols(),
-                                         engine.versions());
-  payload.resize(payload.size() - 1);  // truncate
-  ObjectBase out = engine.MakeBase();
-  EXPECT_FALSE(DecodeObjectBaseInto(payload, engine.symbols(),
-                                    engine.versions(), out)
-                   .ok());
-}
-
-// ---- snapshot ---------------------------------------------------------------
-
-TEST_F(StorageFixture, SnapshotRoundTrip) {
-  Engine a;
-  ObjectBase base = Base(kRichBase, a);
-  std::string path = dir_ + "/snap.vsnp";
-  ASSERT_TRUE(WriteSnapshot(path, base, a.symbols(), a.versions()).ok());
-
-  Engine b;
-  ObjectBase loaded = b.MakeBase();
-  ASSERT_TRUE(
-      ReadSnapshotInto(path, b.symbols(), b.versions(), loaded).ok());
-  EXPECT_EQ(ObjectBaseToString(loaded, b.symbols(), b.versions()),
-            ObjectBaseToString(base, a.symbols(), a.versions()));
-}
-
-TEST_F(StorageFixture, SnapshotBitFlipIsCorruption) {
-  Engine engine;
-  ObjectBase base = Base("a.m -> 1.", engine);
-  std::string path = dir_ + "/snap.vsnp";
-  ASSERT_TRUE(
-      WriteSnapshot(path, base, engine.symbols(), engine.versions()).ok());
-  std::string bytes = *ReadFile(path);
-  bytes[bytes.size() / 2] ^= 0x40;
-  ASSERT_TRUE(WriteFile(path, bytes).ok());
-  ObjectBase out = engine.MakeBase();
-  Status s = ReadSnapshotInto(path, engine.symbols(), engine.versions(), out);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kCorruption);
+  Vid a = engine.versions().OfOid(engine.symbols().Symbol("a"));
+  std::string record = EncodeVersionRecord(a, *base.StateOf(a),
+                                           engine.symbols(), engine.versions());
+  // Every truncation is a Status, never a crash or a silent partial read.
+  for (size_t len = 0; len < record.size(); ++len) {
+    ObjectBase out = engine.MakeBase();
+    Status status = DecodeVersionRecordInto(record.substr(0, len),
+                                            engine.symbols(),
+                                            engine.versions(), out);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << "length " << len;
+  }
 }
 
 // ---- WAL --------------------------------------------------------------------
@@ -183,10 +155,9 @@ TEST_F(StorageFixture, WalAppendAndRead) {
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->truncated_tail);
   ASSERT_EQ(r->records.size(), 3u);
-  EXPECT_EQ(r->records[0].payload, "first");
-  EXPECT_EQ(r->records[0].kind, WalRecordKind::kDelta);
-  EXPECT_EQ(r->records[1].payload, "");
-  EXPECT_EQ(r->records[2].payload, "third record");
+  EXPECT_EQ(r->records[0], "first");
+  EXPECT_EQ(r->records[1], "");
+  EXPECT_EQ(r->records[2], "third record");
 }
 
 TEST_F(StorageFixture, MissingWalIsEmpty) {
@@ -207,7 +178,7 @@ TEST_F(StorageFixture, TornTailIsDroppedNotFatal) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->truncated_tail);
   ASSERT_EQ(r->records.size(), 1u);
-  EXPECT_EQ(r->records[0].payload, "keep me");
+  EXPECT_EQ(r->records[0], "keep me");
 }
 
 TEST_F(StorageFixture, CorruptMiddleRecordDropsAllLaterRecords) {
@@ -229,26 +200,26 @@ TEST_F(StorageFixture, CorruptMiddleRecordDropsAllLaterRecords) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->truncated_tail);
   ASSERT_EQ(r->records.size(), 1u);
-  EXPECT_EQ(r->records[0].payload, "keep");
+  EXPECT_EQ(r->records[0], "keep");
   // Only the prefix before the damage counts as valid.
   EXPECT_EQ(r->valid_bytes, 16u);
 }
 
 TEST_F(StorageFixture, LengthWordBitFlipIsCaughtDeterministically) {
-  // v2 frames carry a CRC over the length word itself, so a bit-flip in
-  // the length is caught by checksum comparison — deterministically — and
-  // never mis-frames the log. (v1 frames only caught this if the payload
-  // CRC of the mis-framed record happened to land wrong.)
+  // Frames carry a CRC over the length word itself, and its two high bits
+  // are the tag every frame sets, so a bit-flip anywhere in the length
+  // word is caught deterministically and never mis-frames the log.
   std::string path = dir_ + "/wal.log";
   WalWriter writer(path);
   ASSERT_TRUE(writer.Append("first record payload").ok());
   ASSERT_TRUE(writer.Append("second").ok());
   std::string pristine = *ReadFile(path);
   // Every bit of the length word, including ones that would SHRINK the
-  // frame so the next "frame" starts inside this record's payload.
-  for (int bit = 0; bit < 8; ++bit) {
+  // frame so the next "frame" starts inside this record's payload, and
+  // the two tag bits.
+  for (int bit = 0; bit < 32; ++bit) {
     std::string bytes = pristine;
-    bytes[0] ^= static_cast<char>(1 << bit);
+    bytes[bit / 8] ^= static_cast<char>(1 << (bit % 8));
     ASSERT_TRUE(WriteFile(path, bytes).ok());
     Result<WalReadResult> r = ReadWal(path);
     ASSERT_TRUE(r.ok());
@@ -258,10 +229,11 @@ TEST_F(StorageFixture, LengthWordBitFlipIsCaughtDeterministically) {
   }
 }
 
-TEST_F(StorageFixture, LegacyV1FramesStillReadable) {
-  // Hand-craft a pre-header-CRC frame (u32 length | u32 payload CRC |
-  // payload) and append a modern v2 record after it: one log, both frame
-  // versions, both replayed.
+TEST_F(StorageFixture, V1FrameEndsTheValidPrefix) {
+  // Hand-craft a frame of the early v1 format (u32 length | u32 payload
+  // CRC | payload, no tag) and append a current record after it. The v1
+  // frame lacks the tag, so it ends the valid prefix like a torn tail and
+  // the record behind it is unreachable.
   std::string path = dir_ + "/wal.log";
   const std::string payload = "legacy v1 payload";
   std::string frame;
@@ -277,19 +249,13 @@ TEST_F(StorageFixture, LegacyV1FramesStillReadable) {
   ASSERT_TRUE(AppendFile(path, frame).ok());
 
   WalWriter writer(path);
-  ASSERT_TRUE(writer.Append(WalRecordKind::kBatch, "modern v2").ok());
+  ASSERT_TRUE(writer.Append("current").ok());
 
   Result<WalReadResult> r = ReadWal(path);
   ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r->truncated_tail);
-  ASSERT_EQ(r->records.size(), 2u);
-  EXPECT_EQ(r->records[0].payload, payload);
-  EXPECT_EQ(r->records[0].kind, WalRecordKind::kDelta);
-  EXPECT_EQ(r->records[1].payload, "modern v2");
-  EXPECT_EQ(r->records[1].kind, WalRecordKind::kBatch);
-  // v1 header is 8 bytes, v2 is 12: the offsets prove both were framed.
-  EXPECT_EQ(r->records[0].end_offset, 8 + payload.size());
-  EXPECT_EQ(r->records[1].offset, r->records[0].end_offset);
+  EXPECT_TRUE(r->truncated_tail);
+  EXPECT_TRUE(r->records.empty());
+  EXPECT_EQ(r->valid_bytes, 0u);
 }
 
 // ---- Database ----------------------------------------------------------------
@@ -319,12 +285,12 @@ TEST_F(StorageFixture, DatabaseExecuteAndRecover) {
     sal.result = engine.symbols().Int(200);
     EXPECT_TRUE((*db)->current().Contains(
         henry, engine.symbols().Method("sal"), sal));
-    // Checkpoint folds the WAL into the snapshot.
+    // Checkpoint folds the WAL into the store.
     ASSERT_TRUE((*db)->Checkpoint().ok());
     EXPECT_EQ((*db)->wal_records_since_checkpoint(), 0u);
     EXPECT_FALSE(FileExists(dbdir + "/wal.log"));
   }
-  // And a third open loads from the snapshot alone.
+  // And a third open loads from the store alone.
   {
     Engine engine;
     Result<std::unique_ptr<Database>> db = Database::Open(dbdir, engine);
@@ -347,16 +313,19 @@ TEST_F(StorageFixture, DatabaseSurvivesTornWalTail) {
     ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 1.", engine)).ok());
     ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 1. a.n -> 2.", engine)).ok());
   }
-  // Tear the final record.
-  std::string bytes = *ReadFile(dbdir + "/wal.log");
-  bytes.resize(bytes.size() - 3);
-  ASSERT_TRUE(WriteFile(dbdir + "/wal.log", bytes).ok());
+  // A zero-filled tail, as a power cut can leave when the file's length
+  // reaches disk before its data. CRC-32 of zero bytes is zero, so only
+  // the frame tag tells these zeros from records.
+  const std::string committed = *ReadFile(dbdir + "/wal.log");
+  const std::string zeros(64, '\0');
+  ASSERT_TRUE(WriteFile(dbdir + "/wal.log", committed + zeros).ok());
   {
     Engine engine;
     Result<std::unique_ptr<Database>> db = Database::Open(dbdir, engine);
-    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
     EXPECT_TRUE((*db)->recovered_from_torn_wal());
-    // The first import survived; the torn second one is gone.
+    EXPECT_EQ((*db)->wal_records_since_checkpoint(), 2u);
+    // Both imports survived.
     Vid a = engine.versions().OfOid(engine.symbols().Symbol("a"));
     GroundApp one;
     one.result = engine.symbols().Int(1);
@@ -364,9 +333,12 @@ TEST_F(StorageFixture, DatabaseSurvivesTornWalTail) {
         (*db)->current().Contains(a, engine.symbols().Method("m"), one));
     GroundApp two;
     two.result = engine.symbols().Int(2);
-    EXPECT_FALSE(
+    EXPECT_TRUE(
         (*db)->current().Contains(a, engine.symbols().Method("n"), two));
   }
+  // The zeros were chopped off the log and kept for forensics.
+  EXPECT_EQ(*ReadFile(dbdir + "/wal.log"), committed);
+  EXPECT_EQ(*ReadFile(dbdir + "/wal.log.corrupt"), zeros);
 }
 
 TEST_F(StorageFixture, CorruptTailPreservationIsCappedAndNonFatal) {
@@ -464,7 +436,6 @@ TEST_F(StorageFixture, ExecuteBatchGroupCommitsOneRecord) {
     Result<WalReadResult> wal = ReadWal(dbdir + "/wal.log");
     ASSERT_TRUE(wal.ok());
     ASSERT_EQ(wal->records.size(), 2u);
-    EXPECT_EQ(wal->records[1].kind, WalRecordKind::kBatch);
   }
   // Recovery replays every transaction of the batch in order.
   {
@@ -508,53 +479,52 @@ TEST_F(StorageFixture, ExecuteBatchIsAllOrNothing) {
   EXPECT_FALSE((*db)->current().Contains(o, engine.symbols().Method("m"), b));
 }
 
-TEST_F(StorageFixture, RecoveryReplaysLegacyAndBatchedRecords) {
+TEST_F(StorageFixture, PreBatchRecordEndsTheRecoveredPrefix) {
   std::string dbdir = dir_ + "/db_mixed";
-  ASSERT_TRUE(EnsureDirectory(dbdir).ok());
-  // Hand-write a legacy (pre-batching) record: one bare EncodeDelta image
-  // per transaction, framed without the batch bit.
-  {
-    Engine engine;
-    ObjectBase before = engine.MakeBase();
-    ObjectBase after = Base("a.m -> 1.  b.m -> 2.", engine);
-    FactDelta delta = ComputeDelta(before, after);
-    WalWriter writer(dbdir + "/wal.log");
-    ASSERT_TRUE(writer
-                    .Append(WalRecordKind::kDelta,
-                            EncodeDelta(delta, engine.symbols(),
-                                        engine.versions()))
-                    .ok());
-  }
-  // A fresh database replays the legacy record, then appends batched
-  // records of its own; a third incarnation replays the mixed log.
   {
     Engine engine;
     Result<std::unique_ptr<Database>> db = Database::Open(dbdir, engine);
     ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 1.", engine)).ok());
+  }
+  const std::string committed = *ReadFile(dbdir + "/wal.log");
+  // Hand-build a record of the early pre-batch format behind the batch
+  // frame: one bare delta image (a one-delta batch without its leading
+  // count), in a frame whose length word lacks the batch bit.
+  std::string frame;
+  {
+    Engine engine;
+    FactDelta delta =
+        ComputeDelta(engine.MakeBase(), Base("b.m -> 2.", engine));
+    std::string payload =
+        EncodeDeltaBatch(delta, engine.symbols(), engine.versions())
+            .substr(1);
+    auto append_u32 = [&frame](uint32_t v) {
+      for (int i = 0; i < 4; ++i) {
+        frame += static_cast<char>((v >> (8 * i)) & 0xff);
+      }
+    };
+    append_u32(static_cast<uint32_t>(payload.size()) | 0x40000000u);
+    append_u32(Crc32(frame.data(), 4));
+    append_u32(Crc32(payload.data(), payload.size()));
+    frame += payload;
+  }
+  ASSERT_TRUE(AppendFile(dbdir + "/wal.log", frame).ok());
+  {
+    Engine engine;
+    Result<std::unique_ptr<Database>> db = Database::Open(dbdir, engine);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_TRUE((*db)->recovered_from_torn_wal());
+    EXPECT_EQ((*db)->wal_records_since_checkpoint(), 1u);
+    // Only the first commit is recovered.
     Vid a = engine.versions().OfOid(engine.symbols().Symbol("a"));
-    GroundApp one;
-    one.result = engine.symbols().Int(1);
-    ASSERT_TRUE(
-        (*db)->current().Contains(a, engine.symbols().Method("m"), one));
-    Result<Program> ins = ParseProgram("t: ins[c].m -> 3.", engine);
-    ASSERT_TRUE(ins.ok());
-    ASSERT_TRUE((*db)->Execute(*ins).ok());
+    Vid b = engine.versions().OfOid(engine.symbols().Symbol("b"));
+    EXPECT_NE((*db)->current().StateOf(a), nullptr);
+    EXPECT_EQ((*db)->current().StateOf(b), nullptr);
   }
-  {
-    Engine engine;
-    Result<std::unique_ptr<Database>> db = Database::Open(dbdir, engine);
-    ASSERT_TRUE(db.ok());
-    EXPECT_EQ((*db)->wal_records_since_checkpoint(), 2u);
-    Result<WalReadResult> wal = ReadWal(dbdir + "/wal.log");
-    ASSERT_TRUE(wal.ok());
-    ASSERT_EQ(wal->records.size(), 2u);
-    EXPECT_EQ(wal->records[0].kind, WalRecordKind::kDelta);
-    EXPECT_EQ(wal->records[1].kind, WalRecordKind::kBatch);
-    for (const char* obj : {"a", "b", "c"}) {
-      Vid vid = engine.versions().OfOid(engine.symbols().Symbol(obj));
-      EXPECT_NE((*db)->current().StateOf(vid), nullptr) << obj;
-    }
-  }
+  // The pre-batch record is preserved, not replayed.
+  EXPECT_EQ(*ReadFile(dbdir + "/wal.log"), committed);
+  EXPECT_EQ(*ReadFile(dbdir + "/wal.log.corrupt"), frame);
 }
 
 TEST_F(StorageFixture, TornTailInsideBatchedFrameDropsWholeGroup) {
@@ -701,9 +671,9 @@ TEST_F(StorageFixture, CheckpointCrashWindowLosesNothing) {
     const char* what;
   };
   const Window windows[] = {
-      {OpFilter::kWrite, 0, "crash before the snapshot tmp write"},
-      {OpFilter::kWrite, 9, "crash mid snapshot tmp write (short write)"},
-      {OpFilter::kRename, 0, "crash before the snapshot rename"},
+      {OpFilter::kWrite, 0, "crash before the store image tmp write"},
+      {OpFilter::kWrite, 9, "crash mid store image tmp write (short write)"},
+      {OpFilter::kRename, 0, "crash before the store image rename"},
       {OpFilter::kRename, 1, "crash after rename, before WAL removal"},
       {OpFilter::kRemove, 0, "crash before the WAL removal"},
       {OpFilter::kRemove, 1, "crash after the WAL removal"},
@@ -721,7 +691,7 @@ TEST_F(StorageFixture, CheckpointCrashWindowLosesNothing) {
           Database::Open("/db", engine, options);
       ASSERT_TRUE(db.ok());
       ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 1.", engine)).ok());
-      // An earlier checkpoint, so the torture'd one REPLACES a snapshot.
+      // An earlier checkpoint, so the torture'd one REPLACES an image.
       ASSERT_TRUE((*db)->Checkpoint().ok());
       ASSERT_TRUE(
           (*db)->ImportBase(Base("a.m -> 1. b.m -> 2.", engine)).ok());
@@ -942,46 +912,27 @@ TEST_F(StorageFixture, AutoCheckpointKeepsRecoveryReplayBounded) {
   EXPECT_EQ((*manual_db)->checkpoint_generation(), 0u);
 }
 
-TEST_F(StorageFixture, LegacySnapshotDirectoryUpgradesToStoreOnCheckpoint) {
+TEST_F(StorageFixture, LegacySnapshotDirectoryIsRefused) {
   // A directory checkpointed before the store subsystem existed holds
-  // snapshot.vsnp + wal.log. It must recover as-is, and the next
-  // Checkpoint() must supersede the legacy image with a store generation
-  // (removing the old file).
+  // snapshot.vsnp + wal.log. Its WAL holds only the commits after that
+  // checkpoint, so opening it without reading the snapshot would build a
+  // state no commit produced: Open refuses before it touches any file.
   FaultInjectingEnv env;
-  std::string expected;
-  {
-    Engine engine;
-    ObjectBase base = Base("a.m -> 1. b.m -> 2.", engine);
-    ASSERT_TRUE(WriteSnapshot("/db/snapshot.vsnp", base, engine.symbols(),
-                              engine.versions(), &env)
-                    .ok());
-    expected = ObjectBaseToString(base, engine.symbols(), engine.versions());
-  }
-  DatabaseOptions options;
-  options.env = &env;
-  options.retry_backoff_us = 0;
-  {
+  env.SetFileContents("/db/snapshot.vsnp", "VSNP1 checkpoint image");
+  env.SetFileContents("/db/wal.log", "suffix frames");
+  const auto before = env.files();
+  for (StoreBackend backend : {StoreBackend::kMem, StoreBackend::kPageLog}) {
+    SCOPED_TRACE(StoreBackendName(backend));
+    DatabaseOptions options;
+    options.env = &env;
+    options.store_backend = backend;
     Engine engine;
     Result<std::unique_ptr<Database>> db =
         Database::Open("/db", engine, options);
-    ASSERT_TRUE(db.ok()) << db.status().ToString();
-    EXPECT_EQ(ObjectBaseToString((*db)->current(), engine.symbols(),
-                                 engine.versions()),
-              expected);
-    EXPECT_EQ((*db)->checkpoint_generation(), 0u);  // pre-store dir
-    ASSERT_TRUE((*db)->Checkpoint().ok());
-    EXPECT_EQ((*db)->checkpoint_generation(), 1u);
-    EXPECT_FALSE(env.FileExists("/db/snapshot.vsnp"));
-    EXPECT_TRUE(env.FileExists("/db/store.img"));
+    EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument)
+        << db.status().ToString();
+    EXPECT_EQ(env.files(), before);
   }
-  Engine engine;
-  Result<std::unique_ptr<Database>> db =
-      Database::Open("/db", engine, options);
-  ASSERT_TRUE(db.ok());
-  EXPECT_EQ((*db)->checkpoint_generation(), 1u);
-  EXPECT_EQ(ObjectBaseToString((*db)->current(), engine.symbols(),
-                               engine.versions()),
-            expected);
 }
 
 TEST_F(StorageFixture, FailedProgramLeavesDatabaseUntouched) {

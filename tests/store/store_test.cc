@@ -1,5 +1,5 @@
 // Store component tests, run against BOTH backends wherever the contract
-// is backend-independent: transactional put/get/delete/scan and the meta
+// is backend-independent: transactional put/delete/scan and the meta
 // table, abort-by-drop, persistence across reopen, and atomicity under
 // injected I/O failure. Backend-specific recovery shapes (the mem image's
 // strict CRC, the page log's torn-tail chop and compaction) get their own
@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -29,13 +30,28 @@ std::unique_ptr<Store> MustOpen(StoreBackend backend, Env* env) {
   return std::move(*store);
 }
 
+using EntryMap = std::map<std::string, std::string>;
+
+/// Every data entry of `store`, read the way the database reads it: one
+/// full-range Scan.
+EntryMap Entries(const Store& store) {
+  EntryMap entries;
+  Status scanned =
+      store.Scan("", [&](std::string_view key, std::string_view value) {
+        entries.emplace(key, value);
+        return Status::Ok();
+      });
+  EXPECT_TRUE(scanned.ok()) << scanned.ToString();
+  return entries;
+}
+
 TEST(StoreTest, PutGetDeleteScanAndMetaRoundTrip) {
   for (StoreBackend backend : kBackends) {
     SCOPED_TRACE(StoreBackendName(backend));
     FaultInjectingEnv env;
     std::unique_ptr<Store> store = MustOpen(backend, &env);
     EXPECT_STREQ(store->name(), StoreBackendName(backend));
-    EXPECT_TRUE(store->empty());
+    EXPECT_EQ(store->key_count(), 0u);
 
     WriteTransaction txn = store->BeginWrite();
     txn.Put("b/bob", "2");
@@ -46,20 +62,14 @@ TEST(StoreTest, PutGetDeleteScanAndMetaRoundTrip) {
     EXPECT_TRUE(txn.committed());
     EXPECT_EQ(txn.Commit().code(), StatusCode::kInvalidArgument);
 
-    ReadTransaction read = store->BeginRead();
     EXPECT_EQ(store->key_count(), 3u);
-    Result<std::string> got = store->Get(read, "b/ann");
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, "1");
-    EXPECT_EQ(store->Get(read, "b/zzz").status().code(),
-              StatusCode::kNotFound);
-    EXPECT_TRUE(store->Contains(read, "c/cfg"));
-    EXPECT_FALSE(store->Contains(read, "nope"));
+    EXPECT_EQ(Entries(*store),
+              (EntryMap{{"b/ann", "1"}, {"b/bob", "2"}, {"c/cfg", "x"}}));
 
     // Prefix scan: only "b/" keys, ascending.
     std::vector<std::string> keys;
     ASSERT_TRUE(store
-                    ->Scan(read, "b/",
+                    ->Scan("b/",
                            [&](std::string_view key, std::string_view) {
                              keys.emplace_back(key);
                              return Status::Ok();
@@ -67,18 +77,17 @@ TEST(StoreTest, PutGetDeleteScanAndMetaRoundTrip) {
                     .ok());
     EXPECT_EQ(keys, (std::vector<std::string>{"b/ann", "b/bob"}));
 
-    Result<uint64_t> generation = store->GetMeta(read, "generation");
+    Result<uint64_t> generation = store->GetMeta("generation");
     ASSERT_TRUE(generation.ok());
     EXPECT_EQ(*generation, 7u);
-    EXPECT_EQ(store->GetMeta(read, "missing").status().code(),
+    EXPECT_EQ(store->GetMeta("missing").status().code(),
               StatusCode::kNotFound);
 
     WriteTransaction del = store->BeginWrite();
     del.Delete("b/bob");
     del.Delete("never-existed");  // absent-key delete is a no-op
     ASSERT_TRUE(del.Commit().ok());
-    EXPECT_EQ(store->key_count(), 2u);
-    EXPECT_FALSE(store->Contains(read, "b/bob"));
+    EXPECT_EQ(Entries(*store), (EntryMap{{"b/ann", "1"}, {"c/cfg", "x"}}));
   }
 }
 
@@ -98,17 +107,11 @@ TEST(StoreTest, DroppedTransactionIsInvisibleAndStateSurvivesReopen) {
         dropped.Put("b/ghost", "boo");
         dropped.Delete("b/ann");
       }
-      ReadTransaction read = store->BeginRead();
-      EXPECT_TRUE(store->Contains(read, "b/ann"));
-      EXPECT_FALSE(store->Contains(read, "b/ghost"));
+      EXPECT_EQ(Entries(*store), (EntryMap{{"b/ann", "1"}}));
     }
     std::unique_ptr<Store> reopened = MustOpen(backend, &env);
-    ReadTransaction read = reopened->BeginRead();
-    EXPECT_EQ(reopened->key_count(), 1u);
-    Result<std::string> ann = reopened->Get(read, "b/ann");
-    ASSERT_TRUE(ann.ok());
-    EXPECT_EQ(*ann, "1");
-    Result<uint64_t> generation = reopened->GetMeta(read, "generation");
+    EXPECT_EQ(Entries(*reopened), (EntryMap{{"b/ann", "1"}}));
+    Result<uint64_t> generation = reopened->GetMeta("generation");
     ASSERT_TRUE(generation.ok());
     EXPECT_EQ(*generation, 1u);
   }
@@ -144,52 +147,30 @@ TEST(StoreTest, FailedCommitLeavesStoreUnchangedOnDiskAndInMemory) {
     env.Disarm();
 
     // In-memory state unchanged...
-    ReadTransaction read = store->BeginRead();
-    EXPECT_TRUE(store->Contains(read, "b/ann"));
-    EXPECT_FALSE(store->Contains(read, "b/bob"));
+    EXPECT_EQ(Entries(*store), (EntryMap{{"b/ann", "1"}}));
     // ...and the disk image recovers to the same committed state (the
     // pagelog rolled back its torn frame; the mem image was replaced
     // atomically or not at all).
     std::unique_ptr<Store> reopened = MustOpen(c.backend, &env);
-    ReadTransaction reread = reopened->BeginRead();
-    EXPECT_EQ(reopened->key_count(), 1u);
-    EXPECT_TRUE(reopened->Contains(reread, "b/ann"));
+    EXPECT_EQ(Entries(*reopened), (EntryMap{{"b/ann", "1"}}));
 
     // The store stays usable: the next commit lands.
     WriteTransaction retry = store->BeginWrite();
     retry.Put("b/bob", "2");
     ASSERT_TRUE(retry.Commit().ok());
-    EXPECT_TRUE(store->Contains(read, "b/bob"));
+    EXPECT_EQ(Entries(*store), (EntryMap{{"b/ann", "1"}, {"b/bob", "2"}}));
   }
 }
 
-TEST(StoreTest, VolatileMemStoreServesWithoutADirectory) {
+TEST(StoreTest, EmptyDirectoryIsRefused) {
+  // A store always lives in a directory; ephemeral databases open none.
   FaultInjectingEnv env;
   for (StoreBackend backend : kBackends) {
-    // An empty dir means volatile for BOTH backends (an ephemeral page
-    // log has nothing to append to, so it degrades to the mem backend).
+    SCOPED_TRACE(StoreBackendName(backend));
     Result<std::unique_ptr<Store>> store = OpenStore(backend, "", &env);
-    ASSERT_TRUE(store.ok());
-    WriteTransaction txn = (*store)->BeginWrite();
-    txn.Put("k", "v");
-    ASSERT_TRUE(txn.Commit().ok());
-    EXPECT_EQ((*store)->key_count(), 1u);
+    EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument);
     EXPECT_TRUE(env.files().empty());  // nothing persisted
   }
-}
-
-TEST(StoreTest, ReadTransactionFromAnotherStoreIsRefused) {
-  FaultInjectingEnv env;
-  std::unique_ptr<Store> a = MustOpen(StoreBackend::kMem, &env);
-  Result<std::unique_ptr<Store>> b = OpenStore(StoreBackend::kMem, "", &env);
-  ASSERT_TRUE(b.ok());
-  ReadTransaction foreign = (*b)->BeginRead();
-  EXPECT_EQ(a->Get(foreign, "k").status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(a->Scan(foreign, "", [](std::string_view, std::string_view) {
-               return Status::Ok();
-             }).code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(StoreTest, FutureFormatVersionRefusesToOpen) {
@@ -242,8 +223,8 @@ TEST(StoreTest, PageLogTornTailIsChoppedToLastCommit) {
     two.Put("b/bob", "2");
     ASSERT_TRUE(two.Commit().ok());
   }
+  const std::string log = env.files().at("/store/store.plog");
   // Crash mid-second-frame: keep a prefix that tears the last record.
-  std::string log = env.files().at("/store/store.plog");
   ASSERT_GT(log.size(), first_commit_bytes + 3);
   env.SetFileContents("/store/store.plog",
                       log.substr(0, first_commit_bytes + 3));
@@ -253,9 +234,17 @@ TEST(StoreTest, PageLogTornTailIsChoppedToLastCommit) {
   auto* pagelog = static_cast<PageLogStore*>(reopened->get());
   EXPECT_TRUE(pagelog->recovered_torn_tail());
   EXPECT_EQ(env.files().at("/store/store.plog").size(), first_commit_bytes);
-  ReadTransaction read = (*reopened)->BeginRead();
-  EXPECT_TRUE((*reopened)->Contains(read, "b/ann"));
-  EXPECT_FALSE((*reopened)->Contains(read, "b/bob"));
+  EXPECT_EQ(Entries(**reopened), (EntryMap{{"b/ann", "1"}}));
+
+  // A zero-filled tail — the file's length reached disk before its data —
+  // is a torn tail too, not a run of empty records.
+  env.SetFileContents("/store/store.plog", log + std::string(16, '\0'));
+  reopened = OpenStore(StoreBackend::kPageLog, "/store", &env);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  pagelog = static_cast<PageLogStore*>(reopened->get());
+  EXPECT_TRUE(pagelog->recovered_torn_tail());
+  EXPECT_EQ(env.files().at("/store/store.plog"), log);
+  EXPECT_EQ(Entries(**reopened), (EntryMap{{"b/ann", "1"}, {"b/bob", "2"}}));
 }
 
 TEST(StoreTest, PageLogCompactsOnceDeadBytesDominate) {
@@ -283,11 +272,9 @@ TEST(StoreTest, PageLogCompactsOnceDeadBytesDominate) {
 
   // Everything still there, on disk and after replaying the compacted log.
   std::unique_ptr<Store> reopened = MustOpen(StoreBackend::kPageLog, &env);
-  ReadTransaction read = reopened->BeginRead();
-  EXPECT_EQ(reopened->key_count(), 4u);
-  Result<std::string> got = reopened->Get(read, "b/key3");
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, value + "399");
+  EntryMap entries = Entries(*reopened);
+  EXPECT_EQ(entries.size(), 4u);
+  EXPECT_EQ(entries["b/key3"], value + "399");
 }
 
 }  // namespace
