@@ -23,6 +23,12 @@ constexpr const char* kEnterpriseViews = R"(
     q3: derive X.chain -> Z <- X.chain -> Y, Y.boss -> Z.
 )";
 
+// The chain of command alone (DRed).
+constexpr const char* kChainViews = R"(
+    q2: derive X.chain -> Y <- X.boss -> Y.
+    q3: derive X.chain -> Z <- X.chain -> Y, Y.boss -> Z.
+)";
+
 // Graph view: transitive closure (DRed).
 constexpr const char* kGraphViews = R"(
     q1: derive X.reaches -> Y <- X.edge -> Y.
@@ -114,6 +120,62 @@ BENCHMARK(BM_ViewMaintainEnterprise)
     ->Arg(256)
     ->Arg(1024)
     ->Arg(4096);
+
+// One leaf employee's boss moves between two managers, alternating. The
+// boss change binds Y in `X.chain -> Y, Y.boss -> Z`, so DRed's
+// overdelete and insert phases each probe `X.chain -> leaf` with X free:
+// the view's cross-version result index answers it from the versions
+// holding that result (none: nobody reports to a leaf) instead of every
+// `chain` holder. `index_probes` counts the per-version probes per move.
+void BM_ViewMaintainBossMove(benchmark::State& state) {
+  const size_t employees = static_cast<size_t>(state.range(0));
+  Engine engine;
+  ObjectBase base = engine.MakeBase();
+  EnterpriseOptions options;
+  options.employees = employees;
+  const Enterprise enterprise = MakeEnterprise(options, engine, base);
+  Result<QueryProgram> program =
+      ParseQueryProgram(kChainViews, engine.symbols());
+  if (!program.ok()) {
+    state.SkipWithError(program.status().ToString().c_str());
+    return;
+  }
+  Result<std::unique_ptr<MaterializedView>> view = MaterializedView::Create(
+      "chain", std::move(*program), base, engine.symbols(),
+      engine.versions());
+  if (!view.ok()) {
+    state.SkipWithError(view.status().ToString().c_str());
+    return;
+  }
+
+  size_t leaf = 0;
+  while (enterprise.is_manager[leaf]) ++leaf;
+  const int home = enterprise.boss[leaf];
+  int away = 0;
+  while (!enterprise.is_manager[away] || away == home) ++away;
+  Oid home_oid = engine.symbols().Symbol(enterprise.names[home]);
+  Oid away_oid = engine.symbols().Symbol(enterprise.names[away]);
+  const std::string& subject = enterprise.names[leaf];
+  DeltaLog there = FlipDelta(engine, subject, "boss", home_oid, away_oid);
+  DeltaLog back = FlipDelta(engine, subject, "boss", away_oid, home_oid);
+
+  const uint64_t probes_before = (*view)->stats().index_probes;
+  bool moved = false;
+  for (auto _ : state) {
+    Status status = (*view)->ApplyBaseDelta(moved ? back : there);
+    if (!status.ok()) {
+      state.SkipWithError(status.ToString().c_str());
+      return;
+    }
+    moved = !moved;
+    benchmark::DoNotOptimize((*view)->result());
+  }
+  state.counters["employees"] = static_cast<double>(employees);
+  state.counters["index_probes"] = benchmark::Counter(
+      static_cast<double>((*view)->stats().index_probes - probes_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ViewMaintainBossMove)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_ViewRecomputeEnterprise(benchmark::State& state) {
   const size_t employees = static_cast<size_t>(state.range(0));

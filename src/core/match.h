@@ -212,14 +212,23 @@ class Matcher {
 
   /// Enumerates facts `vid.m@args -> r` matching the pattern, where the
   /// version is given by `vterm`. Handles both the bound-base case (direct
-  /// state lookup) and the unbound-base case (method index + shape filter).
+  /// state lookup) and the unbound-base case (method index + shape
+  /// filter). With the base unbound and the result ground, a method the
+  /// base indexes by result supplies only the versions holding that
+  /// result: the same ascending candidates minus ones that cannot match.
   Status MatchVersionPattern(const VidTerm& vterm, const AppPattern& app,
                              size_t pos) {
     if (!vterm.base.is_var || bindings_[vterm.base.var.value].valid()) {
       Vid vid = ResolveVid(vterm, bindings_, ctx_.versions);
       return EnumerateApps(vid, app, pos);
     }
-    const auto* candidates = ctx_.base.VidsWithMethod(app.method);
+    const ObjectBase::VidSet* candidates = ctx_.base.VidsWithMethod(app.method);
+    const ObjectBase::VidsByResult* by_result =
+        ctx_.base.ResultIndexOf(app.method);
+    Oid result;
+    if (by_result != nullptr && GroundValue(app.result, &result)) {
+      candidates = by_result->Find(result);
+    }
     if (candidates == nullptr) return Status::Ok();
     VidShape shape = ctx_.versions.InternShape(vterm.ops);
     Trail& trail = scratch_[pos].version;

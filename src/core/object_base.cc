@@ -77,6 +77,23 @@ bool VersionState::Contains(MethodId method, const GroundApp& app) const {
   return it != apps->end() && *it == app;
 }
 
+bool VersionState::HoldsResult(MethodId method, Oid result) const {
+  const std::vector<GroundApp>* apps = Find(method);
+  if (apps == nullptr) return false;
+  // Sorted by (args, result): the argument-free facts come first, in
+  // result order, so only the facts with arguments need a scan.
+  GroundApp bare;
+  bare.result = result;
+  auto it = std::lower_bound(apps->begin(), apps->end(), bare);
+  if (it != apps->end() && *it == bare) return true;
+  it = std::partition_point(it, apps->end(), [](const GroundApp& app) {
+    return app.args.empty();
+  });
+  return std::any_of(it, apps->end(), [&](const GroundApp& app) {
+    return app.result == result;
+  });
+}
+
 const std::vector<GroundApp>* VersionState::Find(MethodId method) const {
   const SharedApps* apps = FindShared(method);
   return apps == nullptr ? nullptr : &apps->get();
@@ -94,6 +111,8 @@ bool VersionState::OnlyExists(MethodId exists_method) const {
 }
 
 bool ObjectBase::Insert(Vid version, MethodId method, GroundApp app) {
+  // A no-op when the fact is already there: the version is listed then.
+  ListUnderResult(version, method, app.result, /*holds=*/true);
   const bool plain = versions_->depth(version) == 0;
   const StatePtr* current = states_.Find(version);
   if (current == nullptr) {
@@ -138,6 +157,11 @@ bool ObjectBase::Erase(Vid version, MethodId method, const GroundApp& app) {
   slot->Erase(method, app);
   --fact_count_;
   const bool lost_method = slot->FindShared(method) == nullptr;
+  // Args-bearing methods can keep another fact with the same result.
+  if (ResultIndexOf(method) != nullptr) {
+    ListUnderResult(version, method, app.result,
+                    slot->HoldsResult(method, app.result));
+  }
   if (slot->empty()) {
     states_.Erase(version);  // `slot` dangles from here on
     if (versions_->depth(version) != 0) non_plain_.Erase(version);
@@ -191,6 +215,14 @@ bool ObjectBase::InstallVersion(Vid version, StatePtr incoming,
                       changed = true;
                       if (diff != nullptr) {
                         diff->push_back({version, method, app, added});
+                      }
+                      // Judged on the incoming state, so a removal and an
+                      // addition with one result leave it listed.
+                      if (ResultIndexOf(method) != nullptr) {
+                        ListUnderResult(version, method, app.result,
+                                        incoming != nullptr &&
+                                            incoming->HoldsResult(
+                                                method, app.result));
                       }
                     });
   if (!changed) return false;
@@ -289,6 +321,35 @@ void ObjectBase::IndexRemove(Vid version, MethodId method) {
   VidSet& vids = by_method_.Slot(method);
   vids.Erase(version);
   if (vids.empty()) by_method_.Erase(method);
+}
+
+void ObjectBase::IndexResults(MethodId method) {
+  if (ResultIndexOf(method) != nullptr) return;
+  VidsByResult& index = by_result_.Slot(method);
+  const VidSet* vids = VidsWithMethod(method);
+  if (vids == nullptr) return;
+  for (Vid vid : *vids) {
+    for (const GroundApp& app : *StateOf(vid)->Find(method)) {
+      index.Slot(app.result).Insert(vid);
+    }
+  }
+}
+
+void ObjectBase::ListUnderResult(Vid version, MethodId method, Oid result,
+                                 bool holds) {
+  const VidsByResult* index = ResultIndexOf(method);
+  if (index == nullptr) return;
+  // Read first: a write that changes nothing must not path-copy.
+  const VidSet* listed = index->Find(result);
+  if (holds == (listed != nullptr && listed->Contains(version))) return;
+  VidsByResult& owned = by_result_.Slot(method);
+  VidSet& vids = owned.Slot(result);
+  if (holds) {
+    vids.Insert(version);
+    return;
+  }
+  vids.Erase(version);
+  if (vids.empty()) owned.Erase(result);
 }
 
 }  // namespace verso

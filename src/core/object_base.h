@@ -237,6 +237,10 @@ class VersionState {
   bool ContainsApp(MethodId method, const GroundApp& app) const {
     return Contains(method, app);
   }
+  /// True iff some application of `method` has result `result`: a binary
+  /// search among the argument-free applications, a scan of the others
+  /// (no index is built).
+  bool HoldsResult(MethodId method, Oid result) const;
 
   /// Enumerates every application of `method` in sorted order, invoking
   /// `fn(const GroundApp&)`; `fn` may return an error to abort.
@@ -347,8 +351,8 @@ void ForEachFactChange(const VersionState* before, const VersionState* after,
 }
 
 /// An object base: a set of ground version-terms `v.m@args -> r`
-/// (paper Section 2.1), held in three persistent tries (IdTrie) keyed by
-/// the dense Vid / MethodId values:
+/// (paper Section 2.1), held in persistent tries (IdTrie) keyed by the
+/// dense Vid / MethodId / Oid values:
 ///   * version -> its VersionState (the copy unit of T_P step 2);
 ///   * method -> the set of versions carrying it (drives matching of
 ///     patterns whose version variable is unbound, filtered by VID
@@ -356,9 +360,14 @@ void ForEachFactChange(const VersionState* before, const VersionState* after,
 ///     the set changes only when a state gains or loses a method;
 ///   * the set of non-plain versions (depth > 0): the versions a commit
 ///     folds back onto their objects, and the only ones that can break
-///     version linearity.
-/// Per (method, result) lookups go through the lazily built index inside
-/// each method's IndexedApps node.
+///     version linearity;
+///   * method -> (result -> the versions holding a fact of the method
+///     with that result), only for the methods a caller asked to index
+///     (IndexResults). It answers `X.m -> r` with X free and r ground
+///     in what the hits cost, not the method's extent. It is derived
+///     state: ==, ComputeDelta and the codec ignore it.
+/// Per-version (method, result) lookups go through the lazily built
+/// index inside each method's IndexedApps node.
 ///
 /// Copying an ObjectBase bumps one root count per trie: no node, state or
 /// fact is copied (a snapshot pin of a 4096-object base takes about 1 µs
@@ -387,6 +396,9 @@ class ObjectBase {
   using VidSet = IdTrie<Vid>;
   /// method -> the versions carrying it.
   using VersionsByMethod = IdTrie<MethodId, VidSet>;
+  /// result -> the versions holding a fact of one method with that
+  /// result (a version with several such facts is listed once).
+  using VidsByResult = IdTrie<Oid, VidSet>;
 
   ObjectBase(MethodId exists_method, const VersionTable* versions)
       : exists_method_(exists_method), versions_(versions) {}
@@ -474,6 +486,17 @@ class ObjectBase {
     return by_method_.Find(method);
   }
 
+  /// Indexes `method`'s facts by result across versions: built once from
+  /// VidsWithMethod (a no-op when the method is indexed already), then
+  /// kept current by every write. Copies taken afterwards share it.
+  void IndexResults(MethodId method);
+
+  /// The cross-version result index of `method`, or nullptr when nobody
+  /// asked for one on this base (or on the base it was copied from).
+  const VidsByResult* ResultIndexOf(MethodId method) const {
+    return by_result_.Find(method);
+  }
+
   const VersionMap& versions() const { return states_; }
   /// Every method some version carries, ascending, with its versions.
   const VersionsByMethod& versions_by_method() const { return by_method_; }
@@ -507,6 +530,8 @@ class ObjectBase {
   VersionMap states_;
   VersionsByMethod by_method_;
   VidSet non_plain_;
+  /// method -> its VidsByResult, for the indexed methods only.
+  IdTrie<MethodId, VidsByResult> by_result_;
   size_t fact_count_ = 0;
   size_t unsealed_plain_ = 0;
   size_t exists_only_plain_ = 0;
@@ -521,6 +546,11 @@ class ObjectBase {
 
   void IndexAdd(Vid version, MethodId method);
   void IndexRemove(Vid version, MethodId method);
+
+  /// Lists `version` under `result` in `method`'s result index iff
+  /// `holds` (its state keeps a fact of `method` with that result); a
+  /// no-op for methods nobody indexed.
+  void ListUnderResult(Vid version, MethodId method, Oid result, bool holds);
 };
 
 }  // namespace verso

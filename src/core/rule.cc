@@ -16,7 +16,21 @@ void CollectAppVars(const AppPattern& app, std::vector<VarId>* out) {
   CollectObjVars(app.result, out);
 }
 
-/// All variables of a literal (for groundness checks of negated literals).
+bool AllBound(const std::vector<VarId>& vars, const std::vector<bool>& bound) {
+  return std::all_of(vars.begin(), vars.end(),
+                     [&](VarId v) { return bound[v.value]; });
+}
+
+int CountBound(const std::vector<VarId>& vars, const std::vector<bool>& bound) {
+  int n = 0;
+  for (VarId v : vars) {
+    if (bound[v.value]) ++n;
+  }
+  return n;
+}
+
+}  // namespace
+
 std::vector<VarId> LiteralVars(const Rule& rule, const Literal& lit) {
   std::vector<VarId> vars;
   switch (lit.kind) {
@@ -40,21 +54,6 @@ std::vector<VarId> LiteralVars(const Rule& rule, const Literal& lit) {
   }
   return vars;
 }
-
-bool AllBound(const std::vector<VarId>& vars, const std::vector<bool>& bound) {
-  return std::all_of(vars.begin(), vars.end(),
-                     [&](VarId v) { return bound[v.value]; });
-}
-
-int CountBound(const std::vector<VarId>& vars, const std::vector<bool>& bound) {
-  int n = 0;
-  for (VarId v : vars) {
-    if (bound[v.value]) ++n;
-  }
-  return n;
-}
-
-}  // namespace
 
 std::string Rule::DisplayName() const {
   if (!label.empty()) return label;

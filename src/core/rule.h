@@ -61,6 +61,10 @@ struct Rule {
   std::string DisplayName() const;
 };
 
+/// All variables of a literal. Once a literal has run in the execution
+/// order, each of them is bound.
+std::vector<VarId> LiteralVars(const Rule& rule, const Literal& lit);
+
 /// Checks the paper's well-formedness requirements for one rule and plans
 /// its body execution order:
 ///   * safety: every variable is bound by some positive version-/update-

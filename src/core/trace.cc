@@ -58,12 +58,15 @@ void RecordingTrace::OnStratumFixpoint(uint32_t stratum, uint32_t rounds) {
 void RecordingTrace::OnViewMaintenance(std::string_view view,
                                        size_t delta_facts, size_t added,
                                        size_t removed, size_t overdeleted,
-                                       size_t rederived) {
+                                       size_t rederived, size_t seed_probes,
+                                       size_t index_probes) {
   lines_.push_back("view " + std::string(view) + ": " +
                    std::to_string(delta_facts) + " delta fact(s) -> +" +
                    std::to_string(added) + "/-" + std::to_string(removed) +
                    " (overdeleted " + std::to_string(overdeleted) +
-                   ", rederived " + std::to_string(rederived) + ")");
+                   ", rederived " + std::to_string(rederived) + "; " +
+                   std::to_string(seed_probes) + " seed probe(s), " +
+                   std::to_string(index_probes) + " index probe(s))");
 }
 
 void RecordingTrace::OnStorageFault(std::string_view op, const Status& status,
@@ -126,10 +129,12 @@ void StreamTrace::OnStratumFixpoint(uint32_t stratum, uint32_t rounds) {
 
 void StreamTrace::OnViewMaintenance(std::string_view view, size_t delta_facts,
                                     size_t added, size_t removed,
-                                    size_t overdeleted, size_t rederived) {
+                                    size_t overdeleted, size_t rederived,
+                                    size_t seed_probes, size_t index_probes) {
   out_ << "view " << view << ": " << delta_facts << " delta fact(s) -> +"
        << added << "/-" << removed << " (overdeleted " << overdeleted
-       << ", rederived " << rederived << ")\n";
+       << ", rederived " << rederived << "; " << seed_probes
+       << " seed probe(s), " << index_probes << " index probe(s))\n";
 }
 
 void StreamTrace::OnStorageFault(std::string_view op, const Status& status,

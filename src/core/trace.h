@@ -80,15 +80,20 @@ class TraceSink {
   /// base-level changes were consumed, `added`/`removed` view facts were
   /// installed/retracted, and DRed overdeleted/rederived that many facts
   /// in recursive strata (both 0 for purely counting-maintained views).
+  /// `seed_probes` delta-seeded partial matches were launched, and they
+  /// made `index_probes` per-version bound-result lookups (ViewStats).
   virtual void OnViewMaintenance(std::string_view view, size_t delta_facts,
                                  size_t added, size_t removed,
-                                 size_t overdeleted, size_t rederived) {
+                                 size_t overdeleted, size_t rederived,
+                                 size_t seed_probes, size_t index_probes) {
     (void)view;
     (void)delta_facts;
     (void)added;
     (void)removed;
     (void)overdeleted;
     (void)rederived;
+    (void)seed_probes;
+    (void)index_probes;
   }
   /// The storage layer hit an I/O fault on operation `op`: "wal-append",
   /// "wal-rollback", "checkpoint-store" or "checkpoint-truncate".
@@ -123,7 +128,8 @@ class RecordingTrace : public TraceSink {
   void OnStratumFixpoint(uint32_t stratum, uint32_t rounds) override;
   void OnViewMaintenance(std::string_view view, size_t delta_facts,
                          size_t added, size_t removed, size_t overdeleted,
-                         size_t rederived) override;
+                         size_t rederived, size_t seed_probes,
+                         size_t index_probes) override;
   void OnStorageFault(std::string_view op, const Status& status,
                       uint32_t attempt, bool degraded) override;
 
@@ -157,7 +163,8 @@ class StreamTrace : public TraceSink {
   void OnStratumFixpoint(uint32_t stratum, uint32_t rounds) override;
   void OnViewMaintenance(std::string_view view, size_t delta_facts,
                          size_t added, size_t removed, size_t overdeleted,
-                         size_t rederived) override;
+                         size_t rederived, size_t seed_probes,
+                         size_t index_probes) override;
   void OnStorageFault(std::string_view op, const Status& status,
                       uint32_t attempt, bool degraded) override;
 

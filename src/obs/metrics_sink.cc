@@ -22,6 +22,8 @@ MetricsTraceSink::MetricsTraceSink(MetricsRegistry& registry, TraceSink* next)
       view_removed_(registry.GetCounter("view.facts_removed")),
       view_overdeleted_(registry.GetCounter("view.overdeleted")),
       view_rederived_(registry.GetCounter("view.rederived")),
+      view_seed_probes_(registry.GetCounter("view.seed_probes")),
+      view_index_probes_(registry.GetCounter("view.index_probes")),
       storage_faults_(registry.GetCounter("storage.faults")),
       storage_degraded_(registry.GetCounter("storage.degraded_entered")) {}
 
@@ -79,16 +81,19 @@ void MetricsTraceSink::OnStratumFixpoint(uint32_t stratum, uint32_t rounds) {
 void MetricsTraceSink::OnViewMaintenance(std::string_view view,
                                          size_t delta_facts, size_t added,
                                          size_t removed, size_t overdeleted,
-                                         size_t rederived) {
+                                         size_t rederived, size_t seed_probes,
+                                         size_t index_probes) {
   view_runs_.Add();
   view_delta_facts_.Add(delta_facts);
   view_added_.Add(added);
   view_removed_.Add(removed);
   view_overdeleted_.Add(overdeleted);
   view_rederived_.Add(rederived);
+  view_seed_probes_.Add(seed_probes);
+  view_index_probes_.Add(index_probes);
   if (next_ != nullptr) {
     next_->OnViewMaintenance(view, delta_facts, added, removed, overdeleted,
-                             rederived);
+                             rederived, seed_probes, index_probes);
   }
 }
 

@@ -38,7 +38,8 @@ class MetricsTraceSink : public TraceSink {
   void OnStratumFixpoint(uint32_t stratum, uint32_t rounds) override;
   void OnViewMaintenance(std::string_view view, size_t delta_facts,
                          size_t added, size_t removed, size_t overdeleted,
-                         size_t rederived) override;
+                         size_t rederived, size_t seed_probes,
+                         size_t index_probes) override;
   void OnStorageFault(std::string_view op, const Status& status,
                       uint32_t attempt, bool degraded) override;
 
@@ -62,6 +63,8 @@ class MetricsTraceSink : public TraceSink {
   Counter& view_removed_;
   Counter& view_overdeleted_;
   Counter& view_rederived_;
+  Counter& view_seed_probes_;
+  Counter& view_index_probes_;
   Counter& storage_faults_;
   Counter& storage_degraded_;
 };

@@ -35,6 +35,49 @@ DeltaFact ToDeltaFact(const ViewFactKey& key, bool added) {
   return DeltaFact{key.vid, key.method, key.app, added};
 }
 
+/// The methods of the positive version literals that maintenance reaches
+/// with an unbound object variable and a ground result. It walks the
+/// rule's execution order from each entry point: seeded at a version
+/// literal, which is then skipped (ProbeTrigger), and seeded from the
+/// head (HasDerivation). Without an index such a literal visits every
+/// version that holds the method.
+std::vector<MethodId> FreeObjectProbes(const Rule& rule) {
+  std::vector<MethodId> methods;
+  auto walk = [&](std::vector<bool> bound, int skip) {
+    for (uint32_t li : rule.execution_order) {
+      if (static_cast<int>(li) == skip) continue;
+      const Literal& lit = rule.body[li];
+      if (lit.kind == Literal::Kind::kVersion && !lit.negated) {
+        const ObjTerm& object = lit.version.version.base;
+        const ObjTerm& result = lit.version.app.result;
+        if (object.is_var && !bound[object.var.value] &&
+            (!result.is_var || bound[result.var.value])) {
+          methods.push_back(lit.version.app.method);
+        }
+      }
+      for (VarId v : LiteralVars(rule, lit)) bound[v.value] = true;
+    }
+  };
+  for (uint32_t li = 0; li < rule.body.size(); ++li) {
+    const Literal& lit = rule.body[li];
+    if (lit.kind != Literal::Kind::kVersion) continue;
+    std::vector<bool> seeded(rule.var_count(), false);
+    for (VarId v : LiteralVars(rule, lit)) seeded[v.value] = true;
+    walk(std::move(seeded), static_cast<int>(li));
+  }
+  std::vector<bool> head(rule.var_count(), false);
+  auto bind = [&](const ObjTerm& term) {
+    if (term.is_var) head[term.var.value] = true;
+  };
+  bind(rule.head.version.base);
+  for (const ObjTerm& arg : rule.head.app.args) bind(arg);
+  bind(rule.head.app.result);
+  walk(std::move(head), /*skip=*/-1);
+  std::sort(methods.begin(), methods.end());
+  methods.erase(std::unique(methods.begin(), methods.end()), methods.end());
+  return methods;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<MaterializedView>> MaterializedView::Create(
@@ -65,6 +108,9 @@ Result<std::unique_ptr<MaterializedView>> MaterializedView::Create(
       AnalyzeQueryProgram(view->program_, symbols));
   for (MethodId m : view->program_.derived_methods) {
     view->derived_methods_.insert(m.value);
+  }
+  for (const Rule& rule : view->program_.rules) {
+    view->free_object_probes_.push_back(FreeObjectProbes(rule));
   }
   VERSO_RETURN_IF_ERROR(view->Materialize());
   return view;
@@ -126,6 +172,14 @@ std::unordered_set<uint32_t> MaterializedView::ReadMethods(
     }
   }
   return methods;
+}
+
+void MaterializedView::IndexFreeObjectProbes(const QueryStratum& stratum) {
+  for (uint32_t r : stratum.rules) {
+    for (MethodId method : free_object_probes_[r]) {
+      working_.IndexResults(method);
+    }
+  }
 }
 
 Status MaterializedView::ProbeTrigger(const QueryStratum& stratum,
@@ -201,6 +255,7 @@ Status MaterializedView::MaintainCounting(const QueryStratum& stratum,
     if (read.count(fact.method.value)) facts.push_back(&fact);
   }
   if (facts.empty()) return Status::Ok();
+  IndexFreeObjectProbes(stratum);
 
   // Facts whose support changed, in first-touch order. Counts may dip
   // negative transiently (the reverse sweep can meet a lost derivation
@@ -290,6 +345,7 @@ Status MaterializedView::MaintainDRed(const QueryStratum& stratum,
     if (read.count(fact.method.value)) facts.push_back(&fact);
   }
   if (facts.empty()) return Status::Ok();
+  IndexFreeObjectProbes(stratum);
 
   // ---- Phase A: overdelete, evaluated against the old base state. ----
   // Restore the old state of this stratum's inputs (the commit and lower
@@ -433,6 +489,8 @@ Status MaterializedView::MaintainAll(const DeltaLog& delta,
   uint64_t removed_before = stats_.facts_removed;
   uint64_t overdeleted_before = stats_.overdeleted;
   uint64_t rederived_before = stats_.rederived;
+  uint64_t seed_probes_before = stats_.seed_probes;
+  uint64_t index_probes_before = stats_.index_probes;
 
   for (const DeltaFact& fact : delta) {
     if (derived_methods_.count(fact.method.value)) {
@@ -472,7 +530,9 @@ Status MaterializedView::MaintainAll(const DeltaLog& delta,
                               stats_.facts_added - added_before,
                               stats_.facts_removed - removed_before,
                               stats_.overdeleted - overdeleted_before,
-                              stats_.rederived - rederived_before);
+                              stats_.rederived - rederived_before,
+                              stats_.seed_probes - seed_probes_before,
+                              stats_.index_probes - index_probes_before);
   }
   // `stream` now holds the commit's base transition plus every stratum's
   // emitted derived-fact changes — exactly the transition result() took.

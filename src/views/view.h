@@ -51,9 +51,11 @@ struct ViewStats {
   uint64_t rederived = 0;          // DRed strata: facts with alternative proofs
   uint64_t seed_probes = 0;        // delta-seeded partial matches launched
   uint64_t rederive_probes = 0;    // goal-directed head probes launched
-  uint64_t index_probes = 0;       // bound-result lookups through the
-                                   // result index (DRed Phase A/B probes
-                                   // bind heads, so these dominate there)
+  uint64_t index_probes = 0;       // per-version bound-result lookups
+                                   // (one per candidate version a probe
+                                   // visits; a free-object probe of a
+                                   // method the view indexes by result
+                                   // visits only the versions holding it)
   uint64_t index_hits = 0;         // probes enumerating >= 1 fact
   uint64_t indexed_scan_avoided_facts = 0;  // full-scan visits skipped
 };
@@ -173,6 +175,12 @@ class MaterializedView {
   Result<bool> HasDerivation(const QueryStratum& stratum,
                              const ViewFactKey& fact);
 
+  /// Builds, on the working base, the cross-version result index of
+  /// every method `stratum`'s maintenance probes with a free object and
+  /// a ground result. Called once the stratum has input facts, so a
+  /// stratum no commit reaches never pays for an index.
+  void IndexFreeObjectProbes(const QueryStratum& stratum);
+
   bool InWorking(const ViewFactKey& fact) const {
     return working_.ContainsApp(fact.vid, fact.method, fact.app);
   }
@@ -194,6 +202,9 @@ class MaterializedView {
   /// Derivation counts for facts of counting-maintained strata.
   std::unordered_map<ViewFactKey, int64_t, ViewFactKeyHash> support_;
   std::unordered_set<uint32_t> derived_methods_;
+  /// Per rule of program_: the methods its maintenance probes with a
+  /// free object and a ground result (derived at Create).
+  std::vector<std::vector<MethodId>> free_object_probes_;
   ViewStats stats_;
   /// Scratch bound-result probe counters for the current run's
   /// MatchContexts; FoldIndexStats moves them into stats_.

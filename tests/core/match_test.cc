@@ -47,6 +47,46 @@ class MatchTest : public ::testing::Test {
     return out;
   }
 
+  /// Parses and analyzes the first rule of `rule_text`.
+  Rule Analyzed(const char* rule_text) {
+    Result<Program> program = ParseProgram(rule_text, symbols_);
+    EXPECT_TRUE(program.ok()) << program.status().ToString();
+    Rule rule = std::move(program->rules[0]);
+    Status s = AnalyzeRule(rule, symbols_);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return rule;
+  }
+
+  /// Every satisfying binding over `base`, in enumeration order: a `Run`
+  /// entry when `skip_literal` is -1 and `seed` empty, else a `RunFrom`
+  /// entry. `probes` receives the per-version index probes made.
+  std::vector<Bindings> Enumerate(const Rule& rule, const ObjectBase& base,
+                                  const Bindings& seed, int skip_literal,
+                                  size_t* probes) {
+    IndexStats stats;
+    MatchContext ctx{symbols_, versions_, base, &stats};
+    std::vector<Bindings> out;
+    auto sink = [&](const Bindings& bindings) -> Status {
+      out.push_back(bindings);
+      return Status::Ok();
+    };
+    Status status = seed.empty()
+                        ? ForEachBodyMatch(rule, ctx, sink)
+                        : ForEachBodyMatchFrom(rule, ctx, seed, skip_literal,
+                                               sink);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    *probes = stats.index_probes;
+    return out;
+  }
+
+  int VarIndex(const Rule& rule, const char* name) {
+    for (size_t i = 0; i < rule.var_names.size(); ++i) {
+      if (rule.var_names[i] == name) return static_cast<int>(i);
+    }
+    ADD_FAILURE() << "no variable " << name;
+    return 0;
+  }
+
   SymbolTable symbols_;
   VersionTable versions_;
   ObjectBase base_;
@@ -228,6 +268,138 @@ TEST_F(MatchTest, BoundResultUpdateLiteralsMatchScanPath) {
   ScanModeGuard scan;
   EXPECT_EQ(MatchesOf(del_rule, "E"), del_indexed);
   EXPECT_EQ(MatchesOf(mod_rule, "S2"), mod_indexed);
+}
+
+// ---- Free-object literals: the cross-version result index ------------
+//
+// The oracle is the same base without the index: an indexed method must
+// give the same bindings in the same order, from fewer candidates.
+
+TEST_F(MatchTest, ResultIndexedRunMatchesMethodScan) {
+  Facts("boss.likes -> jazz.  a.likes -> jazz.  a.likes -> rock. "
+        "b.likes -> rock.  c.likes -> jazz.  d.likes -> folk. "
+        "e.likes -> jazz.  e.likes -> ska.");
+  const MethodId likes = symbols_.Method("likes");
+  // A constant result, and one bound by an earlier literal.
+  for (const char* text :
+       {"r: ins[x].m -> E <- E.likes -> jazz.",
+        "r: ins[x].m -> F <- boss.likes -> T, F.likes -> T."}) {
+    Rule rule = Analyzed(text);
+    size_t scan_probes = 0;
+    size_t index_probes = 0;
+    std::vector<Bindings> scanned =
+        Enumerate(rule, base_, Bindings(), -1, &scan_probes);
+    ObjectBase indexed = base_;
+    indexed.IndexResults(likes);
+    ASSERT_EQ(base_.ResultIndexOf(likes), nullptr);
+    std::vector<Bindings> matched =
+        Enumerate(rule, indexed, Bindings(), -1, &index_probes);
+    EXPECT_EQ(matched, scanned) << text;
+    EXPECT_FALSE(matched.empty());
+    EXPECT_LT(index_probes, scan_probes) << text;
+  }
+}
+
+TEST_F(MatchTest, ResultIndexedSeededMatchMatchesMethodScan) {
+  Facts("a.edge -> b.  b.edge -> c.  d.edge -> b.  d.edge -> e. "
+        "e.edge -> b.  f.edge -> c.  g.edge -> a.");
+  Rule rule = Analyzed("r: ins[X].m -> Z <- X.edge -> Y, Y.edge -> Z.");
+  // The delta fact b.edge -> c seeds literal 1, leaving X.edge -> b with
+  // a free object and a ground result.
+  Bindings seed(rule.var_count(), Oid());
+  seed[static_cast<size_t>(VarIndex(rule, "Y"))] = symbols_.Symbol("b");
+  seed[static_cast<size_t>(VarIndex(rule, "Z"))] = symbols_.Symbol("c");
+  size_t scan_probes = 0;
+  size_t index_probes = 0;
+  std::vector<Bindings> scanned =
+      Enumerate(rule, base_, seed, /*skip_literal=*/1, &scan_probes);
+  ObjectBase indexed = base_;
+  indexed.IndexResults(symbols_.Method("edge"));
+  std::vector<Bindings> matched =
+      Enumerate(rule, indexed, seed, /*skip_literal=*/1, &index_probes);
+  EXPECT_EQ(matched, scanned);
+  std::vector<std::string> xs;
+  for (const Bindings& b : matched) {
+    xs.push_back(symbols_.OidToString(
+        b[static_cast<size_t>(VarIndex(rule, "X"))]));
+  }
+  EXPECT_EQ(xs, (std::vector<std::string>{"a", "d", "e"}));
+  EXPECT_EQ(index_probes, 3u);  // one per version holding edge -> b
+  EXPECT_EQ(scan_probes, 6u);   // one per version holding edge
+}
+
+TEST_F(MatchTest, ResultIndexListsAVersionOnceAndEnumeratesEachFact) {
+  // a holds two facts of `score` with result top; it is one candidate,
+  // and both facts bind, in the state's sorted order (`math` is interned
+  // before `art`).
+  Facts("a.score@math -> top.  a.score@art -> top.  b.score@math -> low. "
+        "c.score@art -> top.  c.score@math -> low.");
+  const MethodId score = symbols_.Method("score");
+  Rule rule = Analyzed("r: ins[x].m -> G <- E.score@G -> top.");
+  size_t scan_probes = 0;
+  size_t index_probes = 0;
+  std::vector<Bindings> scanned =
+      Enumerate(rule, base_, Bindings(), -1, &scan_probes);
+  ObjectBase indexed = base_;
+  indexed.IndexResults(score);
+  const ObjectBase::VidsByResult* index = indexed.ResultIndexOf(score);
+  ASSERT_NE(index, nullptr);
+  const ObjectBase::VidSet* top = index->Find(symbols_.Symbol("top"));
+  ASSERT_NE(top, nullptr);
+  std::vector<Vid> listed;
+  for (Vid vid : *top) listed.push_back(vid);
+  EXPECT_EQ(listed, (std::vector<Vid>{versions_.OfOid(symbols_.Symbol("a")),
+                                      versions_.OfOid(symbols_.Symbol("c"))}));
+  std::vector<Bindings> matched =
+      Enumerate(rule, indexed, Bindings(), -1, &index_probes);
+  EXPECT_EQ(matched, scanned);
+  std::vector<std::string> pairs;
+  for (const Bindings& b : matched) {
+    pairs.push_back(
+        symbols_.OidToString(b[static_cast<size_t>(VarIndex(rule, "E"))]) +
+        "/" +
+        symbols_.OidToString(b[static_cast<size_t>(VarIndex(rule, "G"))]));
+  }
+  EXPECT_EQ(pairs, (std::vector<std::string>{"a/math", "a/art", "c/art"}));
+  EXPECT_EQ(index_probes, 2u);
+  EXPECT_EQ(scan_probes, 3u);
+
+  // Dropping one of a's two top facts keeps a listed; dropping both
+  // unlists it. A copy taken before the erases keeps listing it.
+  const ObjectBase before = indexed;
+  Vid a = versions_.OfOid(symbols_.Symbol("a"));
+  GroundApp art;
+  art.args.push_back(symbols_.Symbol("art"));
+  art.result = symbols_.Symbol("top");
+  GroundApp math = art;
+  math.args[0] = symbols_.Symbol("math");
+  ASSERT_TRUE(indexed.Erase(a, score, art));
+  EXPECT_TRUE(indexed.ResultIndexOf(score)
+                  ->Find(symbols_.Symbol("top"))
+                  ->Contains(a));
+  ASSERT_TRUE(indexed.Erase(a, score, math));
+  EXPECT_FALSE(indexed.ResultIndexOf(score)
+                   ->Find(symbols_.Symbol("top"))
+                   ->Contains(a));
+  EXPECT_TRUE(before.ResultIndexOf(score)
+                  ->Find(symbols_.Symbol("top"))
+                  ->Contains(a));
+}
+
+TEST_F(MatchTest, ResultIndexedLiteralWithAnUnheldResultHasNoCandidates) {
+  Facts("a.likes -> jazz.  b.likes -> rock.  c.likes -> folk.");
+  const MethodId likes = symbols_.Method("likes");
+  Rule rule = Analyzed("r: ins[x].m -> E <- E.likes -> polka.");
+  size_t scan_probes = 0;
+  size_t index_probes = 0;
+  EXPECT_TRUE(Enumerate(rule, base_, Bindings(), -1, &scan_probes).empty());
+  EXPECT_EQ(scan_probes, 3u);
+  ObjectBase indexed = base_;
+  indexed.IndexResults(likes);
+  EXPECT_EQ(indexed.ResultIndexOf(likes)->Find(symbols_.Symbol("polka")),
+            nullptr);
+  EXPECT_TRUE(Enumerate(rule, indexed, Bindings(), -1, &index_probes).empty());
+  EXPECT_EQ(index_probes, 0u);
 }
 
 TEST_F(MatchTest, SemiNaiveSeededMatch) {

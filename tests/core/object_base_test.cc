@@ -468,5 +468,80 @@ TEST_F(ObjectBaseTest, EqualityUsesContentNotStorageIdentity) {
   EXPECT_FALSE(base_ == rebuilt);
 }
 
+TEST_F(ObjectBaseTest, HoldsResultSeesFactsWithAndWithoutArguments) {
+  // A method mixing argument-free facts (searched) with ones carrying
+  // arguments (scanned).
+  MethodId m = symbols_.Method("m");
+  Oid three = symbols_.Int(3);
+  VersionState state;
+  state.Insert(m, App(three));
+  state.Insert(m, App(symbols_.Int(5)));
+  state.Insert(m, App(symbols_.Int(7), {symbols_.Int(1)}));
+  state.Insert(m, App(three, {symbols_.Int(2)}));
+  EXPECT_TRUE(state.HoldsResult(m, three));
+  EXPECT_TRUE(state.HoldsResult(m, symbols_.Int(5)));
+  EXPECT_TRUE(state.HoldsResult(m, symbols_.Int(7)));
+  EXPECT_FALSE(state.HoldsResult(m, symbols_.Int(4)));
+  EXPECT_FALSE(state.HoldsResult(symbols_.Method("other"), three));
+  state.Erase(m, App(three));
+  EXPECT_TRUE(state.HoldsResult(m, three));  // m@2 -> 3 remains
+  state.Erase(m, App(three, {symbols_.Int(2)}));
+  EXPECT_FALSE(state.HoldsResult(m, three));
+}
+
+TEST_F(ObjectBaseTest, ResultIndexFollowsEveryWritePath) {
+  Vid a = versions_.OfOid(symbols_.Symbol("a"));
+  Vid b = versions_.OfOid(symbols_.Symbol("b"));
+  MethodId m = symbols_.Method("m");
+  MethodId other = symbols_.Method("other");
+  Oid hot = symbols_.Symbol("hot");
+  Oid cold = symbols_.Symbol("cold");
+  base_.Insert(a, m, App(hot));
+  base_.Insert(b, m, App(cold));
+  base_.Insert(b, other, App(hot));
+  EXPECT_EQ(base_.ResultIndexOf(m), nullptr);
+
+  auto listed = [&](const ObjectBase& base, Oid result) {
+    std::vector<Vid> out;
+    const ObjectBase::VidSet* vids = base.ResultIndexOf(m)->Find(result);
+    if (vids != nullptr) {
+      for (Vid vid : *vids) out.push_back(vid);
+    }
+    return out;
+  };
+  base_.IndexResults(m);
+  ASSERT_NE(base_.ResultIndexOf(m), nullptr);
+  EXPECT_EQ(base_.ResultIndexOf(other), nullptr);
+  EXPECT_EQ(listed(base_, hot), std::vector<Vid>{a});
+  EXPECT_EQ(listed(base_, cold), std::vector<Vid>{b});
+
+  // Insert and Erase; a copy keeps what it saw.
+  const ObjectBase before = base_;
+  base_.Insert(b, m, App(hot));
+  base_.Erase(a, m, App(hot));
+  EXPECT_EQ(listed(base_, hot), std::vector<Vid>{b});
+  EXPECT_EQ(listed(before, hot), std::vector<Vid>{a});
+
+  // ReplaceVersion and AdoptVersion go through one install path.
+  VersionState next;
+  next.Insert(m, App(cold));
+  base_.ReplaceVersion(a, std::move(next));
+  EXPECT_EQ(listed(base_, cold), (std::vector<Vid>{a, b}));
+  base_.AdoptVersion(b, nullptr);
+  EXPECT_EQ(listed(base_, cold), std::vector<Vid>{a});
+  EXPECT_TRUE(listed(base_, hot).empty());
+  base_.AdoptVersion(b, before.SharedStateOf(b));
+  EXPECT_EQ(listed(base_, cold), (std::vector<Vid>{a, b}));
+  EXPECT_EQ(listed(before, cold), std::vector<Vid>{b});
+
+  // Derived state: equality ignores it.
+  ObjectBase plain(symbols_.exists_method(), &versions_);
+  for (const auto& [vid, state] : base_.versions()) {
+    plain.ReplaceVersion(vid, *state);
+  }
+  EXPECT_EQ(plain.ResultIndexOf(m), nullptr);
+  EXPECT_TRUE(plain == base_);
+}
+
 }  // namespace
 }  // namespace verso

@@ -307,7 +307,12 @@ TEST(PropertyTest, ResultIndexLookupsMatchFullScans) {
 // StateOf, VidsWithMethod (size, members, ascending order),
 // non_plain_versions, the exists-only count, fact_count, ==,
 // SealExistence, and on ComputeDelta against every other live base and
-// against a rebuilt base that shares no storage.
+// against a rebuilt base that shares no storage. Random live bases also
+// index random methods by result (IndexResults), before and after
+// copies are taken: after every step each index must list, per result,
+// exactly the model's versions holding such a fact, ascending, and a
+// base must report no index for a method it never indexed (nor inherited
+// from the base it was copied from).
 TEST(PropertyTest, PersistentBaseMatchesMapModel) {
   // (vid, method, arg, result) — every app carries one argument.
   using Fact = std::tuple<uint32_t, uint32_t, uint32_t, uint32_t>;
@@ -375,6 +380,19 @@ TEST(PropertyTest, PersistentBaseMatchesMapModel) {
     std::vector<Model> models;
     bases.emplace_back(exists, &versions);
     models.emplace_back();
+    // The methods each live base indexes by result (a copy inherits its
+    // source's). Drawn from a stream of its own, so the write sequence
+    // is the one the model checks above were written against; the
+    // indexable subset varies by seed.
+    std::mt19937_64 index_rng(seed + 1);
+    std::vector<std::set<uint32_t>> indexed(1);
+    size_t copies_left_unindexed = 0;
+    std::vector<MethodId> indexable;
+    for (MethodId method : methods) {
+      if (indexable.size() < 2 || index_rng() % 2 == 0) {
+        indexable.push_back(method);
+      }
+    }
 
     auto check = [&](const ObjectBase& base, const Model& model) {
       ASSERT_EQ(base.fact_count(), model.size());
@@ -439,6 +457,67 @@ TEST(PropertyTest, PersistentBaseMatchesMapModel) {
         }
       }
     };
+    // Every indexed method's result index against the model: per result,
+    // the versions holding a fact of the method with it, ascending and
+    // once each, and no result the model lacks. Unindexed methods have
+    // no index.
+    auto check_index = [&](const ObjectBase& base, const Model& model,
+                           const std::set<uint32_t>& on) {
+      std::map<std::pair<uint32_t, uint32_t>, std::set<uint32_t>> want;
+      for (const Fact& fact : model) {
+        if (on.count(std::get<1>(fact)) == 0) continue;
+        want[{std::get<1>(fact), std::get<3>(fact)}].insert(std::get<0>(fact));
+      }
+      for (MethodId method : methods) {
+        const ObjectBase::VidsByResult* index = base.ResultIndexOf(method);
+        if (on.count(method.value) == 0) {
+          EXPECT_EQ(index, nullptr);
+          continue;
+        }
+        ASSERT_NE(index, nullptr);
+        std::map<std::pair<uint32_t, uint32_t>, std::set<uint32_t>> got;
+        for (const auto& [result, vids] : *index) {
+          std::vector<uint32_t> members;
+          for (Vid vid : vids) members.push_back(vid.value);
+          EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
+          EXPECT_EQ(vids.size(), members.size());
+          std::set<uint32_t>& listed = got[{method.value, result.value}];
+          listed.insert(members.begin(), members.end());
+          EXPECT_EQ(listed.size(), members.size());  // once each
+        }
+        auto first = want.lower_bound({method.value, 0});
+        auto last = want.lower_bound({method.value + 1, 0});
+        const decltype(want) expected(first, last);
+        EXPECT_EQ(got, expected);
+      }
+    };
+    // The same, for one version of one base: cheap enough to run on every
+    // live base after every step, so a write leaking into another
+    // copy's index shows at once.
+    auto check_index_at = [&](const ObjectBase& base, const Model& model,
+                              const std::set<uint32_t>& on, Vid vid) {
+      const Model facts = facts_of(model, vid.value);
+      std::vector<Oid> results = values;
+      results.push_back(versions.root(vid));
+      for (MethodId method : methods) {
+        const ObjectBase::VidsByResult* index = base.ResultIndexOf(method);
+        if (on.count(method.value) == 0) {
+          EXPECT_EQ(index, nullptr);
+          continue;
+        }
+        ASSERT_NE(index, nullptr);
+        for (Oid result : results) {
+          const bool holds =
+              std::any_of(facts.begin(), facts.end(), [&](const Fact& f) {
+                return std::get<1>(f) == method.value &&
+                       std::get<3>(f) == result.value;
+              });
+          const ObjectBase::VidSet* vids = index->Find(result);
+          EXPECT_EQ(vids != nullptr && vids->Contains(vid), holds);
+          if (vids != nullptr) EXPECT_FALSE(vids->empty());
+        }
+      }
+    };
     // ComputeDelta(a, b) is exactly the model's fact-set difference.
     auto check_delta = [&](const ObjectBase& a, const Model& ma,
                            const ObjectBase& b, const Model& mb) {
@@ -477,6 +556,7 @@ TEST(PropertyTest, PersistentBaseMatchesMapModel) {
     auto check_all = [&]() {
       for (size_t i = 0; i < bases.size(); ++i) {
         check(bases[i], models[i]);
+        check_index(bases[i], models[i], indexed[i]);
         // Copies that lose one method entirely, every version below 300,
         // or every version from 32 up (a one-leaf trie next to a
         // three-level one).
@@ -488,6 +568,7 @@ TEST(PropertyTest, PersistentBaseMatchesMapModel) {
             [&](const Fact& f) { return std::get<1>(f) == gone; }, &thinned,
             &thinned_model);
         check(thinned, thinned_model);
+        check_index(thinned, thinned_model, indexed[i]);
         check_delta(bases[i], models[i], thinned, thinned_model);
         erase_where(
             bases[i], models[i],
@@ -514,12 +595,23 @@ TEST(PropertyTest, PersistentBaseMatchesMapModel) {
         check_delta(low, thinned_model, bases[i], models[i]);
         ObjectBase empty(exists, &versions);
         check_delta(empty, Model(), bases[i], models[i]);
-        // A base rebuilt fact by fact shares no storage with it.
+        // A base rebuilt fact by fact shares no storage with it. Half of
+        // its methods are indexed before the inserts, the rest after:
+        // upkeep and the one-shot build must agree.
         ObjectBase rebuilt(exists, &versions);
+        std::set<uint32_t> all_methods;
+        for (size_t k = 0; k < methods.size(); k += 2) {
+          rebuilt.IndexResults(methods[k]);
+        }
         for (const Fact& fact : models[i]) {
           rebuilt.Insert(Vid(std::get<0>(fact)), MethodId(std::get<1>(fact)),
                          app_of(fact));
         }
+        for (MethodId method : methods) {
+          rebuilt.IndexResults(method);
+          all_methods.insert(method.value);
+        }
+        check_index(rebuilt, models[i], all_methods);
         check_delta(bases[i], models[i], rebuilt, models[i]);
         check_delta(rebuilt, models[i], bases[0], models[0]);
         for (size_t j = 0; j < bases.size(); ++j) {
@@ -622,6 +714,7 @@ TEST(PropertyTest, PersistentBaseMatchesMapModel) {
           if (bases.size() < 5) {
             bases.push_back(base);
             models.push_back(model);
+            indexed.push_back(indexed[w]);
           }
           break;
         }
@@ -629,6 +722,7 @@ TEST(PropertyTest, PersistentBaseMatchesMapModel) {
           if (bases.size() > 1) {
             bases.erase(bases.begin() + static_cast<long>(w));
             models.erase(models.begin() + static_cast<long>(w));
+            indexed.erase(indexed.begin() + static_cast<long>(w));
           }
           break;
         }
@@ -636,8 +730,26 @@ TEST(PropertyTest, PersistentBaseMatchesMapModel) {
           const size_t from = rng() % bases.size();
           bases[w] = bases[from];
           models[w] = models[from];
+          indexed[w] = indexed[from];
           break;
         }
+      }
+      // Now and then a random live base indexes a random method; the
+      // other live bases that lack it must go on reporting no index.
+      if (index_rng() % 400 == 0) {
+        const size_t b = index_rng() % bases.size();
+        const MethodId method = indexable[index_rng() % indexable.size()];
+        bases[b].IndexResults(method);
+        if (indexed[b].insert(method.value).second) {
+          for (size_t i = 0; i < bases.size(); ++i) {
+            if (indexed[i].count(method.value) == 0) ++copies_left_unindexed;
+          }
+        }
+      }
+      const size_t written = std::min(w, bases.size() - 1);
+      check_index(bases[written], models[written], indexed[written]);
+      for (size_t i = 0; i < bases.size(); ++i) {
+        check_index_at(bases[i], models[i], indexed[i], vid);
       }
       if (step % 1000 == 999) {
         check_all();
@@ -646,6 +758,8 @@ TEST(PropertyTest, PersistentBaseMatchesMapModel) {
     }
     check_all();
     EXPECT_GE(models[0].size() + models.back().size(), 1000u);
+    // Indexing met live copies that had to stay unindexed.
+    EXPECT_GT(copies_left_unindexed, 0u);
   }
 }
 

@@ -109,6 +109,10 @@ TEST(MetricsApiTest, QueryMetricsEqualsDumpMetricsAfterScriptedWorkload) {
   EXPECT_GT(MetricValue(entries, "eval.rounds"), 0);
   EXPECT_GT(MetricValue(entries, "eval.updates_derived"), 0);
   EXPECT_GT(MetricValue(entries, "view.maintenance_runs"), 0);
+  // The rich view's probes bind X.sal -> S from the changed fact itself,
+  // so they launch seed probes but no per-version result lookup.
+  EXPECT_GT(MetricValue(entries, "view.seed_probes"), 0);
+  EXPECT_EQ(MetricValue(entries, "view.index_probes"), 0);
   EXPECT_GT(MetricValue(entries, "session.opened"), 0);
   EXPECT_GT(MetricValue(entries, "session.pins"), 0);
   EXPECT_GT(MetricValue(entries, "statement.prepared"), 0);
