@@ -1,6 +1,7 @@
 // Experiment E12: persistence substrate throughput — the checkpoint's
-// per-version record codec, WAL append, delta compute/apply, and full
-// database transactions, including commits under transient faults.
+// per-version record codec, the frame CRC-32, WAL append, delta
+// compute/apply, and full database transactions, including commits under
+// transient faults.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include "storage/codec.h"
 #include "storage/database.h"
 #include "storage/wal.h"
+#include "util/crc32.h"
 #include "util/fault_env.h"
 #include "util/io.h"
 
@@ -100,6 +102,21 @@ void BM_DeltaComputeApply(benchmark::State& state) {
   state.counters["delta_facts"] = static_cast<double>(delta_size);
 }
 BENCHMARK(BM_DeltaComputeApply)->Arg(256)->Arg(1024);
+
+void BM_Crc32(benchmark::State& state) {
+  // The frame checksum every WAL append, store commit and recovery pays;
+  // 491520 B is about the store image of perfbench's 4096-employee base.
+  std::string data(static_cast<size_t>(state.range(0)), '\0');
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(data.data(), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(data.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(491520);
 
 void BM_WalAppend(benchmark::State& state) {
   std::string dir = BenchDir();

@@ -2,7 +2,11 @@
 // subsystem exists for:
 //
 //   * put/scan per backend — the raw component API cost;
-//   * BM_DatabaseCheckpoint — folding the committed base into the store;
+//   * BM_CheckpointAfterPointCommits / BM_CheckpointAfterFullChurn — a
+//     checkpoint writes the versions changed since the last one, so its
+//     cost follows the churn behind it: 32 one-object commits (what
+//     perfbench's point_txn runs between checkpoints) against one commit
+//     that touches every object;
 //   * BM_ColdOpenCheckpointed vs BM_ColdOpenFullWalReplay — the headline:
 //     after a checkpoint a cold Database::Open loads the store image and
 //     replays only the WAL suffix, while an uncheckpointed directory
@@ -16,7 +20,9 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "obs/metrics.h"
 #include "parser/parser.h"
 #include "storage/database.h"
 #include "store/store.h"
@@ -146,29 +152,83 @@ std::unique_ptr<Database> BuildHistory(FaultInjectingEnv& env, Engine& engine,
   return std::move(db).value();
 }
 
-void BM_DatabaseCheckpoint(benchmark::State& state, StoreBackend backend) {
+/// Timed checkpoints, each after `per_checkpoint` commits that run the
+/// `sources` programs in rotation with the timer paused; reports the
+/// store puts per checkpoint.
+void CheckpointAfter(benchmark::State& state, StoreBackend backend,
+                     const std::vector<std::string>& sources,
+                     size_t per_checkpoint) {
   FaultInjectingEnv env;
   Engine engine;
   std::unique_ptr<Database> db = BuildHistory(
       env, engine, backend, static_cast<size_t>(state.range(0)));
-  if (db == nullptr) {
+  std::vector<Program> programs;
+  for (const std::string& source : sources) {
+    Result<Program> program = ParseProgram(source, engine);
+    if (!program.ok()) break;
+    programs.push_back(std::move(program).value());
+  }
+  if (db == nullptr || programs.size() != sources.size() ||
+      !db->Checkpoint().ok()) {
     state.SkipWithError("setup failed");
     return;
   }
+  Counter& puts = MetricsRegistry::Global().GetCounter("store.puts");
+  uint64_t put_count = 0;
+  size_t next = 0;
   for (auto _ : state) {
-    Status s = db->Checkpoint();
+    state.PauseTiming();
+    Status s;
+    for (size_t k = 0; k < per_checkpoint && s.ok(); ++k) {
+      s = db->Execute(programs[next]).status();
+      next = (next + 1) % programs.size();
+    }
+    const uint64_t before = puts.value();
+    state.ResumeTiming();
+    if (s.ok()) s = db->Checkpoint();
     if (!s.ok()) {
       state.SkipWithError(s.ToString().c_str());
       return;
     }
+    put_count += puts.value() - before;
   }
-  state.counters["store_keys"] =
-      static_cast<double>(db->store()->key_count());
+  state.counters["store_puts"] =
+      benchmark::Counter(static_cast<double>(put_count),
+                         benchmark::Counter::kAvgIterations);
 }
-BENCHMARK_CAPTURE(BM_DatabaseCheckpoint, mem, StoreBackend::kMem)
+
+void BM_CheckpointAfterPointCommits(benchmark::State& state,
+                                    StoreBackend backend) {
+  // One-object salary bumps on a window that walks the base: every
+  // checkpoint follows 32 commits on 32 objects.
+  std::vector<std::string> bumps;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    const std::string o = "o" + std::to_string(i);
+    bumps.push_back("r: mod[" + o + "].sal -> (S, S2) <- " + o +
+                    ".sal -> S, S2 = S + 1.");
+  }
+  CheckpointAfter(state, backend, bumps, 32);
+}
+BENCHMARK_CAPTURE(BM_CheckpointAfterPointCommits, mem, StoreBackend::kMem)
     ->Arg(256)
     ->Arg(4096);
-BENCHMARK_CAPTURE(BM_DatabaseCheckpoint, pagelog, StoreBackend::kPageLog)
+BENCHMARK_CAPTURE(BM_CheckpointAfterPointCommits, pagelog,
+                  StoreBackend::kPageLog)
+    ->Arg(256)
+    ->Arg(4096);
+
+void BM_CheckpointAfterFullChurn(benchmark::State& state,
+                                 StoreBackend backend) {
+  // One commit that raises every salary: every version changes.
+  CheckpointAfter(state, backend,
+                  {"r: mod[E].sal -> (S, S2) <- E.isa -> thing, "
+                   "E.sal -> S, S2 = S + 1."},
+                  1);
+}
+BENCHMARK_CAPTURE(BM_CheckpointAfterFullChurn, mem, StoreBackend::kMem)
+    ->Arg(256)
+    ->Arg(4096);
+BENCHMARK_CAPTURE(BM_CheckpointAfterFullChurn, pagelog, StoreBackend::kPageLog)
     ->Arg(256)
     ->Arg(4096);
 

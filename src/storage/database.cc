@@ -1,7 +1,6 @@
 #include "storage/database.h"
 
 #include <algorithm>
-#include <set>
 
 #include "obs/metrics.h"
 #include "storage/codec.h"
@@ -131,6 +130,9 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
   } else if (generation.status().code() != StatusCode::kNotFound) {
     return generation.status();
   }
+  // What the store holds, before the WAL suffix moves current_ past it:
+  // the next checkpoint writes only the difference.
+  db->checkpointed_ = db->current_;
   VERSO_ASSIGN_OR_RETURN(WalReadResult wal, ReadWal(db->wal_.path(), env));
   db->recovered_torn_ = wal.truncated_tail;
   if (wal.truncated_tail) {
@@ -497,26 +499,30 @@ Status Database::Checkpoint() {
   VERSO_RETURN_IF_ERROR(CheckWritable());
   StorageMetrics& metrics = StorageMetrics::Get();
   ScopedTimer timer(MetricsRegistry::Global(), metrics.checkpoint_us);
-  // Stage the whole base, one record per version, keyed so recovery
-  // rebuilds it with a single "b/" range scan; keys present in the store
-  // but absent from the staged set are versions deleted since the last
-  // checkpoint, removed in the same atomic commit as the bumped
-  // generation.
+  // The store holds checkpointed_, one record per version under "b/":
+  // stage a record for each version whose state differs from it by value
+  // (one edited and edited back keeps its stored record) and a delete for
+  // each vanished version, in one atomic commit with the bumped
+  // generation. The diff skips every subtree and state the two bases
+  // share, so this costs what changed since the last checkpoint.
   WriteTransaction txn = store_->BeginWrite();
-  std::set<std::string, std::less<>> live;
-  for (const auto& [vid, state] : current_.versions()) {
-    std::string key = std::string(kBasePrefix) +
-                      EncodeVersionKey(vid, engine_.symbols(),
-                                       engine_.versions());
-    txn.Put(key, EncodeVersionRecord(vid, *state, engine_.symbols(),
-                                     engine_.versions()));
-    live.insert(std::move(key));
-  }
-  VERSO_RETURN_IF_ERROR(store_->Scan(
-      kBasePrefix, [&](std::string_view key, std::string_view) {
-        if (live.find(key) == live.end()) txn.Delete(std::string(key));
-        return Status::Ok();
-      }));
+  ObjectBase::VersionMap::Diff(
+      checkpointed_.versions(), current_.versions(),
+      [&](Vid vid, const ObjectBase::StatePtr* was,
+          const ObjectBase::StatePtr* now) {
+        if (was != nullptr && now != nullptr && **was == **now) return true;
+        std::string key =
+            kBasePrefix +
+            EncodeVersionKey(vid, engine_.symbols(), engine_.versions());
+        if (now == nullptr) {
+          txn.Delete(std::move(key));
+        } else {
+          txn.Put(std::move(key),
+                  EncodeVersionRecord(vid, **now, engine_.symbols(),
+                                      engine_.versions()));
+        }
+        return true;
+      });
   txn.PutMeta("generation", checkpoint_generation_ + 1);
   Status committed = txn.Commit();
   if (!committed.ok()) {
@@ -528,6 +534,7 @@ Status Database::Checkpoint() {
     return committed;
   }
   ++checkpoint_generation_;
+  checkpointed_ = current_;
   // The store commit is durable; only now may the WAL shrink. A crash
   // (or failure) between the two steps leaves store + stale WAL, and
   // recovery replays the already-folded records idempotently — the

@@ -106,8 +106,8 @@ struct StorageStats {
 /// replays only the WAL suffix behind it; a torn tail (crashed writer) is
 /// ignored. Recovery is O(base + tail), not O(history). Execute() runs a
 /// program through the engine, logs the resulting delta to the WAL
-/// *before* installing it in memory, and Checkpoint() folds the WAL into
-/// the store.
+/// *before* installing it in memory, and Checkpoint() writes the versions
+/// changed since the last checkpoint into the store, then drops the WAL.
 ///
 /// NOTE: this is an internal layer. Client code should use the
 /// `verso::Connection` / `verso::Session` facade (src/api/api.h), which
@@ -189,14 +189,18 @@ class Database {
       TraceSink* trace = nullptr);
 
   /// Folds the committed base into the checkpoint store — one atomic
-  /// store transaction carrying every live version record, the deletes
-  /// of versions gone since the last checkpoint, and the bumped
-  /// generation — then truncates the WAL behind it. Crash-safe: both
-  /// backends commit atomically, and the WAL is removed only after; a
-  /// crash between the two steps leaves store + stale WAL, which
-  /// recovery replays idempotently (fact-level deltas have set
-  /// semantics), losing nothing. A failed checkpoint leaves the database
-  /// healthy — the WAL still holds every commit.
+  /// store transaction carrying the records of the versions whose state
+  /// changed since the last checkpoint, the deletes of versions gone
+  /// since, and the bumped generation — then truncates the WAL behind
+  /// it. O(changed versions), not O(base): the database keeps an O(1)
+  /// copy of the base the store holds and diffs against it. Crash-safe:
+  /// both backends commit atomically and sync the commit before it
+  /// returns, and the WAL is removed only after; a crash between the two
+  /// steps leaves store + stale WAL, which recovery replays idempotently
+  /// (fact-level deltas have set semantics), losing nothing. A failed
+  /// checkpoint (a failed sync included) leaves the database healthy —
+  /// the WAL still holds every commit, and the next checkpoint writes
+  /// everything this one would have.
   Status Checkpoint();
 
   /// Ok while the database accepts writes; after a durability failure on
@@ -243,6 +247,7 @@ class Database {
         env_(opts.env != nullptr ? opts.env : Env::Default()),
         clock_(opts.clock != nullptr ? opts.clock : Clock::Default()),
         current_(engine.MakeBase()),
+        checkpointed_(engine.MakeBase()),
         wal_(dir_.empty() ? std::string() : dir_ + "/wal.log", env_) {}
 
   /// Refuses writes while degraded.
@@ -271,6 +276,9 @@ class Database {
   Env* env_;
   Clock* clock_;
   ObjectBase current_;
+  /// The base the store holds: set at Open before the WAL suffix is
+  /// replayed, and after each successful store commit.
+  ObjectBase checkpointed_;
   WalWriter wal_;
   std::unique_ptr<Store> store_;
   std::vector<CommitObserver*> observers_;

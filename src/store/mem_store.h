@@ -14,7 +14,8 @@ namespace verso {
 /// `<dir>/store.img` — one CRC'd WAL frame holding the whole image —
 /// installed by Env::WriteFileAtomic, so the rename is the only commit
 /// point and a crash anywhere leaves either the old image or the new one,
-/// never a blend.
+/// never a blend; the image is synced before the rename, so a power cut
+/// cannot install it ahead of its bytes either.
 class MemStore : public Store {
  public:
   /// An existing image that fails its CRC or decode refuses to open: the

@@ -35,12 +35,19 @@ Status PageLogStore::ApplyCommit(const WriteTransaction& txn) {
         "page log tail is unknown after a failed append; reopen the store");
   }
   std::string payload = store_internal::EncodeOps(txn.ops());
+  // The commit is durable once the frame is synced — and, when the log
+  // was empty (the append may have created it), once its directory entry
+  // is too.
   Status appended = writer_.Append(payload);
+  if (appended.ok()) appended = env_->SyncFile(path_);
+  if (appended.ok() && bytes_ == 0) appended = env_->SyncDir(DirName(path_));
   if (!appended.ok()) {
-    // A failed append may have landed a partial frame; roll the file back
-    // to the pre-append tail so a later commit extends valid data. If the
-    // rollback itself fails the tail is unknown — refuse further writes
-    // (reads keep serving; reopen re-derives the tail from the CRCs).
+    // A failed append may have landed a partial frame, and a failed sync
+    // leaves a whole frame the maps do not hold; roll the file back to
+    // the pre-append tail so a later commit extends valid data and the
+    // log replays to the maps. If the rollback itself fails the tail is
+    // unknown — refuse further writes (reads keep serving; reopen
+    // re-derives the tail from the CRCs).
     Status rolled = env_->FileExists(path_)
                         ? env_->TruncateFile(path_, bytes_)
                         : Status::Ok();

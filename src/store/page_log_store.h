@@ -14,13 +14,14 @@ namespace verso {
 
 /// Append-only page-log backend (StoreBackend::kPageLog). The data file
 /// `<dir>/store.plog` is a sequence of CRC'd WAL frames, one per
-/// committed transaction, each carrying that commit's put/delete/meta ops;
-/// the maps are rebuilt on open by replaying the log in order. A torn
-/// final frame (crashed writer) is chopped on open — the standard
-/// crashed-writer contract the WAL itself uses. Commits are O(delta);
-/// once dead bytes dominate (overwrites and deletes), the log compacts
-/// itself by atomically replacing the file with one frame holding the
-/// live image.
+/// committed transaction, each carrying that commit's put/delete/meta ops
+/// and synced before the commit returns (with the directory, when the
+/// append creates the file); the maps are rebuilt on open by replaying
+/// the log in order. A torn final frame (crashed writer) is chopped on
+/// open — the standard crashed-writer contract the WAL itself uses.
+/// Commits are O(delta); once dead bytes dominate (overwrites and
+/// deletes), the log compacts itself by atomically replacing the file
+/// with one frame holding the live image.
 class PageLogStore : public Store {
  public:
   static Result<std::unique_ptr<PageLogStore>> Open(const std::string& dir,

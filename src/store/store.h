@@ -16,16 +16,18 @@ namespace verso {
 
 /// Which Store implementation backs a database directory.
 enum class StoreBackend : uint8_t {
-  /// Every commit rewrites `<dir>/store.img` — one CRC'd WAL frame
-  /// holding the whole image — installed by atomic rename. O(base) per
-  /// commit, simplest crash story (the rename is the only commit point):
-  /// the right trade for small bases.
+  /// Every commit applies its ops to the maps in place and rewrites
+  /// `<dir>/store.img` — one CRC'd WAL frame holding the whole image —
+  /// synced, then installed by atomic rename, then the directory synced.
+  /// O(base) bytes per commit however few ops it carries, simplest crash
+  /// story (the rename is the only commit point): the right trade for
+  /// small bases.
   kMem = 0,
   /// Append-only page log `<dir>/store.plog`: each commit appends one
-  /// CRC'd WAL frame of put/delete ops, the maps are rebuilt by replay on
-  /// open, and the log compacts itself once dead bytes dominate. O(delta)
-  /// per commit — the backend shape for bases that outgrow whole-image
-  /// rewrites.
+  /// CRC'd WAL frame of put/delete ops and syncs it, the maps are rebuilt
+  /// by replay on open, and the log compacts itself once dead bytes
+  /// dominate. O(delta) per commit — the backend shape for bases that
+  /// outgrow whole-image rewrites.
   kPageLog = 1,
 };
 
@@ -58,10 +60,11 @@ class WriteTransaction {
   /// checkpoint generation) atomically with the data ops.
   void PutMeta(std::string name, uint64_t value);
 
-  /// Makes the staged ops durable and visible, in staging order, through
-  /// the owning backend. At most once per transaction; a failed commit
-  /// leaves the store unchanged (both backends commit atomically) and the
-  /// transaction may not be retried — stage a fresh one.
+  /// Makes the staged ops durable (synced) and visible, in staging
+  /// order, through the owning backend. At most once per transaction; a
+  /// failed commit, a failed sync included, leaves the store's maps
+  /// unchanged (both backends commit atomically) and the transaction may
+  /// not be retried — stage a fresh one.
   Status Commit();
 
   bool committed() const { return committed_; }

@@ -6,9 +6,9 @@
 
 namespace verso {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected). Used to protect WAL frames —
-/// and the store files framed the same way — against torn writes and bit
-/// rot.
+/// CRC-32 (IEEE 802.3 polynomial, reflected), computed eight bytes per
+/// step (slicing-by-8). Used to protect WAL frames — and the store files
+/// framed the same way — against torn writes and bit rot.
 uint32_t Crc32(const void* data, size_t length);
 
 /// Incremental variant: feed `crc` from a previous call (start with 0).

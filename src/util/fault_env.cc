@@ -159,4 +159,21 @@ Status FaultInjectingEnv::EnsureDirectory(const std::string& path) {
   return fault;
 }
 
+Status FaultInjectingEnv::SyncFile(const std::string& path) {
+  bool fired = false;
+  Status fault = NextFault(OpFilter::kSync, fired);
+  if (!fault.ok()) return fault;
+  if (files_.count(path) == 0) {
+    return Status::IoError("fdatasync '" + path + "': no such file");
+  }
+  return Status::Ok();
+}
+
+Status FaultInjectingEnv::SyncDir(const std::string&) {
+  // Directories are implicit here (files need no EnsureDirectory), so
+  // any directory can be synced.
+  bool fired = false;
+  return NextFault(OpFilter::kSync, fired);
+}
+
 }  // namespace verso

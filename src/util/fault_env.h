@@ -16,8 +16,8 @@ namespace verso {
 /// (the RocksDB FaultInjectionTestEnv pattern).
 ///
 /// The environment counts every MUTATING operation (WriteFile, AppendFile,
-/// RenameFile, RemoveFile, TruncateFile, EnsureDirectory) and can be armed
-/// to fail the Nth one:
+/// RenameFile, RemoveFile, TruncateFile, EnsureDirectory, SyncFile,
+/// SyncDir) and can be armed to fail the Nth one:
 ///
 ///   - kEio / kEnospc   the operation fails with a permanent kIoError
 ///                      after applying `partial_bytes` of its payload (a
@@ -36,6 +36,10 @@ namespace verso {
 /// selects all-or-nothing: 0 means the operation did not happen, anything
 /// else means it completed before the fault hit.
 ///
+/// Every completed operation survives a crash, so a sync changes no file
+/// here: SyncFile/SyncDir are fault points only (a failed or crashed
+/// sync), and what a power cut drops for want of a sync is not modelled.
+///
 /// Reads are never failed by the plan (a read failure cannot affect
 /// durability), but after a kCrash every operation, reads included, fails:
 /// the process is conceptually dead.
@@ -51,6 +55,7 @@ class FaultInjectingEnv : public Env {
     kRename,
     kRemove,
     kTruncate,
+    kSync,  // SyncFile and SyncDir
   };
 
   static constexpr uint64_t kNever = ~0ull;
@@ -113,6 +118,8 @@ class FaultInjectingEnv : public Env {
   Status RemoveFile(const std::string& path) override;
   Status TruncateFile(const std::string& path, size_t size) override;
   Status EnsureDirectory(const std::string& path) override;
+  Status SyncFile(const std::string& path) override;
+  Status SyncDir(const std::string& dir) override;
 
  private:
   /// Bumps the op counters; returns the fault to inject into this

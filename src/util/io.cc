@@ -1,6 +1,11 @@
 #include "util/io.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -10,16 +15,49 @@ namespace verso {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+/// Opens `path` with `flags`, runs `sync` on the descriptor and closes it.
+Status SyncPath(const std::string& path, int flags, int (*sync)(int),
+                const char* what) {
+  const int fd = ::open(path.c_str(), flags | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IoError(std::string(what) + " '" + path +
+                           "': " + std::strerror(errno));
+  }
+  const int rc = sync(fd);
+  const int err = errno;
+  ::close(fd);
+  if (rc != 0) {
+    return Status::IoError(std::string(what) + " '" + path +
+                           "': " + std::strerror(err));
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+std::string DirName(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  return slash == 0 ? "/" : path.substr(0, slash);
+}
+
 Status Env::WriteFileAtomic(const std::string& path,
                             std::string_view contents) {
   std::string tmp = path + ".tmp";
   VERSO_RETURN_IF_ERROR(WriteFile(tmp, contents));
-  Status renamed = RenameFile(tmp, path);
-  if (!renamed.ok()) {
-    // Best-effort cleanup; the rename error is what the caller acts on.
+  // The data first: a rename that reached disk ahead of it could install
+  // a name over unwritten (zero-filled) blocks after a power cut.
+  Status status = SyncFile(tmp);
+  if (status.ok()) status = RenameFile(tmp, path);
+  if (!status.ok()) {
+    // Best-effort cleanup; the sync or rename error is what the caller
+    // acts on.
     RemoveFile(tmp);
+    return status;
   }
-  return renamed;
+  return SyncDir(DirName(path));
 }
 
 Env* Env::Default() {
@@ -96,6 +134,14 @@ Status PosixEnv::EnsureDirectory(const std::string& path) {
   fs::create_directories(path, ec);
   if (ec) return Status::IoError("mkdir '" + path + "': " + ec.message());
   return Status::Ok();
+}
+
+Status PosixEnv::SyncFile(const std::string& path) {
+  return SyncPath(path, O_RDONLY, ::fdatasync, "fdatasync");
+}
+
+Status PosixEnv::SyncDir(const std::string& dir) {
+  return SyncPath(dir, O_RDONLY | O_DIRECTORY, ::fsync, "fsync");
 }
 
 Result<std::string> ReadFile(const std::string& path) {

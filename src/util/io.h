@@ -14,12 +14,13 @@ namespace verso {
 /// backend (util/fault_env.h) and prove crash-recovery properties without
 /// a real disk. PosixEnv is the production backend; Env::Default() returns
 /// a process-wide PosixEnv.
-///
-/// Durability granularity: operations are atomic units of persistence as
-/// far as callers can tell — AppendFile/WriteFile flush before returning,
-/// so "unsynced data" exists only *within* an in-flight operation. A
-/// simulated crash therefore lands either between operations or mid-
-/// operation (short write); both are exercised by the torture harness.
+////// Durability: AppendFile/WriteFile flush to the OS before returning, so
+/// a process crash loses only an in-flight operation (a short write), and
+/// the torture harness crashes both between and inside operations. A
+/// power cut can also lose flushed bytes that no sync covered: SyncFile
+/// makes one file's data durable and SyncDir its directory's entries
+/// (creates, renames, removes). WriteFileAtomic and the checkpoint store
+/// sync before the WAL they fold is removed; WAL appends are not synced.
 class Env {
  public:
   virtual ~Env() = default;
@@ -55,9 +56,17 @@ class Env {
   /// Creates the directory (and parents) if missing.
   virtual Status EnsureDirectory(const std::string& path) = 0;
 
-  /// Writes to a temp sibling then renames over `path`, so readers observe
-  /// either the old or the new contents, never a torn file. Built on the
-  /// primitives above, so fault injection sees both steps separately.
+  /// Flushes the file's data to stable storage (fdatasync).
+  virtual Status SyncFile(const std::string& path) = 0;
+
+  /// Makes the directory's entries durable (fsync on the directory).
+  virtual Status SyncDir(const std::string& dir) = 0;
+
+  /// Writes to a temp sibling, syncs it, renames it over `path` and syncs
+  /// the directory, so readers observe either the old or the new
+  /// contents, never a torn file, and the new name never reaches disk
+  /// ahead of its data. Built on the primitives above, so fault injection
+  /// sees every step separately.
   Status WriteFileAtomic(const std::string& path, std::string_view contents);
 
   /// The process-wide real-filesystem backend.
@@ -77,7 +86,12 @@ class PosixEnv : public Env {
   Status RemoveFile(const std::string& path) override;
   Status TruncateFile(const std::string& path, size_t size) override;
   Status EnsureDirectory(const std::string& path) override;
+  Status SyncFile(const std::string& path) override;
+  Status SyncDir(const std::string& dir) override;
 };
+
+/// The directory holding `path` ("." when it names no directory).
+std::string DirName(const std::string& path);
 
 // Convenience wrappers over Env::Default() for call sites that do not
 // need the seam (tools, tests, one-shot loads).

@@ -91,23 +91,4 @@ Status ViewCatalog::OnCommit(const DeltaLog& delta,
   return first_error;
 }
 
-ViewStats ViewCatalog::TotalStats() const {
-  ViewStats total;
-  for (const auto& [name, view] : views_) {
-    const ViewStats& s = view->stats();
-    total.full_evaluations += s.full_evaluations;
-    total.maintenance_runs += s.maintenance_runs;
-    total.delta_facts_seen += s.delta_facts_seen;
-    total.facts_added += s.facts_added;
-    total.facts_removed += s.facts_removed;
-    total.support_increments += s.support_increments;
-    total.support_decrements += s.support_decrements;
-    total.overdeleted += s.overdeleted;
-    total.rederived += s.rederived;
-    total.seed_probes += s.seed_probes;
-    total.rederive_probes += s.rederive_probes;
-  }
-  return total;
-}
-
 }  // namespace verso

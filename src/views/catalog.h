@@ -98,9 +98,6 @@ class ViewCatalog : public CommitObserver {
   /// a later Detach()/destruction does not touch freed memory.
   void OnDatabaseClosed() override { attached_ = nullptr; }
 
-  /// Counters summed over all registered views.
-  ViewStats TotalStats() const;
-
  private:
   SymbolTable& symbols_;
   VersionTable& versions_;

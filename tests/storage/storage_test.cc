@@ -667,16 +667,20 @@ TEST_F(StorageFixture, CheckpointCrashWindowLosesNothing) {
   using OpFilter = FaultInjectingEnv::OpFilter;
   struct Window {
     OpFilter filter;
+    uint64_t nth;    // which op of that kind, counted from the checkpoint
     size_t partial;  // non-data ops: 0 = op did not happen, 1 = it did
     const char* what;
   };
   const Window windows[] = {
-      {OpFilter::kWrite, 0, "crash before the store image tmp write"},
-      {OpFilter::kWrite, 9, "crash mid store image tmp write (short write)"},
-      {OpFilter::kRename, 0, "crash before the store image rename"},
-      {OpFilter::kRename, 1, "crash after rename, before WAL removal"},
-      {OpFilter::kRemove, 0, "crash before the WAL removal"},
-      {OpFilter::kRemove, 1, "crash after the WAL removal"},
+      {OpFilter::kWrite, 0, 0, "crash before the store image tmp write"},
+      {OpFilter::kWrite, 0, 9,
+       "crash mid store image tmp write (short write)"},
+      {OpFilter::kSync, 0, 0, "crash at the store image tmp sync"},
+      {OpFilter::kRename, 0, 0, "crash before the store image rename"},
+      {OpFilter::kRename, 0, 1, "crash after rename, before the dir sync"},
+      {OpFilter::kSync, 1, 0, "crash at the directory sync"},
+      {OpFilter::kRemove, 0, 0, "crash before the WAL removal"},
+      {OpFilter::kRemove, 0, 1, "crash after the WAL removal"},
   };
   for (const Window& w : windows) {
     SCOPED_TRACE(w.what);
@@ -698,7 +702,7 @@ TEST_F(StorageFixture, CheckpointCrashWindowLosesNothing) {
       expected = ObjectBaseToString((*db)->current(), engine.symbols(),
                                     engine.versions());
       FaultInjectingEnv::FaultPlan plan;
-      plan.fail_at = 0;
+      plan.fail_at = w.nth;
       plan.kind = FaultKind::kCrash;
       plan.partial_bytes = w.partial;
       plan.filter = w.filter;
@@ -728,21 +732,28 @@ TEST_F(StorageFixture, CheckpointCrashWindowLosesNothing) {
 TEST_F(StorageFixture, PageLogCheckpointCrashWindowLosesNothing) {
   // The page-log twin of CheckpointCrashWindowLosesNothing: here step (1)
   // is an APPEND of one ops frame to store.plog (possibly followed by a
-  // compaction rewrite), step (2) the WAL removal. A torn append frame
-  // must be chopped on reopen and the stale WAL replayed over the old
-  // store generation.
+  // compaction rewrite) and its sync — plus a directory sync when the
+  // append creates the log — step (2) the WAL removal. A torn append
+  // frame must be chopped on reopen and the stale WAL replayed over the
+  // old store generation.
   using FaultKind = FaultInjectingEnv::FaultKind;
   using OpFilter = FaultInjectingEnv::OpFilter;
   struct Window {
     OpFilter filter;
+    uint64_t nth;  // which op of that kind, counted from the checkpoint
     size_t partial;
     const char* what;
+    bool creates_log = false;  // no earlier checkpoint: the append creates
+                               // store.plog, so a directory sync follows
   };
   const Window windows[] = {
-      {OpFilter::kAppend, 0, "crash before the store append"},
-      {OpFilter::kAppend, 7, "crash mid store append (torn frame)"},
-      {OpFilter::kRemove, 0, "crash before the WAL removal"},
-      {OpFilter::kRemove, 1, "crash after the WAL removal"},
+      {OpFilter::kAppend, 0, 0, "crash before the store append"},
+      {OpFilter::kAppend, 0, 7, "crash mid store append (torn frame)"},
+      {OpFilter::kSync, 0, 0, "crash at the store log sync"},
+      {OpFilter::kSync, 1, 0, "crash at the directory sync of a new log",
+       true},
+      {OpFilter::kRemove, 0, 0, "crash before the WAL removal"},
+      {OpFilter::kRemove, 0, 1, "crash after the WAL removal"},
   };
   for (const Window& w : windows) {
     SCOPED_TRACE(w.what);
@@ -759,13 +770,15 @@ TEST_F(StorageFixture, PageLogCheckpointCrashWindowLosesNothing) {
       ASSERT_TRUE(db.ok());
       ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 1.", engine)).ok());
       // An earlier checkpoint, so the torture'd one EXTENDS a live log.
-      ASSERT_TRUE((*db)->Checkpoint().ok());
+      if (!w.creates_log) {
+        ASSERT_TRUE((*db)->Checkpoint().ok());
+      }
       ASSERT_TRUE(
           (*db)->ImportBase(Base("a.m -> 1. b.m -> 2.", engine)).ok());
       expected = ObjectBaseToString((*db)->current(), engine.symbols(),
                                     engine.versions());
       FaultInjectingEnv::FaultPlan plan;
-      plan.fail_at = 0;
+      plan.fail_at = w.nth;
       plan.kind = FaultKind::kCrash;
       plan.partial_bytes = w.partial;
       plan.filter = w.filter;
@@ -789,6 +802,84 @@ TEST_F(StorageFixture, PageLogCheckpointCrashWindowLosesNothing) {
     ASSERT_TRUE(
         (*db)->ImportBase(Base("a.m -> 1. b.m -> 2. c.m -> 3.", engine))
             .ok());
+  }
+}
+
+TEST_F(StorageFixture, FailedCheckpointSyncLeavesTheWalAndAHealthyDatabase) {
+  // A sync that fails inside the store commit fails the checkpoint like
+  // any store error: the WAL stays, the database stays healthy, and the
+  // store keeps serving the last checkpoint. The commit after it reverts
+  // one version the failed checkpoint staged and drops one it added, so a
+  // store that kept the failed commit's bytes (a page-log frame left
+  // behind its failed sync) would reopen to a stale state once the next
+  // checkpoint removes the WAL.
+  using FaultKind = FaultInjectingEnv::FaultKind;
+  using OpFilter = FaultInjectingEnv::OpFilter;
+  struct Point {
+    StoreBackend backend;
+    uint64_t nth;      // which sync of the checkpoint fails
+    bool creates_log;  // no earlier checkpoint (page log: first append)
+    const char* what;
+  };
+  const Point points[] = {
+      {StoreBackend::kMem, 0, false, "mem: image sync"},
+      {StoreBackend::kMem, 1, false, "mem: directory sync after the rename"},
+      {StoreBackend::kPageLog, 0, false, "pagelog: log sync"},
+      {StoreBackend::kPageLog, 1, true, "pagelog: directory sync of a new log"},
+  };
+  for (const Point& p : points) {
+    SCOPED_TRACE(p.what);
+    FaultInjectingEnv env;
+    DatabaseOptions options;
+    options.env = &env;
+    options.retry_backoff_us = 0;
+    options.store_backend = p.backend;
+    std::string expected;
+    {
+      Engine engine;
+      Result<std::unique_ptr<Database>> db =
+          Database::Open("/db", engine, options);
+      ASSERT_TRUE(db.ok());
+      ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 1. b.m -> 2.", engine)).ok());
+      if (!p.creates_log) {
+        ASSERT_TRUE((*db)->Checkpoint().ok());
+      }
+      const uint64_t generation = (*db)->checkpoint_generation();
+      ASSERT_TRUE(
+          (*db)->ImportBase(Base("a.m -> 1. b.m -> 3. c.m -> 4.", engine))
+              .ok());
+      const size_t records = (*db)->wal_records_since_checkpoint();
+      FaultInjectingEnv::FaultPlan plan;
+      plan.fail_at = p.nth;
+      plan.kind = FaultKind::kEio;
+      plan.filter = OpFilter::kSync;
+      env.SetPlan(plan);
+      EXPECT_FALSE((*db)->Checkpoint().ok());
+      EXPECT_EQ(env.faults_hit(), 1u);
+      env.Disarm();
+      EXPECT_TRUE((*db)->health().ok());
+      EXPECT_TRUE(env.FileExists("/db/wal.log"));
+      EXPECT_EQ((*db)->wal_records_since_checkpoint(), records);
+      EXPECT_EQ((*db)->checkpoint_generation(), generation);
+      EXPECT_EQ((*db)->stats().io_failures, 1u);
+
+      ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 1. b.m -> 2.", engine)).ok());
+      expected = ObjectBaseToString((*db)->current(), engine.symbols(),
+                                    engine.versions());
+      ASSERT_TRUE((*db)->Checkpoint().ok());
+      EXPECT_FALSE(env.FileExists("/db/wal.log"));
+    }
+    auto disk = env.CloneSurvivingFiles();
+    DatabaseOptions reopen = options;
+    reopen.env = disk.get();
+    Engine engine;
+    Result<std::unique_ptr<Database>> db =
+        Database::Open("/db", engine, reopen);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ((*db)->wal_records_since_checkpoint(), 0u);
+    EXPECT_EQ(ObjectBaseToString((*db)->current(), engine.symbols(),
+                                 engine.versions()),
+              expected);
   }
 }
 

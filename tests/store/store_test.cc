@@ -118,15 +118,19 @@ TEST(StoreTest, DroppedTransactionIsInvisibleAndStateSurvivesReopen) {
 }
 
 TEST(StoreTest, FailedCommitLeavesStoreUnchangedOnDiskAndInMemory) {
-  // The write path differs per backend (mem = WriteFile tmp + rename,
-  // pagelog = append), so fail the first matching op of each.
+  // The write path differs per backend (mem = WriteFile tmp + sync +
+  // rename, pagelog = append + sync), so fail the first matching op of
+  // each: the data write, and the sync that follows it.
   struct Case {
     StoreBackend backend;
     OpFilter filter;
   };
   for (const Case& c : {Case{StoreBackend::kMem, OpFilter::kWrite},
-                        Case{StoreBackend::kPageLog, OpFilter::kAppend}}) {
-    SCOPED_TRACE(StoreBackendName(c.backend));
+                        Case{StoreBackend::kMem, OpFilter::kSync},
+                        Case{StoreBackend::kPageLog, OpFilter::kAppend},
+                        Case{StoreBackend::kPageLog, OpFilter::kSync}}) {
+    SCOPED_TRACE(std::string(StoreBackendName(c.backend)) +
+                 (c.filter == OpFilter::kSync ? " sync" : " write"));
     FaultInjectingEnv env;
     std::unique_ptr<Store> store = MustOpen(c.backend, &env);
     WriteTransaction first = store->BeginWrite();
@@ -136,7 +140,7 @@ TEST(StoreTest, FailedCommitLeavesStoreUnchangedOnDiskAndInMemory) {
     FaultInjectingEnv::FaultPlan plan;
     plan.fail_at = 0;
     plan.kind = FaultKind::kEio;
-    plan.partial_bytes = 5;  // a torn partial write, the nastiest case
+    plan.partial_bytes = 5;  // writes: a torn partial write, the nastiest
     plan.filter = c.filter;
     env.SetPlan(plan);
     WriteTransaction failing = store->BeginWrite();

@@ -170,5 +170,49 @@ TEST(FaultEnvTest, NonDataOpPartialBytesMeansItHappened) {
   EXPECT_FALSE(survivor->FileExists("/a"));
 }
 
+TEST(FaultEnvTest, SyncsAreMutatingOpsThatChangeNoFile) {
+  FaultInjectingEnv env;
+  ASSERT_TRUE(env.WriteFile("/d/f", "x").ok());
+  ASSERT_TRUE(env.SyncFile("/d/f").ok());
+  ASSERT_TRUE(env.SyncDir("/d").ok());
+  EXPECT_EQ(env.mutating_ops(), 3u);
+  EXPECT_EQ(*env.ReadFile("/d/f"), "x");
+  // Posix parity: there is no file to sync.
+  EXPECT_FALSE(env.SyncFile("/d/missing").ok());
+  // A failed sync is a fault like any other and leaves the file alone.
+  FaultInjectingEnv::FaultPlan plan;
+  plan.fail_at = 0;
+  plan.kind = FaultKind::kEio;
+  plan.filter = OpFilter::kSync;
+  env.SetPlan(plan);
+  ASSERT_TRUE(env.AppendFile("/d/f", "y").ok());
+  EXPECT_FALSE(env.SyncFile("/d/f").ok());
+  EXPECT_EQ(env.faults_hit(), 1u);
+  EXPECT_EQ(*env.ReadFile("/d/f"), "xy");
+  ASSERT_TRUE(env.SyncDir("/d").ok());
+}
+
+TEST(FaultEnvTest, WriteFileAtomicSyncsTheFileBeforeTheRenameAndTheDirAfter) {
+  // Four steps: write the temp file, sync it, rename it, sync the
+  // directory. A failed file sync installs nothing; a failed directory
+  // sync comes after the rename, so the new contents are in place.
+  FaultInjectingEnv env;
+  ASSERT_TRUE(env.WriteFileAtomic("/d/f", "v1").ok());
+  EXPECT_EQ(env.mutating_ops(), 4u);
+  FaultInjectingEnv::FaultPlan plan;
+  plan.fail_at = 0;
+  plan.kind = FaultKind::kEio;
+  plan.filter = OpFilter::kSync;
+  env.SetPlan(plan);
+  EXPECT_FALSE(env.WriteFileAtomic("/d/f", "v2").ok());
+  EXPECT_EQ(*env.ReadFile("/d/f"), "v1");
+  EXPECT_FALSE(env.FileExists("/d/f.tmp"));
+  plan.fail_at = 1;
+  env.SetPlan(plan);
+  EXPECT_FALSE(env.WriteFileAtomic("/d/f", "v3").ok());
+  EXPECT_EQ(*env.ReadFile("/d/f"), "v3");
+  EXPECT_FALSE(env.FileExists("/d/f.tmp"));
+}
+
 }  // namespace
 }  // namespace verso

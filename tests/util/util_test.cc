@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <random>
+#include <vector>
 
 #include "util/crc32.h"
 #include "util/interner.h"
@@ -85,6 +87,42 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(whole, split);
 }
 
+/// A bytewise CRC-32 straight from the polynomial: the reference the
+/// table-driven implementation must match bit for bit.
+uint32_t BytewiseCrc32(const unsigned char* data, size_t length) {
+  uint32_t c = 0xffffffffu;
+  for (size_t i = 0; i < length; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthOffsetAndSplit) {
+  // Lengths 0-256 at start offsets 0-7 cover every tail length and every
+  // alignment of the eight-byte steps; splitting at every offset checks
+  // that Crc32Extend resumes from any point.
+  std::mt19937 rng(20261019);
+  std::vector<unsigned char> buffer(256 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (unsigned char& byte : buffer) {
+      byte = static_cast<unsigned char>(rng() & 0xffu);
+    }
+    for (size_t length = 0; length <= 256; ++length) {
+      const unsigned char* data = buffer.data() + offset;
+      const uint32_t expected = BytewiseCrc32(data, length);
+      ASSERT_EQ(Crc32(data, length), expected)
+          << "offset " << offset << " length " << length;
+      for (size_t split = 0; split <= length; ++split) {
+        ASSERT_EQ(Crc32Extend(Crc32(data, split), data + split, length - split),
+                  expected)
+            << "offset " << offset << " length " << length << " split "
+            << split;
+      }
+    }
+  }
+}
+
 TEST(Crc32Test, DetectsBitFlip) {
   std::string payload = "versioned object base";
   uint32_t before = Crc32(payload.data(), payload.size());
@@ -156,6 +194,23 @@ TEST_F(IoTest, AppendAccumulates) {
   ASSERT_TRUE(AppendFile(path, "a").ok());
   ASSERT_TRUE(AppendFile(path, "bc").ok());
   EXPECT_EQ(*ReadFile(path), "abc");
+}
+
+TEST_F(IoTest, SyncsReachTheRealFilesystem) {
+  Env* env = Env::Default();
+  std::string path = dir_ + "/synced";
+  ASSERT_TRUE(WriteFile(path, "x").ok());
+  EXPECT_TRUE(env->SyncFile(path).ok());
+  EXPECT_TRUE(env->SyncDir(dir_).ok());
+  EXPECT_EQ(env->SyncFile(dir_ + "/missing").code(), StatusCode::kIoError);
+  EXPECT_EQ(env->SyncDir(dir_ + "/missing").code(), StatusCode::kIoError);
+}
+
+TEST(DirNameTest, NamesTheDirectoryHoldingAPath) {
+  EXPECT_EQ(DirName("/db/store.img"), "/db");
+  EXPECT_EQ(DirName("a/b/c"), "a/b");
+  EXPECT_EQ(DirName("/f"), "/");
+  EXPECT_EQ(DirName("f"), ".");
 }
 
 TEST_F(IoTest, RemoveIsIdempotent) {
