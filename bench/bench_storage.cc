@@ -30,20 +30,24 @@ std::unique_ptr<World> BaseWorld(size_t employees) {
   return MakeEnterpriseWorld(employees, kEnterpriseProgramText);
 }
 
-/// The base as a checkpoint stores it: one version record per version.
-std::vector<std::string> EncodeRecords(const World& world) {
-  std::vector<std::string> records;
+/// The base as a checkpoint stores it: one (key, record) per version.
+std::vector<std::pair<std::string, std::string>> EncodeRecords(
+    const World& world) {
+  std::vector<std::pair<std::string, std::string>> records;
   for (const auto& [vid, state] : world.base.versions()) {
-    records.push_back(EncodeVersionRecord(vid, *state,
-                                          world.engine->symbols(),
-                                          world.engine->versions()));
+    records.emplace_back(
+        EncodeVersionKey(vid, world.engine->symbols(),
+                         world.engine->versions()),
+        EncodeVersionRecord(vid, *state, world.engine->symbols(),
+                            world.engine->versions()));
   }
   return records;
 }
 
-int64_t TotalBytes(const std::vector<std::string>& records) {
+int64_t TotalBytes(
+    const std::vector<std::pair<std::string, std::string>>& records) {
   int64_t bytes = 0;
-  for (const std::string& record : records) {
+  for (const auto& [key, record] : records) {
     bytes += static_cast<int64_t>(record.size());
   }
   return bytes;
@@ -53,7 +57,8 @@ void BM_EncodeVersionRecords(benchmark::State& state) {
   std::unique_ptr<World> world = BaseWorld(static_cast<size_t>(state.range(0)));
   int64_t bytes = 0;
   for (auto _ : state) {
-    std::vector<std::string> records = EncodeRecords(*world);
+    std::vector<std::pair<std::string, std::string>> records =
+        EncodeRecords(*world);
     bytes = TotalBytes(records);
     benchmark::DoNotOptimize(records);
   }
@@ -64,15 +69,17 @@ BENCHMARK(BM_EncodeVersionRecords)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_DecodeVersionRecords(benchmark::State& state) {
   std::unique_ptr<World> world = BaseWorld(static_cast<size_t>(state.range(0)));
-  const std::vector<std::string> records = EncodeRecords(*world);
+  const std::vector<std::pair<std::string, std::string>> records =
+      EncodeRecords(*world);
   for (auto _ : state) {
     Engine engine;
     ObjectBase decoded = engine.MakeBase();
-    for (const std::string& record : records) {
-      Status s = DecodeVersionRecordInto(record, engine.symbols(),
-                                         engine.versions(), decoded);
-      if (!s.ok()) {
-        state.SkipWithError(s.ToString().c_str());
+    FactDecoder decoder(engine.symbols(), engine.versions());
+    for (const auto& [key, record] : records) {
+      Result<size_t> facts =
+          DecodeVersionRecordInto(key, record, decoder, decoded);
+      if (!facts.ok()) {
+        state.SkipWithError(facts.status().ToString().c_str());
         return;
       }
     }

@@ -11,7 +11,14 @@
 //     after a checkpoint a cold Database::Open loads the store image and
 //     replays only the WAL suffix, while an uncheckpointed directory
 //     replays the full commit history (chunked imports + update churn),
-//     so the checkpointed open must win clearly at 4096 objects.
+//     so the checkpointed open must win clearly at 4096 objects;
+//   * BM_ReplayWalSuffix — a cold open of a checkpointed base plus a
+//     16-frame WAL suffix, in two shapes: `mirrored` commits flip every
+//     object's salary and back, so each fact is logged 16 times (the
+//     shape of perfbench's bulk_rules cycles), and `distinct` commits
+//     each add a fresh fact per object, so no fact repeats (the shape of
+//     point_txn). `fact_ops` counts the logged fact operations and
+//     `distinct_facts` the distinct facts among them.
 //
 // All I/O runs against a FaultInjectingEnv (in-memory, fault-free here):
 // the benchmarks compare code paths, not disk hardware.
@@ -19,12 +26,15 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "parser/parser.h"
+#include "storage/codec.h"
 #include "storage/database.h"
+#include "storage/wal.h"
 #include "store/store.h"
 #include "util/fault_env.h"
 
@@ -284,6 +294,104 @@ BENCHMARK_CAPTURE(BM_ColdOpenFullWalReplay, mem, StoreBackend::kMem)
     ->Arg(4096);
 BENCHMARK_CAPTURE(BM_ColdOpenFullWalReplay, pagelog, StoreBackend::kPageLog)
     ->Arg(256)
+    ->Arg(4096);
+
+/// Counts the fact operations the WAL in `env` logs and the distinct
+/// facts among them.
+void CountLoggedFacts(FaultInjectingEnv& env, size_t& ops, size_t& distinct) {
+  ops = 0;
+  std::set<std::string> facts;
+  Engine engine;
+  Result<WalReadResult> wal = ReadWal(std::string(kDir) + "/wal.log", &env);
+  if (!wal.ok()) return;
+  for (const std::string& payload : wal->records) {
+    Result<std::vector<FactDelta>> deltas =
+        DecodeDeltaBatch(payload, engine.symbols(), engine.versions());
+    if (!deltas.ok()) return;
+    for (const FactDelta& delta : *deltas) {
+      for (const auto* list : {&delta.added, &delta.removed}) {
+        for (const DecodedFact& fact : *list) {
+          BufferWriter writer;
+          EncodeFact(writer, fact.vid, fact.method, fact.app,
+                     engine.symbols(), engine.versions());
+          facts.insert(writer.Take());
+          ++ops;
+        }
+      }
+    }
+  }
+  distinct = facts.size();
+}
+
+void BM_ReplayWalSuffix(benchmark::State& state, bool mirrored) {
+  const size_t objects = static_cast<size_t>(state.range(0));
+  FaultInjectingEnv env;
+  DatabaseOptions options;
+  options.env = &env;
+  options.retry_backoff_us = 0;
+  size_t facts = 0;
+  {
+    Engine engine;
+    Result<std::unique_ptr<Database>> db =
+        Database::Open(kDir, engine, options);
+    if (!db.ok()) {
+      state.SkipWithError("open failed");
+      return;
+    }
+    ObjectBase base = engine.MakeBase();
+    ObjectBase doubled = engine.MakeBase();
+    for (size_t i = 0; i < objects; ++i) {
+      const std::string name = "o" + std::to_string(i);
+      const int64_t sal = static_cast<int64_t>(100 + i % 977);
+      engine.AddFact(base, name, "isa", "thing");
+      engine.AddFact(base, name, "sal", sal);
+      engine.AddFact(doubled, name, "isa", "thing");
+      engine.AddFact(doubled, name, "sal", 2 * sal);
+    }
+    Status s = (*db)->ImportBase(base);
+    if (s.ok()) s = (*db)->Checkpoint();
+    for (int frame = 0; frame < 16 && s.ok(); ++frame) {
+      if (mirrored) {
+        s = (*db)->ImportBase(frame % 2 == 0 ? doubled : base);
+        continue;
+      }
+      const std::string method = "t" + std::to_string(frame);
+      for (size_t i = 0; i < objects; ++i) {
+        engine.AddFact(base, "o" + std::to_string(i), method,
+                       static_cast<int64_t>(frame));
+      }
+      s = (*db)->ImportBase(base);
+    }
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      return;
+    }
+    facts = (*db)->current().fact_count();
+  }
+  size_t ops = 0;
+  size_t distinct = 0;
+  CountLoggedFacts(env, ops, distinct);
+  for (auto _ : state) {
+    Engine engine;
+    Result<std::unique_ptr<Database>> db =
+        Database::Open(kDir, engine, options);
+    if (!db.ok() || (*db)->current().fact_count() != facts ||
+        (*db)->wal_records_since_checkpoint() != 16) {
+      state.SkipWithError("recovery failed");
+      return;
+    }
+    benchmark::DoNotOptimize(db);
+  }
+  state.counters["fact_ops"] = static_cast<double>(ops);
+  state.counters["distinct_facts"] = static_cast<double>(distinct);
+}
+BENCHMARK_CAPTURE(BM_ReplayWalSuffix, mirrored, true)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096);
+BENCHMARK_CAPTURE(BM_ReplayWalSuffix, distinct, false)
+    ->Arg(256)
+    ->Arg(1024)
     ->Arg(4096);
 
 }  // namespace

@@ -13,11 +13,12 @@
 # registry: fixpoint + commit workloads with metrics enabled vs the
 # registry-disabled ablation — the On/Off pairs bound the
 # instrumentation's overhead), bench_store (src/store backends:
-# put/get/scan, checkpoint cost, and checkpointed cold-open vs
-# full-WAL-replay restart), and bench_analysis (the static rule-program
-# analyzer: full analysis runs at 256-4096 generated rules and the
-# prepare overhead it adds to a Statement, on vs off). JSON results land
-# next to this repo's root so successive PRs can diff them.
+# put/scan, checkpoint cost, checkpointed cold-open vs full-WAL-replay
+# restart, and WAL-suffix replay with and without repeated facts), and
+# bench_analysis (the static rule-program analyzer: full analysis runs
+# at 256-4096 generated rules and the prepare overhead it adds to a
+# Statement, on vs off). JSON results land next to this repo's root so
+# successive PRs can diff them.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -63,7 +64,13 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
     --benchmark_format=json \
     --benchmark_out=BENCH_obs.json \
     --benchmark_out_format=json
+# The cold-open points of bench_store move by up to a third between
+# single recordings of one binary, more than the recovery changes they
+# are read for: interleave repetitions and record medians here too.
 "$BUILD_DIR"/bench_store \
+    --benchmark_enable_random_interleaving=true \
+    --benchmark_repetitions=5 \
+    --benchmark_report_aggregates_only=true \
     --benchmark_format=json \
     --benchmark_out=BENCH_store.json \
     --benchmark_out_format=json

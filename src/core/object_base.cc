@@ -39,6 +39,26 @@ VersionState::MethodList::const_iterator VersionState::LowerBound(
       [](const MethodEntry& e, MethodId m) { return e.first < m; });
 }
 
+VersionState VersionState::FromFacts(
+    std::vector<std::pair<MethodId, GroundApp>> facts) {
+  if (!std::is_sorted(facts.begin(), facts.end())) {
+    std::sort(facts.begin(), facts.end());
+  }
+  facts.erase(std::unique(facts.begin(), facts.end()), facts.end());
+  VersionState state;
+  for (size_t run = 0; run < facts.size();) {
+    const MethodId method = facts[run].first;
+    size_t end = run + 1;
+    while (end < facts.size() && facts[end].first == method) ++end;
+    state.methods_.emplace_back(method, SharedApps());
+    std::vector<GroundApp>& apps = state.methods_.back().second.Mutable();
+    apps.reserve(end - run);
+    for (; run < end; ++run) apps.push_back(std::move(facts[run].second));
+  }
+  state.fact_count_ = facts.size();
+  return state;
+}
+
 bool VersionState::Insert(MethodId method, GroundApp app) {
   auto mit = LowerBound(method);
   if (mit == methods_.end() || mit->first != method) {
@@ -208,23 +228,27 @@ bool ObjectBase::InstallVersion(Vid version, StatePtr incoming,
   if (old_state == incoming.get()) return false;  // same handle (or none)
 
   // One merge walk finds the fact-level changes; under T_P step-2
-  // sharing only the methods the updates touched cost work.
-  bool changed = false;
-  ForEachFactChange(old_state, incoming.get(),
-                    [&](MethodId method, const GroundApp& app, bool added) {
-                      changed = true;
-                      if (diff != nullptr) {
-                        diff->push_back({version, method, app, added});
-                      }
-                      // Judged on the incoming state, so a removal and an
-                      // addition with one result leave it listed.
-                      if (ResultIndexOf(method) != nullptr) {
-                        ListUnderResult(version, method, app.result,
-                                        incoming != nullptr &&
-                                            incoming->HoldsResult(
-                                                method, app.result));
-                      }
-                    });
+  // sharing only the methods the updates touched cost work. A version
+  // new to a base with no result index needs no walk: every fact of
+  // `incoming` (non-empty here) is an addition nobody lists.
+  bool changed = old_state == nullptr && diff == nullptr &&
+                 by_result_.empty();
+  if (!changed) {
+    ForEachFactChange(
+        old_state, incoming.get(),
+        [&](MethodId method, const GroundApp& app, bool added) {
+          changed = true;
+          if (diff != nullptr) diff->push_back({version, method, app, added});
+          // Judged on the incoming state, so a removal and an addition
+          // with one result leave it listed.
+          if (ResultIndexOf(method) != nullptr) {
+            ListUnderResult(
+                version, method, app.result,
+                incoming != nullptr &&
+                    incoming->HoldsResult(method, app.result));
+          }
+        });
+  }
   if (!changed) return false;
 
   // The method sets change only where one state has a method the other

@@ -228,6 +228,11 @@ class VersionState {
   using MethodEntry = std::pair<MethodId, SharedApps>;
   using MethodList = std::vector<MethodEntry>;
 
+  /// The state holding exactly `facts` (duplicates collapse): the bulk
+  /// form of Insert, one sort instead of a sorted insert per fact.
+  static VersionState FromFacts(
+      std::vector<std::pair<MethodId, GroundApp>> facts);
+
   /// Returns true if the application was new.
   bool Insert(MethodId method, GroundApp app);
   /// Returns true if the application was present.

@@ -10,11 +10,10 @@ SymbolTable::SymbolTable() {
 
 Oid SymbolTable::Symbol(std::string_view name) {
   uint32_t sym = symbol_names_.Intern(name);
-  auto it = symbol_to_oid_.find(sym);
-  if (it != symbol_to_oid_.end()) return it->second;
+  if (sym < symbol_to_oid_.size()) return symbol_to_oid_[sym];
   Oid id(static_cast<uint32_t>(entries_.size()));
   entries_.push_back({OidKind::kSymbol, sym});
-  symbol_to_oid_.emplace(sym, id);
+  symbol_to_oid_.push_back(id);
   return id;
 }
 
@@ -33,19 +32,16 @@ Oid SymbolTable::Int(int64_t value) { return Number(Numeric::FromInt(value)); }
 
 Oid SymbolTable::String(std::string_view text) {
   uint32_t sid = string_values_.Intern(text);
-  auto it = string_to_oid_.find(sid);
-  if (it != string_to_oid_.end()) return it->second;
+  if (sid < string_to_oid_.size()) return string_to_oid_[sid];
   Oid id(static_cast<uint32_t>(entries_.size()));
   entries_.push_back({OidKind::kString, sid});
-  string_to_oid_.emplace(sid, id);
+  string_to_oid_.push_back(id);
   return id;
 }
 
 Oid SymbolTable::FindSymbol(std::string_view name) const {
   uint32_t sym = symbol_names_.Find(name);
-  if (sym == StringInterner::kNotFound) return Oid();
-  auto it = symbol_to_oid_.find(sym);
-  return it == symbol_to_oid_.end() ? Oid() : it->second;
+  return sym == StringInterner::kNotFound ? Oid() : symbol_to_oid_[sym];
 }
 
 std::string_view SymbolTable::SymbolName(Oid id) const {

@@ -82,14 +82,16 @@ class SymbolTable {
 
   std::vector<Entry> entries_;
 
+  // Interned id -> Oid, dense: every name gets its Oid when first
+  // interned, so the vectors grow in step with their interners.
   StringInterner symbol_names_;
-  std::unordered_map<uint32_t, Oid> symbol_to_oid_;
+  std::vector<Oid> symbol_to_oid_;
 
   std::vector<Numeric> numbers_;
   std::unordered_map<Numeric, Oid> number_to_oid_;
 
   StringInterner string_values_;
-  std::unordered_map<uint32_t, Oid> string_to_oid_;
+  std::vector<Oid> string_to_oid_;
 
   StringInterner method_names_;
   MethodId exists_method_;

@@ -12,11 +12,14 @@ VersionTable::VersionTable() {
 }
 
 Vid VersionTable::OfOid(Oid o) {
-  auto it = oid_to_vid_.find(o);
-  if (it != oid_to_vid_.end()) return it->second;
+  assert(o.valid());
+  if (o.value < oid_to_vid_.size() && oid_to_vid_[o.value].valid()) {
+    return oid_to_vid_[o.value];
+  }
   Vid v(static_cast<uint32_t>(entries_.size()));
   entries_.push_back({o, Vid(), UpdateKind::kInsert, 0, VidShape(0)});
-  oid_to_vid_.emplace(o, v);
+  if (o.value >= oid_to_vid_.size()) oid_to_vid_.resize(o.value + 1);
+  oid_to_vid_[o.value] = v;
   vids_by_shape_[0].push_back(v);
   return v;
 }

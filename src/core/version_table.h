@@ -86,7 +86,9 @@ class VersionTable {
   };
 
   std::vector<Entry> entries_;
-  std::unordered_map<Oid, Vid> oid_to_vid_;
+  // Oid -> its depth-0 Vid, dense over the symbol table's Oids; an
+  // invalid Vid marks an object no version was made for yet.
+  std::vector<Vid> oid_to_vid_;
   // (parent, kind) -> child
   std::unordered_map<uint64_t, Vid> child_index_;
 

@@ -102,9 +102,15 @@ struct StorageStats {
 /// without that checkpoint would build a state no commit produced.
 ///
 /// Open() recovers from the latest store generation — the base is stored
-/// one version per key under "b/", rebuilt by a single range scan — then
-/// replays only the WAL suffix behind it; a torn tail (crashed writer) is
-/// ignored. Recovery is O(base + tail), not O(history). Execute() runs a
+/// one version per key under "b/", rebuilt by a single range scan that
+/// builds each version's state from its record and adopts it whole — then
+/// replays only the WAL suffix behind it, as one net delta: each distinct
+/// fact image is decoded once and only its last operation applied, so a
+/// suffix that edits the same facts again and again costs its distinct
+/// facts. A torn tail (crashed writer) is ignored. A stored record must
+/// name exactly one version — its key canonical, every fact leading with
+/// it — or Open() fails with kCorruption before it reads the WAL.
+/// Recovery is O(base + tail), not O(history). Execute() runs a
 /// program through the engine, logs the resulting delta to the WAL
 /// *before* installing it in memory, and Checkpoint() writes the versions
 /// changed since the last checkpoint into the store, then drops the WAL.
@@ -277,7 +283,9 @@ class Database {
   Clock* clock_;
   ObjectBase current_;
   /// The base the store holds: set at Open before the WAL suffix is
-  /// replayed, and after each successful store commit.
+  /// replayed, and after each successful store commit. The net replay
+  /// touches only the facts whose last operation changes them, so a
+  /// suffix that nets to nothing leaves every state shared with it.
   ObjectBase checkpointed_;
   WalWriter wal_;
   std::unique_ptr<Store> store_;

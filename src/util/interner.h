@@ -2,15 +2,19 @@
 #define VERSO_UTIL_INTERNER_H_
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 namespace verso {
 
 /// Maps strings to dense uint32 ids and back. Ids are stable for the
 /// lifetime of the interner and allocated in insertion order starting at 0.
+///
+/// Lookups hash the caller's string_view directly: the index's keys point
+/// into `strings_`, a deque, whose elements never move as it grows (nor
+/// when the interner itself is moved), so a probe builds no temporary.
 class StringInterner {
  public:
   StringInterner() = default;
@@ -33,8 +37,8 @@ class StringInterner {
   static constexpr uint32_t kNotFound = UINT32_MAX;
 
  private:
-  std::vector<std::string> strings_;
-  std::unordered_map<std::string, uint32_t> index_;
+  std::deque<std::string> strings_;
+  std::unordered_map<std::string_view, uint32_t> index_;
 };
 
 }  // namespace verso

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 
 #include "core/pretty.h"
 #include "obs/metrics.h"
@@ -12,6 +13,7 @@
 #include "storage/codec.h"
 #include "storage/database.h"
 #include "storage/wal.h"
+#include "store/store.h"
 #include "util/crc32.h"
 #include "util/fault_env.h"
 #include "util/io.h"
@@ -94,9 +96,10 @@ TEST_F(StorageFixture, ObjectBaseEncodesAcrossEngines) {
   // decodes each record into whatever engine opens the directory.
   Engine a;
   ObjectBase base = Base(kRichBase, a);
-  std::vector<std::string> records;
+  std::vector<std::pair<std::string, std::string>> records;
   for (const auto& [vid, state] : base.versions()) {
-    records.push_back(
+    records.emplace_back(
+        EncodeVersionKey(vid, a.symbols(), a.versions()),
         EncodeVersionRecord(vid, *state, a.symbols(), a.versions()));
   }
   ASSERT_GT(records.size(), 1u);
@@ -106,10 +109,9 @@ TEST_F(StorageFixture, ObjectBaseEncodesAcrossEngines) {
   b.symbols().Symbol("unrelated");
   b.symbols().Symbol("phil");
   ObjectBase decoded = b.MakeBase();
-  for (const std::string& record : records) {
-    ASSERT_TRUE(
-        DecodeVersionRecordInto(record, b.symbols(), b.versions(), decoded)
-            .ok());
+  FactDecoder decoder(b.symbols(), b.versions());
+  for (const auto& [key, record] : records) {
+    ASSERT_TRUE(DecodeVersionRecordInto(key, record, decoder, decoded).ok());
   }
   EXPECT_EQ(ObjectBaseToString(decoded, b.symbols(), b.versions()),
             ObjectBaseToString(base, a.symbols(), a.versions()));
@@ -131,15 +133,17 @@ TEST_F(StorageFixture, CorruptPayloadIsDetected) {
   Engine engine;
   ObjectBase base = Base("a.m -> 1.", engine);
   Vid a = engine.versions().OfOid(engine.symbols().Symbol("a"));
+  std::string key = EncodeVersionKey(a, engine.symbols(), engine.versions());
   std::string record = EncodeVersionRecord(a, *base.StateOf(a),
                                            engine.symbols(), engine.versions());
   // Every truncation is a Status, never a crash or a silent partial read.
   for (size_t len = 0; len < record.size(); ++len) {
     ObjectBase out = engine.MakeBase();
-    Status status = DecodeVersionRecordInto(record.substr(0, len),
-                                            engine.symbols(),
-                                            engine.versions(), out);
-    EXPECT_EQ(status.code(), StatusCode::kCorruption) << "length " << len;
+    FactDecoder decoder(engine.symbols(), engine.versions());
+    Result<size_t> facts =
+        DecodeVersionRecordInto(key, record.substr(0, len), decoder, out);
+    EXPECT_EQ(facts.status().code(), StatusCode::kCorruption)
+        << "length " << len;
   }
 }
 
@@ -934,6 +938,129 @@ TEST_F(StorageFixture, CheckpointBoundsRecoveryToTheWalSuffix) {
     EXPECT_EQ(ObjectBaseToString((*db)->current(), engine.symbols(),
                                  engine.versions()),
               expected);
+  }
+}
+
+TEST_F(StorageFixture, RecoveryDecodesEachStoredFactAndEachDistinctLoggedFact) {
+  // storage.recovery_facts_decoded counts the fact images a recovery
+  // decodes: every fact of every stored record, then each distinct image
+  // of the WAL suffix once, however often the suffix logs it.
+  Counter& decoded = MetricsRegistry::Global().GetCounter(
+      "storage.recovery_facts_decoded");
+  Counter& frames = MetricsRegistry::Global().GetCounter(
+      "storage.recovery_replayed_frames");
+  for (StoreBackend backend : {StoreBackend::kMem, StoreBackend::kPageLog}) {
+    SCOPED_TRACE(StoreBackendName(backend));
+    FaultInjectingEnv env;
+    DatabaseOptions options;
+    options.env = &env;
+    options.retry_backoff_us = 0;
+    options.store_backend = backend;
+    constexpr const char* kStored = "o0.m -> 0. o1.m -> 1. o1.n -> x.";
+    std::string expected;
+    {
+      Engine engine;
+      Result<std::unique_ptr<Database>> db =
+          Database::Open("/db", engine, options);
+      ASSERT_TRUE(db.ok());
+      // Stored: 2 records, 3 facts.
+      ASSERT_TRUE((*db)->ImportBase(Base(kStored, engine)).ok());
+      ASSERT_TRUE((*db)->Checkpoint().ok());
+      // The suffix: 3 frames, 5 fact operations on 3 distinct facts
+      // (o0.m -> 0 removed and added back, o0.m -> 5 added and removed,
+      // o2.m -> 2 added).
+      ASSERT_TRUE((*db)->ImportBase(
+          Base("o0.m -> 5. o1.m -> 1. o1.n -> x.", engine)).ok());
+      ASSERT_TRUE((*db)->ImportBase(Base(kStored, engine)).ok());
+      ASSERT_TRUE((*db)->ImportBase(
+          Base("o0.m -> 0. o1.m -> 1. o1.n -> x. o2.m -> 2.", engine)).ok());
+      expected = ObjectBaseToString((*db)->current(), engine.symbols(),
+                                    engine.versions());
+    }
+    const uint64_t decoded_before = decoded.value();
+    const uint64_t frames_before = frames.value();
+    Engine engine;
+    Result<std::unique_ptr<Database>> db =
+        Database::Open("/db", engine, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ(frames.value() - frames_before, 3u);
+    EXPECT_EQ(decoded.value() - decoded_before, 3u + 3u);
+    EXPECT_EQ(ObjectBaseToString((*db)->current(), engine.symbols(),
+                                 engine.versions()),
+              expected);
+  }
+}
+
+TEST_F(StorageFixture, StoredRecordMustNameExactlyOneVersion) {
+  // A checkpoint puts and deletes a version's record under its canonical
+  // key. A record under another spelling of that key, or one holding
+  // another version's fact, would never be rewritten or deleted, and its
+  // facts would come back on every reopen: recovery refuses both with
+  // Corruption and leaves every file as it found it.
+  Engine engine;
+  ObjectBase base = Base("a.m -> 1. a.n -> 2. b.m -> 3.", engine);
+  const Vid a = engine.versions().OfOid(engine.symbols().Symbol("a"));
+  const Vid b = engine.versions().OfOid(engine.symbols().Symbol("b"));
+  const std::string key_a =
+      EncodeVersionKey(a, engine.symbols(), engine.versions());
+  const std::string record_a = EncodeVersionRecord(
+      a, *base.StateOf(a), engine.symbols(), engine.versions());
+  const std::string record_b = EncodeVersionRecord(
+      b, *base.StateOf(b), engine.symbols(), engine.versions());
+  // a's record: a count of 2, then two facts of equal length.
+  ASSERT_EQ(record_a[0], '\x02');
+  const size_t fact_bytes = (record_a.size() - 1) / 2;
+  const std::string fact_a1 = record_a.substr(1, fact_bytes);
+  const std::string fact_a2 = record_a.substr(1 + fact_bytes);
+  ASSERT_EQ(key_a[0], '\0');  // depth 0
+  // a's depth as a two-byte varint: the same version, another spelling,
+  // in the key and in both facts alike.
+  const std::string padded_key = "\x80" + key_a;
+  const std::string padded_record =
+      std::string("\x02") + "\x80" + fact_a1 + "\x80" + fact_a2;
+  // a's first fact, then b's one fact (its record minus the count byte).
+  const std::string mixed_record = "\x02" + fact_a1 + record_b.substr(1);
+  struct Case {
+    const char* name;
+    std::string key;
+    std::string record;
+    bool ok;
+  };
+  const Case cases[] = {
+      {"canonical", key_a, record_a, true},
+      {"padded depth in the key", padded_key, padded_record, false},
+      {"another version's record", key_a, record_b, false},
+      {"one fact of another version", key_a, mixed_record, false},
+  };
+  for (StoreBackend backend : {StoreBackend::kMem, StoreBackend::kPageLog}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(StoreBackendName(backend)) + ": " + c.name);
+      FaultInjectingEnv env;
+      {
+        Result<std::unique_ptr<Store>> store = OpenStore(backend, "/db", &env);
+        ASSERT_TRUE(store.ok());
+        WriteTransaction txn = (*store)->BeginWrite();
+        txn.Put("b/" + c.key, c.record);
+        txn.PutMeta("generation", 1);
+        ASSERT_TRUE(txn.Commit().ok());
+      }
+      const std::map<std::string, std::string> files = env.files();
+      DatabaseOptions options;
+      options.env = &env;
+      options.store_backend = backend;
+      Engine fresh;
+      Result<std::unique_ptr<Database>> db =
+          Database::Open("/db", fresh, options);
+      if (c.ok) {
+        ASSERT_TRUE(db.ok()) << db.status().ToString();
+        EXPECT_EQ((*db)->current().fact_count(), 2u);
+        continue;
+      }
+      ASSERT_FALSE(db.ok());
+      EXPECT_EQ(db.status().code(), StatusCode::kCorruption)
+          << db.status().ToString();
+      EXPECT_EQ(env.files(), files);
+    }
   }
 }
 
