@@ -2,9 +2,9 @@
 // workloads with the global registry enabled vs disabled price what the
 // instrumentation costs when it stays on in Release. Two shapes:
 //
-//   * fixpoint — the recursive ancestors closure evaluated with a
-//     MetricsTraceSink attached (how every Connection evaluates), so the
-//     per-event bridge cost is on the measured path;
+//   * fixpoint — the recursive ancestors closure through Engine::Run,
+//     whose evaluator adds its eval.* and index.* counters to the
+//     registry once per run;
 //   * commit — client-API commits through Connection/Session, covering
 //     the commit-path phase timers (evaluate/install/fan-out spans) and
 //     the statement counters.
@@ -18,7 +18,6 @@
 #include "api/api.h"
 #include "bench_common.h"
 #include "obs/metrics.h"
-#include "obs/metrics_sink.h"
 
 namespace verso::bench {
 namespace {
@@ -54,10 +53,9 @@ void RunObsFixpoint(benchmark::State& state, bool metrics_on) {
   }
   world->program = std::move(program).value();
 
-  MetricsTraceSink sink(MetricsRegistry::Global());
   for (auto _ : state) {
     Result<RunOutcome> outcome =
-        world->engine->Run(world->program, world->base, EvalOptions(), &sink);
+        world->engine->Run(world->program, world->base);
     if (!outcome.ok()) {
       state.SkipWithError(outcome.status().ToString().c_str());
       return;

@@ -48,7 +48,6 @@
 namespace verso {
 
 class Connection;
-class MetricsTraceSink;
 class Session;
 class Statement;
 class ResultSet;
@@ -522,11 +521,12 @@ class Connection : public ViewDeltaSink {
   const VersionTable& versions() const { return engine_->versions(); }
 
   /// Wires a trace sink after open — handy because a StreamTrace is built
-  /// over the connection's own tables. Applies to subsequent statement
-  /// executions and view registrations (not owned; nullptr to unwire).
-  /// The sink sees the raw event stream: the connection's always-on
-  /// metrics bridge (MetricsTraceSink) sits in front and forwards every
-  /// event unchanged.
+  /// over the connection's own tables. From the next statement on, the
+  /// sink hears every evaluation, the maintenance of every view (views
+  /// registered before the call included) and every storage fault (not
+  /// owned; nullptr to unwire, after which nothing touches the old sink).
+  /// The metrics registry does not depend on it: each layer counts into
+  /// the registry itself.
   void SetTrace(TraceSink* trace);
 
   /// Internal escape hatches for code not yet migrated to the facade and
@@ -568,13 +568,11 @@ class Connection : public ViewDeltaSink {
   Status RemoveSubscription(Session* owner, uint64_t id);
   void RemoveSessionSubscriptions(Session* owner);
 
+  /// options_.trace is the one client sink, handed as is to the
+  /// database, the catalog and each evaluation (SetTrace rewires all
+  /// three).
   ConnectionOptions options_;
   std::unique_ptr<Engine> engine_;
-  /// The always-on bridge from TraceSink events into the global metrics
-  /// registry; every layer below (database, catalog, evaluation) traces
-  /// through it, and it forwards to the client sink (options_.trace /
-  /// SetTrace) unchanged.
-  std::unique_ptr<MetricsTraceSink> metrics_trace_;
   std::unique_ptr<Database> db_;
   std::unique_ptr<ViewCatalog> catalog_;
   std::shared_ptr<const internal::Snapshot> cached_;

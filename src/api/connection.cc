@@ -2,7 +2,6 @@
 #include <ostream>
 
 #include "api/api.h"
-#include "obs/metrics_sink.h"
 #include "parser/parser.h"
 
 namespace verso {
@@ -37,21 +36,20 @@ struct ConnMetrics {
 }  // namespace
 
 Connection::Connection(ConnectionOptions options)
-    : options_(options),
-      engine_(std::make_unique<Engine>()),
-      // The bridge is permanent: every layer below traces through it, so
-      // the registry hears storage, evaluation, and view events whether
-      // or not the client wired a sink of its own.
-      metrics_trace_(std::make_unique<MetricsTraceSink>(
-          MetricsRegistry::Global(), options.trace)) {}
+    : options_(options), engine_(std::make_unique<Engine>()) {
+  // Each layer counts into the registry itself; list its counters from
+  // the open on, before the first evaluation or view maintenance.
+  Evaluator::RegisterMetrics();
+  MaterializedView::RegisterMetrics();
+}
 
 Connection::~Connection() = default;
 
 void Connection::Finish() {
-  db_->set_trace(metrics_trace_.get());
-  catalog_ = std::make_unique<ViewCatalog>(*engine_, metrics_trace_.get());
+  catalog_ = std::make_unique<ViewCatalog>(*engine_);
   catalog_->Attach(*db_);
   catalog_->SetDeltaSink(this);
+  SetTrace(options_.trace);
 }
 
 Result<std::unique_ptr<Connection>> Connection::Open(
@@ -62,7 +60,6 @@ Result<std::unique_ptr<Connection>> Connection::Open(
   db_options.wal_retry_limit = options.wal_retry_limit;
   db_options.retry_backoff_us = options.retry_backoff_us;
   db_options.clock = options.clock;
-  db_options.trace = conn->metrics_trace_.get();
   db_options.store_backend = options.store_backend;
   db_options.checkpoint_wal_bytes = options.checkpoint_wal_bytes;
   VERSO_ASSIGN_OR_RETURN(conn->db_,
@@ -125,10 +122,9 @@ Status Connection::ViewHealth(std::string_view name) const {
 }
 
 void Connection::SetTrace(TraceSink* trace) {
-  // The database and catalog keep tracing through the metrics bridge;
-  // only the bridge's downstream changes.
   options_.trace = trace;
-  metrics_trace_->set_next(trace);
+  db_->set_trace(trace);
+  catalog_->set_trace(trace);
 }
 
 void Connection::DumpMetrics(std::ostream& out) const {
@@ -223,7 +219,7 @@ void Connection::OnViewDelta(const MaterializedView& view,
 Result<ResultSet> Connection::ExecuteWrite(Session& session,
                                            Program& program) {
   Result<RunOutcome> out =
-      db_->Execute(program, options_.eval, metrics_trace_.get());
+      db_->Execute(program, options_.eval, options_.trace);
   if (!out.ok()) {
     if (out.status().code() == StatusCode::kObserverFailed) {
       // The commit stands (see CommitObserver); only the observer work is
@@ -248,7 +244,7 @@ Result<ResultSet> Connection::ExecuteWrite(Session& session,
 Result<std::vector<ResultSet>> Connection::ExecuteWriteBatch(
     Session& session, const std::vector<Program*>& programs) {
   Result<std::vector<RunOutcome>> out =
-      db_->ExecuteBatch(programs, options_.eval, metrics_trace_.get());
+      db_->ExecuteBatch(programs, options_.eval, options_.trace);
   if (!out.ok()) {
     if (out.status().code() == StatusCode::kObserverFailed) {
       InvalidateSnapshot();

@@ -1,6 +1,55 @@
 #include "core/evaluator.h"
 
+#include "obs/metrics.h"
+
 namespace verso {
+
+namespace {
+
+/// Evaluation handles into the global registry, bound once (registration
+/// takes a mutex; a run must not). Run adds each finished evaluation's
+/// totals: delta rounds are the rounds >= 1 of a stratum, and
+/// versions_materialized counts the versions given a step-2 state (one
+/// TraceSink::OnVersionMaterialized each), which exceeds
+/// EvalStats::versions_materialized only for an input base holding facts
+/// of a non-plain version that lacks its exists-fact.
+struct EvalMetrics {
+  Counter& strata;
+  Counter& rounds;
+  Counter& delta_rounds;
+  Counter& delta_facts;
+  Counter& seed_probes;
+  Counter& residual_rule_runs;
+  Counter& updates_derived;
+  Counter& versions_materialized;
+  Counter& index_probes;
+  Counter& index_hits;
+  Counter& index_avoided;
+
+  static EvalMetrics& Get() {
+    static EvalMetrics* metrics =
+        new EvalMetrics(MetricsRegistry::Global());  // never dies
+    return *metrics;
+  }
+
+  explicit EvalMetrics(MetricsRegistry& registry)
+      : strata(registry.GetCounter("eval.strata")),
+        rounds(registry.GetCounter("eval.rounds")),
+        delta_rounds(registry.GetCounter("eval.delta_rounds")),
+        delta_facts(registry.GetCounter("eval.delta_facts")),
+        seed_probes(registry.GetCounter("eval.seed_probes")),
+        residual_rule_runs(registry.GetCounter("eval.residual_rule_runs")),
+        updates_derived(registry.GetCounter("eval.updates_derived")),
+        versions_materialized(
+            registry.GetCounter("eval.versions_materialized")),
+        index_probes(registry.GetCounter("index.probes")),
+        index_hits(registry.GetCounter("index.hits")),
+        index_avoided(registry.GetCounter("index.scan_avoided_facts")) {}
+};
+
+}  // namespace
+
+void Evaluator::RegisterMetrics() { EvalMetrics::Get(); }
 
 Status Evaluator::NoteMaterialized(
     Vid vid, std::unordered_map<Oid, Vid>& deepest) const {
@@ -39,6 +88,7 @@ Result<EvalStats> Evaluator::Run(const Program& program,
   }
 
   TpOperator tp(symbols_, versions_);
+  size_t versions_prepared = 0;
   for (uint32_t stratum = 0; stratum < stratification.stratum_count();
        ++stratum) {
     const std::vector<uint32_t>& rules = stratification.strata[stratum];
@@ -61,6 +111,8 @@ Result<EvalStats> Evaluator::Run(const Program& program,
       if (round == 0 || !options_.semi_naive) {
         VERSO_RETURN_IF_ERROR(
             tp.DeriveFull(program, rules, base, sstate, rstats, trace_));
+        // A naive delta round re-matches every rule of the stratum.
+        if (round > 0) rstats.residual_rules = rules.size();
       } else {
         VERSO_RETURN_IF_ERROR(tp.DeriveSeeded(program, rules, base, delta,
                                               sstate, rstats, trace_));
@@ -86,16 +138,13 @@ Result<EvalStats> Evaluator::Run(const Program& program,
       sstats.seed_probes += rstats.seed_probes;
       sstats.seed_pairs_skipped += rstats.seed_pairs_skipped;
       sstats.residual_rule_runs += rstats.residual_rules;
-      sstats.index_probes += rstats.index.index_probes;
-      sstats.index_hits += rstats.index.index_hits;
-      sstats.indexed_scan_avoided_facts +=
-          rstats.index.indexed_scan_avoided_facts;
+      sstats += rstats.index;
+      versions_prepared += rstats.versions_prepared;
       // Every consumed round notifies, in naive mode too (naive rounds
       // report 0 seed probes and their full re-matches as residual
-      // runs), so sinks — the metrics bridge in particular — hear the
-      // same per-commit event stream regardless of evaluation mode or of
-      // whether the commit arrived through Execute or as an ExecuteBatch
-      // member.
+      // runs), so a sink hears the same per-commit event stream
+      // regardless of evaluation mode or of whether the commit arrived
+      // through Execute or as an ExecuteBatch member.
       if (trace_ != nullptr && round > 0) {
         trace_->OnDeltaRound(stratum, round, delta.size(), rstats.seed_probes,
                              rstats.residual_rules);
@@ -114,6 +163,21 @@ Result<EvalStats> Evaluator::Run(const Program& program,
       trace_->OnStratumFixpoint(stratum, sstats.rounds);
     }
   }
+
+  EvalMetrics& metrics = EvalMetrics::Get();
+  metrics.strata.Add(stats.strata.size());
+  for (const StratumStats& sstats : stats.strata) {
+    metrics.rounds.Add(sstats.rounds);
+    metrics.delta_rounds.Add(sstats.rounds - 1);
+    metrics.delta_facts.Add(sstats.delta_facts);
+    metrics.seed_probes.Add(sstats.seed_probes);
+    metrics.residual_rule_runs.Add(sstats.residual_rule_runs);
+    metrics.updates_derived.Add(sstats.t1_updates);
+    metrics.index_probes.Add(sstats.index_probes);
+    metrics.index_hits.Add(sstats.index_hits);
+    metrics.index_avoided.Add(sstats.indexed_scan_avoided_facts);
+  }
+  metrics.versions_materialized.Add(versions_prepared);
   return stats;
 }
 

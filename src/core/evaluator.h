@@ -32,7 +32,10 @@ struct EvalOptions {
   bool semi_naive = true;
 };
 
-struct StratumStats {
+/// Per-stratum counters; the IndexStats base counts the stratum's
+/// bound-result lookups (full matching, seeded probes, and residual
+/// re-matching alike).
+struct StratumStats : IndexStats {
   uint32_t rounds = 0;
   /// Distinct ground updates derived over the stratum's fixpoint (the
   /// cumulative |T¹|; identical between naive and semi-naive modes).
@@ -40,21 +43,14 @@ struct StratumStats {
   size_t states_replaced = 0;
   size_t copied_facts = 0;
 
-  // Delta-evaluation counters (semi-naive mode; in naive mode
-  // body_matches and delta_facts still fill in, the seed/residual
-  // counters stay 0).
+  // Delta-evaluation counters (in naive mode every delta round re-matches
+  // each rule of the stratum in full, counted as residual runs, and the
+  // seed counters stay 0).
   size_t body_matches = 0;    // satisfying body bindings enumerated
   size_t delta_facts = 0;     // fact-level changes installed
   size_t seed_probes = 0;     // delta-seeded partial matches launched
   size_t seed_pairs_skipped = 0;  // pairs pruned by the frontier index
   size_t residual_rule_runs = 0;  // full re-matches in delta rounds
-
-  // Result-index counters (bound-result literals matched through
-  // ForEachAppWithResult instead of a full per-method scan).
-  size_t index_probes = 0;    // bound-result lookups launched
-  size_t index_hits = 0;      // probes that enumerated >= 1 fact
-  size_t indexed_scan_avoided_facts = 0;  // facts a scan would have
-                                          // visited but the index skipped
 };
 
 struct EvalStats {
@@ -110,10 +106,16 @@ class Evaluator {
         options_(options),
         trace_(trace) {}
 
-  /// Evolves `base` (the object base ob, exists-sealed) into result(P).
+  /// Evolves `base` (the object base ob, exists-sealed) into result(P),
+  /// and adds the finished run's totals to the eval.* and index.*
+  /// counters of MetricsRegistry::Global().
   Result<EvalStats> Run(const Program& program,
                         const Stratification& stratification,
                         ObjectBase& base);
+
+  /// Registers the counters Run adds to, so a registry lists them (at 0)
+  /// before the first evaluation.
+  static void RegisterMetrics();
 
  private:
   SymbolTable& symbols_;

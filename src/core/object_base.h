@@ -18,10 +18,10 @@
 namespace verso {
 
 /// Counters for bound-result lookups answered through the result-keyed
-/// index (ForEachAppWithResult). Threaded from the matcher's MatchContext
-/// into TpRoundStats / EvalStats, QueryStats, and ViewStats, so every
-/// layer that probes with a ground result reports how much scanning the
-/// index saved it.
+/// index (ForEachAppWithResult). Filled by the matcher's MatchContext and
+/// added into StratumStats, QueryStats, and ViewStats (each of which is
+/// an IndexStats), so every layer that probes with a ground result
+/// reports how much scanning the index saved it.
 struct IndexStats {
   /// Bound-result lookups launched (indexed or ablation-scan mode).
   size_t index_probes = 0;
@@ -31,6 +31,13 @@ struct IndexStats {
   /// skipped (sum over probes of method-fact-count minus facts
   /// enumerated); stays 0 when the index is disabled for ablation.
   size_t indexed_scan_avoided_facts = 0;
+
+  IndexStats& operator+=(const IndexStats& other) {
+    index_probes += other.index_probes;
+    index_hits += other.index_hits;
+    indexed_scan_avoided_facts += other.indexed_scan_avoided_facts;
+    return *this;
+  }
 };
 
 /// The shared storage node of one method's applications: the sorted

@@ -292,6 +292,7 @@ Result<TpApplyResult> TpOperator::ApplyRound(TpStratumState& state,
     bool copied_from_prior = false;
     VersionState vstate = PrepareInactiveState(target, base, versions_, trace,
                                                &copied_from_prior);
+    ++stats.versions_prepared;
     stats.copied_facts += vstate.fact_count();
     ApplyUpdatesToState(vstate, tu.updates, first_fresh, tu.updates.size());
 

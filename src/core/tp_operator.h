@@ -44,6 +44,8 @@ struct TpRoundStats {
   size_t copied_facts = 0;    // facts SHARED into new targets (step-2
                               // states are COW; only written methods
                               // physically copy)
+  size_t versions_prepared = 0;  // inactive targets given a step-2 state
+                                 // (one OnVersionMaterialized each)
   IndexStats index;           // bound-result probes answered by the
                               // result index (full matching, seeded
                               // probes, and residual re-matching alike)

@@ -16,9 +16,11 @@
 namespace verso {
 
 /// Observer interface over the update-process. The evaluator invokes the
-/// hooks during bottom-up evaluation; sinks are used for Figure-2 style
-/// process traces, statistics, and tests asserting process properties.
-/// All hooks default to no-ops.
+/// hooks during bottom-up evaluation, and view maintenance and the
+/// storage layer report through them as well; sinks render Figure-2
+/// style process traces and let tests assert process properties.
+/// Counters do not come from sinks: each layer adds its own to the
+/// metrics registry. All hooks default to no-ops.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -99,8 +101,7 @@ class TraceSink {
   /// "wal-rollback", "checkpoint-store" or "checkpoint-truncate".
   /// `attempt` counts retries already spent on the operation (0 = first
   /// try); `degraded` is true when this fault tipped the database into
-  /// read-only degraded mode. Benches and workloads report fault behavior through this hook
-  /// the same way they report index hits.
+  /// read-only degraded mode.
   virtual void OnStorageFault(std::string_view op, const Status& status,
                               uint32_t attempt, bool degraded) {
     (void)op;
@@ -110,10 +111,12 @@ class TraceSink {
   }
 };
 
-/// Records a readable line per event; handy in tests and examples.
-class RecordingTrace : public TraceSink {
+/// Renders each event as one readable line (the Figure 2 process trace)
+/// and hands it to Emit; RecordingTrace keeps the lines, StreamTrace
+/// prints them.
+class LineTrace : public TraceSink {
  public:
-  RecordingTrace(const SymbolTable& symbols, const VersionTable& versions)
+  LineTrace(const SymbolTable& symbols, const VersionTable& versions)
       : symbols_(symbols), versions_(versions) {}
 
   void OnStratumBegin(uint32_t stratum, size_t rule_count) override;
@@ -133,45 +136,42 @@ class RecordingTrace : public TraceSink {
   void OnStorageFault(std::string_view op, const Status& status,
                       uint32_t attempt, bool degraded) override;
 
+ protected:
+  /// One event's line, without a trailing newline.
+  virtual void Emit(std::string line) = 0;
+
+ private:
+  const SymbolTable& symbols_;
+  const VersionTable& versions_;
+};
+
+/// Records a readable line per event; handy in tests and examples.
+class RecordingTrace : public LineTrace {
+ public:
+  using LineTrace::LineTrace;
+
   const std::vector<std::string>& lines() const { return lines_; }
   /// All lines joined with newlines.
   std::string ToString() const;
 
  private:
-  const SymbolTable& symbols_;
-  const VersionTable& versions_;
+  void Emit(std::string line) override { lines_.push_back(std::move(line)); }
+
   std::vector<std::string> lines_;
 };
 
 /// Streams events to an ostream as they happen (used by the CLI's
 /// --trace flag and the example binaries).
-class StreamTrace : public TraceSink {
+class StreamTrace : public LineTrace {
  public:
   StreamTrace(std::ostream& out, const SymbolTable& symbols,
               const VersionTable& versions)
-      : out_(out), symbols_(symbols), versions_(versions) {}
-
-  void OnStratumBegin(uint32_t stratum, size_t rule_count) override;
-  void OnRoundBegin(uint32_t stratum, uint32_t round) override;
-  void OnDeltaRound(uint32_t stratum, uint32_t round, size_t delta_facts,
-                    size_t seed_probes, size_t residual_rules) override;
-  void OnUpdateDerived(const Rule& rule, const GroundUpdate& update) override;
-  void OnVersionMaterialized(Vid version, Vid copied_from,
-                             size_t copied_facts) override;
-  void OnIndexUse(uint32_t stratum, size_t probes, size_t hits,
-                  size_t avoided_facts) override;
-  void OnStratumFixpoint(uint32_t stratum, uint32_t rounds) override;
-  void OnViewMaintenance(std::string_view view, size_t delta_facts,
-                         size_t added, size_t removed, size_t overdeleted,
-                         size_t rederived, size_t seed_probes,
-                         size_t index_probes) override;
-  void OnStorageFault(std::string_view op, const Status& status,
-                      uint32_t attempt, bool degraded) override;
+      : LineTrace(symbols, versions), out_(out) {}
 
  private:
+  void Emit(std::string line) override;
+
   std::ostream& out_;
-  const SymbolTable& symbols_;
-  const VersionTable& versions_;
 };
 
 }  // namespace verso

@@ -361,11 +361,7 @@ Status SolveRecursiveStratum(const QueryProgram& program,
     frontier = std::move(delta);
     delta = DeltaLog();
   }
-  if (stats != nullptr) {
-    stats->index_probes += istats.index_probes;
-    stats->index_hits += istats.index_hits;
-    stats->indexed_scan_avoided_facts += istats.indexed_scan_avoided_facts;
-  }
+  if (stats != nullptr) *stats += istats;
   return Status::Ok();
 }
 
@@ -453,9 +449,7 @@ Result<ObjectBase> EvaluateQueries(QueryProgram& program,
     }
   }
 
-  local.index_probes += istats.index_probes;
-  local.index_hits += istats.index_hits;
-  local.indexed_scan_avoided_facts += istats.indexed_scan_avoided_facts;
+  local += istats;
   if (stats != nullptr) *stats = local;
   return working;
 }

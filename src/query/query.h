@@ -72,18 +72,15 @@ struct QueryStratification {
 Result<QueryStratification> AnalyzeQueryProgram(QueryProgram& program,
                                                 const SymbolTable& symbols);
 
-struct QueryStats {
+/// Query evaluation counters; the IndexStats base counts bound-result
+/// literals answered through ForEachAppWithResult instead of a full
+/// per-method scan.
+struct QueryStats : IndexStats {
   uint32_t strata = 0;
   uint32_t rounds = 0;          // total fixpoint rounds across strata
   size_t derived_facts = 0;     // facts added by rules
   size_t delta_joins = 0;       // semi-naive delta-seeded join probes
   size_t seed_pairs_skipped = 0;  // pairs pruned by the frontier index
-
-  // Result-index counters (bound-result literals answered through
-  // ForEachAppWithResult instead of a full per-method scan).
-  size_t index_probes = 0;
-  size_t index_hits = 0;
-  size_t indexed_scan_avoided_facts = 0;
 };
 
 struct QueryOptions {

@@ -55,7 +55,7 @@ struct CommitMetrics {
   }
 };
 
-/// Checkpoint/recovery handles. The recovery counters make bounded
+/// Checkpoint/recovery/fault handles. The recovery counters make bounded
 /// recovery observable: replayed_frames is the suffix length the last
 /// checkpoint left behind, recovery_us the total microseconds spent
 /// recovering, recovery_store_keys the stored versions loaded, and
@@ -64,8 +64,13 @@ struct CommitMetrics {
 /// that edits the same facts over and over shows as fewer decodes than
 /// logged facts. Counters rather than histograms — opens are rare, and
 /// dashboards watch the totals alongside the checkpoint cadence; one
-/// recovery's figure is the counter's rise across its Open.
+/// recovery's figure is the counter's rise across its Open. faults
+/// counts every traced I/O fault (a failed WAL rollback included, which
+/// StorageStats::io_failures does not), degraded_entered the faults that
+/// tipped a database into read-only mode.
 struct StorageMetrics {
+  Counter& faults;
+  Counter& degraded_entered;
   Counter& checkpoints;
   Counter& auto_checkpoints;
   Counter& recovery_replayed_frames;
@@ -81,7 +86,9 @@ struct StorageMetrics {
   }
 
   explicit StorageMetrics(MetricsRegistry& registry)
-      : checkpoints(registry.GetCounter("storage.checkpoints")),
+      : faults(registry.GetCounter("storage.faults")),
+        degraded_entered(registry.GetCounter("storage.degraded_entered")),
+        checkpoints(registry.GetCounter("storage.checkpoints")),
         auto_checkpoints(registry.GetCounter("storage.auto_checkpoints")),
         recovery_replayed_frames(
             registry.GetCounter("storage.recovery_replayed_frames")),
@@ -288,6 +295,9 @@ Status Database::CheckWritable() const {
 
 void Database::TraceFault(std::string_view op, const Status& status,
                           uint32_t attempt, bool degraded) {
+  StorageMetrics& metrics = StorageMetrics::Get();
+  metrics.faults.Add();
+  if (degraded) metrics.degraded_entered.Add();
   if (opts_.trace != nullptr) {
     opts_.trace->OnStorageFault(op, status, attempt, degraded);
   }

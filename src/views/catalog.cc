@@ -11,7 +11,7 @@ Status ViewCatalog::Register(std::string name, QueryProgram program,
   VERSO_ASSIGN_OR_RETURN(
       std::unique_ptr<MaterializedView> view,
       MaterializedView::Create(name, std::move(program), base, symbols_,
-                               versions_, trace_, analysis));
+                               versions_, analysis));
   views_.emplace(std::move(name), std::move(view));
   ++ddl_generation_;
   return Status::Ok();
@@ -81,7 +81,7 @@ Status ViewCatalog::OnCommit(const DeltaLog& delta,
     if (!view->health().ok()) continue;
     view_delta.clear();
     Status status = view->ApplyBaseDelta(
-        delta, sink_ != nullptr ? &view_delta : nullptr);
+        delta, sink_ != nullptr ? &view_delta : nullptr, trace_);
     if (!status.ok()) {
       if (first_error.ok()) first_error = status;
       continue;  // a failed run has no coherent delta to publish

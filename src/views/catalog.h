@@ -81,7 +81,8 @@ class ViewCatalog : public CommitObserver {
   /// owned; nullptr to unregister). At most one sink.
   void SetDeltaSink(ViewDeltaSink* sink) { sink_ = sink; }
 
-  /// Replaces the trace sink used for views registered from now on.
+  /// Replaces the trace sink every view's maintenance reports to from the
+  /// next commit on (not owned; nullptr for none). Views keep no copy.
   void set_trace(TraceSink* trace) { trace_ = trace; }
 
   /// Monotone counter bumped by every successful Register/Drop. Cached

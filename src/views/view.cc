@@ -3,12 +3,42 @@
 #include <algorithm>
 
 #include "core/match.h"
+#include "obs/metrics.h"
 
 namespace verso {
 
 namespace {
 
 constexpr uint32_t kMaxRounds = 1u << 20;
+
+/// View-maintenance handles into the global registry, bound once. Each
+/// successful maintenance run adds its share of its view's ViewStats.
+struct ViewMetrics {
+  Counter& runs;
+  Counter& delta_facts;
+  Counter& added;
+  Counter& removed;
+  Counter& overdeleted;
+  Counter& rederived;
+  Counter& seed_probes;
+  Counter& index_probes;
+
+  static ViewMetrics& Get() {
+    static ViewMetrics* metrics =
+        new ViewMetrics(MetricsRegistry::Global());  // never dies
+    return *metrics;
+  }
+
+  explicit ViewMetrics(MetricsRegistry& registry)
+      : runs(registry.GetCounter("view.maintenance_runs")),
+        delta_facts(registry.GetCounter("view.delta_facts")),
+        added(registry.GetCounter("view.facts_added")),
+        removed(registry.GetCounter("view.facts_removed")),
+        overdeleted(registry.GetCounter("view.overdeleted")),
+        rederived(registry.GetCounter("view.rederived")),
+        seed_probes(registry.GetCounter("view.seed_probes")),
+        index_probes(registry.GetCounter("view.index_probes")) {}
+};
 
 /// True iff body literal `li` (a version-literal of the fact's method),
 /// instantiated under a complete `bindings`, denotes exactly `fact`.
@@ -80,9 +110,11 @@ std::vector<MethodId> FreeObjectProbes(const Rule& rule) {
 
 }  // namespace
 
+void MaterializedView::RegisterMetrics() { ViewMetrics::Get(); }
+
 Result<std::unique_ptr<MaterializedView>> MaterializedView::Create(
     std::string name, QueryProgram program, const ObjectBase& base,
-    SymbolTable& symbols, VersionTable& versions, TraceSink* trace,
+    SymbolTable& symbols, VersionTable& versions,
     const AnalysisOptions& analysis) {
   for (MethodId m : program.derived_methods) {
     if (base.VidsWithMethod(m) != nullptr) {
@@ -101,7 +133,7 @@ Result<std::unique_ptr<MaterializedView>> MaterializedView::Create(
     VERSO_RETURN_IF_ERROR(report->FirstBlocking(analysis));
   }
   std::unique_ptr<MaterializedView> view(new MaterializedView(
-      std::move(name), std::move(program), base, symbols, versions, trace));
+      std::move(name), std::move(program), base, symbols, versions));
   view->analysis_ = std::move(report);
   VERSO_ASSIGN_OR_RETURN(
       view->stratification_,
@@ -154,9 +186,7 @@ Status MaterializedView::Materialize() {
         program_, stratum, symbols_, versions_, working_, kMaxRounds,
         &qstats));
     stats_.seed_probes += qstats.delta_joins;
-    stats_.index_probes += qstats.index_probes;
-    stats_.index_hits += qstats.index_hits;
-    stats_.indexed_scan_avoided_facts += qstats.indexed_scan_avoided_facts;
+    stats_ += static_cast<const IndexStats&>(qstats);
   }
   FoldIndexStats();
   return Status::Ok();
@@ -467,30 +497,24 @@ std::vector<MethodId> MaterializedView::DerivedMethods() const {
 }
 
 void MaterializedView::FoldIndexStats() {
-  stats_.index_probes += istats_.index_probes;
-  stats_.index_hits += istats_.index_hits;
-  stats_.indexed_scan_avoided_facts += istats_.indexed_scan_avoided_facts;
+  stats_ += istats_;
   istats_ = IndexStats();
 }
 
 Status MaterializedView::ApplyBaseDelta(const DeltaLog& delta,
-                                        DeltaLog* view_delta) {
+                                        DeltaLog* view_delta,
+                                        TraceSink* trace) {
   if (!health_.ok()) return health_;
-  Status status = MaintainAll(delta, view_delta);
+  Status status = MaintainAll(delta, view_delta, trace);
   if (!status.ok()) health_ = status;
   return status;
 }
 
 Status MaterializedView::MaintainAll(const DeltaLog& delta,
-                                     DeltaLog* view_delta) {
+                                     DeltaLog* view_delta, TraceSink* trace) {
+  const ViewStats before = stats_;
   ++stats_.maintenance_runs;
   stats_.delta_facts_seen += delta.size();
-  uint64_t added_before = stats_.facts_added;
-  uint64_t removed_before = stats_.facts_removed;
-  uint64_t overdeleted_before = stats_.overdeleted;
-  uint64_t rederived_before = stats_.rederived;
-  uint64_t seed_probes_before = stats_.seed_probes;
-  uint64_t index_probes_before = stats_.index_probes;
 
   for (const DeltaFact& fact : delta) {
     if (derived_methods_.count(fact.method.value)) {
@@ -525,14 +549,24 @@ Status MaterializedView::MaintainAll(const DeltaLog& delta,
   }
 
   FoldIndexStats();
-  if (trace_ != nullptr) {
-    trace_->OnViewMaintenance(name_, delta.size(),
-                              stats_.facts_added - added_before,
-                              stats_.facts_removed - removed_before,
-                              stats_.overdeleted - overdeleted_before,
-                              stats_.rederived - rederived_before,
-                              stats_.seed_probes - seed_probes_before,
-                              stats_.index_probes - index_probes_before);
+  const uint64_t added = stats_.facts_added - before.facts_added;
+  const uint64_t removed = stats_.facts_removed - before.facts_removed;
+  const uint64_t overdeleted = stats_.overdeleted - before.overdeleted;
+  const uint64_t rederived = stats_.rederived - before.rederived;
+  const uint64_t seed_probes = stats_.seed_probes - before.seed_probes;
+  const uint64_t index_probes = stats_.index_probes - before.index_probes;
+  ViewMetrics& metrics = ViewMetrics::Get();
+  metrics.runs.Add();
+  metrics.delta_facts.Add(delta.size());
+  metrics.added.Add(added);
+  metrics.removed.Add(removed);
+  metrics.overdeleted.Add(overdeleted);
+  metrics.rederived.Add(rederived);
+  metrics.seed_probes.Add(seed_probes);
+  metrics.index_probes.Add(index_probes);
+  if (trace != nullptr) {
+    trace->OnViewMaintenance(name_, delta.size(), added, removed, overdeleted,
+                             rederived, seed_probes, index_probes);
   }
   // `stream` now holds the commit's base transition plus every stratum's
   // emitted derived-fact changes — exactly the transition result() took.

@@ -38,8 +38,11 @@ struct ViewFactKeyHash {
   }
 };
 
-/// Observability counters of one materialized view (cumulative).
-struct ViewStats {
+/// Observability counters of one materialized view (cumulative). The
+/// IndexStats base counts per-version bound-result lookups: one per
+/// candidate version a probe visits, so a free-object probe of a method
+/// the view indexes by result visits only the versions holding it.
+struct ViewStats : IndexStats {
   uint64_t full_evaluations = 0;   // initial materializations
   uint64_t maintenance_runs = 0;   // commits absorbed incrementally
   uint64_t delta_facts_seen = 0;   // base fact changes consumed
@@ -51,13 +54,6 @@ struct ViewStats {
   uint64_t rederived = 0;          // DRed strata: facts with alternative proofs
   uint64_t seed_probes = 0;        // delta-seeded partial matches launched
   uint64_t rederive_probes = 0;    // goal-directed head probes launched
-  uint64_t index_probes = 0;       // per-version bound-result lookups
-                                   // (one per candidate version a probe
-                                   // visits; a free-object probe of a
-                                   // method the view indexes by result
-                                   // visits only the versions holding it)
-  uint64_t index_hits = 0;         // probes enumerating >= 1 fact
-  uint64_t indexed_scan_avoided_facts = 0;  // full-scan visits skipped
 };
 
 /// A named materialized view: a derived-method program evaluated once in
@@ -89,8 +85,11 @@ class MaterializedView {
   static Result<std::unique_ptr<MaterializedView>> Create(
       std::string name, QueryProgram program, const ObjectBase& base,
       SymbolTable& symbols, VersionTable& versions,
-      TraceSink* trace = nullptr,
       const AnalysisOptions& analysis = AnalysisOptions());
+
+  /// Registers the view.* counters every maintenance run adds to, so a
+  /// registry lists them (at 0) before the first commit.
+  static void RegisterMetrics();
 
   const std::string& name() const { return name_; }
   /// The maintained result: base plus all derived facts. Identical to a
@@ -120,7 +119,12 @@ class MaterializedView {
   /// Replaying these deltas commit by commit on top of a copy of result()
   /// taken before the commits reconstructs result() exactly; this is the
   /// stream view subscriptions deliver.
-  Status ApplyBaseDelta(const DeltaLog& delta, DeltaLog* view_delta = nullptr);
+  ///
+  /// A successful run adds its share of stats() to the view.* counters
+  /// of MetricsRegistry::Global() and reports it to `trace` (not owned;
+  /// nullptr for none) as one OnViewMaintenance event.
+  Status ApplyBaseDelta(const DeltaLog& delta, DeltaLog* view_delta = nullptr,
+                        TraceSink* trace = nullptr);
 
   /// Ok while the view is live; the first maintenance error otherwise.
   const Status& health() const { return health_; }
@@ -139,16 +143,16 @@ class MaterializedView {
 
   MaterializedView(std::string name, QueryProgram program,
                    const ObjectBase& base, SymbolTable& symbols,
-                   VersionTable& versions, TraceSink* trace)
+                   VersionTable& versions)
       : name_(std::move(name)),
         program_(std::move(program)),
         symbols_(symbols),
         versions_(versions),
-        trace_(trace),
         working_(base) {}
 
   Status Materialize();
-  Status MaintainAll(const DeltaLog& delta, DeltaLog* view_delta);
+  Status MaintainAll(const DeltaLog& delta, DeltaLog* view_delta,
+                     TraceSink* trace);
 
   /// Stratum maintenance. `input` is the commit delta plus every lower
   /// stratum's emitted delta; each appends its own fact changes to `out`.
@@ -195,7 +199,6 @@ class MaterializedView {
   std::shared_ptr<const AnalysisReport> analysis_;
   SymbolTable& symbols_;
   VersionTable& versions_;
-  TraceSink* trace_;
 
   /// Base plus derived facts (the served result).
   ObjectBase working_;

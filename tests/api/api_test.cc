@@ -11,6 +11,7 @@
 
 #include "api/api.h"
 #include "core/pretty.h"
+#include "util/fault_env.h"
 
 namespace verso {
 namespace {
@@ -162,6 +163,59 @@ TEST(ApiWriteTest, IndexCountersMoveOnAnIndexedWorkload) {
   EXPECT_GE(stats->total_index_hits(), 16u);
   EXPECT_GE(stats->total_indexed_scan_avoided_facts(), 32u);
   EXPECT_GE(stats->total_index_probes(), stats->total_index_hits());
+}
+
+TEST(ApiTraceTest, SetTraceReachesEvaluationViewsAndFaultsThenLetsGo) {
+  FaultInjectingEnv env;
+  ConnectionOptions options;
+  options.env = &env;
+  options.retry_backoff_us = 0;
+  Result<std::unique_ptr<Connection>> opened = Connection::Open("/db", options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Connection& conn = **opened;
+  std::unique_ptr<Session> session = conn.OpenSession();
+  ASSERT_TRUE(session->Execute("t: ins[ann].sal -> 1000.").ok());
+  ASSERT_TRUE(session
+                  ->Execute("CREATE VIEW rich AS "
+                            "q: derive X.rich -> yes <- X.sal -> S, S > 1500.")
+                  .ok());
+
+  // Each commit below meets one transient WAL-append failure and retries
+  // to success, so the connection stays writable.
+  FaultInjectingEnv::FaultPlan flaky;
+  flaky.fail_at = 0;
+  flaky.kind = FaultInjectingEnv::FaultKind::kTransient;
+  flaky.filter = FaultInjectingEnv::OpFilter::kAppend;
+  const char* const raise =
+      "raise: mod[E].sal -> (S, S2) <- E.sal -> S, S2 = S * 2.";
+  {
+    // Wired after CREATE VIEW: the view reads the catalog's sink when it
+    // maintains, so it reports to this one too.
+    RecordingTrace trace(conn.symbols(), conn.versions());
+    conn.SetTrace(&trace);
+    env.SetPlan(flaky);
+    ASSERT_TRUE(session->Execute(raise).ok());
+    conn.SetTrace(nullptr);
+    const std::string text = trace.ToString();
+    EXPECT_NE(text.find("stratum 0 (1 rules)"), std::string::npos) << text;
+    EXPECT_NE(text.find("raise derives"), std::string::npos) << text;
+    EXPECT_NE(text.find("view rich: 2 delta fact(s) -> +1/-0"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("storage fault on wal-append (attempt 0)"),
+              std::string::npos)
+        << text;
+  }
+  // The sink is destroyed: further commits, view maintenance and faults
+  // must not touch it (AddressSanitizer reports a stale pointer here).
+  env.SetPlan(flaky);
+  ASSERT_TRUE(session->Execute(raise).ok());
+  ASSERT_TRUE(session->Execute("t: ins[bob].sal -> 9000.").ok());
+  EXPECT_TRUE(conn.health().ok());
+  EXPECT_EQ(conn.storage_stats().retries, 2u);
+  Result<ViewStats> stats = conn.GetViewStats("rich");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->maintenance_runs, 3u);
 }
 
 TEST(ApiWriteTest, PreparedStatementIsReusable) {

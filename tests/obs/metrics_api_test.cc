@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 
 #include "api/api.h"
@@ -28,6 +29,192 @@ int64_t MetricValue(const std::vector<MetricsRegistry::Entry>& entries,
   }
   ADD_FAILURE() << "missing metric " << name;
   return -1;
+}
+
+std::map<std::string, int64_t> Values() {
+  std::map<std::string, int64_t> values;
+  for (const auto& entry : MetricsRegistry::Global().Snapshot()) {
+    values[entry.name] = entry.value;
+  }
+  return values;
+}
+
+/// What the eval.* and index.* counters must add for one evaluation.
+void AddEvalStats(const EvalStats& stats, std::map<std::string, int64_t>& want) {
+  want["eval.strata"] += stats.strata.size();
+  want["eval.versions_materialized"] += stats.versions_materialized;
+  for (const StratumStats& s : stats.strata) {
+    want["eval.rounds"] += s.rounds;
+    want["eval.delta_rounds"] += s.rounds - 1;
+    want["eval.delta_facts"] += s.delta_facts;
+    want["eval.seed_probes"] += s.seed_probes;
+    want["eval.residual_rule_runs"] += s.residual_rule_runs;
+    want["eval.updates_derived"] += s.t1_updates;
+    want["index.probes"] += s.index_probes;
+    want["index.hits"] += s.index_hits;
+    want["index.scan_avoided_facts"] += s.indexed_scan_avoided_facts;
+  }
+}
+
+/// What the view.* counters must add for the view's runs between two
+/// reads of its stats.
+void AddViewStats(const ViewStats& before, const ViewStats& after,
+                  std::map<std::string, int64_t>& want) {
+  want["view.maintenance_runs"] +=
+      after.maintenance_runs - before.maintenance_runs;
+  want["view.delta_facts"] += after.delta_facts_seen - before.delta_facts_seen;
+  want["view.facts_added"] += after.facts_added - before.facts_added;
+  want["view.facts_removed"] += after.facts_removed - before.facts_removed;
+  want["view.overdeleted"] += after.overdeleted - before.overdeleted;
+  want["view.rederived"] += after.rederived - before.rederived;
+  want["view.seed_probes"] += after.seed_probes - before.seed_probes;
+  want["view.index_probes"] += after.index_probes - before.index_probes;
+}
+
+/// Counts the storage-fault events a connection reports.
+class FaultEvents : public TraceSink {
+ public:
+  void OnStorageFault(std::string_view, const Status&, uint32_t,
+                      bool degraded) override {
+    ++faults;
+    if (degraded) ++degrading;
+  }
+  int64_t faults = 0;
+  int64_t degrading = 0;
+};
+
+// First in the file, so the registry is empty when it opens its first
+// connection even when the whole binary runs in one process.
+TEST(MetricsApiTest, RegistryEqualsTheStatsEachLayerKeeps) {
+  // A fresh connection lists every counter the layers below it add to,
+  // at 0, before any work.
+  ASSERT_TRUE(MetricsRegistry::Global().Snapshot().empty());
+  ASSERT_TRUE(Connection::OpenInMemory().ok());
+  std::vector<std::string> fresh;
+  for (const auto& [name, value] : Values()) {
+    EXPECT_EQ(value, 0) << name;
+    fresh.push_back(name);
+  }
+  const std::vector<std::string> expected_fresh = {
+      "eval.delta_facts", "eval.delta_rounds", "eval.residual_rule_runs",
+      "eval.rounds", "eval.seed_probes", "eval.strata",
+      "eval.updates_derived", "eval.versions_materialized", "index.hits",
+      "index.probes", "index.scan_avoided_facts", "storage.auto_checkpoints",
+      "storage.checkpoint_us.count", "storage.checkpoint_us.p50_us",
+      "storage.checkpoint_us.p95_us", "storage.checkpoint_us.p99_us",
+      "storage.checkpoint_us.sum_us", "storage.checkpoints",
+      "storage.degraded_entered", "storage.faults",
+      "storage.recovery_facts_decoded", "storage.recovery_replayed_frames",
+      "storage.recovery_store_keys", "storage.recovery_us",
+      "view.delta_facts", "view.facts_added", "view.facts_removed",
+      "view.index_probes", "view.maintenance_runs", "view.overdeleted",
+      "view.rederived", "view.seed_probes"};
+  EXPECT_EQ(fresh, expected_fresh);
+
+  FaultInjectingEnv env;
+  FaultEvents events;
+  ConnectionOptions options;
+  options.env = &env;
+  options.retry_backoff_us = 0;
+  options.trace = &events;
+  Result<std::unique_ptr<Connection>> opened = Connection::Open("/db", options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Connection& conn = **opened;
+  auto session = conn.OpenSession();
+  ASSERT_TRUE(conn.ImportText(R"(
+      ann.isa -> empl.  ann.boss -> bob.  ann.sal -> 1000.
+      bob.isa -> empl.  bob.boss -> eve.  bob.sal -> 2000.
+      eve.isa -> empl.  eve.sal -> 3000.
+  )").ok());
+  ASSERT_TRUE(session
+                  ->Execute("CREATE VIEW rich AS "
+                            "q: derive X.rich -> yes <- X.sal -> S, S > 2500.")
+                  .ok());
+  ASSERT_TRUE(session
+                  ->Execute("CREATE VIEW chain AS "
+                            "q1: derive X.chain -> Y <- X.boss -> Y."
+                            "q2: derive X.chain -> Z <- X.chain -> Y, "
+                            "Y.boss -> Z.")
+                  .ok());
+
+  const std::map<std::string, int64_t> before = Values();
+  Result<ViewStats> rich_before = conn.GetViewStats("rich");
+  Result<ViewStats> chain_before = conn.GetViewStats("chain");
+  ASSERT_TRUE(rich_before.ok() && chain_before.ok());
+  std::map<std::string, int64_t> want;
+
+  // Execute: a bound-result body literal (index probes) that moves the
+  // counting view.
+  Result<ResultSet> raise = session->Execute(
+      "raise: mod[E].sal -> (S, S2) <- E.isa -> empl, E.sal -> S, "
+      "S2 = S * 2.");
+  ASSERT_TRUE(raise.ok()) << raise.status().ToString();
+  AddEvalStats(*raise->eval_stats(), want);
+  // ExecuteBatch: a boss move the DRed view overdeletes and rederives, a
+  // no-op member, and a recursive update-program (semi-naive delta
+  // rounds with seed probes).
+  Result<Statement> move = session->Prepare("m: mod[ann].boss -> (bob, eve).");
+  Result<Statement> noop =
+      session->Prepare("n: ins[ann].bonus -> B <- ann.nosuch -> B.");
+  Result<Statement> reach = session->Prepare(
+      "r1: ins[X].reach -> Y <- X.boss -> Y."
+      "r2: ins[X].reach -> Z <- ins(X).reach -> Y, Y.boss -> Z.");
+  ASSERT_TRUE(move.ok() && noop.ok() && reach.ok());
+  Result<std::vector<ResultSet>> batch =
+      session->ExecuteBatch({&*move, &*noop, &*reach});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  for (const ResultSet& rs : *batch) AddEvalStats(*rs.eval_stats(), want);
+  Result<ViewStats> rich_after = conn.GetViewStats("rich");
+  Result<ViewStats> chain_after = conn.GetViewStats("chain");
+  ASSERT_TRUE(rich_after.ok() && chain_after.ok());
+  AddViewStats(*rich_before, *rich_after, want);
+  AddViewStats(*chain_before, *chain_after, want);
+
+  std::map<std::string, int64_t> after = Values();
+  for (const auto& [name, value] : want) {
+    EXPECT_EQ(after[name] - before.at(name), value) << name;
+  }
+  // The workload reaches every kind of work the counters describe.
+  for (const char* name :
+       {"eval.delta_rounds", "eval.seed_probes", "index.probes",
+        "index.hits", "view.overdeleted", "view.rederived",
+        "view.facts_added", "view.facts_removed", "view.index_probes"}) {
+    EXPECT_GT(want[name], 0) << name;
+  }
+  // eval.versions_materialized counts the versions given a step-2 state
+  // (one OnVersionMaterialized each), not the ones EvalStats counts after
+  // installing them; the two agree unless the input base holds facts of
+  // a non-plain version without its exists-fact. Here: the raise's three
+  // mod(E), the move's mod(ann), and the reach program's ins(ann) and
+  // ins(bob).
+  EXPECT_EQ(after["eval.versions_materialized"] -
+                before.at("eval.versions_materialized"),
+            6);
+
+  // Faults: one transient WAL-append failure retried to success, then a
+  // permanent one that degrades the connection.
+  FaultInjectingEnv::FaultPlan plan;
+  plan.fail_at = 0;
+  plan.kind = FaultKind::kTransient;
+  plan.filter = OpFilter::kAppend;
+  env.SetPlan(plan);
+  ASSERT_TRUE(session->Execute("t: ins[cal].sal -> 100.").ok());
+  plan.kind = FaultKind::kEnospc;
+  env.SetPlan(plan);
+  ASSERT_FALSE(session->Execute("t: ins[dee].sal -> 100.").ok());
+  env.Disarm();
+  after = Values();
+  EXPECT_EQ(events.faults, 2);
+  EXPECT_EQ(events.degrading, 1);
+  EXPECT_EQ(after["storage.faults"] - before.at("storage.faults"),
+            events.faults);
+  EXPECT_EQ(after["storage.degraded_entered"] -
+                before.at("storage.degraded_entered"),
+            events.degrading);
+  EXPECT_EQ(conn.storage_stats().io_failures, 2u);
+  EXPECT_EQ(conn.storage_stats().degraded_entered, 1u);
+  // Later tests in a one-process run expect a zeroed registry.
+  MetricsRegistry::Global().Reset();
 }
 
 /// Commits, DDL, a subscription, reads — every layer the registry hears.
@@ -89,8 +276,8 @@ TEST(MetricsApiTest, QueryMetricsEqualsDumpMetricsAfterScriptedWorkload) {
   }
   EXPECT_EQ(row, rs->size());
 
-  // Every layer reported: commit pipeline, evaluation bridge, views,
-  // sessions, statements, subscriptions.
+  // Every layer reported: commit pipeline, evaluation, views, sessions,
+  // statements, subscriptions.
   const auto& entries = rs->metrics();
   EXPECT_GE(MetricValue(entries, "commit.count"), 4);  // import+raise+batch
   EXPECT_GE(MetricValue(entries, "commit.batches"), 1);

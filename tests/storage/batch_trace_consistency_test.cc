@@ -1,9 +1,9 @@
 // Regression tests for commit-shape-independent trace emission: a
-// TraceSink (and therefore the metrics bridge built on it) must hear the
-// SAME event stream for a group of transactions whether they commit one
-// by one through Execute or together through ExecuteBatch — including
-// members that converge in round 0, naive-mode evaluation (which has no
-// semi-naive rounds), and strata that never touch the index.
+// TraceSink must hear the SAME event stream for a group of transactions
+// whether they commit one by one through Execute or together through
+// ExecuteBatch — including members that converge in round 0, naive-mode
+// evaluation (which has no semi-naive rounds), and strata that never
+// touch the index.
 
 #include <gtest/gtest.h>
 
@@ -141,8 +141,9 @@ TEST(BatchTraceConsistencyTest, NaiveModeEmitsDeltaRounds) {
   ASSERT_TRUE(db->Execute(*seed).ok());
 
   // Naive evaluation has no semi-naive rounds, but every consumed round
-  // still notifies (seed_probes reported as 0, full re-matches as
-  // residual runs) — the metrics bridge hears rounds in both modes.
+  // still notifies: seed_probes reported as 0, and the full re-match of
+  // the stratum's one rule as one residual run, as StratumStats counts
+  // it.
   EvalOptions naive;
   naive.semi_naive = false;
   EventLog log;
@@ -150,13 +151,17 @@ TEST(BatchTraceConsistencyTest, NaiveModeEmitsDeltaRounds) {
       ParseProgram("t: mod[E].sal -> (S, S2) <- E.sal -> S, S2 = S * 2.",
                    engine);
   ASSERT_TRUE(mod.ok());
-  ASSERT_TRUE(db->Execute(*mod, naive, &log).ok());
+  Result<RunOutcome> out = db->Execute(*mod, naive, &log);
+  ASSERT_TRUE(out.ok());
   EXPECT_GE(log.Count("delta"), 1u);
   for (const std::string& line : log.lines()) {
     if (line.compare(0, 5, "delta") == 0) {
       EXPECT_NE(line.find("seeds=0"), std::string::npos) << line;
+      EXPECT_NE(line.find("residual=1"), std::string::npos) << line;
     }
   }
+  ASSERT_EQ(out->stats.strata.size(), 1u);
+  EXPECT_EQ(out->stats.strata[0].residual_rule_runs, log.Count("delta"));
 }
 
 }  // namespace
