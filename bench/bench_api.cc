@@ -2,7 +2,8 @@
 // buys. Session open against a warm shared snapshot is a refcount
 // bump; a commit invalidates the shared snapshot, so commit-then-open
 // pays one snapshot copy (base + every view result) — the price of
-// retained epochs. Snapshot reads are measured while a writer keeps
+// retained epochs. A view read is measured alone (a pinned session's
+// QUERY <view>, no commit in the loop) and while a writer keeps
 // committing (the pinned reader must not slow down or change), and
 // subscription fan-out measures delivering one commit's view delta to
 // N subscribers.
@@ -114,6 +115,44 @@ void BM_ApiCommitOnly(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApiCommitOnly)->Arg(256)->Arg(1024)->Arg(4096);
+
+/// A pinned session's QUERY <view> and nothing else: building the
+/// ResultSet's rows and releasing it, per read.
+void BM_ApiViewRead(benchmark::State& state, const char* text) {
+  std::unique_ptr<Connection> conn =
+      EnterpriseConnection(state.range(0), /*with_views=*/true);
+  if (conn == nullptr) {
+    state.SkipWithError("setup failed");
+    return;
+  }
+  std::unique_ptr<Session> reader = conn->OpenSession();
+  Result<Statement> query = reader->Prepare(text);
+  if (!query.ok()) {
+    state.SkipWithError(query.status().ToString().c_str());
+    return;
+  }
+  size_t rows = 0;
+  for (auto _ : state) {
+    Result<ResultSet> rs = query->Execute();
+    if (!rs.ok()) {
+      state.SkipWithError(rs.status().ToString().c_str());
+      return;
+    }
+    rows += rs->size();
+    benchmark::DoNotOptimize(rows);
+  }
+  state.counters["rows_per_read"] =
+      benchmark::Counter(static_cast<double>(rows),
+                         benchmark::Counter::kAvgIterations);
+}
+BENCHMARK_CAPTURE(BM_ApiViewRead, rich, "QUERY rich")
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096);
+BENCHMARK_CAPTURE(BM_ApiViewRead, chain, "QUERY chain")
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096);
 
 /// A pinned reader's QUERY <view> while a writer commits every
 /// iteration: the read must stay flat — it answers from the retained

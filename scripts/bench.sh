@@ -14,10 +14,12 @@
 # registry-disabled ablation — the On/Off pairs bound the
 # instrumentation's overhead), bench_store (src/store backends:
 # put/scan, checkpoint cost, checkpointed cold-open vs full-WAL-replay
-# restart, and WAL-suffix replay with and without repeated facts), and
+# restart, and WAL-suffix replay with and without repeated facts),
 # bench_analysis (the static rule-program analyzer: full analysis runs
 # at 256-4096 generated rules and the prepare overhead it adds to a
-# Statement, on vs off). JSON results land next to this repo's root so
+# Statement, on vs off), and bench_query (the derived-method query
+# fixpoint, semi-naive vs naive, on random-graph and deep-chain
+# transitive closures). JSON results land next to this repo's root so
 # successive PRs can diff them.
 set -euo pipefail
 
@@ -28,7 +30,7 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
       --target bench_tp_operator bench_fig2_enterprise bench_views \
                bench_api bench_snapshots bench_index bench_obs bench_store \
-               bench_analysis
+               bench_analysis bench_query
 
 "$BUILD_DIR"/bench_tp_operator \
     --benchmark_format=json \
@@ -78,7 +80,12 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
     --benchmark_format=json \
     --benchmark_out=BENCH_analysis.json \
     --benchmark_out_format=json
+"$BUILD_DIR"/bench_query \
+    --benchmark_format=json \
+    --benchmark_out=BENCH_query.json \
+    --benchmark_out_format=json
 
 echo "Wrote BENCH_tp.json, BENCH_fig2.json, BENCH_views.json," \
      "BENCH_api.json, BENCH_snapshots.json, BENCH_index.json," \
-     "BENCH_obs.json, BENCH_store.json, and BENCH_analysis.json"
+     "BENCH_obs.json, BENCH_store.json, BENCH_analysis.json, and" \
+     "BENCH_query.json"

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -129,25 +130,22 @@ struct Snapshot {
   std::map<std::string, ViewEntry, std::less<>> views;
 };
 
-/// Canonical row order: by version, method, application, polarity.
-void SortRows(DeltaLog& rows);
-
-/// All facts of the given methods in `base`, as sorted added-rows.
-DeltaLog CollectFacts(const ObjectBase& base,
-                      const std::vector<MethodId>& methods);
-
 }  // namespace internal
 
 /// Uniform typed-row cursor over the facts a statement produced. Each row
-/// is one ground fact `object.method@args -> result`; rows are sorted
-/// canonically (by version, method, application), so equal states render
-/// identically. For write statements the rows are the committed delta
-/// (`added()` distinguishes insertions from removals); for queries and
-/// QUERY <view> they are the derived facts.
+/// is one ground fact `object.method@args -> result`; rows come in
+/// canonical order (by version, method, application, removals before
+/// additions), so equal states render identically. For write statements
+/// the rows are the committed delta (`added()` distinguishes insertions
+/// from removals); for queries and QUERY <view> they are the derived
+/// facts.
 ///
-/// A ResultSet owns its rows — it stays valid after later commits — but
-/// renders names through its connection's symbol tables, so it must not
-/// outlive the connection.
+/// Rows are references, not copies: a ResultSet keeps alive the immutable
+/// state its rows reference (a view's pinned result, a query's evaluated
+/// base, a write's committed delta), so it stays valid after later
+/// commits, re-pins, DROP VIEW and moves. Execute builds every row; Next()
+/// only advances a cursor. It renders names through its connection's
+/// symbol tables, so it must not outlive the connection.
 ///
 /// kMetrics results are the one non-fact shape: their rows are name/value
 /// metric entries (metric_name()/metric_value()); the fact-typed
@@ -161,6 +159,15 @@ class ResultSet {
     kDdl,       // CREATE VIEW / DROP VIEW: no rows
     kMetrics,   // QUERY METRICS: rows = name/value metric entries
     kAnalysis,  // QUERY ANALYZE <program>: rows = diagnostics
+  };
+
+  /// One fact row: a reference to a ground fact inside the state the
+  /// ResultSet keeps alive.
+  struct Row {
+    Vid vid;
+    MethodId method;
+    const GroundApp* app;
+    bool added;
   };
 
   ResultSet(ResultSet&&) = default;
@@ -184,18 +191,16 @@ class ResultSet {
   /// Moves the cursor back before the first row.
   void Rewind();
   /// The current row; Next() must have returned true.
-  const DeltaFact& row() const { return *current_; }
-  /// All rows, in cursor order.
-  const DeltaLog& rows() const { return rows_; }
+  const Row& row() const { return *current_; }
 
   // -- typed accessors on the current row ------------------------------
   /// The version term, rendered: "ann", "mod(ann)", ...
   std::string object() const;
   std::string method() const;
-  size_t arg_count() const { return row().app.args.size(); }
-  Oid arg(size_t i) const { return row().app.args[i]; }
+  size_t arg_count() const { return row().app->args.size(); }
+  Oid arg(size_t i) const { return row().app->args[i]; }
   std::string arg_text(size_t i) const;
-  Oid result() const { return row().app.result; }
+  Oid result() const { return row().app->result; }
   bool result_is_number() const;
   /// The result as an exact rational; result_is_number() must hold.
   const Numeric& result_number() const;
@@ -241,13 +246,23 @@ class ResultSet {
   friend class Connection;
   friend class Statement;
 
-  ResultSet(Kind kind, uint64_t epoch, DeltaLog rows,
-            const SymbolTable* symbols, const VersionTable* versions)
-      : kind_(kind),
-        epoch_(epoch),
-        rows_(std::move(rows)),
-        symbols_(symbols),
-        versions_(versions) {}
+  /// kDdl: no rows.
+  ResultSet(Kind kind, uint64_t epoch, const SymbolTable* symbols,
+            const VersionTable* versions)
+      : kind_(kind), epoch_(epoch), symbols_(symbols), versions_(versions) {}
+
+  /// kView / kQuery: every fact of `methods` (sorted ascending) in
+  /// `facts`, which the result keeps. One walk of each method's versions
+  /// in ascending order, merged by version when there are several
+  /// methods; each state's applications are already sorted.
+  ResultSet(Kind kind, uint64_t epoch, ObjectBase facts,
+            const std::vector<MethodId>& methods, const SymbolTable* symbols,
+            const VersionTable* versions);
+
+  /// kWrite: the outcome's committed delta, which the result keeps,
+  /// merged from its two ordered runs (removals, then additions).
+  ResultSet(std::shared_ptr<RunOutcome> outcome, const SymbolTable* symbols,
+            const VersionTable* versions);
 
   /// kMetrics: metric entries live beside the (empty) fact rows instead
   /// of being interned as facts — metric values change every commit, and
@@ -272,10 +287,13 @@ class ResultSet {
 
   Kind kind_;
   uint64_t epoch_;
-  DeltaLog rows_;
+  std::vector<Row> rows_;
+  /// kView / kQuery: the immutable base rows_ points into (kWrite rows
+  /// point into outcome_'s committed delta).
+  std::optional<ObjectBase> facts_;
   std::vector<MetricsRegistry::Entry> metrics_;  // kMetrics
   size_t next_ = 0;
-  const DeltaFact* current_ = nullptr;
+  const Row* current_ = nullptr;
   const MetricsRegistry::Entry* current_metric_ = nullptr;
   const SymbolTable* symbols_;
   const VersionTable* versions_;

@@ -232,13 +232,8 @@ Result<ResultSet> Connection::ExecuteWrite(Session& session,
   }
   InvalidateSnapshot();
   session.snap_.reset();  // lazily re-pins at the next read
-  auto outcome = std::make_shared<RunOutcome>(std::move(*out));
-  DeltaLog rows = outcome->committed_delta;
-  internal::SortRows(rows);
-  ResultSet rs(ResultSet::Kind::kWrite, outcome->committed_epoch,
-               std::move(rows), &engine_->symbols(), &engine_->versions());
-  rs.outcome_ = std::move(outcome);
-  return rs;
+  return ResultSet(std::make_shared<RunOutcome>(std::move(*out)),
+                   &engine_->symbols(), &engine_->versions());
 }
 
 Result<std::vector<ResultSet>> Connection::ExecuteWriteBatch(
@@ -257,15 +252,10 @@ Result<std::vector<ResultSet>> Connection::ExecuteWriteBatch(
   std::vector<ResultSet> results;
   results.reserve(out->size());
   for (RunOutcome& one : *out) {
-    auto outcome = std::make_shared<RunOutcome>(std::move(one));
-    DeltaLog rows = outcome->committed_delta;
-    internal::SortRows(rows);
     // Each transaction of the group carries its OWN commit epoch — the
     // one its subscription deltas were tagged with.
-    ResultSet rs(ResultSet::Kind::kWrite, outcome->committed_epoch,
-                 std::move(rows), &engine_->symbols(), &engine_->versions());
-    rs.outcome_ = std::move(outcome);
-    results.push_back(std::move(rs));
+    results.push_back(ResultSet(std::make_shared<RunOutcome>(std::move(one)),
+                                &engine_->symbols(), &engine_->versions()));
   }
   return results;
 }
@@ -279,7 +269,7 @@ Result<ResultSet> Connection::CreateView(Session& session,
   // snapshot so this session (and new ones) read the view from now on.
   InvalidateSnapshot();
   session.snap_.reset();
-  return ResultSet(ResultSet::Kind::kDdl, db_->commit_epoch(), DeltaLog(),
+  return ResultSet(ResultSet::Kind::kDdl, db_->commit_epoch(),
                    &engine_->symbols(), &engine_->versions());
 }
 
@@ -297,7 +287,7 @@ Result<ResultSet> Connection::DropView(Session& session,
       subscriptions_.end());
   InvalidateSnapshot();
   session.snap_.reset();
-  return ResultSet(ResultSet::Kind::kDdl, db_->commit_epoch(), DeltaLog(),
+  return ResultSet(ResultSet::Kind::kDdl, db_->commit_epoch(),
                    &engine_->symbols(), &engine_->versions());
 }
 

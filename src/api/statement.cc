@@ -273,9 +273,8 @@ Result<ResultSet> Statement::Execute() {
       if (!full.ok()) return full.status();
       std::vector<MethodId> methods = query_.derived_methods;
       std::sort(methods.begin(), methods.end());
-      ResultSet rs(ResultSet::Kind::kQuery, snap.epoch,
-                   internal::CollectFacts(*full, methods), &conn->symbols(),
-                   &conn->versions());
+      ResultSet rs(ResultSet::Kind::kQuery, snap.epoch, std::move(*full),
+                   methods, &conn->symbols(), &conn->versions());
       rs.qstats_ = std::move(qstats);
       return rs;
     }
@@ -295,10 +294,9 @@ Result<ResultSet> Statement::Execute() {
             "(not registered, or poisoned, at pin time; Refresh() re-pins)");
       }
       StmtMetrics::Get().view_reads.Add();
-      return ResultSet(ResultSet::Kind::kView, snap.epoch,
-                       internal::CollectFacts(it->second.result,
-                                              it->second.methods),
-                       &conn->symbols(), &conn->versions());
+      return ResultSet(ResultSet::Kind::kView, snap.epoch, it->second.result,
+                       it->second.methods, &conn->symbols(),
+                       &conn->versions());
     }
 
     case Kind::kMetrics:

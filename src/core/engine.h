@@ -25,9 +25,12 @@ struct RunOutcome {
   Stratification stratification;
   EvalStats stats;
   /// The fact-level delta the transaction committed, removals first then
-  /// additions (ApplyDelta order). Filled by Database::Execute /
-  /// Database::ExecuteBatch after the commit is durable; empty for a bare
-  /// Engine::Run (nothing was committed) and for a no-op transaction.
+  /// additions (ApplyDelta order), each run in (version, method,
+  /// application) order as ComputeDelta walks the bases; a write's
+  /// ResultSet merges the two runs into its rows. Filled by
+  /// Database::Execute / Database::ExecuteBatch after the commit is
+  /// durable; empty for a bare Engine::Run (nothing was committed) and
+  /// for a no-op transaction.
   DeltaLog committed_delta;
   /// The database's commit epoch after this transaction committed (its
   /// own epoch tag within a batch; a no-op transaction keeps the

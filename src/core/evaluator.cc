@@ -8,11 +8,7 @@ namespace {
 
 /// Evaluation handles into the global registry, bound once (registration
 /// takes a mutex; a run must not). Run adds each finished evaluation's
-/// totals: delta rounds are the rounds >= 1 of a stratum, and
-/// versions_materialized counts the versions given a step-2 state (one
-/// TraceSink::OnVersionMaterialized each), which exceeds
-/// EvalStats::versions_materialized only for an input base holding facts
-/// of a non-plain version that lacks its exists-fact.
+/// EvalStats totals; delta rounds are the rounds >= 1 of a stratum.
 struct EvalMetrics {
   Counter& strata;
   Counter& rounds;
@@ -88,7 +84,6 @@ Result<EvalStats> Evaluator::Run(const Program& program,
   }
 
   TpOperator tp(symbols_, versions_);
-  size_t versions_prepared = 0;
   for (uint32_t stratum = 0; stratum < stratification.stratum_count();
        ++stratum) {
     const std::vector<uint32_t>& rules = stratification.strata[stratum];
@@ -122,9 +117,8 @@ Result<EvalStats> Evaluator::Run(const Program& program,
       VERSO_ASSIGN_OR_RETURN(
           TpApplyResult applied,
           tp.ApplyRound(sstate, base, next_delta, rstats, trace_));
-      for (Vid vid : applied.materialized) {
-        ++stats.versions_materialized;
-        if (options_.check_version_linearity) {
+      if (options_.check_version_linearity) {
+        for (Vid vid : applied.materialized) {
           VERSO_RETURN_IF_ERROR(NoteMaterialized(vid, deepest));
         }
       }
@@ -139,7 +133,7 @@ Result<EvalStats> Evaluator::Run(const Program& program,
       sstats.seed_pairs_skipped += rstats.seed_pairs_skipped;
       sstats.residual_rule_runs += rstats.residual_rules;
       sstats += rstats.index;
-      versions_prepared += rstats.versions_prepared;
+      stats.versions_materialized += rstats.versions_prepared;
       // Every consumed round notifies, in naive mode too (naive rounds
       // report 0 seed probes and their full re-matches as residual
       // runs), so a sink hears the same per-commit event stream
@@ -177,7 +171,7 @@ Result<EvalStats> Evaluator::Run(const Program& program,
     metrics.index_hits.Add(sstats.index_hits);
     metrics.index_avoided.Add(sstats.indexed_scan_avoided_facts);
   }
-  metrics.versions_materialized.Add(versions_prepared);
+  metrics.versions_materialized.Add(stats.versions_materialized);
   return stats;
 }
 

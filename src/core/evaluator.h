@@ -55,6 +55,10 @@ struct StratumStats : IndexStats {
 
 struct EvalStats {
   std::vector<StratumStats> strata;
+  /// Versions given a T_P step-2 state (one
+  /// TraceSink::OnVersionMaterialized each): inactive update targets,
+  /// including one whose facts the input base held without its
+  /// exists-fact. The registry's eval.versions_materialized adds this.
   size_t versions_materialized = 0;
 
   uint32_t total_rounds() const {

@@ -551,19 +551,26 @@ Status Database::Checkpoint() {
         }
         return true;
       });
-  txn.PutMeta("generation", checkpoint_generation_ + 1);
-  Status committed = txn.Commit();
-  if (!committed.ok()) {
-    // Nothing lost: the WAL still holds every commit and the store (at
-    // the old generation) is untouched — both backends commit
-    // atomically. Stay healthy.
-    ++stats_.io_failures;
-    TraceFault("checkpoint-store", committed, 0, false);
-    return committed;
+  // With nothing staged the store already holds current() by value, so
+  // it alone recovers exactly: the WAL goes without a store commit, and
+  // the generation (which counts store commits) stays.
+  if (!txn.ops().empty() || store_in_doubt_) {
+    txn.PutMeta("generation", checkpoint_generation_ + 1);
+    Status committed = txn.Commit();
+    if (!committed.ok()) {
+      // Nothing lost: the WAL still holds every commit and the store's
+      // maps (at the old generation) are untouched — both backends
+      // commit atomically. Stay healthy.
+      ++stats_.io_failures;
+      store_in_doubt_ = true;
+      TraceFault("checkpoint-store", committed, 0, false);
+      return committed;
+    }
+    store_in_doubt_ = false;
+    ++checkpoint_generation_;
   }
-  ++checkpoint_generation_;
   checkpointed_ = current_;
-  // The store commit is durable; only now may the WAL shrink. A crash
+  // The store holds current() durably; only now may the WAL shrink. A crash
   // (or failure) between the two steps leaves store + stale WAL, and
   // recovery replays the already-folded records idempotently — the
   // torture harness crashes at every I/O point of this sequence.

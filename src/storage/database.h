@@ -206,7 +206,10 @@ class Database {
   /// (fact-level deltas have set semantics), losing nothing. A failed
   /// checkpoint (a failed sync included) leaves the database healthy —
   /// the WAL still holds every commit, and the next checkpoint writes
-  /// everything this one would have.
+  /// everything this one would have. When no version changed since the
+  /// last checkpoint (and no store commit failed since) the store already
+  /// holds the committed base: the WAL goes with no store commit, and the
+  /// generation stays.
   Status Checkpoint();
 
   /// Ok while the database accepts writes; after a durability failure on
@@ -223,8 +226,9 @@ class Database {
   /// Byte length of the WAL since the last checkpoint — what the
   /// checkpoint_wal_bytes auto-checkpoint threshold compares against.
   size_t wal_bytes_since_checkpoint() const { return wal_bytes_; }
-  /// Checkpoint generation recovered from (then bumped by) the store;
-  /// 0 until the first checkpoint.
+  /// Checkpoint generation recovered from the store, bumped by each store
+  /// commit (a checkpoint with nothing to write makes none); 0 until the
+  /// first one.
   uint64_t checkpoint_generation() const { return checkpoint_generation_; }
   /// The checkpoint store, for inspection; nullptr for ephemeral
   /// databases.
@@ -287,6 +291,11 @@ class Database {
   /// touches only the facts whose last operation changes them, so a
   /// suffix that nets to nothing leaves every state shared with it.
   ObjectBase checkpointed_;
+  /// Set by a failed store commit, cleared by a successful one: the
+  /// store's file may then hold what its maps do not (a mem image renamed
+  /// into place before a sync failed), so the next checkpoint commits even
+  /// with nothing to write, and the commit rewrites it.
+  bool store_in_doubt_ = false;
   WalWriter wal_;
   std::unique_ptr<Store> store_;
   std::vector<CommitObserver*> observers_;

@@ -1,21 +1,31 @@
-// Acceptance differential for the client API (ISSUE 3):
+// Acceptance differential for the client API:
 //
 //   1. A session's snapshot reads stay bit-identical to a from-scratch
 //      EvaluateQueries over the pinned base while >= 100 later
 //      transactions commit.
 //   2. The subscription delta stream, replayed on top of the initial
 //      view result, reconstructs MaterializedView::result() exactly.
+//   3. Rows are references built in order: on generated commits every
+//      QUERY <view>, ad-hoc derive and write ResultSet equals, row for
+//      row, a copy of the facts sorted into canonical order, and a
+//      ResultSet stays valid after later commits, a re-pin, DROP VIEW of
+//      its view and a move.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "api/api.h"
 #include "core/pretty.h"
 #include "query/query.h"
 #include "util/fault_env.h"
+#include "workloads/workloads.h"
 
 namespace verso {
 namespace {
@@ -320,6 +330,337 @@ TEST(ApiSnapshotDiffTest, StoreBackendsStayBitIdentical) {
                               kGradeRules)
                     .ok());
     EXPECT_EQ(lane_render(lane), reference);
+  }
+}
+
+
+// -- rows by reference against the copy-and-sort oracle -------------------
+
+/// Canonical row order: by version, method, application, polarity.
+void SortRows(DeltaLog& rows) {
+  std::sort(rows.begin(), rows.end(),
+            [](const DeltaFact& a, const DeltaFact& b) {
+              if (a.vid.value != b.vid.value) return a.vid.value < b.vid.value;
+              if (a.method.value != b.method.value) {
+                return a.method.value < b.method.value;
+              }
+              if (!(a.app == b.app)) return a.app < b.app;
+              return a.added < b.added;
+            });
+}
+
+/// All facts of `methods` in `base`, copied and sorted: how fact-shaped
+/// ResultSets were built before they held references.
+DeltaLog CollectFacts(const ObjectBase& base,
+                      const std::vector<MethodId>& methods) {
+  DeltaLog rows;
+  for (MethodId method : methods) {
+    const ObjectBase::VidSet* vids = base.VidsWithMethod(method);
+    if (vids == nullptr) continue;
+    for (Vid vid : *vids) {
+      Status status = base.ForEachApp(vid, method, [&](const GroundApp& app) {
+        rows.push_back(DeltaFact{vid, method, app, /*added=*/true});
+        return Status::Ok();
+      });
+      EXPECT_TRUE(status.ok());
+    }
+  }
+  SortRows(rows);
+  return rows;
+}
+
+/// One row as the comparison sees it: vid, method, args, result, added.
+using RowTuple =
+    std::tuple<uint32_t, uint32_t, std::vector<uint32_t>, uint32_t, bool>;
+
+RowTuple Tuple(Vid vid, MethodId method, const GroundApp& app, bool added) {
+  std::vector<uint32_t> args;
+  for (Oid arg : app.args) args.push_back(arg.value);
+  return {vid.value, method.value, std::move(args), app.result.value, added};
+}
+
+std::vector<RowTuple> Tuples(ResultSet& rs) {
+  std::vector<RowTuple> rows;
+  rs.Rewind();
+  while (rs.Next()) {
+    EXPECT_EQ(rs.arg_count(), rs.row().app->args.size());
+    EXPECT_EQ(rs.result(), rs.row().app->result);
+    rows.push_back(
+        Tuple(rs.row().vid, rs.row().method, *rs.row().app, rs.added()));
+  }
+  rs.Rewind();
+  return rows;
+}
+
+std::vector<RowTuple> Tuples(const DeltaLog& log) {
+  std::vector<RowTuple> rows;
+  for (const DeltaFact& fact : log) {
+    rows.push_back(Tuple(fact.vid, fact.method, fact.app, fact.added));
+  }
+  return rows;
+}
+
+/// Keeps each committed transaction's delta, by epoch, sorted as the old
+/// write ResultSet sorted its copy of it.
+class DeltaRecorder : public CommitObserver {
+ public:
+  Status OnCommit(const DeltaLog& delta, const ObjectBase&,
+                  uint64_t epoch) override {
+    DeltaLog rows = delta;
+    SortRows(rows);
+    by_epoch[epoch] = std::move(rows);
+    return Status::Ok();
+  }
+  std::map<uint64_t, DeltaLog> by_epoch;
+};
+
+constexpr const char* kRichRules =
+    "q: derive X.rich -> yes <- X.sal -> S, S > 4000.";
+constexpr const char* kViaRules =
+    "d: derive X.via@Y -> Z <- X.boss -> Y, Y.boss -> Z.";
+/// The ad-hoc read: two methods that the same versions hold.
+constexpr const char* kPayDerive =
+    "q1: derive X.pay -> S <- X.sal -> S."
+    "q2: derive X.top -> Y <- X.boss -> Y.";
+
+struct ViewDef {
+  const char* name;
+  const char* rules;
+};
+constexpr ViewDef kViews[] = {
+    {"rich", kRichRules},
+    {"grade", kGradeRules},
+    {"d", kViaRules},
+    {"chain", kChainRules},
+};
+
+/// A seeded enterprise behind a connection with the four views.
+class RowsByReference {
+ public:
+  explicit RowsByReference(uint64_t seed) : rng_(seed) {
+    Result<std::unique_ptr<Connection>> opened = Connection::OpenInMemory();
+    EXPECT_TRUE(opened.ok());
+    conn_ = std::move(opened).value();
+    ObjectBase base = conn_->engine().MakeBase();
+    EnterpriseOptions options;
+    options.employees = kEmployees;
+    options.manager_every = 4;
+    options.min_salary = 1000;
+    options.max_salary = 7000;
+    options.seed = seed;
+    MakeEnterprise(options, conn_->engine(), base);
+    EXPECT_TRUE(conn_->Import(base).ok());
+    writer_ = conn_->OpenSession();
+    for (const ViewDef& view : kViews) {
+      Result<ResultSet> created = writer_->Execute(
+          std::string("CREATE VIEW ") + view.name + " AS " + view.rules);
+      EXPECT_TRUE(created.ok()) << view.name << ": "
+                                << created.status().ToString();
+    }
+    reader_ = conn_->OpenSession();
+    conn_->database().AddObserver(&recorder_);
+  }
+
+  ~RowsByReference() { conn_->database().RemoveObserver(&recorder_); }
+
+  Connection& conn() { return *conn_; }
+  Session& reader() { return *reader_; }
+
+  /// One random commit through Execute, or a group through ExecuteBatch
+  /// whose middle member changes nothing. Every write ResultSet must
+  /// equal its transaction's delta, copied and sorted.
+  std::vector<ResultSet> Commit() {
+    std::vector<ResultSet> results;
+    if (rng_.Below(4) == 0) {
+      std::vector<Statement> statements;
+      for (const std::string& text :
+           {Transaction(),
+            std::string("t: mod[nobody].sal -> (S, S2) <- nobody.sal -> S, "
+                        "S2 = S + 1."),
+            Transaction()}) {
+        Result<Statement> stmt = writer_->Prepare(text);
+        EXPECT_TRUE(stmt.ok()) << text << ": " << stmt.status().ToString();
+        if (!stmt.ok()) return results;
+        statements.push_back(std::move(stmt).value());
+      }
+      std::vector<Statement*> group;
+      for (Statement& stmt : statements) group.push_back(&stmt);
+      Result<std::vector<ResultSet>> batch = writer_->ExecuteBatch(group);
+      EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+      if (!batch.ok()) return results;
+      EXPECT_TRUE((*batch)[1].empty());
+      ++batches_;
+      results = std::move(batch).value();
+    } else {
+      const std::string text = Transaction();
+      Result<ResultSet> rs = writer_->Execute(text);
+      EXPECT_TRUE(rs.ok()) << text << ": " << rs.status().ToString();
+      if (!rs.ok()) return results;
+      results.push_back(std::move(rs).value());
+    }
+    for (ResultSet& rs : results) {
+      EXPECT_EQ(rs.kind(), ResultSet::Kind::kWrite);
+      if (rs.empty()) continue;
+      auto it = recorder_.by_epoch.find(rs.epoch());
+      if (it == recorder_.by_epoch.end()) {
+        ADD_FAILURE() << "no delta committed at epoch " << rs.epoch();
+        continue;
+      }
+      EXPECT_EQ(Tuples(rs), Tuples(it->second)) << "epoch " << rs.epoch();
+      for (const RowTuple& row : Tuples(rs)) {
+        ++(std::get<4>(row) ? added_rows_ : removed_rows_);
+      }
+    }
+    return results;
+  }
+
+  /// Re-pins the reader and checks every view read and the ad-hoc derive
+  /// against the oracle over the same pinned state.
+  void CheckReads() {
+    reader_->Refresh();
+    for (const ViewDef& view : kViews) {
+      SCOPED_TRACE(view.name);
+      Result<ResultSet> rs =
+          reader_->Execute(std::string("QUERY ") + view.name);
+      ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+      EXPECT_EQ(rs->kind(), ResultSet::Kind::kView);
+      Result<const ObjectBase*> pinned = reader_->ViewSnapshot(view.name);
+      ASSERT_TRUE(pinned.ok());
+      std::vector<MethodId> methods =
+          conn_->catalog().Find(view.name)->DerivedMethods();
+      std::sort(methods.begin(), methods.end());
+      EXPECT_EQ(Tuples(*rs), Tuples(CollectFacts(**pinned, methods)));
+      view_rows_ += rs->size();
+    }
+    Result<ResultSet> rs = reader_->Execute(kPayDerive);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    EXPECT_EQ(rs->kind(), ResultSet::Kind::kQuery);
+    Result<QueryProgram> program =
+        ParseQueryProgram(kPayDerive, conn_->engine().symbols());
+    ASSERT_TRUE(program.ok());
+    Result<ObjectBase> full =
+        EvaluateQueries(*program, reader_->base(), conn_->engine().symbols(),
+                        conn_->engine().versions());
+    ASSERT_TRUE(full.ok());
+    std::vector<MethodId> methods = program->derived_methods;
+    std::sort(methods.begin(), methods.end());
+    EXPECT_EQ(Tuples(*rs), Tuples(CollectFacts(*full, methods)));
+    EXPECT_FALSE(rs->empty());
+  }
+
+  size_t batches() const { return batches_; }
+  size_t added_rows() const { return added_rows_; }
+  size_t removed_rows() const { return removed_rows_; }
+  size_t view_rows() const { return view_rows_; }
+
+ private:
+  static constexpr size_t kEmployees = 24;
+
+  std::string Emp(uint64_t i) const { return "emp" + std::to_string(i); }
+
+  /// A random update-program: a salary set or raise across the rich bar,
+  /// an all-employee raise, a boss move, a boss removal, or a hire.
+  std::string Transaction() {
+    const std::string e = Emp(rng_.Below(kEmployees));
+    switch (rng_.Below(6)) {
+      case 0:
+        return "t: mod[" + e + "].sal -> (S, " +
+               std::to_string(1000 + 500 * rng_.Below(13)) + ") <- " + e +
+               ".sal -> S.";
+      case 1:
+        return "t: mod[E].sal -> (S, S2) <- E.isa -> empl, E.sal -> S, "
+               "S2 = S + " +
+               std::to_string(static_cast<int64_t>(rng_.Below(1001)) - 500) +
+               ".";
+      case 2: {
+        const std::string boss = Emp(rng_.Below(kEmployees));
+        return "t: mod[" + e + "].boss -> (B, " + boss + ") <- " + e +
+               ".boss -> B.";
+      }
+      case 3:
+        return "t: del[" + e + "].boss -> B <- " + e + ".boss -> B.";
+      case 4:
+        return "t: ins[" + e + "].boss -> " + Emp(rng_.Below(kEmployees)) +
+               ".";
+      default: {
+        const std::string hire = "hire" + std::to_string(hires_++);
+        return "t1: ins[" + hire + "].isa -> empl. t2: ins[" + hire +
+               "].sal -> " + std::to_string(1000 + 500 * rng_.Below(13)) +
+               ". t3: ins[" + hire + "].boss -> " + e + ".";
+      }
+    }
+  }
+
+  Rng rng_;
+  std::unique_ptr<Connection> conn_;
+  std::unique_ptr<Session> writer_;
+  std::unique_ptr<Session> reader_;
+  DeltaRecorder recorder_;
+  size_t hires_ = 0;
+  size_t batches_ = 0;
+  size_t added_rows_ = 0;
+  size_t removed_rows_ = 0;
+  size_t view_rows_ = 0;
+};
+
+TEST(ApiSnapshotDiffTest, RowsEqualTheCopyAndSortOracleOnGeneratedCommits) {
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RowsByReference run(seed);
+    run.CheckReads();
+    for (int i = 0; i < 60 && !::testing::Test::HasFailure(); ++i) {
+      SCOPED_TRACE("commit " + std::to_string(i));
+      run.Commit();
+      run.CheckReads();
+    }
+    // The generator reached batches and both row polarities.
+    EXPECT_GT(run.batches(), 0u);
+    EXPECT_GT(run.added_rows(), 0u);
+    EXPECT_GT(run.removed_rows(), 0u);
+    EXPECT_GT(run.view_rows(), 0u);
+  }
+}
+
+TEST(ApiSnapshotDiffTest, ResultSetsOutliveCommitsRefreshDropViewAndMove) {
+  RowsByReference run(21);
+  // Managers have no boss in a generated enterprise: give one a boss, so
+  // `via` holds rows too.
+  ASSERT_TRUE(run.reader().Execute("t: ins[emp0].boss -> emp4.").ok());
+  std::vector<ResultSet> held;
+  std::vector<std::string> rendered;
+  auto hold = [&](Result<ResultSet> rs) {
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    rendered.push_back(RenderRows(*rs));
+    held.push_back(std::move(rs).value());
+  };
+  for (const ViewDef& view : kViews) {
+    hold(run.reader().Execute(std::string("QUERY ") + view.name));
+  }
+  hold(run.reader().Execute(kPayDerive));
+  while (held.size() == std::size(kViews) + 1) {
+    for (ResultSet& rs : run.Commit()) {
+      if (rs.empty()) continue;  // a no-op member, or a no-op commit
+      rendered.push_back(RenderRows(rs));
+      held.push_back(std::move(rs));
+    }
+  }
+  for (const std::string& rows : rendered) EXPECT_FALSE(rows.empty());
+
+  for (int i = 0; i < 100; ++i) run.Commit();
+  run.reader().Refresh();
+  for (const ViewDef& view : kViews) {
+    ASSERT_TRUE(
+        run.reader().Execute(std::string("DROP VIEW ") + view.name).ok());
+  }
+  ASSERT_TRUE(run.conn().view_names().empty());
+  run.Commit();
+  // Moved once more, into storage of its own.
+  std::vector<ResultSet> moved;
+  for (ResultSet& rs : held) moved.push_back(std::move(rs));
+  held.clear();
+  ASSERT_EQ(moved.size(), rendered.size());
+  for (size_t i = 0; i < moved.size(); ++i) {
+    EXPECT_EQ(RenderRows(moved[i]), rendered[i]) << "result set " << i;
   }
 }
 

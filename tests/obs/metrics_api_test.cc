@@ -181,12 +181,8 @@ TEST(MetricsApiTest, RegistryEqualsTheStatsEachLayerKeeps) {
         "view.facts_added", "view.facts_removed", "view.index_probes"}) {
     EXPECT_GT(want[name], 0) << name;
   }
-  // eval.versions_materialized counts the versions given a step-2 state
-  // (one OnVersionMaterialized each), not the ones EvalStats counts after
-  // installing them; the two agree unless the input base holds facts of
-  // a non-plain version without its exists-fact. Here: the raise's three
-  // mod(E), the move's mod(ann), and the reach program's ins(ann) and
-  // ins(bob).
+  // The versions given a step-2 state: the raise's three mod(E), the
+  // move's mod(ann), and the reach program's ins(ann) and ins(bob).
   EXPECT_EQ(after["eval.versions_materialized"] -
                 before.at("eval.versions_materialized"),
             6);
@@ -245,6 +241,21 @@ void RunScriptedWorkload(Connection& conn, Session& session,
   ASSERT_TRUE(
       session.Execute("derive X.poor -> yes <- X.sal -> S, S < 500.").ok());
   ASSERT_TRUE(session.Execute("QUERY rich").ok());
+}
+
+TEST(MetricsApiTest, VersionsMaterializedHasOneDefinition) {
+  // ins(a) holds a fact but not its exists-fact, so the update gives it a
+  // step-2 state although the input base already had one: the stats and
+  // the registry both count it.
+  Result<std::unique_ptr<Connection>> opened = Connection::OpenInMemory();
+  ASSERT_TRUE(opened.ok());
+  Connection& conn = **opened;
+  ASSERT_TRUE(conn.ImportText("a.isa -> x. ins(a).m -> 1.").ok());
+  const int64_t before = Values().at("eval.versions_materialized");
+  Result<ResultSet> rs = conn.OpenSession()->Execute("t: ins[a].n -> 2.");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs->eval_stats()->versions_materialized, 1u);
+  EXPECT_EQ(Values().at("eval.versions_materialized") - before, 1);
 }
 
 TEST(MetricsApiTest, QueryMetricsEqualsDumpMetricsAfterScriptedWorkload) {

@@ -11,7 +11,10 @@
 // is another object), object creation and deletion (so store keys get
 // deleted), ExecuteBatch groups, reopens between checkpoints, and
 // checkpoints whose store commit fails under an injected I/O fault,
-// followed by one that succeeds. Both store backends run every sequence.
+// followed by one that succeeds. A checkpoint with nothing to write
+// makes no store commit, unless the last one failed: it removes the WAL
+// and keeps the generation, which counts store commits. Both store
+// backends run every sequence.
 
 #include <gtest/gtest.h>
 
@@ -89,6 +92,8 @@ size_t ChangedKeys(const Records& a, const Records& b) {
 struct Coverage {
   uint64_t checkpoints = 0;
   uint64_t failed_checkpoints = 0;
+  /// Checkpoints with no version to write (no store commit).
+  uint64_t noop_checkpoints = 0;
   uint64_t reopens = 0;
   uint64_t batches = 0;
   uint64_t deletes = 0;
@@ -277,11 +282,15 @@ class CheckpointOracle {
     const uint64_t puts = registry.GetCounter("store.puts").value();
     const uint64_t deletes = registry.GetCounter("store.deletes").value();
     const uint64_t generation = db_->checkpoint_generation();
+    const Records expected = FromScratch(db_->current(), *engine_);
+    const size_t changed = ChangedKeys(checkpointed_, expected);
+    // The generation counts store commits: one iff a record changed or
+    // the last store commit failed (its file may hold what it refused).
+    const bool commits = changed > 0 || after_failure_;
     Status status = db_->Checkpoint();
     ASSERT_TRUE(status.ok()) << status.ToString();
-    EXPECT_EQ(db_->checkpoint_generation(), generation + 1);
+    EXPECT_EQ(db_->checkpoint_generation(), generation + commits);
     EXPECT_FALSE(env_.FileExists("/db/wal.log"));
-    const Records expected = FromScratch(db_->current(), *engine_);
     EXPECT_EQ(Stored(*db_->store()), expected);
     // The store's file reads back the same records.
     std::unique_ptr<FaultInjectingEnv> disk = env_.CloneSurvivingFiles();
@@ -291,8 +300,10 @@ class CheckpointOracle {
     EXPECT_EQ(Stored(**reread), expected);
     EXPECT_EQ(registry.GetCounter("store.puts").value() - puts +
                   registry.GetCounter("store.deletes").value() - deletes,
-              ChangedKeys(checkpointed_, expected));
+              changed);
     ++coverage_.checkpoints;
+    if (!commits) ++coverage_.noop_checkpoints;
+    after_failure_ = false;
     coverage_.deletes += registry.GetCounter("store.deletes").value() - deletes;
     ObjectBase::VersionMap::Diff(
         checkpointed_base_->versions(), db_->current().versions(),
@@ -309,7 +320,9 @@ class CheckpointOracle {
 
   /// A checkpoint whose store commit fails at one of its own I/O points:
   /// it reports the error, the store keeps the last checkpoint, and the
-  /// database stays healthy with its WAL in place.
+  /// database stays healthy with its WAL in place. With no record to
+  /// write there is no store commit to fail: the checkpoint succeeds
+  /// without reaching the fault, removes the WAL and touches no record.
   void FailCheckpoint() {
     struct Point {
       OpFilter filter;
@@ -337,15 +350,30 @@ class CheckpointOracle {
     plan.kind = FaultKind::kEio;
     plan.partial_bytes = point.partial;
     plan.filter = point.filter;
+    const bool noop =
+        !after_failure_ &&
+        ChangedKeys(checkpointed_, FromScratch(db_->current(), *engine_)) == 0;
     env_.SetPlan(plan);
-    EXPECT_FALSE(db_->Checkpoint().ok());
-    EXPECT_EQ(env_.faults_hit(), 1u);
+    Status status = db_->Checkpoint();
+    const uint32_t faults = env_.faults_hit();
     env_.Disarm();
     EXPECT_TRUE(db_->health().ok());
     EXPECT_EQ(db_->checkpoint_generation(), generation);
+    EXPECT_EQ(Stored(*db_->store()), checkpointed_);
+    if (noop) {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+      EXPECT_EQ(faults, 0u);
+      EXPECT_EQ(db_->wal_records_since_checkpoint(), 0u);
+      EXPECT_FALSE(env_.FileExists("/db/wal.log"));
+      checkpointed_base_.emplace(db_->current());
+      ++coverage_.noop_checkpoints;
+      return;
+    }
+    after_failure_ = true;
+    EXPECT_FALSE(status.ok());
+    EXPECT_EQ(faults, 1u);
     EXPECT_EQ(db_->wal_records_since_checkpoint(), records);
     EXPECT_EQ(env_.FileExists("/db/wal.log"), records > 0);
-    EXPECT_EQ(Stored(*db_->store()), checkpointed_);
     ++coverage_.failed_checkpoints;
   }
 
@@ -360,6 +388,8 @@ class CheckpointOracle {
   /// the base it encodes (an empty one until then).
   Records checkpointed_;
   std::optional<ObjectBase> checkpointed_base_;
+  /// True from a failed checkpoint to the next successful one.
+  bool after_failure_ = false;
   bool live_[kObjects] = {};
   bool has_w_[kObjects] = {};
 };
@@ -376,15 +406,18 @@ TEST(CheckpointOracleTest, StoreEqualsAFromScratchEncodingAfterEveryCheckpoint) 
     SCOPED_TRACE(StoreBackendName(backend));
     EXPECT_GT(coverage.checkpoints, 0u);
     EXPECT_GT(coverage.failed_checkpoints, 0u);
+    EXPECT_GT(coverage.noop_checkpoints, 0u);
     EXPECT_GT(coverage.reopens, 0u);
     EXPECT_GT(coverage.batches, 0u);
     EXPECT_GT(coverage.deletes, 0u);
     EXPECT_GT(coverage.equal_by_value, 0u);
-    std::printf("%s: %llu checkpoints (%llu failed first), %llu reopens, "
-                "%llu batches, %llu deletes, %llu equal-by-value rebuilds\n",
+    std::printf("%s: %llu checkpoints (%llu failed first, %llu with "
+                "nothing to write), %llu reopens, %llu batches, %llu "
+                "deletes, %llu equal-by-value rebuilds\n",
                 StoreBackendName(backend),
                 static_cast<unsigned long long>(coverage.checkpoints),
                 static_cast<unsigned long long>(coverage.failed_checkpoints),
+                static_cast<unsigned long long>(coverage.noop_checkpoints),
                 static_cast<unsigned long long>(coverage.reopens),
                 static_cast<unsigned long long>(coverage.batches),
                 static_cast<unsigned long long>(coverage.deletes),

@@ -887,6 +887,56 @@ TEST_F(StorageFixture, FailedCheckpointSyncLeavesTheWalAndAHealthyDatabase) {
   }
 }
 
+TEST_F(StorageFixture, CheckpointWithNothingToWriteMakesNoStoreCommit) {
+  // A commit and its revert leave every version equal to what the store
+  // holds: the checkpoint writes no byte of the store, keeps the
+  // generation (it counts store commits), and removes the WAL, and the
+  // store alone reopens to the same base.
+  for (StoreBackend backend : {StoreBackend::kMem, StoreBackend::kPageLog}) {
+    SCOPED_TRACE(StoreBackendName(backend));
+    FaultInjectingEnv env;
+    DatabaseOptions options;
+    options.env = &env;
+    options.retry_backoff_us = 0;
+    options.store_backend = backend;
+    const std::string store_file =
+        backend == StoreBackend::kMem ? "/db/store.img" : "/db/store.plog";
+    std::string expected;
+    {
+      Engine engine;
+      Result<std::unique_ptr<Database>> db =
+          Database::Open("/db", engine, options);
+      ASSERT_TRUE(db.ok());
+      ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 1. b.m -> 2.", engine)).ok());
+      ASSERT_TRUE((*db)->Checkpoint().ok());
+      const uint64_t generation = (*db)->checkpoint_generation();
+      EXPECT_EQ(generation, 1u);
+      ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 5. b.m -> 2.", engine)).ok());
+      ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 1. b.m -> 2.", engine)).ok());
+      EXPECT_EQ((*db)->wal_records_since_checkpoint(), 2u);
+      const std::string stored = env.files().at(store_file);
+      const uint64_t ops = env.mutating_ops();
+      ASSERT_TRUE((*db)->Checkpoint().ok());
+      EXPECT_EQ(env.files().at(store_file), stored);
+      EXPECT_EQ(env.mutating_ops(), ops + 1);  // the WAL's removal only
+      EXPECT_EQ((*db)->checkpoint_generation(), generation);
+      EXPECT_FALSE(env.FileExists("/db/wal.log"));
+      EXPECT_EQ((*db)->wal_records_since_checkpoint(), 0u);
+      expected = ObjectBaseToString((*db)->current(), engine.symbols(),
+                                    engine.versions());
+    }
+    Engine engine;
+    Result<std::unique_ptr<Database>> db =
+        Database::Open("/db", engine, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ((*db)->checkpoint_generation(), 1u);
+    EXPECT_EQ((*db)->wal_records_since_checkpoint(), 0u);
+    EXPECT_EQ(ObjectBaseToString((*db)->current(), engine.symbols(),
+                                 engine.versions()),
+              expected);
+  }
+}
+
 TEST_F(StorageFixture, CheckpointBoundsRecoveryToTheWalSuffix) {
   // The acceptance property of the store rebase: a cold open after a
   // checkpoint replays ONLY the post-checkpoint WAL suffix (frame-count
