@@ -396,13 +396,15 @@ AnalysisReport AnalyzeUpdateProgram(const Program& program,
   report.stratifiable = reported_components.empty();
 
   if (report.stratifiable && !program.rules.empty()) {
-    Result<Stratification> strat = Stratify(program);
+    // Kept on the program: Engine::Run reuses it instead of stratifying
+    // again on every commit of a prepared statement.
+    Result<const Stratification*> strat = program.stratification();
     if (strat.ok()) {
-      report.stratum_of_rule = strat->stratum_of_rule;
-      report.strata.resize(strat->strata.size());
-      for (size_t s = 0; s < strat->strata.size(); ++s) {
+      report.stratum_of_rule = (*strat)->stratum_of_rule;
+      report.strata.resize((*strat)->strata.size());
+      for (size_t s = 0; s < (*strat)->strata.size(); ++s) {
         AnalysisReport::StratumReport& stratum = report.strata[s];
-        stratum.rules = strat->strata[s];
+        stratum.rules = (*strat)->strata[s];
         // Pairwise write-set classification inside the stratum: conflicts
         // are diagnosed (warning, or note when guarded by a complementary
         // literal), overlaps only break the independence verdict.

@@ -218,22 +218,9 @@ void Connection::OnViewDelta(const MaterializedView& view,
 
 Result<ResultSet> Connection::ExecuteWrite(Session& session,
                                            Program& program) {
-  Result<RunOutcome> out =
-      db_->Execute(program, options_.eval, options_.trace);
-  if (!out.ok()) {
-    if (out.status().code() == StatusCode::kObserverFailed) {
-      // The commit stands (see CommitObserver); only the observer work is
-      // incomplete. Drop the session's pin so its next read sees its own
-      // (durable) commit.
-      InvalidateSnapshot();
-      session.snap_.reset();
-    }
-    return out.status();
-  }
-  InvalidateSnapshot();
-  session.snap_.reset();  // lazily re-pins at the next read
-  return ResultSet(std::make_shared<RunOutcome>(std::move(*out)),
-                   &engine_->symbols(), &engine_->versions());
+  VERSO_ASSIGN_OR_RETURN(std::vector<ResultSet> results,
+                         ExecuteWriteBatch(session, {&program}));
+  return std::move(results.front());
 }
 
 Result<std::vector<ResultSet>> Connection::ExecuteWriteBatch(
@@ -242,6 +229,9 @@ Result<std::vector<ResultSet>> Connection::ExecuteWriteBatch(
       db_->ExecuteBatch(programs, options_.eval, options_.trace);
   if (!out.ok()) {
     if (out.status().code() == StatusCode::kObserverFailed) {
+      // The commit stands (see CommitObserver); only the observer work is
+      // incomplete. Drop the session's pin so its next read sees its own
+      // (durable) commit.
       InvalidateSnapshot();
       session.snap_.reset();
     }

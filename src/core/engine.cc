@@ -1,5 +1,7 @@
 #include "core/engine.h"
 
+#include <optional>
+
 #include "obs/metrics.h"
 
 namespace verso {
@@ -8,8 +10,8 @@ namespace {
 
 /// Phase-span handles into the global registry, bound once (registration
 /// takes a mutex; a run must not): the working copy's existence seal,
-/// the T_P fixpoint over all strata, and the construction of ob'. On the
-/// commit path they split commit.evaluate_us.
+/// the T_P fixpoint over all strata, and the construction of ob' with
+/// its delta. On the commit path they split commit.evaluate_us.
 struct RunMetrics {
   Histogram& seal_us;
   Histogram& fixpoint_us;
@@ -55,31 +57,38 @@ void Engine::AddFact(ObjectBase& base, std::string_view object,
 }
 
 Result<RunOutcome> Engine::Run(Program& program, const ObjectBase& input,
-                               const EvalOptions& options, TraceSink* trace) {
+                               const EvalOptions& options, TraceSink* trace,
+                               PhaseClock* phases) {
   VERSO_RETURN_IF_ERROR(program.Analyze(symbols_));
-  VERSO_ASSIGN_OR_RETURN(Stratification stratification, Stratify(program));
-  MetricsRegistry& registry = MetricsRegistry::Global();
+  VERSO_ASSIGN_OR_RETURN(const Stratification* stratification,
+                         program.stratification());
   RunMetrics& metrics = RunMetrics::Get();
+  // The seal starts here: the caller's clock ticks past the analysis.
+  std::optional<PhaseClock> own;
+  if (phases == nullptr) {
+    phases = &own.emplace(MetricsRegistry::Global());
+  } else {
+    phases->Tick();
+  }
 
-  ScopedTimer seal_span(registry, metrics.seal_us);
   ObjectBase working = input;
-  working.SealExistence();
-  seal_span.Stop();
+  const std::vector<Vid> sealed = working.SealExistence();
+  phases->Lap(metrics.seal_us);
 
-  ScopedTimer fixpoint_span(registry, metrics.fixpoint_us);
   Evaluator evaluator(symbols_, versions_, options, trace);
-  VERSO_ASSIGN_OR_RETURN(EvalStats stats,
-                         evaluator.Run(program, stratification, working));
-  fixpoint_span.Stop();
+  Result<EvalStats> stats = evaluator.Run(program, *stratification, working);
+  phases->Lap(metrics.fixpoint_us);
+  VERSO_RETURN_IF_ERROR(stats.status());
 
-  ScopedTimer build_span(registry, metrics.build_base_us);
-  VERSO_ASSIGN_OR_RETURN(ObjectBase fresh,
-                         BuildNewObjectBase(working, symbols_, versions_));
-  build_span.Stop();
+  DeltaLog delta;
+  Result<ObjectBase> fresh = BuildNewObjectBaseOn(input, sealed, working,
+                                                  symbols_, versions_, &delta);
+  phases->Lap(metrics.build_base_us);
+  VERSO_RETURN_IF_ERROR(fresh.status());
 
-  RunOutcome outcome{std::move(working), std::move(fresh),
-                     std::move(stratification), std::move(stats),
-                     DeltaLog()};
+  RunOutcome outcome{std::move(working), std::move(fresh).value(),
+                     *stratification, std::move(stats).value(),
+                     std::move(delta)};
   return outcome;
 }
 

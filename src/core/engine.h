@@ -15,22 +15,26 @@
 
 namespace verso {
 
+class PhaseClock;
+
 /// Everything a run of an update-program produces.
 struct RunOutcome {
   /// result(P): the fixpoint with all intermediate versions, queryable
   /// for hypothetical reasoning (Section 2.3, Example 2).
   ObjectBase result;
-  /// ob': the new object base built from the final versions (Section 5).
+  /// ob': the new object base built from the final versions (Section 5)
+  /// on an O(1) copy of the input; a commit installs exactly this base.
   ObjectBase new_base;
   Stratification stratification;
   EvalStats stats;
-  /// The fact-level delta the transaction committed, removals first then
+  /// The fact-level delta from the input to new_base, removals first then
   /// additions (ApplyDelta order), each run in (version, method,
-  /// application) order as ComputeDelta walks the bases; a write's
-  /// ResultSet merges the two runs into its rows. Filled by
-  /// Database::Execute / Database::ExecuteBatch after the commit is
-  /// durable; empty for a bare Engine::Run (nothing was committed) and
-  /// for a no-op transaction.
+  /// application) order as ComputeDelta emits them; a write's ResultSet
+  /// merges the two runs into its rows. Engine::Run records it while it
+  /// builds new_base, so a bare Run leaves here what committing new_base
+  /// would change, though it commits nothing; Database::Execute /
+  /// ExecuteBatch log and publish exactly this delta. Empty for a no-op
+  /// transaction.
   DeltaLog committed_delta;
   /// The database's commit epoch after this transaction committed (its
   /// own epoch tag within a batch; a no-op transaction keeps the
@@ -75,16 +79,20 @@ class Engine {
 
   /// Runs `program` against `input` (untouched; the engine works on a
   /// copy sealed with exists-facts). Analyze() is applied to the program
-  /// if it has not been already (execution orders are recomputed).
-  /// The seal, the fixpoint and the construction of ob' are timed into
-  /// commit.seal_us / commit.fixpoint_us / commit.build_base_us.
+  /// if it has not been already (execution orders are recomputed); the
+  /// stratification is the program's cached one. ob' and its delta are
+  /// built on an O(1) copy of `input` (BuildNewObjectBaseOn).
+  /// The seal, the fixpoint and that build are timed into commit.seal_us /
+  /// commit.fixpoint_us / commit.build_base_us, as laps of `phases` when
+  /// the caller times a larger operation (the commit path).
   ///
   /// NOTE: this is an internal entry point — nothing is committed or made
   /// durable. Client code should execute programs through the
   /// `verso::Connection` / `verso::Session` facade (src/api/api.h).
   Result<RunOutcome> Run(Program& program, const ObjectBase& input,
                          const EvalOptions& options = EvalOptions(),
-                         TraceSink* trace = nullptr);
+                         TraceSink* trace = nullptr,
+                         PhaseClock* phases = nullptr);
 
  private:
   SymbolTable symbols_;

@@ -306,9 +306,9 @@ Vid ObjectBase::LatestExistingStage(Vid v) const {
   }
 }
 
-void ObjectBase::SealExistence() {
-  if (unsealed_plain_ == 0) return;
+std::vector<Vid> ObjectBase::SealExistence() {
   std::vector<Vid> roots;
+  if (unsealed_plain_ == 0) return roots;
   for (const auto& [vid, state] : states_) {
     if (versions_->depth(vid) == 0 && !VersionExists(vid)) {
       roots.push_back(vid);
@@ -319,6 +319,7 @@ void ObjectBase::SealExistence() {
     app.result = versions_->root(vid);
     Insert(vid, exists_method_, std::move(app));
   }
+  return roots;
 }
 
 void ObjectBase::CountPlain(Vid version, const VersionState& state,

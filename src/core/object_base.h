@@ -487,10 +487,10 @@ class ObjectBase {
   Vid LatestExistingStage(Vid v) const;
 
   /// Ensures every depth-0 version in the base carries its exists-fact
-  /// (the paper assumes `o.exists -> o` for every object of ob). Returns
-  /// at once when no plain version lacks it — the case for every base a
-  /// commit built.
-  void SealExistence();
+  /// (the paper assumes `o.exists -> o` for every object of ob) and
+  /// returns the versions it gave one, ascending. Returns at once when no
+  /// plain version lacks it — the case for every base a commit built.
+  std::vector<Vid> SealExistence();
 
   /// Versions carrying at least one fact for `method`, ascending, or
   /// nullptr when none does.

@@ -1,5 +1,7 @@
 #include "core/program.h"
 
+#include "core/stratify.h"
+
 namespace verso {
 
 Status Program::Analyze(const SymbolTable& symbols) {
@@ -7,6 +9,16 @@ Status Program::Analyze(const SymbolTable& symbols) {
     VERSO_RETURN_IF_ERROR(AnalyzeRule(rule, symbols));
   }
   return Status::Ok();
+}
+
+Result<const Stratification*> Program::stratification() const {
+  if (stratification_ == nullptr || stratified_rules_ != rules.size()) {
+    VERSO_ASSIGN_OR_RETURN(Stratification computed, Stratify(*this));
+    stratification_ =
+        std::make_shared<const Stratification>(std::move(computed));
+    stratified_rules_ = rules.size();
+  }
+  return stratification_.get();
 }
 
 }  // namespace verso

@@ -27,9 +27,10 @@ namespace verso {
 ///     one or two relaxed fetch_adds — no locks, no map lookups;
 ///   * handles are preregistered once (GetCounter takes a mutex, so hot
 ///     paths hold a `Counter&`, never a name);
-///   * timing spans read the registry's Clock twice; with the registry
-///     disabled they skip the clock reads entirely (the ablation
-///     bench/bench_obs.cc measures exactly this on/off difference).
+///   * a PhaseClock reads the registry's Clock once per boundary between
+///     consecutive phases (a commit: eight reads for its nine spans), a
+///     ScopedTimer twice; with the registry disabled neither reads it at
+///     all (the ablation bench/bench_obs.cc measures this difference).
 ///
 /// Registration never unregisters: handles are stable for the registry's
 /// lifetime (values live in node-stable maps). Counters are monotonic;
@@ -192,31 +193,67 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
-/// Times a span and records it (in µs) into a histogram when destroyed
-/// or explicitly stopped. With the registry disabled, no clock is read.
-class ScopedTimer {
+/// Times the consecutive phases of one operation with one clock read per
+/// phase boundary: the constructor reads the first, and each Lap() reads
+/// the next and records the phase that ends there. A span over several
+/// phases (Since) ends at the latest boundary without a read of its own.
+/// With the registry disabled, no clock is read and nothing recorded.
+class PhaseClock {
  public:
-  ScopedTimer(MetricsRegistry& registry, Histogram& hist)
+  explicit PhaseClock(MetricsRegistry& registry)
       : clock_(registry.enabled() ? registry.clock() : nullptr),
-        hist_(&hist),
-        start_nanos_(clock_ != nullptr ? clock_->NowNanos() : 0) {}
-  ~ScopedTimer() { Stop(); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
+        last_(clock_ != nullptr ? clock_->NowNanos() : 0) {}
+  PhaseClock(const PhaseClock&) = delete;
+  PhaseClock& operator=(const PhaseClock&) = delete;
 
-  /// Records the elapsed time (first call only) and returns it in µs.
-  uint64_t Stop() {
+  /// The latest boundary, for a later Since().
+  uint64_t mark() const { return last_; }
+
+  /// Ends the current phase here, records it into `phase` and returns
+  /// it in µs.
+  uint64_t Lap(Histogram& phase) {
+    const uint64_t start = last_;
+    Tick();
+    return Since(start, phase);
+  }
+
+  /// A boundary that ends no recorded phase.
+  void Tick() {
+    if (clock_ != nullptr) last_ = clock_->NowNanos();
+  }
+
+  /// Records the time from `mark` to the latest boundary into `span`
+  /// and returns it in µs.
+  uint64_t Since(uint64_t mark, Histogram& span) const {
     if (clock_ == nullptr) return 0;
-    uint64_t elapsed_us = (clock_->NowNanos() - start_nanos_) / 1000;
-    hist_->Record(elapsed_us);
-    clock_ = nullptr;
-    return elapsed_us;
+    span.Record((last_ - mark) / 1000);
+    return (last_ - mark) / 1000;
   }
 
  private:
   Clock* clock_;
+  uint64_t last_;
+};
+
+/// Times a span and records it (in µs) into a histogram when destroyed
+/// or explicitly stopped: a one-phase PhaseClock.
+class ScopedTimer {
+ public:
+  ScopedTimer(MetricsRegistry& registry, Histogram& hist)
+      : phases_(registry), hist_(&hist) {}
+  ~ScopedTimer() { Stop(); }
+
+  /// Records the elapsed time (first call only) and returns it in µs.
+  uint64_t Stop() {
+    if (hist_ == nullptr) return 0;
+    Histogram& hist = *hist_;
+    hist_ = nullptr;
+    return phases_.Lap(hist);
+  }
+
+ private:
+  PhaseClock phases_;
   Histogram* hist_;
-  uint64_t start_nanos_;
 };
 
 }  // namespace verso

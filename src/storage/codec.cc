@@ -310,18 +310,6 @@ void ApplyDelta(const FactDelta& delta, ObjectBase& base) {
 
 namespace {
 
-void EncodeDeltaInto(BufferWriter& writer, const FactDelta& delta,
-                     const SymbolTable& symbols,
-                     const VersionTable& versions) {
-  writer.Varint(delta.added.size());
-  for (const DecodedFact& fact : delta.added) {
-    EncodeFact(writer, fact.vid, fact.method, fact.app, symbols, versions);
-  }
-  writer.Varint(delta.removed.size());
-  for (const DecodedFact& fact : delta.removed) {
-    EncodeFact(writer, fact.vid, fact.method, fact.app, symbols, versions);
-  }
-}
 
 Result<FactDelta> DecodeDeltaFrom(BufferReader& reader,
                                   FactDecoder& decoder) {
@@ -348,23 +336,27 @@ Result<uint64_t> ReadBatchCount(BufferReader& reader, std::string_view data) {
 
 }  // namespace
 
-std::string EncodeDeltaBatch(const std::vector<FactDelta>& deltas,
+std::string EncodeDeltaBatch(const std::vector<const DeltaLog*>& deltas,
                              const SymbolTable& symbols,
                              const VersionTable& versions) {
   BufferWriter writer;
+  auto encode = [&](DeltaLog::const_iterator first,
+                    DeltaLog::const_iterator last) {
+    writer.Varint(static_cast<uint64_t>(last - first));
+    for (; first != last; ++first) {
+      EncodeFact(writer, first->vid, first->method, first->app, symbols,
+                 versions);
+    }
+  };
   writer.Varint(deltas.size());
-  for (const FactDelta& delta : deltas) {
-    EncodeDeltaInto(writer, delta, symbols, versions);
+  for (const DeltaLog* delta : deltas) {
+    // The log leads with its removals; the record lists additions first.
+    const auto additions =
+        std::partition_point(delta->begin(), delta->end(),
+                             [](const DeltaFact& fact) { return !fact.added; });
+    encode(additions, delta->end());
+    encode(delta->begin(), additions);
   }
-  return writer.Take();
-}
-
-std::string EncodeDeltaBatch(const FactDelta& delta,
-                             const SymbolTable& symbols,
-                             const VersionTable& versions) {
-  BufferWriter writer;
-  writer.Varint(1);
-  EncodeDeltaInto(writer, delta, symbols, versions);
   return writer.Take();
 }
 

@@ -221,8 +221,10 @@ Result<size_t> DecodeVersionRecordInto(std::string_view key,
                                        std::string_view data,
                                        FactDecoder& decoder, ObjectBase& base);
 
-/// Difference between two object bases; the WAL logs one delta per
-/// committed update-program.
+/// Difference between two object bases. Only an import diffs on the
+/// commit path (a commit's delta comes out of its build of ob'); the tests
+/// diff the commit path and recovery against ComputeDelta, ApplyDelta and
+/// DecodeDeltaBatch.
 struct FactDelta {
   std::vector<DecodedFact> added;
   std::vector<DecodedFact> removed;
@@ -235,14 +237,11 @@ void ApplyDelta(const FactDelta& delta, ObjectBase& base);
 
 /// WAL record payload: the deltas of a batch of transactions, in commit
 /// order — one for Execute, a whole group for ExecuteBatch — framed as one
-/// WAL record. Format: varint transaction count, then per transaction a
+/// WAL record, each a RunOutcome::committed_delta (removals, then
+/// additions). Format: varint transaction count, then per transaction a
 /// varint count and the EncodeFact images of its added facts, then the
 /// same for its removed facts.
-std::string EncodeDeltaBatch(const std::vector<FactDelta>& deltas,
-                             const SymbolTable& symbols,
-                             const VersionTable& versions);
-/// Single-transaction batch (the common Execute path), copy-free.
-std::string EncodeDeltaBatch(const FactDelta& delta,
+std::string EncodeDeltaBatch(const std::vector<const DeltaLog*>& deltas,
                              const SymbolTable& symbols,
                              const VersionTable& versions);
 /// Decodes every fact of a batch payload. With ApplyDelta per

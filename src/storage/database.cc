@@ -13,11 +13,14 @@ namespace {
 
 /// Commit-path handles into the global registry, bound once (registration
 /// takes a mutex; the commit path must not). The histograms are the
-/// per-commit phase spans: evaluate (Engine::Run splits it into
-/// commit.seal_us / commit.fixpoint_us / commit.build_base_us, which are
-/// registered here too); the delta diff against the committed base; WAL
-/// append (durability, retries and backoff included); in-memory install;
-/// observer/view fan-out; and the whole transaction end to end.
+/// per-commit phase spans, laps of one PhaseClock: evaluate (Engine::Run
+/// splits it into commit.seal_us / commit.fixpoint_us /
+/// commit.build_base_us, which are registered here too; the delta is
+/// recorded inside the build of ob'); the delta diff against the
+/// committed base, which only an import still runs (a commit records it
+/// empty, one sample per transaction); WAL encode and append (durability,
+/// retries and backoff included); the install of ob'; observer/view
+/// fan-out; and the whole transaction end to end.
 struct CommitMetrics {
   Counter& commits;
   Counter& batches;
@@ -365,83 +368,39 @@ Status Database::AppendWalDurable(std::string_view payload) {
   return status;
 }
 
-Status Database::CommitDelta(const ObjectBase& next, DeltaLog* committed) {
-  VERSO_RETURN_IF_ERROR(CheckWritable());
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  CommitMetrics& metrics = CommitMetrics::Get();
-  ScopedTimer diff_timer(registry, metrics.diff_us);
-  FactDelta delta = ComputeDelta(current_, next);
-  diff_timer.Stop();
-  if (delta.empty()) {
-    metrics.noops.Add();
-    return Status::Ok();
-  }
-  if (!ephemeral_) {
-    std::string payload =
-        EncodeDeltaBatch(delta, engine_.symbols(), engine_.versions());
-    // Durability first: the record hits the log before memory moves. A
-    // failed append leaves the base untouched and degrades the database.
-    // The span records on failure too (timer destructor), so degraded
-    // commits still show up in commit.wal_append_us.
-    ScopedTimer wal_timer(registry, metrics.wal_append_us);
-    VERSO_RETURN_IF_ERROR(AppendWalDurable(payload));
-    wal_timer.Stop();
-    ++wal_records_;
-    wal_bytes_ += payload.size() + 12;  // 12-byte frame header
-  }
-  {
-    ScopedTimer install_timer(registry, metrics.install_us);
-    ApplyDelta(delta, current_);
-  }
-  ++commit_epoch_;
-  DeltaLog log = ToDeltaLog(delta);
-  metrics.commits.Add();
-  metrics.delta_facts.Add(log.size());
-  ScopedTimer fanout_timer(registry, metrics.fanout_us);
-  Status notify = NotifyObservers(log, commit_epoch_);
-  fanout_timer.Stop();
-  if (committed != nullptr) *committed = std::move(log);
-  // After fan-out: the commit (and its observer deliveries) are complete
-  // whether or not the WAL gets folded now.
-  MaybeAutoCheckpoint();
-  return notify;
-}
-
 Status Database::ImportBase(const ObjectBase& base) {
-  return CommitDelta(base);
+  VERSO_RETURN_IF_ERROR(CheckWritable());
+  CommitMetrics& metrics = CommitMetrics::Get();
+  PhaseClock phases(MetricsRegistry::Global());
+  // The one commit that diffs: an import replaces the base wholesale, so
+  // its delta is the difference, and its ob' the base itself.
+  std::vector<RunOutcome> import;
+  import.push_back(RunOutcome{base, base, Stratification(), EvalStats(),
+                              ToDeltaLog(ComputeDelta(current_, base))});
+  phases.Lap(metrics.diff_us);
+  return Install(import, phases);
 }
 
 Result<RunOutcome> Database::Execute(Program& program,
                                      const EvalOptions& options,
                                      TraceSink* trace) {
-  // Refuse before evaluating: a degraded database cannot commit, so the
-  // evaluation work (and any observer side effects) would be wasted.
-  VERSO_RETURN_IF_ERROR(CheckWritable());
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  CommitMetrics& metrics = CommitMetrics::Get();
-  ScopedTimer total_timer(registry, metrics.total_us);
-  ScopedTimer eval_timer(registry, metrics.evaluate_us);
-  VERSO_ASSIGN_OR_RETURN(RunOutcome outcome,
-                         engine_.Run(program, current_, options, trace));
-  eval_timer.Stop();
-  Status committed = CommitDelta(outcome.new_base, &outcome.committed_delta);
-  outcome.committed_epoch = commit_epoch_;
-  VERSO_RETURN_IF_ERROR(committed);
-  return outcome;
+  VERSO_ASSIGN_OR_RETURN(std::vector<RunOutcome> outcomes,
+                         ExecuteBatch({&program}, options, trace));
+  return std::move(outcomes.front());
 }
 
 Result<std::vector<RunOutcome>> Database::ExecuteBatch(
     const std::vector<Program*>& programs, const EvalOptions& options,
     TraceSink* trace) {
+  // Refuse before evaluating: a degraded database cannot commit, so the
+  // evaluation work (and any observer side effects) would be wasted.
   VERSO_RETURN_IF_ERROR(CheckWritable());
-  MetricsRegistry& registry = MetricsRegistry::Global();
   CommitMetrics& metrics = CommitMetrics::Get();
-  ScopedTimer total_timer(registry, metrics.total_us);
-  metrics.batches.Add();
+  PhaseClock phases(MetricsRegistry::Global());
+  const uint64_t start = phases.mark();
+  if (programs.size() > 1) metrics.batches.Add();
   std::vector<RunOutcome> outcomes;
-  std::vector<FactDelta> deltas;
   outcomes.reserve(programs.size());
-  deltas.reserve(programs.size());
 
   // Evaluate the whole batch against the evolving (uncommitted) base; a
   // failing transaction aborts the batch before anything touches the log.
@@ -449,77 +408,93 @@ Result<std::vector<RunOutcome>> Database::ExecuteBatch(
   // is tracked by pointer instead of copying it per transaction.
   // One evaluate span covers the whole group — the batch's unit of work
   // is the group, matching its one durability write below.
-  ScopedTimer eval_timer(registry, metrics.evaluate_us);
   const ObjectBase* working = &current_;
   for (Program* program : programs) {
-    VERSO_ASSIGN_OR_RETURN(RunOutcome outcome,
-                           engine_.Run(*program, *working, options, trace));
-    ScopedTimer diff_timer(registry, metrics.diff_us);
-    deltas.push_back(ComputeDelta(*working, outcome.new_base));
-    diff_timer.Stop();
-    outcomes.push_back(std::move(outcome));
+    Result<RunOutcome> outcome =
+        engine_.Run(*program, *working, options, trace, &phases);
+    if (!outcome.ok()) {
+      phases.Tick();
+      phases.Since(start, metrics.evaluate_us);
+      phases.Since(start, metrics.total_us);
+      return outcome.status();
+    }
+    // Its delta came out of the build of ob' (commit.build_base_us), so
+    // nothing is left to diff: the span is empty.
+    phases.Since(phases.mark(), metrics.diff_us);
+    outcomes.push_back(std::move(outcome).value());
     working = &outcomes.back().new_base;
   }
-  eval_timer.Stop();
+  phases.Since(start, metrics.evaluate_us);
+  Status installed = Install(outcomes, phases);
+  phases.Since(start, metrics.total_us);
+  VERSO_RETURN_IF_ERROR(installed);
+  return outcomes;
+}
 
-  bool any_change = false;
-  for (const FactDelta& delta : deltas) any_change |= !delta.empty();
-  if (!any_change) {
-    metrics.noops.Add(deltas.size());
-    for (RunOutcome& outcome : outcomes) {
-      outcome.committed_epoch = commit_epoch_;
-    }
-    return outcomes;
+Status Database::Install(std::vector<RunOutcome>& members,
+                         PhaseClock& phases) {
+  CommitMetrics& metrics = CommitMetrics::Get();
+  if (std::all_of(members.begin(), members.end(), [](const RunOutcome& m) {
+        return m.committed_delta.empty();
+      })) {
+    metrics.noops.Add(members.size());
+    for (RunOutcome& member : members) member.committed_epoch = commit_epoch_;
+    return Status::Ok();
   }
-
-  // One WAL record — one durability write — for the whole group. Every
-  // delta is installed in memory before observers run: the batch is
-  // durable, so an observer error must not leave current() behind the log.
+  // One WAL record — one durability write — for the whole group, encoded
+  // from the deltas the observers read. Durability first: the record hits
+  // the log before memory moves. A failed append leaves the base
+  // untouched and degrades the database; its span records all the same,
+  // so degraded commits still show up in commit.wal_append_us.
   if (!ephemeral_) {
+    std::vector<const DeltaLog*> deltas;
+    deltas.reserve(members.size());
+    for (const RunOutcome& member : members) {
+      deltas.push_back(&member.committed_delta);
+    }
     std::string payload =
         EncodeDeltaBatch(deltas, engine_.symbols(), engine_.versions());
-    ScopedTimer wal_timer(registry, metrics.wal_append_us);
-    VERSO_RETURN_IF_ERROR(AppendWalDurable(payload));
-    wal_timer.Stop();
+    Status appended = AppendWalDurable(payload);
+    phases.Lap(metrics.wal_append_us);
+    VERSO_RETURN_IF_ERROR(appended);
     ++wal_records_;
     wal_bytes_ += payload.size() + 12;  // 12-byte frame header
   }
-  {
-    ScopedTimer install_timer(registry, metrics.install_us);
-    for (const FactDelta& delta : deltas) {
-      ApplyDelta(delta, current_);
-    }
-  }
+  // The last member's ob' is the committed base plus every delta of the
+  // group, built on it: the install adopts it whole, an O(1) copy, so
+  // current() shares every version state with it. Every delta is
+  // installed before observers run: the group is durable, so an observer
+  // error must not leave current() behind the log.
+  current_ = members.back().new_base;
+  phases.Lap(metrics.install_us);
   // Deliver every delta even if an observer errors on one of them: all of
   // them are durable and installed, so later deltas must reach the
   // observers that are still healthy. The epoch advances once per
   // transaction of the group, right before that transaction's observers
-  // run; a no-op member neither advances it nor notifies (matching the
-  // single-Execute path, where an empty delta commits nothing).
+  // run; a no-op member neither advances it nor notifies.
   Status first_error;
-  ScopedTimer fanout_timer(registry, metrics.fanout_us);
-  for (size_t i = 0; i < deltas.size(); ++i) {
-    if (deltas[i].empty()) {
+  for (RunOutcome& member : members) {
+    if (member.committed_delta.empty()) {
       metrics.noops.Add();
-      outcomes[i].committed_epoch = commit_epoch_;
+      member.committed_epoch = commit_epoch_;
       continue;
     }
-    DeltaLog log = ToDeltaLog(deltas[i]);
     metrics.commits.Add();
-    metrics.delta_facts.Add(log.size());
+    metrics.delta_facts.Add(member.committed_delta.size());
     ++commit_epoch_;
     // Observers for member i are stamped with member i's OWN epoch — a
     // subscription delta delivered mid-batch must not carry a later
     // member's epoch (the regression this guards is epoch-tagged view
     // replay across ExecuteBatch).
-    Status status = NotifyObservers(log, commit_epoch_);
-    outcomes[i].committed_delta = std::move(log);
-    outcomes[i].committed_epoch = commit_epoch_;
+    Status status = NotifyObservers(member.committed_delta, commit_epoch_);
+    member.committed_epoch = commit_epoch_;
     if (!status.ok() && first_error.ok()) first_error = status;
   }
-  MaybeAutoCheckpoint();
-  VERSO_RETURN_IF_ERROR(first_error);
-  return outcomes;
+  phases.Lap(metrics.fanout_us);
+  // After fan-out: the commit (and its observer deliveries) are complete
+  // whether or not the WAL gets folded now.
+  if (MaybeAutoCheckpoint()) phases.Tick();
+  return first_error;
 }
 
 Status Database::Checkpoint() {
@@ -586,13 +561,14 @@ Status Database::Checkpoint() {
   return Status::Ok();
 }
 
-void Database::MaybeAutoCheckpoint() {
-  if (ephemeral_ || opts_.checkpoint_wal_bytes == 0) return;
-  if (wal_bytes_ < opts_.checkpoint_wal_bytes) return;
-  if (!degraded_.ok()) return;  // Checkpoint would refuse; don't double-count
+bool Database::MaybeAutoCheckpoint() {
+  if (ephemeral_ || opts_.checkpoint_wal_bytes == 0) return false;
+  if (wal_bytes_ < opts_.checkpoint_wal_bytes) return false;
+  if (!degraded_.ok()) return false;  // Checkpoint would refuse
   if (Checkpoint().ok()) {
     StorageMetrics::Get().auto_checkpoints.Add();
   }
+  return true;
 }
 
 }  // namespace verso

@@ -111,9 +111,17 @@ struct StorageStats {
 /// name exactly one version — its key canonical, every fact leading with
 /// it — or Open() fails with kCorruption before it reads the WAL.
 /// Recovery is O(base + tail), not O(history). Execute() runs a
-/// program through the engine, logs the resulting delta to the WAL
-/// *before* installing it in memory, and Checkpoint() writes the versions
-/// changed since the last checkpoint into the store, then drops the WAL.
+/// program through the engine, logs the delta the engine recorded while
+/// building ob' to the WAL *before* installing ob' in memory, and
+/// Checkpoint() writes the versions changed since the last checkpoint
+/// into the store, then drops the WAL.
+///
+/// One commit path: Execute is a one-member ExecuteBatch, and ImportBase
+/// (the one commit that diffs) feeds the same install, `current_ = ob'`:
+/// an O(1) copy, so current() shares every version state with the last
+/// member's new_base. A transaction's delta exists once, as its
+/// RunOutcome::committed_delta, which the WAL encoder and the observers
+/// read.
 ///
 /// NOTE: this is an internal layer. Client code should use the
 /// `verso::Connection` / `verso::Session` facade (src/api/api.h), which
@@ -171,15 +179,15 @@ class Database {
   void AddObserver(CommitObserver* observer);
   void RemoveObserver(CommitObserver* observer);
 
-  /// Replaces the committed base wholesale (initial load). Logged.
+  /// Replaces the committed base wholesale (initial load). Logged: the
+  /// delta is ComputeDelta(current(), base), and `base` is installed.
   Status ImportBase(const ObjectBase& base);
 
-  /// Runs an update-program transactionally: evaluate, WAL-append the
-  /// delta, install the new base. On failure the committed base is
-  /// untouched — except kObserverFailed, which means the commit IS
-  /// durable and installed but a commit observer errored (do not retry;
-  /// see CommitObserver). On success the outcome's `committed_delta`
-  /// carries the fact-level changes the transaction committed.
+  /// Runs an update-program transactionally, as a one-member
+  /// ExecuteBatch: evaluate, WAL-append the delta, install the new base.
+  /// On failure the committed base is untouched — except kObserverFailed,
+  /// which means the commit IS durable and installed but a commit
+  /// observer errored (do not retry; see CommitObserver).
   Result<RunOutcome> Execute(Program& program,
                              const EvalOptions& options = EvalOptions(),
                              TraceSink* trace = nullptr);
@@ -188,7 +196,8 @@ class Database {
   /// writes the whole batch's deltas as ONE WAL record — one durability
   /// write for N transactions. All-or-nothing: if any program fails to
   /// evaluate, nothing is logged or installed. Observers still see one
-  /// OnCommit per transaction, in order.
+  /// OnCommit per transaction, in order. commit.batches counts groups of
+  /// two or more; one member is a plain commit, as Execute is.
   Result<std::vector<RunOutcome>> ExecuteBatch(
       const std::vector<Program*>& programs,
       const EvalOptions& options = EvalOptions(),
@@ -273,12 +282,18 @@ class Database {
   void TraceFault(std::string_view op, const Status& status, uint32_t attempt,
                   bool degraded);
 
-  Status CommitDelta(const ObjectBase& next, DeltaLog* committed = nullptr);
+  /// The install every commit goes through, given its evaluated members:
+  /// unless none changed anything, logs their deltas as one WAL record,
+  /// adopts the last new_base as current_, and notifies the observers per
+  /// changing member; stamps each committed_epoch. Laps `phases` at the
+  /// WAL append, the install and the fan-out.
+  Status Install(std::vector<RunOutcome>& members, PhaseClock& phases);
   Status NotifyObservers(const DeltaLog& delta, uint64_t epoch);
   /// Runs Checkpoint() when the auto-checkpoint threshold is armed and
-  /// the WAL has grown past it. Called after a commit is durable and
-  /// installed; failures are traced inside Checkpoint, never propagated.
-  void MaybeAutoCheckpoint();
+  /// the WAL has grown past it, and says whether it ran. Called after a
+  /// commit is durable and installed; failures are traced inside
+  /// Checkpoint, never propagated.
+  bool MaybeAutoCheckpoint();
 
   std::string dir_;
   Engine& engine_;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/analyzer.h"
+#include "core/engine.h"
 #include "core/stratify.h"
 #include "core/unify.h"
 #include "parser/parser.h"
@@ -202,6 +204,62 @@ TEST_F(StratifyTest, UpdateFactsWork) {
   )");
   ASSERT_TRUE(s.ok());
   EXPECT_LT(s->stratum_of_rule[0], s->stratum_of_rule[1]);  // condition (a)
+}
+
+// A program is stratified once: the prepare-time analysis computes the
+// stratification and keeps it on the program, and every Engine::Run
+// reuses it. Add() and a change in the rule count drop it, and so does
+// ClearStratification() after an edit in place, which alone the program
+// cannot see.
+TEST(ProgramStratificationTest, KeptUntilTheRulesChange) {
+  Engine engine;
+  Result<Program> program = ParseProgram(
+      "low: ins[X].b -> 1 <- X.a -> 1. "
+      "high: ins[ins(X)].c -> 1 <- X.a -> 1, not ins(X).b -> 1.",
+      engine);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  AnalysisReport report = AnalyzeUpdateProgram(*program, engine.symbols());
+  ASSERT_TRUE(report.stratifiable);
+  Result<const Stratification*> analyzed = program->stratification();
+  ASSERT_TRUE(analyzed.ok());
+  EXPECT_EQ((*analyzed)->stratum_of_rule, (std::vector<uint32_t>{0, 1}));
+
+  Result<ObjectBase> base = ParseObjectBase("o.a -> 1.", engine);
+  ASSERT_TRUE(base.ok());
+  for (int run = 0; run < 2; ++run) {
+    Result<RunOutcome> outcome = engine.Run(*program, *base);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome->stratification.stratum_of_rule,
+              (std::vector<uint32_t>{0, 1}));
+    Result<const Stratification*> reused = program->stratification();
+    ASSERT_TRUE(reused.ok());
+    EXPECT_EQ(*reused, *analyzed);  // the same object: nothing recomputed
+  }
+
+  // An edit in place keeps the rule count: the kept stratification stays
+  // until the program is told.
+  std::swap(program->rules[0], program->rules[1]);
+  EXPECT_EQ((*program->stratification())->stratum_of_rule,
+            (std::vector<uint32_t>{0, 1}));
+  program->ClearStratification();
+  EXPECT_EQ((*program->stratification())->stratum_of_rule,
+            (std::vector<uint32_t>{1, 0}));
+
+  // Add() drops it; so does a rule appended to `rules` directly.
+  Result<Program> more = ParseProgram(
+      "top: ins[ins(ins(X))].d -> 1 <- X.a -> 1, not ins(ins(X)).c -> 1. "
+      "side: ins[X].e -> 1 <- X.a -> 1.",
+      engine);
+  ASSERT_TRUE(more.ok());
+  program->Add(std::move(more->rules[0]));
+  EXPECT_EQ((*program->stratification())->stratum_of_rule,
+            (std::vector<uint32_t>{1, 0, 2}));
+  program->rules.push_back(std::move(more->rules[1]));
+  EXPECT_EQ((*program->stratification())->stratum_of_rule,
+            (std::vector<uint32_t>{1, 0, 2, 0}));
+  Result<RunOutcome> outcome = engine.Run(*program, *base);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->stratification.stratum_count(), 3u);
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 
 #include "api/api.h"
 #include "obs/metrics.h"
+#include "parser/parser.h"
+#include "storage/database.h"
 #include "util/fault_env.h"
 
 namespace verso {
@@ -241,6 +243,94 @@ void RunScriptedWorkload(Connection& conn, Session& session,
   ASSERT_TRUE(
       session.Execute("derive X.poor -> yes <- X.sal -> S, S < 500.").ok());
   ASSERT_TRUE(session.Execute("QUERY rich").ok());
+}
+
+/// Counts its reads; each read moves time on by one microsecond.
+class CountingClock : public Clock {
+ public:
+  uint64_t NowNanos() override {
+    ++reads;
+    now += 1000;
+    return now;
+  }
+  void SleepMicros(uint64_t micros) override { now += micros * 1000; }
+
+  int reads = 0;
+  uint64_t now = 0;
+};
+
+// A one-member commit reads the registry clock once per phase boundary:
+// the start, the end of the program's analysis, the seal, the fixpoint,
+// the build of ob' with its delta, the WAL encode and append (persistent
+// only), the install and the fan-out. Every span records one sample, and
+// with one microsecond per read each lap reads 1 µs while evaluate and
+// total span their laps with no read of their own. A disabled registry
+// reads no clock.
+TEST(MetricsApiTest, OneCommitReadsTheClockOncePerPhaseBoundary) {
+  const char* spans[] = {"commit.total_us",   "commit.evaluate_us",
+                         "commit.seal_us",    "commit.fixpoint_us",
+                         "commit.build_base_us", "commit.diff_us",
+                         "commit.wal_append_us", "commit.install_us",
+                         "commit.fanout_us"};
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  for (bool persistent : {true, false}) {
+    SCOPED_TRACE(persistent ? "persistent" : "in memory");
+    FaultInjectingEnv env;
+    DatabaseOptions options;
+    options.env = &env;
+    Engine engine;
+    Result<std::unique_ptr<Database>> db =
+        persistent ? Database::Open("/db", engine, options)
+                   : Database::OpenInMemory(engine);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    Result<ObjectBase> base =
+        ParseObjectBase("ann.sal -> 10. bob.sal -> 20.", engine);
+    ASSERT_TRUE(base.ok());
+    ASSERT_TRUE((*db)->ImportBase(*base).ok());
+    Result<Program> program =
+        ParseProgram("r: mod[E].sal -> (S, S2) <- E.sal -> S, S2 = S + 1.",
+                     engine);
+    ASSERT_TRUE(program.ok());
+
+    std::map<std::string, std::pair<uint64_t, uint64_t>> before;
+    for (const char* name : spans) {
+      Histogram& hist = registry.GetHistogram(name);
+      before[name] = {hist.count(), hist.sum_micros()};
+    }
+    CountingClock clock;
+    registry.set_clock(&clock);
+    Result<RunOutcome> out = (*db)->Execute(*program);
+    registry.set_clock(nullptr);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(clock.reads, persistent ? 8 : 7);
+    const std::map<std::string, uint64_t> want_us = {
+        {"commit.total_us", persistent ? 7 : 6},
+        {"commit.evaluate_us", 4},
+        {"commit.seal_us", 1},
+        {"commit.fixpoint_us", 1},
+        {"commit.build_base_us", 1},
+        {"commit.diff_us", 0},
+        {"commit.wal_append_us", persistent ? 1 : 0},
+        {"commit.install_us", 1},
+        {"commit.fanout_us", 1}};
+    for (const char* name : spans) {
+      SCOPED_TRACE(name);
+      Histogram& hist = registry.GetHistogram(name);
+      const bool recorded =
+          persistent || std::string(name) != "commit.wal_append_us";
+      EXPECT_EQ(hist.count() - before[name].first, recorded ? 1u : 0u);
+      EXPECT_EQ(hist.sum_micros() - before[name].second, want_us.at(name));
+    }
+
+    CountingClock idle;
+    registry.set_clock(&idle);
+    registry.set_enabled(false);
+    Result<RunOutcome> dark = (*db)->Execute(*program);
+    registry.set_enabled(true);
+    registry.set_clock(nullptr);
+    ASSERT_TRUE(dark.ok());
+    EXPECT_EQ(idle.reads, 0);
+  }
 }
 
 TEST(MetricsApiTest, VersionsMaterializedHasOneDefinition) {

@@ -498,10 +498,10 @@ TEST_F(StorageFixture, PreBatchRecordEndsTheRecoveredPrefix) {
   std::string frame;
   {
     Engine engine;
-    FactDelta delta =
-        ComputeDelta(engine.MakeBase(), Base("b.m -> 2.", engine));
+    DeltaLog delta =
+        ToDeltaLog(ComputeDelta(engine.MakeBase(), Base("b.m -> 2.", engine)));
     std::string payload =
-        EncodeDeltaBatch(delta, engine.symbols(), engine.versions())
+        EncodeDeltaBatch({&delta}, engine.symbols(), engine.versions())
             .substr(1);
     auto append_u32 = [&frame](uint32_t v) {
       for (int i = 0; i < 4; ++i) {
@@ -642,10 +642,10 @@ TEST_F(StorageFixture, DeltaBatchRoundTrip) {
   ObjectBase empty = engine.MakeBase();
   ObjectBase one = Base("a.m -> 1.", engine);
   ObjectBase two = Base("a.m -> 1.  b.m -> 2.", engine);
-  std::vector<FactDelta> deltas = {ComputeDelta(empty, one),
-                                   ComputeDelta(one, two)};
+  const DeltaLog first = ToDeltaLog(ComputeDelta(empty, one));
+  const DeltaLog second = ToDeltaLog(ComputeDelta(one, two));
   std::string payload =
-      EncodeDeltaBatch(deltas, engine.symbols(), engine.versions());
+      EncodeDeltaBatch({&first, &second}, engine.symbols(), engine.versions());
   Result<std::vector<FactDelta>> back =
       DecodeDeltaBatch(payload, engine.symbols(), engine.versions());
   ASSERT_TRUE(back.ok());
