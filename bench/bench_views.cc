@@ -1,10 +1,10 @@
 // Incremental view maintenance vs from-scratch recomputation: the point
 // of src/views. A registered view absorbs one committed transaction's
-// delta (counting for non-recursive strata, DRed for recursive ones);
-// the baseline re-runs EvaluateQueries over the whole base. Expected
-// shape: maintenance cost tracks the delta's footprint, recomputation
-// cost tracks the base, so the gap widens with scale — the acceptance
-// bar is >= 5x at 4096 objects with single-transaction deltas.
+// delta (delete-and-rederive, stratum by stratum); the baseline re-runs
+// EvaluateQueries over the whole base. Expected shape: maintenance cost
+// tracks the delta's footprint, recomputation cost tracks the base, so
+// the gap widens with scale — the acceptance bar is >= 5x at 4096
+// objects with single-transaction deltas.
 
 #include <benchmark/benchmark.h>
 
@@ -15,8 +15,8 @@
 namespace verso::bench {
 namespace {
 
-// Enterprise views: a built-in filter (counting) plus the recursive chain
-// of command (DRed).
+// Enterprise views: a built-in filter (a non-recursive stratum) plus the
+// recursive chain of command.
 constexpr const char* kEnterpriseViews = R"(
     q1: derive X.rich -> yes <- X.sal -> S, S > 5000.
     q2: derive X.chain -> Y <- X.boss -> Y.
@@ -84,7 +84,7 @@ void BM_ViewMaintainEnterprise(benchmark::State& state) {
   }
 
   // One employee's salary oscillates across the rich threshold: every
-  // transaction exercises the counting stratum, while the recursive chain
+  // transaction exercises the non-recursive stratum, while the chain
   // stratum sees no relevant change and is skipped outright.
   Oid low = engine.symbols().Int(100);
   Oid high = engine.symbols().Int(9999);

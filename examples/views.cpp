@@ -2,9 +2,9 @@
 // named views over a persistent connection, run update-programs, and
 // read the incrementally maintained results — no recomputation.
 //
-// Demonstrates: CREATE VIEW / QUERY statements, counting vs DRed strata,
-// view stats, and the OnViewMaintenance trace event, all through the
-// client API.
+// Demonstrates: CREATE VIEW / QUERY statements, DRed maintenance of a
+// non-recursive and a recursive stratum, view stats, and the
+// OnViewMaintenance trace event, all through the client API.
 
 #include <cstdio>
 #include <filesystem>
@@ -58,8 +58,8 @@ int main() {
                            (*conn)->engine().versions());
   (*conn)->SetTrace(&trace);
 
-  // Two views: `rich` is a single counting stratum (built-in
-  // comparison), `chain` is a recursive stratum maintained with
+  // Two views: `rich` is a single non-recursive stratum (built-in
+  // comparison), `chain` a recursive one; both are maintained with
   // delete-and-rederive. From CREATE VIEW on, every committed
   // transaction maintains both.
   std::unique_ptr<verso::Session> session = (*conn)->OpenSession();

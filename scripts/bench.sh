@@ -40,7 +40,13 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
     --benchmark_format=json \
     --benchmark_out=BENCH_fig2.json \
     --benchmark_out_format=json
+# Three single recordings of one bench_views binary read
+# BM_ViewMaintainEnterprise/256 from 1.21 to 1.48 µs: interleave
+# repetitions and record medians, as for bench_api and bench_store.
 "$BUILD_DIR"/bench_views \
+    --benchmark_enable_random_interleaving=true \
+    --benchmark_repetitions=5 \
+    --benchmark_report_aggregates_only=true \
     --benchmark_format=json \
     --benchmark_out=BENCH_views.json \
     --benchmark_out_format=json

@@ -1,10 +1,8 @@
 #include "analysis/analyzer.h"
 
 #include <algorithm>
-#include <deque>
 #include <set>
 #include <tuple>
-#include <unordered_map>
 
 #include "analysis/rw_sets.h"
 #include "core/object_base.h"
@@ -151,100 +149,6 @@ void CheckDeadBodies(ReportBuilder& builder, const SymbolTable& symbols) {
       }
     }
   }
-}
-
-/// Tiny iterative Tarjan over a generic adjacency list (method-level
-/// dependency graphs of derived programs; rule graphs reuse
-/// core/stratify's own).
-struct SccResult {
-  std::vector<int> component;
-  int component_count = 0;
-};
-
-SccResult RunScc(const std::vector<std::vector<uint32_t>>& adj) {
-  const size_t n = adj.size();
-  SccResult out;
-  out.component.assign(n, -1);
-  std::vector<int> index(n, -1);
-  std::vector<int> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<uint32_t> stack;
-  int next_index = 0;
-  struct Frame {
-    uint32_t node;
-    size_t child;
-  };
-  for (uint32_t start = 0; start < n; ++start) {
-    if (index[start] != -1) continue;
-    std::vector<Frame> frames{{start, 0}};
-    index[start] = lowlink[start] = next_index++;
-    stack.push_back(start);
-    on_stack[start] = true;
-    while (!frames.empty()) {
-      Frame& frame = frames.back();
-      if (frame.child < adj[frame.node].size()) {
-        uint32_t next = adj[frame.node][frame.child++];
-        if (index[next] == -1) {
-          index[next] = lowlink[next] = next_index++;
-          stack.push_back(next);
-          on_stack[next] = true;
-          frames.push_back({next, 0});
-        } else if (on_stack[next]) {
-          lowlink[frame.node] = std::min(lowlink[frame.node], index[next]);
-        }
-      } else {
-        if (lowlink[frame.node] == index[frame.node]) {
-          while (true) {
-            uint32_t w = stack.back();
-            stack.pop_back();
-            on_stack[w] = false;
-            out.component[w] = out.component_count;
-            if (w == frame.node) break;
-          }
-          ++out.component_count;
-        }
-        uint32_t done = frame.node;
-        frames.pop_back();
-        if (!frames.empty()) {
-          lowlink[frames.back().node] =
-              std::min(lowlink[frames.back().node], lowlink[done]);
-        }
-      }
-    }
-  }
-  return out;
-}
-
-/// Shortest path `to -> ... -> from` within one SCC, as node indices; the
-/// caller prepends `from` to render the full cycle.
-std::vector<uint32_t> SccPath(const std::vector<std::vector<uint32_t>>& adj,
-                              const std::vector<int>& component,
-                              uint32_t from, uint32_t to) {
-  if (from == to) return {to};
-  std::vector<int> pred(adj.size(), -1);
-  std::deque<uint32_t> queue{to};
-  pred[to] = static_cast<int>(to);
-  bool found = false;
-  while (!queue.empty() && !found) {
-    uint32_t node = queue.front();
-    queue.pop_front();
-    for (uint32_t next : adj[node]) {
-      if (component[next] != component[from] || pred[next] != -1) continue;
-      pred[next] = static_cast<int>(node);
-      if (next == from) {
-        found = true;
-        break;
-      }
-      queue.push_back(next);
-    }
-  }
-  if (!found) return {};
-  std::vector<uint32_t> back;
-  for (uint32_t at = from;; at = static_cast<uint32_t>(pred[at])) {
-    back.push_back(at);
-    if (at == to) break;
-  }
-  return std::vector<uint32_t>(back.rbegin(), back.rend());
 }
 
 /// Sorted-unique insert helper for the pair lists.
@@ -398,7 +302,7 @@ AnalysisReport AnalyzeUpdateProgram(const Program& program,
   if (report.stratifiable && !program.rules.empty()) {
     // Kept on the program: Engine::Run reuses it instead of stratifying
     // again on every commit of a prepared statement.
-    Result<const Stratification*> strat = program.stratification();
+    Result<const Stratification*> strat = program.stratification(&graph);
     if (strat.ok()) {
       report.stratum_of_rule = (*strat)->stratum_of_rule;
       report.strata.resize((*strat)->strata.size());
@@ -497,35 +401,7 @@ AnalysisReport AnalyzeDerivedProgram(const QueryProgram& program,
 
   // Method-level dependency graph; strata are its SCCs (exactly the
   // grouping AnalyzeQueryProgram evaluates in).
-  std::unordered_map<uint32_t, uint32_t> node_of_method;
-  for (MethodId m : program.derived_methods) {
-    node_of_method.emplace(m.value,
-                           static_cast<uint32_t>(node_of_method.size()));
-  }
-  std::vector<MethodId> method_of_node(node_of_method.size());
-  for (MethodId m : program.derived_methods) {
-    method_of_node[node_of_method.at(m.value)] = m;
-  }
-  std::vector<std::vector<uint32_t>> method_adj(node_of_method.size());
-  struct MethodEdge {
-    uint32_t head_node;
-    uint32_t body_node;
-    bool negated;
-  };
-  std::vector<MethodEdge> method_edges;
-  for (size_t r = 0; r < program.rules.size(); ++r) {
-    const Rule& rule = program.rules[r];
-    auto head_it = node_of_method.find(rule.head.app.method.value);
-    if (head_it == node_of_method.end()) continue;  // desynchronized input
-    for (const Literal& lit : rule.body) {
-      if (lit.kind != Literal::Kind::kVersion) continue;
-      auto it = node_of_method.find(lit.version.app.method.value);
-      if (it == node_of_method.end()) continue;  // base method
-      method_adj[head_it->second].push_back(it->second);
-      method_edges.push_back({head_it->second, it->second, lit.negated});
-    }
-  }
-  SccResult scc = RunScc(method_adj);
+  const MethodGraph graph = BuildMethodGraph(program);
 
   // Rule-level edges for the report: rule `to` depends on every rule
   // whose head defines a method `to` reads; negation makes it strict.
@@ -550,48 +426,33 @@ AnalysisReport AnalyzeDerivedProgram(const QueryProgram& program,
 
   // Negation inside a method SCC: recursion through negation, reported
   // with the actual method cycle.
-  std::set<int> reported_components;
-  for (const MethodEdge& edge : method_edges) {
-    if (!edge.negated ||
-        scc.component[edge.head_node] != scc.component[edge.body_node]) {
-      continue;
-    }
-    if (!reported_components.insert(scc.component[edge.head_node]).second) {
-      continue;
-    }
-    std::vector<uint32_t> path =
-        SccPath(method_adj, scc.component, edge.head_node, edge.body_node);
-    std::string rendered(
-        symbols.MethodName(method_of_node[edge.head_node]));
-    for (uint32_t node : path) {
-      rendered += " -> ";
-      rendered += symbols.MethodName(method_of_node[node]);
-    }
+  const std::vector<MethodGraph::Edge> cycles = graph.NegationCycles();
+  for (const MethodGraph::Edge& edge : cycles) {
     // Attribute the cycle to the first rule whose head defines the
     // negating method, for a rule-level position.
+    const MethodId negating = graph.method_of_node[edge.head];
     int at_rule = -1;
     for (size_t r = 0; r < program.rules.size(); ++r) {
-      auto it = node_of_method.find(program.rules[r].head.app.method.value);
-      if (it != node_of_method.end() && it->second == edge.head_node) {
+      if (program.rules[r].head.app.method == negating) {
         at_rule = static_cast<int>(r);
         break;
       }
     }
     builder.Add(Severity::kError, kCheckNegationCycle, at_rule, -1,
-                "derived methods are recursive through negation: " +
-                    rendered);
+                graph.CycleMessage(edge, symbols));
   }
-  report.stratifiable = reported_components.empty();
+  report.stratifiable = cycles.empty();
 
   if (report.stratifiable && !program.rules.empty()) {
-    report.strata.resize(static_cast<size_t>(scc.component_count));
+    report.strata.resize(static_cast<size_t>(graph.scc.component_count));
     report.stratum_of_rule.resize(program.rules.size(), 0);
     for (size_t r = 0; r < program.rules.size(); ++r) {
-      auto it = node_of_method.find(program.rules[r].head.app.method.value);
+      auto it =
+          graph.node_of_method.find(program.rules[r].head.app.method.value);
       uint32_t stratum =
-          it == node_of_method.end()
+          it == graph.node_of_method.end()
               ? 0
-              : static_cast<uint32_t>(scc.component[it->second]);
+              : static_cast<uint32_t>(graph.scc.component[it->second]);
       report.stratum_of_rule[r] = stratum;
       report.strata[stratum].rules.push_back(static_cast<uint32_t>(r));
     }

@@ -11,9 +11,12 @@ Status Program::Analyze(const SymbolTable& symbols) {
   return Status::Ok();
 }
 
-Result<const Stratification*> Program::stratification() const {
+Result<const Stratification*> Program::stratification(
+    const RuleGraph* graph) const {
   if (stratification_ == nullptr || stratified_rules_ != rules.size()) {
-    VERSO_ASSIGN_OR_RETURN(Stratification computed, Stratify(*this));
+    VERSO_ASSIGN_OR_RETURN(
+        Stratification computed,
+        graph != nullptr ? Stratify(*this, *graph) : Stratify(*this));
     stratification_ =
         std::make_shared<const Stratification>(std::move(computed));
     stratified_rules_ = rules.size();

@@ -10,6 +10,7 @@
 
 namespace verso {
 
+struct RuleGraph;
 struct Stratification;
 
 /// An update-program: a set of update-rules evaluated bottom-up against an
@@ -31,8 +32,10 @@ struct Program {
   /// Stratify(*this), computed once (by the prepare-time analysis) and
   /// reused by every Engine::Run until the rules change: Add() or a new
   /// rule count drops it; an edit in place must call
-  /// ClearStratification(). A failure is not kept.
-  Result<const Stratification*> stratification() const;
+  /// ClearStratification(). A failure is not kept. A caller holding
+  /// BuildRuleGraph(*this) passes it, so the graph is not built again.
+  Result<const Stratification*> stratification(
+      const RuleGraph* graph = nullptr) const;
   void ClearStratification() { stratification_.reset(); }
 
  private:

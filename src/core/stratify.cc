@@ -119,18 +119,21 @@ RuleGraph BuildRuleGraph(const Program& program) {
   graph.strict_edges.assign(strict_edges.begin(), strict_edges.end());
   graph.weak_edges.assign(weak_edges.begin(), weak_edges.end());
 
-  // Tarjan SCC over the union graph.
-  std::vector<std::vector<uint32_t>> adj = Adjacency(graph);
+  SccResult scc = FindSccs(Adjacency(graph));
+  graph.component = std::move(scc.component);
+  graph.component_count = scc.component_count;
+  return graph;
+}
 
+SccResult FindSccs(const std::vector<std::vector<uint32_t>>& adjacency) {
+  const size_t n = adjacency.size();
+  SccResult out;
+  out.component.assign(n, -1);
   std::vector<int> index(n, -1);
   std::vector<int> lowlink(n, 0);
   std::vector<bool> on_stack(n, false);
   std::vector<uint32_t> stack;
-  graph.component.assign(n, -1);
   int next_index = 0;
-  int component_count = 0;
-
-  // Iterative Tarjan to avoid recursion limits on large generated programs.
   struct Frame {
     uint32_t node;
     size_t child;
@@ -143,8 +146,8 @@ RuleGraph BuildRuleGraph(const Program& program) {
     on_stack[start] = true;
     while (!frames.empty()) {
       Frame& frame = frames.back();
-      if (frame.child < adj[frame.node].size()) {
-        uint32_t next = adj[frame.node][frame.child++];
+      if (frame.child < adjacency[frame.node].size()) {
+        uint32_t next = adjacency[frame.node][frame.child++];
         if (index[next] == -1) {
           index[next] = lowlink[next] = next_index++;
           stack.push_back(next);
@@ -153,46 +156,45 @@ RuleGraph BuildRuleGraph(const Program& program) {
         } else if (on_stack[next]) {
           lowlink[frame.node] = std::min(lowlink[frame.node], index[next]);
         }
-      } else {
-        if (lowlink[frame.node] == index[frame.node]) {
-          while (true) {
-            uint32_t w = stack.back();
-            stack.pop_back();
-            on_stack[w] = false;
-            graph.component[w] = component_count;
-            if (w == frame.node) break;
-          }
-          ++component_count;
+        continue;
+      }
+      if (lowlink[frame.node] == index[frame.node]) {
+        while (true) {
+          uint32_t w = stack.back();
+          stack.pop_back();
+          on_stack[w] = false;
+          out.component[w] = out.component_count;
+          if (w == frame.node) break;
         }
-        uint32_t done = frame.node;
-        frames.pop_back();
-        if (!frames.empty()) {
-          lowlink[frames.back().node] =
-              std::min(lowlink[frames.back().node], lowlink[done]);
-        }
+        ++out.component_count;
+      }
+      uint32_t done = frame.node;
+      frames.pop_back();
+      if (!frames.empty()) {
+        lowlink[frames.back().node] =
+            std::min(lowlink[frames.back().node], lowlink[done]);
       }
     }
   }
-  graph.component_count = component_count;
-  return graph;
+  return out;
 }
 
-std::vector<uint32_t> FindRuleCycle(const RuleGraph& graph, uint32_t from,
-                                    uint32_t to) {
-  if (!graph.SameComponent(from, to)) return {};
+std::vector<uint32_t> FindCycle(
+    const std::vector<std::vector<uint32_t>>& adjacency,
+    const std::vector<int>& component, uint32_t from, uint32_t to) {
+  if (component[from] != component[to]) return {};
   if (from == to) return {from, from};
-  // BFS from `to` back to `from` inside the SCC; predecessor chain gives
-  // the shortest completing path, so the rendered cycle is minimal.
-  std::vector<std::vector<uint32_t>> adj = Adjacency(graph);
-  std::vector<int> pred(graph.rule_count, -1);
+  // BFS from `to` back to `from` inside the SCC; the predecessor chain
+  // gives the shortest completing path, so the rendered cycle is minimal.
+  std::vector<int> pred(adjacency.size(), -1);
   std::deque<uint32_t> queue{to};
   pred[to] = static_cast<int>(to);
   bool found = false;
   while (!queue.empty() && !found) {
     uint32_t node = queue.front();
     queue.pop_front();
-    for (uint32_t next : adj[node]) {
-      if (!graph.SameComponent(next, from) || pred[next] != -1) continue;
+    for (uint32_t next : adjacency[node]) {
+      if (component[next] != component[from] || pred[next] != -1) continue;
       pred[next] = static_cast<int>(node);
       if (next == from) {
         found = true;
@@ -212,9 +214,18 @@ std::vector<uint32_t> FindRuleCycle(const RuleGraph& graph, uint32_t from,
   return cycle;
 }
 
+std::vector<uint32_t> FindRuleCycle(const RuleGraph& graph, uint32_t from,
+                                    uint32_t to) {
+  return FindCycle(Adjacency(graph), graph.component, from, to);
+}
+
 Result<Stratification> Stratify(const Program& program) {
+  return Stratify(program, BuildRuleGraph(program));
+}
+
+Result<Stratification> Stratify(const Program& program,
+                                const RuleGraph& graph) {
   const size_t n = program.rules.size();
-  RuleGraph graph = BuildRuleGraph(program);
 
   // A strict edge inside one SCC makes the program non-stratifiable; name
   // the whole offending cycle, not just the edge's endpoints.

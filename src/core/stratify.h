@@ -21,6 +21,27 @@ struct Stratification {
   size_t stratum_count() const { return strata.size(); }
 };
 
+/// Strongly connected components of a directed graph given as adjacency
+/// lists, by Tarjan's algorithm: iterative, so generated programs of any
+/// size cannot exhaust the stack. Roots are tried in node order and edges
+/// in list order; a component's id is the order in which it completes,
+/// which is reverse topological (a component only after every component
+/// it reaches). The one SCC routine of both stratifiers.
+struct SccResult {
+  std::vector<int> component;  // node -> component id
+  int component_count = 0;
+};
+SccResult FindSccs(const std::vector<std::vector<uint32_t>>& adjacency);
+
+/// A cycle witnessing that the edge (from, to) lies inside one SCC: nodes
+/// `from, to, ..., from` (first == last), completed by the shortest path
+/// back from `to`, found breadth-first in adjacency-list order (so the
+/// list order picks among equally short paths). Empty when the edge does
+/// not close a cycle. Renders the stratifiers' cycle diagnostics.
+std::vector<uint32_t> FindCycle(
+    const std::vector<std::vector<uint32_t>>& adjacency,
+    const std::vector<int>& component, uint32_t from, uint32_t to);
+
 /// The rule-dependency graph the stratifier layers, exposed so the static
 /// analyzer (src/analysis) can report on the same edges the evaluator
 /// orders by. An edge (from, to) constrains stratum(from) + w <=
@@ -32,7 +53,8 @@ struct RuleGraph {
   /// Sorted, deduplicated (from, to) pairs; disjoint from weak_edges.
   std::vector<std::pair<uint32_t, uint32_t>> strict_edges;
   std::vector<std::pair<uint32_t, uint32_t>> weak_edges;
-  /// Tarjan SCC id per rule (ids in reverse topological order).
+  /// FindSccs over the union of both edge lists (each rule's strict
+  /// successors, then its weak ones): component id per rule.
   std::vector<int> component;
   int component_count = 0;
 
@@ -45,10 +67,7 @@ struct RuleGraph {
 /// condensation. Pure function of the program's head/body terms.
 RuleGraph BuildRuleGraph(const Program& program);
 
-/// A cycle witnessing that the edge (from, to) lies inside one SCC:
-/// rule indices `from, to, ..., from` (first == last), following graph
-/// edges, the shortest such path back from `to`. Empty when the edge does
-/// not close a cycle. Used to render "r1 -> r2 -> r1" diagnostics.
+/// FindCycle over the rule graph: renders "r1 -> r2 -> r1" diagnostics.
 std::vector<uint32_t> FindRuleCycle(const RuleGraph& graph, uint32_t from,
                                     uint32_t to);
 
@@ -67,6 +86,10 @@ std::vector<uint32_t> FindRuleCycle(const RuleGraph& graph, uint32_t from,
 /// longest-path layering; a strict edge inside a cycle makes the program
 /// non-stratifiable and yields a diagnostic naming the offending rules.
 Result<Stratification> Stratify(const Program& program);
+/// The same over `graph`, which must be BuildRuleGraph(program): a caller
+/// that already built the graph (the analyzer) does not build it twice.
+Result<Stratification> Stratify(const Program& program,
+                                const RuleGraph& graph);
 
 }  // namespace verso
 

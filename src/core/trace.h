@@ -80,8 +80,7 @@ class TraceSink {
   }
   /// A materialized view absorbed one committed delta: `delta_facts`
   /// base-level changes were consumed, `added`/`removed` view facts were
-  /// installed/retracted, and DRed overdeleted/rederived that many facts
-  /// in recursive strata (both 0 for purely counting-maintained views).
+  /// installed/retracted, and DRed overdeleted/rederived that many facts.
   /// `seed_probes` delta-seeded partial matches were launched, and they
   /// made `index_probes` per-version bound-result lookups (ViewStats).
   virtual void OnViewMaintenance(std::string_view view, size_t delta_facts,

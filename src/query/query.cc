@@ -2,107 +2,12 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "core/delta.h"
 #include "core/match.h"
 #include "parser/parser.h"
 
 namespace verso {
-
-namespace {
-
-/// Tarjan's SCC algorithm (iterative) over the derived-method dependency
-/// graph: node = derived method, edge head -> body-method for every body
-/// literal reading a derived method. Tarjan completes a component only
-/// after everything it depends on, so components pop in exactly the
-/// bottom-up stratum order the evaluator and the view maintainer need.
-class MethodSccFinder {
- public:
-  explicit MethodSccFinder(size_t node_count)
-      : adjacency_(node_count), state_(node_count) {}
-
-  void AddEdge(uint32_t from, uint32_t to) { adjacency_[from].push_back(to); }
-
-  /// Components in reverse-topological (bottom-up dependency) order.
-  std::vector<std::vector<uint32_t>> Run() {
-    for (uint32_t n = 0; n < state_.size(); ++n) {
-      if (state_[n].index == kUnvisited) Visit(n);
-    }
-    return std::move(components_);
-  }
-
-  /// After Run(): the component index of a node.
-  uint32_t ComponentOf(uint32_t node) const { return state_[node].component; }
-
- private:
-  static constexpr uint32_t kUnvisited = UINT32_MAX;
-
-  struct NodeState {
-    uint32_t index = kUnvisited;
-    uint32_t lowlink = 0;
-    uint32_t component = kUnvisited;
-    bool on_stack = false;
-  };
-
-  void Visit(uint32_t root) {
-    struct Frame {
-      uint32_t node;
-      size_t next_edge = 0;
-    };
-    std::vector<Frame> frames{{root}};
-    Push(root);
-    while (!frames.empty()) {
-      Frame& frame = frames.back();
-      NodeState& node = state_[frame.node];
-      if (frame.next_edge < adjacency_[frame.node].size()) {
-        uint32_t next = adjacency_[frame.node][frame.next_edge++];
-        if (state_[next].index == kUnvisited) {
-          Push(next);
-          frames.push_back({next});
-        } else if (state_[next].on_stack) {
-          node.lowlink = std::min(node.lowlink, state_[next].index);
-        }
-        continue;
-      }
-      if (node.lowlink == node.index) PopComponent(frame.node);
-      uint32_t done = frame.node;
-      frames.pop_back();
-      if (!frames.empty()) {
-        NodeState& parent = state_[frames.back().node];
-        parent.lowlink = std::min(parent.lowlink, state_[done].lowlink);
-      }
-    }
-  }
-
-  void Push(uint32_t node) {
-    state_[node].index = state_[node].lowlink = next_index_++;
-    state_[node].on_stack = true;
-    stack_.push_back(node);
-  }
-
-  void PopComponent(uint32_t head) {
-    std::vector<uint32_t> component;
-    while (true) {
-      uint32_t node = stack_.back();
-      stack_.pop_back();
-      state_[node].on_stack = false;
-      state_[node].component = static_cast<uint32_t>(components_.size());
-      component.push_back(node);
-      if (node == head) break;
-    }
-    components_.push_back(std::move(component));
-  }
-
-  std::vector<std::vector<uint32_t>> adjacency_;
-  std::vector<NodeState> state_;
-  std::vector<uint32_t> stack_;
-  std::vector<std::vector<uint32_t>> components_;
-  uint32_t next_index_ = 0;
-};
-
-}  // namespace
 
 Result<QueryProgram> ParseQueryProgram(std::string_view source,
                                        SymbolTable& symbols) {
@@ -117,100 +22,90 @@ Result<QueryProgram> ParseQueryProgram(std::string_view source,
   return program;
 }
 
+MethodGraph BuildMethodGraph(const QueryProgram& program) {
+  MethodGraph graph;
+  for (MethodId m : program.derived_methods) {
+    graph.node_of_method.emplace(
+        m.value, static_cast<uint32_t>(graph.node_of_method.size()));
+  }
+  graph.method_of_node.resize(graph.node_of_method.size());
+  for (MethodId m : program.derived_methods) {
+    graph.method_of_node[graph.node_of_method.at(m.value)] = m;
+  }
+  graph.adjacency.resize(graph.node_of_method.size());
+  for (size_t r = 0; r < program.rules.size(); ++r) {
+    const Rule& rule = program.rules[r];
+    auto head = graph.node_of_method.find(rule.head.app.method.value);
+    if (head == graph.node_of_method.end()) {
+      if (graph.unlisted_head_rule < 0) {
+        graph.unlisted_head_rule = static_cast<int>(r);
+      }
+      continue;
+    }
+    for (const Literal& lit : rule.body) {
+      if (lit.kind != Literal::Kind::kVersion) continue;
+      auto body = graph.node_of_method.find(lit.version.app.method.value);
+      if (body == graph.node_of_method.end()) continue;  // base method
+      graph.adjacency[head->second].push_back(body->second);
+      graph.edges.push_back({head->second, body->second, lit.negated});
+    }
+  }
+  graph.scc = FindSccs(graph.adjacency);
+  return graph;
+}
+
+std::vector<MethodGraph::Edge> MethodGraph::NegationCycles() const {
+  std::vector<Edge> cycles;
+  std::vector<bool> reported(static_cast<size_t>(scc.component_count), false);
+  for (const Edge& edge : edges) {
+    const int component = scc.component[edge.head];
+    if (!edge.negated || component != scc.component[edge.body] ||
+        reported[static_cast<size_t>(component)]) {
+      continue;
+    }
+    reported[static_cast<size_t>(component)] = true;
+    cycles.push_back(edge);
+  }
+  return cycles;
+}
+
+std::string MethodGraph::CycleMessage(const Edge& edge,
+                                      const SymbolTable& symbols) const {
+  std::string path;
+  for (uint32_t node : FindCycle(adjacency, scc.component, edge.head,
+                                 edge.body)) {
+    if (!path.empty()) path += " -> ";
+    path += symbols.MethodName(method_of_node[node]);
+  }
+  return "derived methods are recursive through negation: " + path;
+}
+
 Result<QueryStratification> AnalyzeQueryProgram(QueryProgram& program,
                                                 const SymbolTable& symbols) {
   for (Rule& rule : program.rules) {
     VERSO_RETURN_IF_ERROR(AnalyzeRule(rule, symbols));
   }
-
-  // Dense node ids for the derived methods.
-  std::unordered_map<uint32_t, uint32_t> node_of_method;
-  for (MethodId m : program.derived_methods) {
-    node_of_method.emplace(m.value, static_cast<uint32_t>(node_of_method.size()));
+  MethodGraph graph = BuildMethodGraph(program);
+  if (graph.unlisted_head_rule >= 0) {
+    // Surface a desynchronized program in-band instead of crashing on a
+    // map lookup.
+    const Rule& rule = program.rules[graph.unlisted_head_rule];
+    return Status::InvalidArgument(
+        "derived method '" +
+        std::string(symbols.MethodName(rule.head.app.method)) +
+        "' is used as a rule head but missing from derived_methods");
   }
-
-  struct Edge {
-    uint32_t head_node;
-    uint32_t body_node;
-    bool negated;
-  };
-  std::vector<Edge> edges;
-  MethodSccFinder scc(node_of_method.size());
-  for (const Rule& rule : program.rules) {
-    auto head_it = node_of_method.find(rule.head.app.method.value);
-    if (head_it == node_of_method.end()) {
-      // Caller-assembled programs can desynchronize the two fields;
-      // surface it in-band instead of crashing on a map lookup.
-      return Status::InvalidArgument(
-          "derived method '" +
-          std::string(symbols.MethodName(rule.head.app.method)) +
-          "' is used as a rule head but missing from derived_methods");
-    }
-    uint32_t head_node = head_it->second;
-    for (const Literal& lit : rule.body) {
-      if (lit.kind != Literal::Kind::kVersion) continue;
-      auto it = node_of_method.find(lit.version.app.method.value);
-      if (it == node_of_method.end()) continue;  // base method
-      scc.AddEdge(head_node, it->second);
-      edges.push_back({head_node, it->second, lit.negated});
-    }
-  }
-
-  std::vector<std::vector<uint32_t>> components = scc.Run();
-
-  // Condition (d): no negation inside a component. The diagnostic names
-  // the actual method cycle (head -> negated body -> ... -> head), found
-  // by BFS within the component.
-  for (const Edge& edge : edges) {
-    if (!edge.negated ||
-        scc.ComponentOf(edge.head_node) != scc.ComponentOf(edge.body_node)) {
-      continue;
-    }
-    std::vector<MethodId> method_of_node(node_of_method.size());
-    for (const auto& [m, node] : node_of_method) {
-      method_of_node[node] = MethodId(m);
-    }
-    std::string path(symbols.MethodName(method_of_node[edge.head_node]));
-    if (edge.head_node == edge.body_node) {
-      path += " -> ";
-      path += symbols.MethodName(method_of_node[edge.head_node]);
-    } else {
-      std::vector<std::vector<uint32_t>> adj(node_of_method.size());
-      for (const Edge& e : edges) adj[e.head_node].push_back(e.body_node);
-      // BFS body -> ... -> head inside the component; pred[x] -> x is an
-      // edge, so walking pred back from head then reversing yields the
-      // closing path in dependency order.
-      std::vector<int> pred(node_of_method.size(), -1);
-      std::vector<uint32_t> queue{edge.body_node};
-      pred[edge.body_node] = static_cast<int>(edge.body_node);
-      for (size_t qi = 0; qi < queue.size() && pred[edge.head_node] == -1;
-           ++qi) {
-        for (uint32_t next : adj[queue[qi]]) {
-          if (scc.ComponentOf(next) != scc.ComponentOf(edge.head_node) ||
-              pred[next] != -1) {
-            continue;
-          }
-          pred[next] = static_cast<int>(queue[qi]);
-          queue.push_back(next);
-        }
-      }
-      std::vector<uint32_t> back{edge.head_node};
-      while (back.back() != edge.body_node) {
-        back.push_back(static_cast<uint32_t>(pred[back.back()]));
-      }
-      for (auto it = back.rbegin(); it != back.rend(); ++it) {
-        path += " -> ";
-        path += symbols.MethodName(method_of_node[*it]);
-      }
-    }
-    return Status::NotStratifiable(
-        "derived methods are recursive through negation: " + path);
+  // Condition (d): no negation inside a component.
+  std::vector<MethodGraph::Edge> cycles = graph.NegationCycles();
+  if (!cycles.empty()) {
+    return Status::NotStratifiable(graph.CycleMessage(cycles[0], symbols));
   }
 
   QueryStratification out;
-  out.strata.resize(components.size());
+  out.strata.resize(static_cast<size_t>(graph.scc.component_count));
   for (MethodId m : program.derived_methods) {
-    uint32_t component = scc.ComponentOf(node_of_method.at(m.value));
+    uint32_t component = static_cast<uint32_t>(
+        graph.scc.component[graph.node_of_method.at(m.value)]);
     out.strata[component].methods.push_back(m);
     out.stratum_of_method.emplace(m.value, component);
   }
@@ -248,11 +143,14 @@ Result<DeltaFact> ResolveHeadFact(const Rule& rule, const Bindings& bindings,
                    ResolveApp(rule.head.app, bindings), /*added=*/true};
 }
 
+namespace {
+
+/// Semi-naive fixpoint of one recursive stratum (EvaluateStrata).
 Status SolveRecursiveStratum(const QueryProgram& program,
                              const QueryStratum& stratum,
                              SymbolTable& symbols, VersionTable& versions,
                              ObjectBase& working, uint32_t max_rounds,
-                             QueryStats* stats) {
+                             QueryStats& stats) {
   IndexStats istats;
   MatchContext ctx{symbols, versions, working, &istats};
   DeltaLog frontier;
@@ -272,7 +170,7 @@ Status SolveRecursiveStratum(const QueryProgram& program,
   auto install_pending = [&]() {
     for (DeltaFact& fact : pending) {
       if (working.Insert(fact.vid, fact.method, fact.app)) {
-        if (stats != nullptr) ++stats->derived_facts;
+        ++stats.derived_facts;
         delta.push_back(std::move(fact));
       }
     }
@@ -280,7 +178,7 @@ Status SolveRecursiveStratum(const QueryProgram& program,
   };
 
   // Round 0: full evaluation of every rule in the stratum.
-  if (stats != nullptr) ++stats->rounds;
+  ++stats.rounds;
   for (uint32_t r : stratum.rules) {
     const Rule& rule = program.rules[r];
     VERSO_RETURN_IF_ERROR(ForEachBodyMatch(
@@ -301,7 +199,7 @@ Status SolveRecursiveStratum(const QueryProgram& program,
       return Status::Divergence("query stratum exceeded round bound");
     }
     delta.clear();
-    if (stats != nullptr) ++stats->rounds;
+    ++stats.rounds;
     index.Build(frontier, versions);
 
     // The round's probe work as (rule, literal, frontier bucket) specs:
@@ -331,12 +229,10 @@ Status SolveRecursiveStratum(const QueryProgram& program,
         const std::vector<const DeltaFact*>* bucket =
             index.Added(method, shape);
         if (bucket == nullptr) {
-          if (stats != nullptr) stats->seed_pairs_skipped += frontier.size();
+          stats.seed_pairs_skipped += frontier.size();
           continue;
         }
-        if (stats != nullptr) {
-          stats->seed_pairs_skipped += frontier.size() - bucket->size();
-        }
+        stats.seed_pairs_skipped += frontier.size() - bucket->size();
         specs.push_back({&rule, static_cast<uint32_t>(li), bucket});
       }
     }
@@ -349,7 +245,7 @@ Status SolveRecursiveStratum(const QueryProgram& program,
                                    seed)) {
           continue;
         }
-        if (stats != nullptr) ++stats->delta_joins;
+        ++stats.delta_joins;
         VERSO_RETURN_IF_ERROR(ForEachBodyMatchFrom(
             rule, ctx, seed, static_cast<int>(spec.literal),
             [&](const Bindings& bindings) {
@@ -361,7 +257,67 @@ Status SolveRecursiveStratum(const QueryProgram& program,
     frontier = std::move(delta);
     delta = DeltaLog();
   }
-  if (stats != nullptr) *stats += istats;
+  stats += istats;
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status EvaluateStrata(const QueryProgram& program,
+                      const QueryStratification& stratification,
+                      SymbolTable& symbols, VersionTable& versions,
+                      ObjectBase& working, QueryStats& stats,
+                      const QueryOptions& options) {
+  IndexStats istats;
+  MatchContext ctx{symbols, versions, working, &istats};
+  stats.strata += static_cast<uint32_t>(stratification.strata.size());
+
+  // Buffered head install, as in SolveRecursiveStratum.
+  std::vector<DeltaFact> pending;
+  size_t installed = 0;
+  auto full_round = [&](const QueryStratum& stratum) -> Status {
+    ++stats.rounds;
+    installed = 0;
+    for (uint32_t r : stratum.rules) {
+      const Rule& rule = program.rules[r];
+      VERSO_RETURN_IF_ERROR(ForEachBodyMatch(
+          rule, ctx, [&](const Bindings& bindings) -> Status {
+            VERSO_ASSIGN_OR_RETURN(DeltaFact head,
+                                   ResolveHeadFact(rule, bindings, versions));
+            pending.push_back(std::move(head));
+            return Status::Ok();
+          }));
+      for (DeltaFact& fact : pending) {
+        if (working.Insert(fact.vid, fact.method, fact.app)) {
+          ++stats.derived_facts;
+          ++installed;
+        }
+      }
+      pending.clear();
+    }
+    return Status::Ok();
+  };
+
+  for (const QueryStratum& stratum : stratification.strata) {
+    if (stratum.recursive && options.semi_naive) {
+      VERSO_RETURN_IF_ERROR(SolveRecursiveStratum(
+          program, stratum, symbols, versions, working,
+          options.max_rounds_per_stratum, stats));
+      continue;
+    }
+    // Round 0: for a non-recursive stratum this already is the fixpoint.
+    VERSO_RETURN_IF_ERROR(full_round(stratum));
+    if (!stratum.recursive) continue;
+    // Naive ablation mode: re-run all rules until nothing new is derived.
+    for (uint32_t round = 1;; ++round) {
+      if (round >= options.max_rounds_per_stratum) {
+        return Status::Divergence("query stratum exceeded round bound");
+      }
+      VERSO_RETURN_IF_ERROR(full_round(stratum));
+      if (installed == 0) break;
+    }
+  }
+  stats += istats;
   return Status::Ok();
 }
 
@@ -386,70 +342,8 @@ Result<ObjectBase> EvaluateQueries(QueryProgram& program,
 
   ObjectBase working = base;
   QueryStats local;
-  IndexStats istats;
-  MatchContext ctx{symbols, versions, working, &istats};
-  local.strata = static_cast<uint32_t>(stratification.strata.size());
-
-  for (const QueryStratum& stratum : stratification.strata) {
-    if (stratum.recursive && options.semi_naive) {
-      VERSO_RETURN_IF_ERROR(SolveRecursiveStratum(
-          program, stratum, symbols, versions, working,
-          options.max_rounds_per_stratum, &local));
-      continue;
-    }
-
-    // Buffered head install, as in SolveRecursiveStratum.
-    std::vector<DeltaFact> pending;
-    size_t installed = 0;
-    auto derive_head = [&](const Rule& rule,
-                           const Bindings& bindings) -> Status {
-      VERSO_ASSIGN_OR_RETURN(DeltaFact head,
-                             ResolveHeadFact(rule, bindings, versions));
-      pending.push_back(std::move(head));
-      return Status::Ok();
-    };
-    auto install_pending = [&]() {
-      for (DeltaFact& fact : pending) {
-        if (working.Insert(fact.vid, fact.method, fact.app)) {
-          ++local.derived_facts;
-          ++installed;
-        }
-      }
-      pending.clear();
-    };
-
-    // Round 0: full evaluation of every rule in the stratum — for a
-    // non-recursive stratum this already is the fixpoint.
-    ++local.rounds;
-    for (uint32_t r : stratum.rules) {
-      const Rule& rule = program.rules[r];
-      VERSO_RETURN_IF_ERROR(ForEachBodyMatch(
-          rule, ctx,
-          [&](const Bindings& bindings) { return derive_head(rule, bindings); }));
-      install_pending();
-    }
-    if (!stratum.recursive) continue;
-
-    // Naive ablation mode: re-run all rules until nothing new is derived.
-    for (uint32_t round = 1;; ++round) {
-      if (round >= options.max_rounds_per_stratum) {
-        return Status::Divergence("query stratum exceeded round bound");
-      }
-      installed = 0;
-      ++local.rounds;
-      for (uint32_t r : stratum.rules) {
-        const Rule& rule = program.rules[r];
-        VERSO_RETURN_IF_ERROR(ForEachBodyMatch(
-            rule, ctx, [&](const Bindings& bindings) {
-              return derive_head(rule, bindings);
-            }));
-        install_pending();
-      }
-      if (installed == 0) break;
-    }
-  }
-
-  local += istats;
+  VERSO_RETURN_IF_ERROR(EvaluateStrata(program, stratification, symbols,
+                                       versions, working, local, options));
   if (stats != nullptr) *stats = local;
   return working;
 }

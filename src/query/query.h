@@ -9,6 +9,7 @@
 #include "core/engine.h"
 #include "core/object_base.h"
 #include "core/program.h"
+#include "core/stratify.h"
 #include "util/result.h"
 
 namespace verso {
@@ -53,8 +54,8 @@ struct QueryStratum {
   /// Derived methods defined by this stratum's rule heads (sorted).
   std::vector<MethodId> methods;
   /// True iff some rule body reads a method of this same stratum — the
-  /// stratum needs fixpoint iteration (and, in the views subsystem,
-  /// delete-and-rederive instead of counting maintenance).
+  /// stratum needs fixpoint iteration, and the views subsystem's
+  /// overdeletion can cascade inside it.
   bool recursive = false;
 };
 
@@ -65,6 +66,37 @@ struct QueryStratification {
   /// Derived method -> index into `strata` of its defining stratum.
   std::unordered_map<uint32_t, uint32_t> stratum_of_method;
 };
+
+/// The method dependency graph of a derived-method program, the one
+/// AnalyzeQueryProgram and the static analyzer both stratify: a node per
+/// derived method (in derived_methods order) and an edge head -> body
+/// method for every body literal reading a derived method, in rule and
+/// literal order. Its SCCs are the program's strata.
+struct MethodGraph {
+  struct Edge {
+    uint32_t head;
+    uint32_t body;
+    bool negated;
+  };
+  std::vector<MethodId> method_of_node;
+  std::unordered_map<uint32_t, uint32_t> node_of_method;
+  std::vector<std::vector<uint32_t>> adjacency;
+  std::vector<Edge> edges;
+  SccResult scc;
+  /// The first rule whose head method is missing from derived_methods (a
+  /// caller-assembled program can desynchronize the two), or -1. Such
+  /// rules add no edges.
+  int unlisted_head_rule = -1;
+
+  /// Recursion through negation: per component holding a negated edge,
+  /// the first such edge, in edge order.
+  std::vector<Edge> NegationCycles() const;
+  /// "derived methods are recursive through negation: a -> b -> a", the
+  /// shortest cycle through `edge` (FindCycle).
+  std::string CycleMessage(const Edge& edge, const SymbolTable& symbols) const;
+};
+
+MethodGraph BuildMethodGraph(const QueryProgram& program);
 
 /// Runs AnalyzeRule over every rule and computes the SCC-based
 /// stratification. Fails (kNotStratifiable) when a negation occurs inside
@@ -92,25 +124,26 @@ struct QueryOptions {
 
 /// Resolves a rule's head under a complete body binding to the ground
 /// view fact it derives (`added` always true). The single head-resolution
-/// path shared by EvaluateQueries, SolveRecursiveStratum, and the views
-/// maintainer's sinks.
+/// path shared by evaluation and the views maintainer's probes.
 Result<DeltaFact> ResolveHeadFact(const Rule& rule, const Bindings& bindings,
                                   VersionTable& versions);
 
-/// Semi-naive fixpoint of one recursive stratum over `working`: round 0
-/// full-matches every stratum rule, later rounds probe only the frontier
-/// facts, found through their (method, shape) index. Rounds are frozen:
-/// derivation reads only the state the round began with, and every head
-/// fact installs into `working` at the round boundary. Counters
-/// accumulate into `stats` when given (rounds, derived_facts,
-/// delta_joins, seed_pairs_skipped). Rules must already be analyzed
-/// (AnalyzeQueryProgram). Shared by EvaluateQueries and the views
-/// subsystem's initial materialization.
-Status SolveRecursiveStratum(const QueryProgram& program,
-                             const QueryStratum& stratum,
-                             SymbolTable& symbols, VersionTable& versions,
-                             ObjectBase& working, uint32_t max_rounds,
-                             QueryStats* stats);
+/// Evaluates `stratification`'s strata bottom-up into `working`, which
+/// holds the base and receives every derived fact. A non-recursive
+/// stratum is one full pass per rule. A recursive one iterates to its
+/// fixpoint: semi-naively (round 0 full-matches every rule, later rounds
+/// probe only the frontier facts, found through their (method, shape)
+/// index), or naively when options.semi_naive is off. Rounds are frozen:
+/// derivation reads the state the round began with, and head facts
+/// install at the round boundary. Counters accumulate into `stats`. The
+/// rules must be analyzed (AnalyzeQueryProgram produced
+/// `stratification`). The one evaluation loop of EvaluateQueries and of
+/// a materialized view's first result.
+Status EvaluateStrata(const QueryProgram& program,
+                      const QueryStratification& stratification,
+                      SymbolTable& symbols, VersionTable& versions,
+                      ObjectBase& working, QueryStats& stats,
+                      const QueryOptions& options = QueryOptions());
 
 /// Evaluates the derived methods over `base`, returning a new object base
 /// containing `base` plus all derived facts. Fails if a derived method

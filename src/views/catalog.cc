@@ -51,8 +51,8 @@ std::vector<std::string> ViewCatalog::names() const {
 void ViewCatalog::Attach(Database& db) {
   // Re-attaching to the same database must not re-register the observer:
   // a doubled registration would run maintenance twice per commit,
-  // doubling work and stats (and corrupting counting views, whose deltas
-  // would be applied twice).
+  // doubling work and stats, and the second run would find its delta out
+  // of sync with the view base and poison the view.
   if (attached_ == &db) return;
   Detach();
   attached_ = &db;

@@ -9,8 +9,6 @@ namespace verso {
 
 namespace {
 
-constexpr uint32_t kMaxRounds = 1u << 20;
-
 /// View-maintenance handles into the global registry, bound once. Each
 /// successful maintenance run adds its share of its view's ViewStats.
 struct ViewMetrics {
@@ -39,27 +37,6 @@ struct ViewMetrics {
         seed_probes(registry.GetCounter("view.seed_probes")),
         index_probes(registry.GetCounter("view.index_probes")) {}
 };
-
-/// True iff body literal `li` (a version-literal of the fact's method),
-/// instantiated under a complete `bindings`, denotes exactly `fact`.
-/// The dedup test of counting maintenance: a derivation touching the
-/// changed fact at several occurrences is counted at its lowest one.
-bool LiteralGroundsToFact(const Rule& rule, uint32_t li,
-                          const Bindings& bindings, const DeltaFact& fact,
-                          VersionTable& versions) {
-  const Literal& lit = rule.body[li];
-  Vid vid = ResolveVid(lit.version.version, bindings, versions);
-  if (vid != fact.vid) return false;
-  const AppPattern& app = lit.version.app;
-  if (app.args.size() != fact.app.args.size()) return false;
-  auto value = [&](const ObjTerm& term) {
-    return term.is_var ? bindings[term.var.value] : term.oid;
-  };
-  for (size_t i = 0; i < app.args.size(); ++i) {
-    if (value(app.args[i]) != fact.app.args[i]) return false;
-  }
-  return value(app.result) == fact.app.result;
-}
 
 DeltaFact ToDeltaFact(const ViewFactKey& key, bool added) {
   return DeltaFact{key.vid, key.method, key.app, added};
@@ -144,52 +121,14 @@ Result<std::unique_ptr<MaterializedView>> MaterializedView::Create(
   for (const Rule& rule : view->program_.rules) {
     view->free_object_probes_.push_back(FreeObjectProbes(rule));
   }
-  VERSO_RETURN_IF_ERROR(view->Materialize());
+  QueryStats qstats;
+  VERSO_RETURN_IF_ERROR(EvaluateStrata(view->program_, view->stratification_,
+                                       symbols, versions, view->working_,
+                                       qstats));
+  ++view->stats_.full_evaluations;
+  view->stats_.seed_probes += qstats.delta_joins;
+  view->stats_ += static_cast<const IndexStats&>(qstats);
   return view;
-}
-
-Status MaterializedView::Materialize() {
-  ++stats_.full_evaluations;
-  MatchContext ctx{symbols_, versions_, working_, &istats_};
-  // Buffer head facts per enumeration: sinks must not grow the object
-  // base mid-match (the matcher holds pointers into its fact vectors).
-  std::vector<ViewFactKey> pending;
-
-  for (const QueryStratum& stratum : stratification_.strata) {
-    if (!stratum.recursive) {
-      // Counting stratum: one full pass per rule; every satisfying body
-      // binding is one derivation of its head fact.
-      for (uint32_t r : stratum.rules) {
-        const Rule& rule = program_.rules[r];
-        pending.clear();
-        VERSO_RETURN_IF_ERROR(ForEachBodyMatch(
-            rule, ctx, [&](const Bindings& bindings) -> Status {
-              VERSO_ASSIGN_OR_RETURN(
-                  DeltaFact head, ResolveHeadFact(rule, bindings, versions_));
-              pending.push_back({head.vid, head.method, std::move(head.app)});
-              return Status::Ok();
-            }));
-        for (ViewFactKey& head : pending) {
-          if (++support_[head] == 1) {
-            working_.Insert(head.vid, head.method, head.app);
-          }
-          ++stats_.support_increments;
-        }
-      }
-      continue;
-    }
-
-    // Recursive stratum: set-semantics semi-naive fixpoint (DRed strata
-    // carry no counts); shared with EvaluateQueries.
-    QueryStats qstats;
-    VERSO_RETURN_IF_ERROR(SolveRecursiveStratum(
-        program_, stratum, symbols_, versions_, working_, kMaxRounds,
-        &qstats));
-    stats_.seed_probes += qstats.delta_joins;
-    stats_ += static_cast<const IndexStats&>(qstats);
-  }
-  FoldIndexStats();
-  return Status::Ok();
 }
 
 std::unordered_set<uint32_t> MaterializedView::ReadMethods(
@@ -231,17 +170,6 @@ Status MaterializedView::ProbeTrigger(const QueryStratum& stratum,
       VERSO_RETURN_IF_ERROR(ForEachBodyMatchFrom(
           rule, ctx, seed, static_cast<int>(li),
           [&](const Bindings& bindings) -> Status {
-            // Count each derivation at its lowest matching occurrence.
-            for (uint32_t j = 0; j < li; ++j) {
-              const Literal& lj = rule.body[j];
-              if (lj.kind != Literal::Kind::kVersion) continue;
-              if (lj.negated != trigger.through_negation) continue;
-              if (lj.version.app.method != trigger.fact.method) continue;
-              if (LiteralGroundsToFact(rule, j, bindings, trigger.fact,
-                                       versions_)) {
-                return Status::Ok();
-              }
-            }
             VERSO_ASSIGN_OR_RETURN(
                 DeltaFact head, ResolveHeadFact(rule, bindings, versions_));
             heads.push_back({head.vid, head.method, std::move(head.app)});
@@ -274,97 +202,6 @@ Result<bool> MaterializedView::HasDerivation(const QueryStratum& stratum,
     VERSO_RETURN_IF_ERROR(status);
   }
   return false;
-}
-
-Status MaterializedView::MaintainCounting(const QueryStratum& stratum,
-                                          const DeltaLog& input,
-                                          DeltaLog& out) {
-  std::unordered_set<uint32_t> read = ReadMethods(stratum);
-  std::vector<const DeltaFact*> facts;
-  for (const DeltaFact& fact : input) {
-    if (read.count(fact.method.value)) facts.push_back(&fact);
-  }
-  if (facts.empty()) return Status::Ok();
-  IndexFreeObjectProbes(stratum);
-
-  // Facts whose support changed, in first-touch order. Counts may dip
-  // negative transiently (the reverse sweep can meet a lost derivation
-  // before the gained one that funds it); membership is reconciled once
-  // the sweep ends, which is safe because a stratum's rules never read the
-  // methods the stratum defines.
-  std::unordered_set<ViewFactKey, ViewFactKeyHash> touched;
-  std::vector<ViewFactKey> touched_order;
-  std::vector<ViewFactKey> heads;
-
-  auto apply = [&](int64_t sign) {
-    for (ViewFactKey& head : heads) {
-      support_[head] += sign;
-      if (sign > 0) {
-        ++stats_.support_increments;
-      } else {
-        ++stats_.support_decrements;
-      }
-      if (touched.insert(head).second) touched_order.push_back(head);
-    }
-    heads.clear();
-  };
-
-  // The commit applied its facts in stream order; replaying the stream in
-  // REVERSE against the already-updated base visits, fact by fact, exactly
-  // the intermediate states the forward one-at-a-time counting algorithm
-  // sees — without ever materializing the old base. At each fact's turn:
-  // derivations gained are probed with the fact in its new state,
-  // derivations lost with it restored to its old state.
-  for (auto it = facts.rbegin(); it != facts.rend(); ++it) {
-    const DeltaFact& fact = **it;
-    if (fact.added) {
-      VERSO_RETURN_IF_ERROR(
-          ProbeTrigger(stratum, {fact, /*through_negation=*/false}, heads));
-      apply(+1);
-      working_.Erase(fact.vid, fact.method, fact.app);
-      VERSO_RETURN_IF_ERROR(
-          ProbeTrigger(stratum, {fact, /*through_negation=*/true}, heads));
-      apply(-1);
-    } else {
-      VERSO_RETURN_IF_ERROR(
-          ProbeTrigger(stratum, {fact, /*through_negation=*/true}, heads));
-      apply(+1);
-      working_.Insert(fact.vid, fact.method, fact.app);
-      VERSO_RETURN_IF_ERROR(
-          ProbeTrigger(stratum, {fact, /*through_negation=*/false}, heads));
-      apply(-1);
-    }
-  }
-  // The sweep unwound the stream; re-apply it to restore the new state.
-  for (const DeltaFact* fact : facts) {
-    if (fact->added) {
-      working_.Insert(fact->vid, fact->method, fact->app);
-    } else {
-      working_.Erase(fact->vid, fact->method, fact->app);
-    }
-  }
-
-  // Reconcile membership: a view fact holds iff its support is positive.
-  for (const ViewFactKey& key : touched_order) {
-    auto it = support_.find(key);
-    int64_t count = it == support_.end() ? 0 : it->second;
-    if (count < 0) {
-      return Status::Internal("view '" + name_ +
-                              "': support count underflow");
-    }
-    bool member = InWorking(key);
-    if (count > 0 && !member) {
-      working_.Insert(key.vid, key.method, key.app);
-      out.push_back(ToDeltaFact(key, /*added=*/true));
-      ++stats_.facts_added;
-    } else if (count == 0 && member) {
-      working_.Erase(key.vid, key.method, key.app);
-      out.push_back(ToDeltaFact(key, /*added=*/false));
-      ++stats_.facts_removed;
-    }
-    if (count == 0 && it != support_.end()) support_.erase(it);
-  }
-  return Status::Ok();
 }
 
 Status MaterializedView::MaintainDRed(const QueryStratum& stratum,
@@ -540,11 +377,7 @@ Status MaterializedView::MaintainAll(const DeltaLog& delta,
   DeltaLog stream = delta;
   for (const QueryStratum& stratum : stratification_.strata) {
     DeltaLog emitted;
-    if (stratum.recursive) {
-      VERSO_RETURN_IF_ERROR(MaintainDRed(stratum, stream, emitted));
-    } else {
-      VERSO_RETURN_IF_ERROR(MaintainCounting(stratum, stream, emitted));
-    }
+    VERSO_RETURN_IF_ERROR(MaintainDRed(stratum, stream, emitted));
     stream.insert(stream.end(), emitted.begin(), emitted.end());
   }
 

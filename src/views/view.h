@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -17,7 +16,7 @@
 
 namespace verso {
 
-/// A ground view fact (the key of the support-count store).
+/// A ground view fact (the key of maintenance's fact sets).
 struct ViewFactKey {
   Vid vid;
   MethodId method;
@@ -48,10 +47,8 @@ struct ViewStats : IndexStats {
   uint64_t delta_facts_seen = 0;   // base fact changes consumed
   uint64_t facts_added = 0;        // view facts installed by maintenance
   uint64_t facts_removed = 0;      // view facts retracted by maintenance
-  uint64_t support_increments = 0;  // counting strata: derivations gained
-  uint64_t support_decrements = 0;  // counting strata: derivations lost
-  uint64_t overdeleted = 0;        // DRed strata: facts provisionally deleted
-  uint64_t rederived = 0;          // DRed strata: facts with alternative proofs
+  uint64_t overdeleted = 0;        // facts provisionally deleted
+  uint64_t rederived = 0;          // overdeleted facts with other proofs
   uint64_t seed_probes = 0;        // delta-seeded partial matches launched
   uint64_t rederive_probes = 0;    // goal-directed head probes launched
 };
@@ -60,19 +57,16 @@ struct ViewStats : IndexStats {
 /// full over a committed base and thereafter maintained incrementally from
 /// each commit's fact-level DeltaLog.
 ///
-/// Maintenance is planned from the program's SCC stratification
-/// (AnalyzeQueryProgram):
-///   * non-recursive strata use counting — every view fact carries its
-///     number of distinct derivations, kept exact per delta fact (a
-///     reverse sweep over the commit's delta reproduces, probe for probe,
-///     the textbook one-fact-at-a-time counting algorithm, including
-///     matches gained/lost through *negated* body literals);
-///   * recursive strata use delete-and-rederive (DRed) — overdelete every
-///     fact with a derivation through a deleted fact, rederive the ones
-///     with surviving alternative proofs via goal-directed head probes,
-///     then propagate insertions semi-naively.
-/// Each stratum emits its own fact-level delta, which feeds the strata
-/// above it, so a commit ripples through the view bottom-up.
+/// Every stratum of the program's SCC stratification (AnalyzeQueryProgram)
+/// is maintained by delete-and-rederive (DRed; Gupta, Mumick &
+/// Subrahmanian, SIGMOD 1993): overdelete every fact with a derivation
+/// through a deleted fact (or through an added fact a negated literal
+/// read as absent), rederive the ones with surviving alternative proofs
+/// via goal-directed head probes, then propagate insertions semi-naively.
+/// In a non-recursive stratum the overdeletion cannot cascade, so each
+/// overdeleted fact is re-checked once. Each stratum emits its own
+/// fact-level delta, which feeds the strata above it, so a commit
+/// ripples through the view bottom-up.
 class MaterializedView {
  public:
   /// Fully evaluates `program` over `base` (which must not store facts of
@@ -150,26 +144,24 @@ class MaterializedView {
         versions_(versions),
         working_(base) {}
 
-  Status Materialize();
   Status MaintainAll(const DeltaLog& delta, DeltaLog* view_delta,
                      TraceSink* trace);
 
   /// Stratum maintenance. `input` is the commit delta plus every lower
-  /// stratum's emitted delta; each appends its own fact changes to `out`.
-  Status MaintainCounting(const QueryStratum& stratum, const DeltaLog& input,
-                          DeltaLog& out);
+  /// stratum's emitted delta; the stratum's own fact changes are
+  /// appended to `out`.
   Status MaintainDRed(const QueryStratum& stratum, const DeltaLog& input,
                       DeltaLog& out);
 
   /// Methods read by the stratum's rule bodies (positive or negated).
   std::unordered_set<uint32_t> ReadMethods(const QueryStratum& stratum) const;
 
-  /// Derivations gained/lost when `fact` changes, counted through the
+  /// Derivations gained/lost when `fact` changes, through the
   /// occurrences selected by `trigger.through_negation`: each match's head
-  /// fact is appended to `heads` (deduplicated across occurrences so one
-  /// derivation is counted exactly once). Enumerates against the current
-  /// working base; callers stage presence/absence of the fact around the
-  /// call.
+  /// fact is appended to `heads`, once per occurrence the match uses the
+  /// fact at (callers deduplicate heads by set). Enumerates against the
+  /// current working base; callers stage presence/absence of the fact
+  /// around the call.
   Status ProbeTrigger(const QueryStratum& stratum, const Trigger& trigger,
                       std::vector<ViewFactKey>& heads);
 
@@ -190,7 +182,7 @@ class MaterializedView {
   }
 
   /// Folds the scratch index-probe counters into stats_ (called once a
-  /// materialization or maintenance run finishes).
+  /// maintenance run finishes).
   void FoldIndexStats();
 
   std::string name_;
@@ -202,8 +194,6 @@ class MaterializedView {
 
   /// Base plus derived facts (the served result).
   ObjectBase working_;
-  /// Derivation counts for facts of counting-maintained strata.
-  std::unordered_map<ViewFactKey, int64_t, ViewFactKeyHash> support_;
   std::unordered_set<uint32_t> derived_methods_;
   /// Per rule of program_: the methods its maintenance probes with a
   /// free object and a ground result (derived at Create).

@@ -166,6 +166,61 @@ TEST(AnalyzerTest, DerivedNegationCycleNamesTheMethodPath) {
       << report.diagnostics[0].message;
 }
 
+// The cycle a diagnostic names is the shortest path back from the
+// offending edge, found breadth-first in the graph's own edge order.
+std::string OnlyNegationCycle(const AnalysisReport& report) {
+  EXPECT_EQ(CountCheck(report, kCheckNegationCycle), 1u) << report.ToText();
+  for (const Diagnostic& diag : report.diagnostics) {
+    if (diag.check == kCheckNegationCycle) {
+      EXPECT_EQ(diag.rule, 0);
+      return diag.message;
+    }
+  }
+  return "";
+}
+
+TEST(AnalyzerTest, UpdateCycleIsTheShortestPathStrictEdgesFirst) {
+  Engine engine;
+  // Cycle a -> b -> c -> a with the chord b -> a (StratifyTest's twin).
+  EXPECT_EQ(OnlyNegationCycle(AnalyzeUpdateText(
+                engine,
+                "a: ins[oa].p -> yes <- ins(oc).p -> yes, ins(ob).p -> yes.\n"
+                "b: ins[ob].p -> yes <- not ins(oa).p -> yes.\n"
+                "c: ins[oc].p -> yes <- not ins(ob).p -> yes.")),
+            "no stratification satisfies conditions (a)-(d): strict "
+            "dependency cycle a -> b -> a");
+  // Two paths of length two: the strict b -> d precedes the weak b -> c.
+  EXPECT_EQ(OnlyNegationCycle(AnalyzeUpdateText(
+                engine,
+                "a: ins[oa].p -> yes <- ins(oc).p -> yes, ins(od).p -> yes.\n"
+                "b: ins[ob].p -> yes <- not ins(oa).p -> yes.\n"
+                "c: ins[oc].p -> yes <- ins(ob).p -> yes.\n"
+                "d: ins[od].p -> yes <- not ins(ob).p -> yes.")),
+            "no stratification satisfies conditions (a)-(d): strict "
+            "dependency cycle a -> b -> d -> a");
+}
+
+TEST(AnalyzerTest, DerivedCycleIsTheShortestPathInRuleOrder) {
+  Engine engine;
+  // Cycle p -> q -> r -> p with the chord q -> p (QueryTest's twin).
+  EXPECT_EQ(OnlyNegationCycle(AnalyzeDeriveText(
+                engine,
+                "r1: derive X.p -> yes <- X.e -> yes, not X.q -> yes.\n"
+                "r2: derive X.q -> yes <- X.r -> yes, X.p -> yes.\n"
+                "r3: derive X.r -> yes <- X.p -> yes.")),
+            "derived methods are recursive through negation: p -> q -> p");
+  // Two paths of length two back from q: the rule reading s comes first.
+  EXPECT_EQ(OnlyNegationCycle(AnalyzeDeriveText(
+                engine,
+                "r1: derive X.p -> yes <- X.e -> yes, not X.q -> yes.\n"
+                "r2: derive X.q -> yes <- X.s -> yes.\n"
+                "r3: derive X.q -> yes <- X.r -> yes.\n"
+                "r4: derive X.r -> yes <- X.p -> yes.\n"
+                "r5: derive X.s -> yes <- X.p -> yes.")),
+            "derived methods are recursive through negation: "
+            "p -> q -> s -> p");
+}
+
 // ---- update conflicts -----------------------------------------------------
 
 TEST(AnalyzerTest, InsAgainstDelOnSameMethodIsAConflictWarning) {

@@ -143,6 +143,42 @@ TEST_F(StratifyTest, ReadingOwnDeleteTargetIsRejected) {
   EXPECT_EQ(s.status().code(), StatusCode::kNotStratifiable);
 }
 
+// The rendered cycle is the shortest path back from the offending edge's
+// target, found breadth-first with strict edges before weak ones. Ground
+// versions keep the edges exact: each rule writes its own object, so a
+// positive read of ins(o) is a weak edge from o's writer and a negated
+// read a strict one.
+TEST_F(StratifyTest, CycleMessageIsTheShortestPathInEdgeOrder) {
+  // Cycle a -> b -> c -> a with the chord b -> a: the chord closes the
+  // cycle, though b's strict edge to c comes first in b's adjacency.
+  Result<Stratification> chord = StratifyText(R"(
+      a: ins[oa].p -> yes <- ins(oc).p -> yes, ins(ob).p -> yes.
+      b: ins[ob].p -> yes <- not ins(oa).p -> yes.
+      c: ins[oc].p -> yes <- not ins(ob).p -> yes.
+  )");
+  ASSERT_FALSE(chord.ok());
+  EXPECT_EQ(chord.status().ToString(),
+            "NotStratifiable: rules 'a' and 'b' are mutually recursive "
+            "through a constraint that requires 'a' to be in a strictly "
+            "lower stratum (conditions (a)-(d) of Section 4); dependency "
+            "cycle: a -> b -> a");
+
+  // Two paths of length two back from b: the strict b -> d is visited
+  // before the weak b -> c, so the cycle runs through d.
+  Result<Stratification> tie = StratifyText(R"(
+      a: ins[oa].p -> yes <- ins(oc).p -> yes, ins(od).p -> yes.
+      b: ins[ob].p -> yes <- not ins(oa).p -> yes.
+      c: ins[oc].p -> yes <- ins(ob).p -> yes.
+      d: ins[od].p -> yes <- not ins(ob).p -> yes.
+  )");
+  ASSERT_FALSE(tie.ok());
+  EXPECT_EQ(tie.status().ToString(),
+            "NotStratifiable: rules 'a' and 'b' are mutually recursive "
+            "through a constraint that requires 'a' to be in a strictly "
+            "lower stratum (conditions (a)-(d) of Section 4); dependency "
+            "cycle: a -> b -> d -> a");
+}
+
 TEST_F(StratifyTest, ModReadersAboveModWriters) {
   Result<Stratification> s = StratifyText(R"(
       w: mod[E].sal -> (S, S2) <- E.raise -> yes, E.sal -> S, S2 = S + 1.

@@ -100,6 +100,36 @@ TEST_F(QueryTest, NegativeRecursionRejected) {
   EXPECT_EQ(out.status().code(), StatusCode::kNotStratifiable);
 }
 
+// The rendered cycle runs from the negating method through the shortest
+// path back to it, found breadth-first over the body literals in rule
+// and literal order.
+TEST_F(QueryTest, NegationCycleMessageIsTheShortestPathInRuleOrder) {
+  auto analyze = [&](const char* rules) {
+    Result<QueryProgram> program =
+        ParseQueryProgram(rules, engine_.symbols());
+    EXPECT_TRUE(program.ok()) << program.status().ToString();
+    Result<QueryStratification> strata =
+        AnalyzeQueryProgram(*program, engine_.symbols());
+    EXPECT_FALSE(strata.ok());
+    return strata.status().ToString();
+  };
+  // Cycle p -> q -> r -> p with the chord q -> p, which closes the cycle
+  // though q reads r first.
+  EXPECT_EQ(analyze("r1: derive X.p -> yes <- X.e -> yes, not X.q -> yes."
+                    "r2: derive X.q -> yes <- X.r -> yes, X.p -> yes."
+                    "r3: derive X.r -> yes <- X.p -> yes."),
+            "NotStratifiable: derived methods are recursive through "
+            "negation: p -> q -> p");
+  // Two paths of length two back from q: the rule reading s comes first.
+  EXPECT_EQ(analyze("r1: derive X.p -> yes <- X.e -> yes, not X.q -> yes."
+                    "r2: derive X.q -> yes <- X.s -> yes."
+                    "r3: derive X.q -> yes <- X.r -> yes."
+                    "r4: derive X.r -> yes <- X.p -> yes."
+                    "r5: derive X.s -> yes <- X.p -> yes."),
+            "NotStratifiable: derived methods are recursive through "
+            "negation: p -> q -> s -> p");
+}
+
 TEST_F(QueryTest, DerivedMethodMayNotBeStored) {
   ObjectBase base = Base("a.reaches -> b.");
   Result<QueryProgram> program = ParseQueryProgram(

@@ -2,8 +2,9 @@
 // EVERY committed transaction in a generated update sequence, each
 // maintained view must be bit-identical to a from-scratch EvaluateQueries
 // over the current committed base. Exercises insert-, delete-, and
-// mod-heavy mixes over the enterprise and graph workloads, through both
-// counting (non-recursive, incl. negation) and DRed (recursive) strata.
+// mod-heavy mixes over the enterprise and graph workloads, through
+// non-recursive (incl. negation) and recursive strata, all maintained by
+// DRed.
 // Every mix runs once per store backend (mem, pagelog); the final
 // committed base must be bit-identical across backends.
 
@@ -138,7 +139,7 @@ class ViewsDiffTest : public ::testing::Test {
   std::string dir_;
 };
 
-// Graph workload: recursive closure (DRed) + a counting stratum with
+// Graph workload: recursive closure + a non-recursive stratum with
 // negation layered on top of the recursive one.
 TEST_F(ViewsDiffTest, GraphMixes) {
   const std::vector<const char*> kViews = {
@@ -153,6 +154,9 @@ TEST_F(ViewsDiffTest, GraphMixes) {
       // exercises DRed derivations through multiple overdeleted facts.
       "q1: derive X.path -> Y <- X.edge -> Y."
       "q2: derive X.path -> Z <- X.path -> Y, Y.path -> Z.",
+      // v3: a changed edge matches both body literals of this rule (a
+      // 2-cycle through it), so one derivation is met at two occurrences.
+      "q: derive X.mutual -> Y <- X.edge -> Y, Y.edge -> X.",
   };
   const std::vector<Mix> kMixes = {
       {"insert-heavy", 6, 1, 1},
@@ -203,17 +207,85 @@ TEST_F(ViewsDiffTest, GraphMixes) {
   }
 }
 
-// Enterprise workload: counting strata over salaries (built-ins) and the
-// boss forest (recursive chain-of-command + negation).
+// Generated programs: random stratified rules over binary derived methods,
+// mixing recursion, negation of lower strata and repeated reads of the
+// changed method, so DRed meets stratum shapes no hand-written view has.
+TEST_F(ViewsDiffTest, GeneratedPrograms) {
+  const Mix kMix = {"mixed", 2, 1, 1};
+  const size_t kNodes = 8;
+  std::vector<std::string> objects;
+  for (size_t i = 0; i < kNodes; ++i) {
+    objects.push_back("n" + std::to_string(i));
+  }
+  Rng rng(77);
+  auto derived = [&] { return "d" + std::to_string(rng.Below(4)); };
+  auto random_program = [&] {
+    std::string text;
+    const uint64_t rules = 2 + rng.Below(4);
+    for (uint64_t r = 0; r < rules; ++r) {
+      text += "r" + std::to_string(r) + ": derive X." + derived() +
+              " -> Y <- X.edge -> Y";
+      const uint64_t literals = rng.Below(3);
+      for (uint64_t i = 0; i < literals; ++i) {
+        switch (rng.Below(4)) {
+          case 0: text += ", Y.edge -> X"; break;
+          case 1: text += ", Y.edge -> Z"; break;
+          case 2: text += ", X." + derived() + " -> Y"; break;
+          default: text += ", not Y." + derived() + " -> X"; break;
+        }
+      }
+      text += ".";
+    }
+    return text;
+  };
+
+  for (uint64_t round = 0; round < 6; ++round) {
+    // Keep the first four stratifiable programs the generator yields.
+    std::vector<std::string> programs;
+    while (programs.size() < 4) {
+      std::string text = random_program();
+      Result<QueryProgram> program =
+          ParseQueryProgram(text, engine_.symbols());
+      ASSERT_TRUE(program.ok()) << program.status().ToString() << "\n"
+                                << text;
+      if (AnalyzeQueryProgram(*program, engine_.symbols()).ok()) {
+        programs.push_back(std::move(text));
+      }
+    }
+    std::vector<const char*> views;
+    for (const std::string& text : programs) views.push_back(text.c_str());
+
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::filesystem::remove_all(dir_);
+    std::unique_ptr<Database> db = OpenDb(StoreBackend::kMem);
+    ObjectBase base = engine_.MakeBase();
+    MakeGraph(kNodes, /*edges=*/14, /*seed=*/500 + round, engine_, base);
+    ASSERT_TRUE(db->ImportBase(base).ok());
+    ViewCatalog catalog(engine_);
+    for (size_t v = 0; v < views.size(); ++v) {
+      ASSERT_TRUE(catalog
+                      .RegisterText("v" + std::to_string(v), views[v],
+                                    db->current())
+                      .ok())
+          << views[v];
+    }
+    catalog.Attach(*db);
+    RunSequence(*db, catalog, views, kMix, /*txns=*/30, 4000 + round,
+                objects, "edge", /*numeric_method=*/false);
+  }
+}
+
+// Enterprise workload: non-recursive strata over salaries (built-ins) and
+// the boss forest (recursive chain-of-command + negation).
 TEST_F(ViewsDiffTest, EnterpriseMixes) {
   const std::vector<const char*> kViews = {
-      // v0: who earns above the bar (built-in comparisons, counting).
+      // v0: who earns above the bar (built-in comparisons).
       "q: derive X.rich -> yes <- X.sal -> S, S > 5000.",
       // v1: recursive chain of command.
       "q1: derive X.chain -> Y <- X.boss -> Y."
       "q2: derive X.chain -> Z <- X.chain -> Y, Y.boss -> Z.",
       // v2: employees with no boss at all (negation over a lower derived
-      // stratum — two counting strata rippling).
+      // stratum — two non-recursive strata rippling).
       "q1: derive X.hasboss -> yes <- X.boss -> B."
       "q2: derive X.root -> yes <- X.isa -> empl, not X.hasboss -> yes.",
   };
