@@ -1,25 +1,29 @@
-// The result-keyed index (IndexedApps, src/core/object_base.h): what a
-// bound-result lookup costs now that every `X.m -> c` literal with the
-// result ground at bind time probes a (result -> offsets) index instead
-// of scanning the method's full application vector.
+// Bound-result probes (VersionState::ForEachAppWithResult,
+// src/core/object_base.h): what an `X.m -> c` lookup with the result
+// ground at bind time costs. A version's facts are one sorted block, and
+// a method's argument-free facts are ordered by result, so the probe is
+// a binary search of them plus a scan of the method's argument-bearing
+// facts.
 //
 //   * Bound-result body match: one rule whose single body literal names
 //     a ground result, matched over N objects carrying kLikes facts of
-//     the probed method each — the matcher's hottest literal form.
-//   * DRed rederive probe: a recursive closure view absorbing an edge
-//     delete + re-insert; Phase A/B probes bind rule heads, so their
-//     body literals arrive with results bound and hit the index.
-//
-// Each workload runs twice: indexed (the default) and with the index
-// disabled for ablation (SharedApps::EnableResultIndex(false)), which
-// degrades ForEachAppWithResult to the pre-index full scan over the same
-// code path. The acceptance bar for the index PR: >= 5x fewer per-probe
-// fact visits (via the IndexStats counters) and a wall-clock win on the
-// bound-result match at 4096 objects.
+//     the probed method each — the matcher's hottest literal form. Its
+//     baseline matches the same literal with the result free and keeps
+//     the wanted result in the benchmark's sink: a full scan of the
+//     method.
+//   * DRed rederive: a recursive closure view absorbing an edge delete +
+//     re-insert; Phase A/B probes bind rule heads, so their body literals
+//     arrive with results bound.
+//   * Closure probe: one bound-result lookup per node of that view's
+//     64-fact reaches-lists, against a scan of the list written here.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/match.h"
@@ -29,17 +33,6 @@
 
 namespace verso::bench {
 namespace {
-
-/// Sets the index/ablation mode for a scope and always restores the
-/// indexed default, so an early error exit can never leave the
-/// process-global toggle pointing at the scan path for later benchmarks.
-class IndexModeGuard {
- public:
-  explicit IndexModeGuard(bool indexed) {
-    SharedApps::EnableResultIndex(indexed);
-  }
-  ~IndexModeGuard() { SharedApps::EnableResultIndex(true); }
-};
 
 constexpr size_t kLikes = 32;   // facts of the probed method per object
 constexpr size_t kGenres = 64;  // distinct result constants
@@ -57,39 +50,49 @@ void FillLikes(Engine& engine, ObjectBase& base, size_t objects) {
   }
 }
 
-/// Shared body of the bound-result match benchmark; `indexed` selects the
-/// real path or the ablation scan.
-void RunBoundResultMatch(benchmark::State& state, bool indexed) {
-  IndexModeGuard mode(indexed);
+/// Shared body of the bound-result match benchmark. With `scan`, the
+/// rule leaves the result free and the sink keeps the matches whose
+/// result is g7: the same matches, found by scanning the method.
+void RunBoundResultMatch(benchmark::State& state, bool scan) {
   Engine engine;
   ObjectBase base = engine.MakeBase();
   FillLikes(engine, base, static_cast<size_t>(state.range(0)));
 
-  Result<Program> program =
-      ParseProgram("r: ins[x].hit -> E <- E.likes -> g7.", engine);
+  Result<Program> program = ParseProgram(
+      scan ? "r: ins[x].hit -> E <- E.likes -> G."
+           : "r: ins[x].hit -> E <- E.likes -> g7.",
+      engine);
   if (!program.ok() ||
       !AnalyzeRule(program->rules[0], engine.symbols()).ok()) {
     state.SkipWithError("setup failed");
     return;
   }
   const Rule& rule = program->rules[0];
+  const Oid wanted = engine.symbols().Symbol("g7");
+  size_t result_var = 0;
+  for (size_t i = 0; i < rule.var_names.size(); ++i) {
+    if (rule.var_names[i] == "G") result_var = i;
+  }
 
   IndexStats istats;
   MatchContext ctx{engine.symbols(), engine.versions(), base, &istats};
   size_t matches = 0;
   for (auto _ : state) {
-    Status status = ForEachBodyMatch(rule, ctx, [&](const Bindings&) {
-      ++matches;
-      return Status::Ok();
-    });
+    Status status =
+        ForEachBodyMatch(rule, ctx, [&](const Bindings& bindings) {
+          if (!scan || bindings[result_var] == wanted) ++matches;
+          return Status::Ok();
+        });
     if (!status.ok()) {
       state.SkipWithError(status.ToString().c_str());
       return;
     }
     benchmark::DoNotOptimize(matches);
   }
+  state.counters["matches_per_run"] =
+      static_cast<double>(matches) / static_cast<double>(state.iterations());
   // Per-probe fact visits: a scan visits every fact of the method
-  // (kLikes); the index visits kLikes minus what it avoided.
+  // (kLikes); the probe visits kLikes minus what it avoided.
   const double probes = static_cast<double>(istats.index_probes);
   const double visits =
       probes * kLikes - static_cast<double>(istats.indexed_scan_avoided_facts);
@@ -100,12 +103,12 @@ void RunBoundResultMatch(benchmark::State& state, bool indexed) {
 }
 
 void BM_IdxBoundResultMatch(benchmark::State& state) {
-  RunBoundResultMatch(state, /*indexed=*/true);
+  RunBoundResultMatch(state, /*scan=*/false);
 }
 BENCHMARK(BM_IdxBoundResultMatch)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_IdxBoundResultMatchScanBaseline(benchmark::State& state) {
-  RunBoundResultMatch(state, /*indexed=*/false);
+  RunBoundResultMatch(state, /*scan=*/true);
 }
 BENCHMARK(BM_IdxBoundResultMatchScanBaseline)->Arg(256)->Arg(1024)->Arg(4096);
 
@@ -128,22 +131,22 @@ ObjectBase MakeChains(Engine& engine, size_t nodes) {
   return base;
 }
 
-/// Shared body of the DRed maintenance benchmark: toggle one mid-chain
-/// edge, so every other iteration overdeletes the crossing reaches-facts
-/// and rederives via goal-directed (head-bound) probes.
-void RunDRedRederive(benchmark::State& state, bool indexed) {
-  IndexModeGuard mode(indexed);
+/// The chains' closure view, materialized over `nodes` nodes.
+Result<std::unique_ptr<MaterializedView>> ClosureView(Engine& engine,
+                                                      const ObjectBase& base) {
+  VERSO_ASSIGN_OR_RETURN(QueryProgram program,
+                         ParseQueryProgram(kClosureView, engine.symbols()));
+  return MaterializedView::Create("closure", std::move(program), base,
+                                  engine.symbols(), engine.versions());
+}
+
+/// DRed maintenance: toggle one mid-chain edge, so every other iteration
+/// overdeletes the crossing reaches-facts and rederives via
+/// goal-directed (head-bound) probes.
+void BM_IdxDRedRederive(benchmark::State& state) {
   Engine engine;
   ObjectBase base = MakeChains(engine, static_cast<size_t>(state.range(0)));
-  Result<QueryProgram> program =
-      ParseQueryProgram(kClosureView, engine.symbols());
-  if (!program.ok()) {
-    state.SkipWithError(program.status().ToString().c_str());
-    return;
-  }
-  Result<std::unique_ptr<MaterializedView>> view = MaterializedView::Create(
-      "closure", std::move(*program), base, engine.symbols(),
-      engine.versions());
+  Result<std::unique_ptr<MaterializedView>> view = ClosureView(engine, base);
   if (!view.ok()) {
     state.SkipWithError(view.status().ToString().c_str());
     return;
@@ -174,16 +177,69 @@ void RunDRedRederive(benchmark::State& state, bool indexed) {
   state.counters["avoided_facts"] =
       static_cast<double>(stats.indexed_scan_avoided_facts);
 }
-
-void BM_IdxDRedRederive(benchmark::State& state) {
-  RunDRedRederive(state, /*indexed=*/true);
-}
 BENCHMARK(BM_IdxDRedRederive)->Arg(256)->Arg(1024)->Arg(4096);
 
-void BM_IdxDRedRederiveScanBaseline(benchmark::State& state) {
-  RunDRedRederive(state, /*indexed=*/false);
+/// One `n_i.reaches -> n_(i+32)`-shaped lookup per node of the closure
+/// result (the first node's result, mid-chain). With `scan`, the lookup
+/// walks the node's whole reaches-list and compares each result here.
+void RunClosureProbe(benchmark::State& state, bool scan) {
+  Engine engine;
+  const size_t nodes = static_cast<size_t>(state.range(0));
+  ObjectBase base = MakeChains(engine, nodes);
+  Result<std::unique_ptr<MaterializedView>> view = ClosureView(engine, base);
+  if (!view.ok()) {
+    state.SkipWithError(view.status().ToString().c_str());
+    return;
+  }
+  const ObjectBase& result = (*view)->result();
+  const MethodId reaches = engine.symbols().Method("reaches");
+  std::vector<std::pair<const VersionState*, Oid>> lookups;
+  for (size_t i = 0; i < nodes; ++i) {
+    const VersionState* node = result.StateOf(
+        engine.versions().OfOid(engine.symbols().Symbol("n" + std::to_string(i))));
+    if (node == nullptr) continue;
+    const size_t chain_end = (i / kChainLength + 1) * kChainLength;
+    const size_t target = std::min(i + kChainLength / 2, chain_end - 1);
+    lookups.emplace_back(
+        node, engine.symbols().Symbol("n" + std::to_string(target)));
+  }
+  size_t found = 0;
+  for (auto _ : state) {
+    for (const auto& [node, target] : lookups) {
+      Status status = Status::Ok();
+      if (scan) {
+        status = node->ForEachApp(reaches, [&](const GroundApp& app) {
+          if (app.result == target) ++found;
+          return Status::Ok();
+        });
+      } else {
+        status = node->ForEachAppWithResult(reaches, target, nullptr,
+                                            [&](const GroundApp&) {
+                                              ++found;
+                                              return Status::Ok();
+                                            });
+      }
+      if (!status.ok()) {
+        state.SkipWithError(status.ToString().c_str());
+        return;
+      }
+    }
+    benchmark::DoNotOptimize(found);
+  }
+  state.counters["lookups"] = static_cast<double>(lookups.size());
+  state.counters["found_per_run"] =
+      static_cast<double>(found) / static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_IdxDRedRederiveScanBaseline)->Arg(256)->Arg(1024)->Arg(4096);
+
+void BM_IdxClosureProbe(benchmark::State& state) {
+  RunClosureProbe(state, /*scan=*/false);
+}
+BENCHMARK(BM_IdxClosureProbe)->Arg(256)->Arg(1024)->Arg(4096);
+
+void BM_IdxClosureProbeScanBaseline(benchmark::State& state) {
+  RunClosureProbe(state, /*scan=*/true);
+}
+BENCHMARK(BM_IdxClosureProbeScanBaseline)->Arg(256)->Arg(1024)->Arg(4096);
 
 }  // namespace
 }  // namespace verso::bench

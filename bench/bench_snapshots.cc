@@ -1,20 +1,19 @@
-// Copy-on-write structural sharing (src/core/object_base.h): what a
-// snapshot costs now that per-version state is a refcounted handle.
+// Snapshots and state copies (src/core/object_base.h): what a pin and
+// a T_P step-2 copy cost when a version's state is one refcounted
+// block of sorted facts, and what a state holds in memory.
 //
 //   * Pin under ongoing commits: each commit invalidates the shared
-//     snapshot, so the next session open rebuilds it — with COW that is
-//     O(#versions) pointer bumps over the base and every view result;
-//     the deep-copy baseline rebuilds all of them fact by fact (what
-//     Connection::Pin effectively cost before sharing).
+//     snapshot, so the next session open rebuilds it: O(1) copies of the
+//     base and every view result. The deep-copy baseline rebuilds all of
+//     them fact by fact (what Connection::Pin cost before sharing).
 //   * T_P step-2 materialization: preparing an inactive target's state
-//     copies v* — with COW, a method-list of pointer bumps plus a clone
-//     of only the methods the updates write; the baseline clones every
-//     application vector up front.
-//
-// The acceptance bar for the sharing PR: both COW paths >= 5x cheaper
-// than their deep-copy baselines at 4096-object bases.
+//     copies v*'s block whole; the baseline re-inserts its facts one by
+//     one.
+//   * Live heap per object: N employees that each hold the perfbench
+//     base's six facts, read with mallinfo2 after malloc_trim.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <memory>
 #include <string>
@@ -65,22 +64,18 @@ std::unique_ptr<Connection> SizedConnection(size_t objects) {
 ObjectBase DeepClone(const ObjectBase& base) {
   ObjectBase out(base.exists_method(), base.version_table());
   for (const auto& [vid, state] : base.versions()) {
-    for (const auto& [method, apps] : state->methods()) {
-      for (const GroundApp& app : apps) {
-        out.Insert(vid, method, app);
-      }
+    for (const VersionState::Fact& fact : state->facts()) {
+      out.Insert(vid, fact.method, fact);
     }
   }
   return out;
 }
 
-/// The pre-COW cost of one T_P step-2 state copy.
+/// One T_P step-2 state copy built fact by fact.
 VersionState DeepCloneState(const VersionState& state) {
   VersionState out;
-  for (const auto& [method, apps] : state.methods()) {
-    for (const GroundApp& app : apps) {
-      out.Insert(method, app);
-    }
+  for (const VersionState::Fact& fact : state.facts()) {
+    out.Insert(fact.method, fact);
   }
   return out;
 }
@@ -169,8 +164,8 @@ void BM_SnapTpStep2Cow(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapTpStep2Cow)->Arg(256)->Arg(1024)->Arg(4096);
 
-/// The deep-copy baseline for step 2: clone every application vector of
-/// v*'s state before applying the update (the pre-sharing behavior).
+/// The fact-by-fact baseline for step 2: re-insert every fact of v*'s
+/// state before applying the update.
 void BM_SnapTpStep2DeepCopyBaseline(benchmark::State& state) {
   Engine engine;
   ObjectBase base = engine.MakeBase();
@@ -217,6 +212,64 @@ void BM_SnapCommitTouchingOneObject(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SnapCommitTouchingOneObject)->Arg(256)->Arg(1024)->Arg(4096);
+
+/// Bytes the heap holds in use, after returning free memory to the OS.
+size_t LiveHeapBytes() {
+  malloc_trim(0);
+  return mallinfo2().uordblks;
+}
+
+/// Live heap per object: N employees that each hold the perfbench base's
+/// six facts (exists, isa, sal, dept, boss, pos), inserted one by one into
+/// a fresh engine's base. The figure is everything that leaves allocated,
+/// the objects' symbols and versions included, divided by N.
+void BM_LiveHeapPerObject(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  double per_object = 0;
+  size_t facts = 0;
+  for (auto _ : state) {
+    const size_t before = LiveHeapBytes();
+    Engine engine;
+    SymbolTable& symbols = engine.symbols();
+    ObjectBase base = engine.MakeBase();
+    const MethodId exists = symbols.exists_method();
+    const MethodId isa = symbols.Method("isa");
+    const MethodId sal = symbols.Method("sal");
+    const MethodId dept = symbols.Method("dept");
+    const MethodId boss = symbols.Method("boss");
+    const MethodId pos = symbols.Method("pos");
+    const Oid empl = symbols.Symbol("empl");
+    const Oid mgr = symbols.Symbol("mgr");
+    auto employee = [&](size_t i) {
+      return symbols.Symbol("e" + std::to_string(i));
+    };
+    for (size_t i = 0; i < n; ++i) {
+      const Oid self = employee(i);
+      const Vid vid = engine.versions().OfOid(self);
+      auto add = [&](MethodId method, Oid result) {
+        GroundApp app;
+        app.result = result;
+        base.Insert(vid, method, std::move(app));
+      };
+      add(exists, self);
+      add(isa, empl);
+      add(sal, symbols.Int(20000 + static_cast<int64_t>((i * 7919) % 70000)));
+      add(dept, symbols.Symbol("d" + std::to_string(i % 64)));
+      add(boss, employee(i / 4));
+      add(pos, mgr);
+    }
+    per_object = static_cast<double>(LiveHeapBytes() - before) /
+                 static_cast<double>(n);
+    facts = base.fact_count();
+  }
+  state.counters["heap_bytes_per_object"] = per_object;
+  state.counters["facts"] = static_cast<double>(facts);
+}
+BENCHMARK(BM_LiveHeapPerObject)
+    ->Arg(4096)
+    ->Arg(65536)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace verso::bench

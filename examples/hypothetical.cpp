@@ -58,10 +58,9 @@ int main() {
   auto salary_of = [&](verso::Vid vid) -> std::string {
     const verso::VersionState* state = result.StateOf(vid);
     if (state == nullptr) return "<no version>";
-    const std::vector<verso::GroundApp>* apps =
-        state->Find(sym.FindMethod("sal"));
-    if (apps == nullptr || apps->empty()) return "<no sal>";
-    return sym.OidToString(apps->front().result);
+    verso::VersionState::Run apps = state->Find(sym.FindMethod("sal"));
+    if (apps.empty()) return "<no sal>";
+    return sym.OidToString(apps[0].result);
   };
 
   std::cout << "peter's salary, hypothetically raised (mod(peter)):   "

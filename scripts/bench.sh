@@ -5,11 +5,11 @@
 # update), bench_views (incremental view maintenance vs from-scratch
 # recomputation), bench_api (client-API facade: session open / snapshot
 # pin, snapshot reads under concurrent commits, subscription fan-out),
-# bench_snapshots (copy-on-write structural sharing: pin cost under
-# ongoing commits and T_P step-2 materialization, each against its
-# deep-copy baseline), bench_index (the result-keyed IndexedApps
-# index: bound-result body matching and DRed rederive probes, each
-# against the full-scan ablation), bench_obs (the always-on metrics
+# bench_snapshots (pin cost under ongoing commits and the T_P step-2
+# state copy, each against its fact-by-fact baseline, and the live heap
+# per object), bench_index (bound-result probes: body matching and a
+# closure view's lookups, each against a scan written in the benchmark,
+# and DRed rederive probes), bench_obs (the always-on metrics
 # registry: fixpoint + commit workloads with metrics enabled vs the
 # registry-disabled ablation — the On/Off pairs bound the
 # instrumentation's overhead), bench_store (src/store backends:
@@ -60,11 +60,19 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
     --benchmark_format=json \
     --benchmark_out=BENCH_api.json \
     --benchmark_out_format=json
+# The step-2 copy, the pin and the bound-result probes are read from
+# these two: interleave repetitions and record medians, as above.
 "$BUILD_DIR"/bench_snapshots \
+    --benchmark_enable_random_interleaving=true \
+    --benchmark_repetitions=5 \
+    --benchmark_report_aggregates_only=true \
     --benchmark_format=json \
     --benchmark_out=BENCH_snapshots.json \
     --benchmark_out_format=json
 "$BUILD_DIR"/bench_index \
+    --benchmark_enable_random_interleaving=true \
+    --benchmark_repetitions=5 \
+    --benchmark_report_aggregates_only=true \
     --benchmark_format=json \
     --benchmark_out=BENCH_index.json \
     --benchmark_out_format=json

@@ -38,7 +38,7 @@ ResultSet::ResultSet(Kind kind, uint64_t epoch, ObjectBase facts,
     const VersionState& state = *facts_->StateOf(vid);
     for (Cursor& cursor : cursors) {
       if (cursor.at == cursor.end || *cursor.at != vid) continue;
-      for (const GroundApp& app : *state.Find(cursor.method)) {
+      for (const GroundApp& app : state.Find(cursor.method)) {
         rows_.push_back(Row{vid, cursor.method, &app, /*added=*/true});
       }
       ++cursor.at;

@@ -27,16 +27,14 @@ Result<bool> InPlaceRound(const Program& program, ObjectBase& base,
           if (rule.head.delete_all) {
             const VersionState* state = base.StateOf(v);
             if (state == nullptr) return Status::Ok();
-            for (const auto& [method, apps] : state->methods()) {
-              if (method == base.exists_method()) continue;
-              for (const GroundApp& app : apps) {
-                GroundUpdate u;
-                u.kind = UpdateKind::kDelete;
-                u.version = v;
-                u.method = method;
-                u.app = app;
-                t1.insert(std::move(u));
-              }
+            for (const VersionState::Fact& fact : state->facts()) {
+              if (fact.method == base.exists_method()) continue;
+              GroundUpdate u;
+              u.kind = UpdateKind::kDelete;
+              u.version = v;
+              u.method = fact.method;
+              u.app = fact;
+              t1.insert(std::move(u));
             }
             return Status::Ok();
           }

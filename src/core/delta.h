@@ -33,7 +33,7 @@ using DeltaLog = std::vector<DeltaFact>;
 /// Tries to bind the rule body literal at `literal_index` — a positive
 /// version-term or a positive body ins-update-term, both of which are
 /// plain membership tests — against an added delta fact, producing the
-/// seed `bindings` for ForEachBodyMatchFrom. Returns false when the
+/// seed `bindings` for Matcher::RunFrom. Returns false when the
 /// literal is not seedable or the fact's method, VID shape, or constants
 /// do not match the literal's pattern. On success every variable the
 /// literal would bind is bound in `bindings` (all other slots invalid).
@@ -63,7 +63,7 @@ bool UnifyLiteralPattern(const Rule& rule, uint32_t literal_index,
 
 /// Unifies a ground fact with the rule's *head* (version-term and
 /// application pattern), producing initial bindings for a goal-directed
-/// body match (ForEachBodyMatchFrom with no literal skipped). This is the
+/// body match (Matcher::RunFrom with no literal skipped). This is the
 /// rederivation probe of DRed view maintenance: "does `fact` still have a
 /// derivation through this rule?". Returns false when the fact cannot be
 /// this rule's head instance.

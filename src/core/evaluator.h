@@ -98,7 +98,7 @@ struct EvalStats {
 /// `base` into result(P). Round 0 of a stratum matches every rule in
 /// full; installing a round's fresh updates produces a fact-level delta,
 /// and subsequent rounds (in semi-naive mode) derive only from that
-/// delta — seeding fully seedable rules through ForEachBodyMatchFrom and
+/// delta — seeding fully seedable rules through Matcher::RunFrom and
 /// re-matching residual rules only when the delta touches a method they
 /// depend on.
 class Evaluator {

@@ -1,6 +1,7 @@
 #ifndef VERSO_CORE_MATCH_H_
 #define VERSO_CORE_MATCH_H_
 
+#include <algorithm>
 #include <type_traits>
 #include <vector>
 
@@ -41,13 +42,21 @@ GroundApp ResolveApp(const AppPattern& app, const Bindings& bindings);
 Result<bool> GroundLiteralTruth(const Rule& rule, const Literal& literal,
                                 const Bindings& bindings, MatchContext& ctx);
 
-namespace match_internal {
-
-/// Recursive backtracking matcher for one rule body. Bindings use a trail
-/// per choice point; trails are drawn from a per-depth scratch pool so
-/// enumeration performs no per-candidate-fact allocation. The sink is a
-/// template parameter so the per-match call inlines (no std::function
-/// indirection on the hot path).
+/// Recursive backtracking matcher for one rule body, invoking `sink`
+/// once per satisfying binding of the rule's variables (in the order
+/// planned by AnalyzeRule); the sink may return an error to abort.
+/// Bindings use a trail per choice point; trails are drawn from a
+/// per-depth scratch pool, and the pool, the bindings and the trails
+/// live as long as the matcher. A loop that matches one rule against
+/// many seeds builds one matcher and calls RunFrom per seed, so a probe
+/// allocates nothing once the trails have grown. The sink is a template
+/// parameter so the per-match call inlines (no std::function indirection
+/// on the hot path).
+///
+/// The matcher holds the rule, `ctx` and `sink` by reference: all three
+/// must outlive it. Nothing may write ctx.base while a run enumerates it
+/// (a write moves facts in a state's block); a sink that derives facts
+/// buffers them until the run returns.
 template <typename Sink>
 class Matcher {
  public:
@@ -56,11 +65,19 @@ class Matcher {
     bindings_.assign(rule.var_count(), Oid());
   }
 
-  Status Run() { return Step(0); }
+  /// Full match: every body literal, from no bindings.
+  Status Run() {
+    std::fill(bindings_.begin(), bindings_.end(), Oid());
+    skip_literal_ = -1;
+    return Step(0);
+  }
 
-  /// Semi-naive entry: seed bindings and skip one already-matched literal.
+  /// Semi-naive entry: starts from `initial` bindings and skips the body
+  /// literal at index `skip_literal` (-1: none), which the caller has
+  /// already matched against a delta fact. `initial` must bind every
+  /// variable the skipped literal would have bound.
   Status RunFrom(const Bindings& initial, int skip_literal) {
-    bindings_ = initial;
+    bindings_.assign(initial.begin(), initial.end());
     bindings_.resize(rule_.var_count(), Oid());
     skip_literal_ = skip_literal;
     return Step(0);
@@ -372,29 +389,12 @@ class Matcher {
   }
 };
 
-}  // namespace match_internal
-
-/// Enumerates every binding of the rule's variables that satisfies the
-/// body (in the order planned by AnalyzeRule), invoking `sink` once per
-/// satisfying binding. `sink` may return an error to abort enumeration.
+/// One full match of the rule's body (Matcher::Run), for callers that
+/// match a rule once.
 template <typename Sink>
 Status ForEachBodyMatch(const Rule& rule, MatchContext& ctx, Sink&& sink) {
-  match_internal::Matcher<std::remove_reference_t<Sink>> matcher(rule, ctx,
-                                                                 sink);
+  Matcher<std::remove_reference_t<Sink>> matcher(rule, ctx, sink);
   return matcher.Run();
-}
-
-/// Variant for semi-naive evaluation: starts from `initial` bindings and
-/// skips the body literal at index `skip_literal` (which the caller has
-/// already matched against a delta fact). `initial` must bind every
-/// variable the skipped literal would have bound.
-template <typename Sink>
-Status ForEachBodyMatchFrom(const Rule& rule, MatchContext& ctx,
-                            const Bindings& initial, int skip_literal,
-                            Sink&& sink) {
-  match_internal::Matcher<std::remove_reference_t<Sink>> matcher(rule, ctx,
-                                                                 sink);
-  return matcher.RunFrom(initial, skip_literal);
 }
 
 }  // namespace verso

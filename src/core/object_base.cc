@@ -1,133 +1,124 @@
 #include "core/object_base.h"
 
 #include <algorithm>
-#include <mutex>
+#include <iterator>
 
 namespace verso {
 
-bool SharedApps::result_index_enabled_ = true;
+namespace {
 
-void IndexedApps::BuildIndex() const {
-  // Serializes concurrent first probes of one node (see result_index()).
-  // One process-wide mutex, not one per node: builds are rare, nodes are
-  // many.
-  static std::mutex build_mu;
-  std::lock_guard<std::mutex> lock(build_mu);
-  if (index_built_.load(std::memory_order_relaxed)) return;
-  ResultIndex built;
-  built.reserve(apps_.size());
-  for (uint32_t i = 0; i < apps_.size(); ++i) {
-    built.emplace_back(apps_[i].result, i);
+/// Facts ordered by method alone: equal_range over it yields one
+/// method's run.
+struct ByMethod {
+  bool operator()(const VersionState::Fact& fact, MethodId m) const {
+    return fact.method < m;
   }
-  // Lexicographic: results ascending, offsets ascending per result —
-  // lookups are one binary search, enumeration stays in scan order.
-  std::sort(built.begin(), built.end());
-  by_result_ = std::move(built);
-  index_built_.store(true, std::memory_order_release);
-}
+  bool operator()(MethodId m, const VersionState::Fact& fact) const {
+    return m < fact.method;
+  }
+};
 
-VersionState::MethodList::iterator VersionState::LowerBound(MethodId method) {
+/// Position of (method, app) in a sorted fact block.
+template <typename It>
+It LowerBound(It first, It last, MethodId method, const GroundApp& app) {
   return std::lower_bound(
-      methods_.begin(), methods_.end(), method,
-      [](const MethodEntry& e, MethodId m) { return e.first < m; });
+      first, last, app, [method](const VersionState::Fact& fact,
+                                 const GroundApp& key) {
+        if (fact.method != method) return fact.method < method;
+        return static_cast<const GroundApp&>(fact) < key;
+      });
 }
 
-VersionState::MethodList::const_iterator VersionState::LowerBound(
-    MethodId method) const {
-  return std::lower_bound(
-      methods_.begin(), methods_.end(), method,
-      [](const MethodEntry& e, MethodId m) { return e.first < m; });
+}  // namespace
+
+VersionState::VersionState(const VersionState& other, size_t room) {
+  facts_.reserve(other.facts_.size() + room);
+  facts_ = other.facts_;
 }
 
-VersionState VersionState::FromFacts(
-    std::vector<std::pair<MethodId, GroundApp>> facts) {
+VersionState VersionState::FromFacts(std::vector<Fact> facts) {
   if (!std::is_sorted(facts.begin(), facts.end())) {
     std::sort(facts.begin(), facts.end());
   }
   facts.erase(std::unique(facts.begin(), facts.end()), facts.end());
   VersionState state;
-  for (size_t run = 0; run < facts.size();) {
-    const MethodId method = facts[run].first;
-    size_t end = run + 1;
-    while (end < facts.size() && facts[end].first == method) ++end;
-    state.methods_.emplace_back(method, SharedApps());
-    std::vector<GroundApp>& apps = state.methods_.back().second.Mutable();
-    apps.reserve(end - run);
-    for (; run < end; ++run) apps.push_back(std::move(facts[run].second));
-  }
-  state.fact_count_ = facts.size();
+  state.facts_ = std::move(facts);
   return state;
 }
 
 bool VersionState::Insert(MethodId method, GroundApp app) {
-  auto mit = LowerBound(method);
-  if (mit == methods_.end() || mit->first != method) {
-    mit = methods_.emplace(mit, method, SharedApps());
+  auto it = LowerBound(facts_.begin(), facts_.end(), method, app);
+  if (it != facts_.end() && it->method == method &&
+      static_cast<const GroundApp&>(*it) == app) {
+    return false;
   }
-  // Membership check on the const view first: a duplicate insert must not
-  // detach shared storage.
-  const std::vector<GroundApp>& current = mit->second.get();
-  auto it = std::lower_bound(current.begin(), current.end(), app);
-  if (it != current.end() && *it == app) return false;
-  const size_t pos = static_cast<size_t>(it - current.begin());
-  std::vector<GroundApp>& apps = mit->second.Mutable();
-  apps.insert(apps.begin() + pos, std::move(app));
-  ++fact_count_;
+  Fact fact{std::move(app), method};
+  if (facts_.size() < facts_.capacity()) {
+    facts_.insert(it, std::move(fact));
+    return true;
+  }
+  // A full block grows by half (at least one fact), so a state built one
+  // fact at a time ends close to its size: 1, 2, 3, 4, 6, 9, ... facts.
+  const size_t size = facts_.size();
+  std::vector<Fact> grown;
+  grown.reserve(size + std::max<size_t>(1, size / 2));
+  grown.insert(grown.end(), std::make_move_iterator(facts_.begin()),
+               std::make_move_iterator(it));
+  grown.push_back(std::move(fact));
+  grown.insert(grown.end(), std::make_move_iterator(it),
+               std::make_move_iterator(facts_.end()));
+  facts_ = std::move(grown);
   return true;
 }
 
 bool VersionState::Erase(MethodId method, const GroundApp& app) {
-  auto mit = LowerBound(method);
-  if (mit == methods_.end() || mit->first != method) return false;
-  const std::vector<GroundApp>& current = mit->second.get();
-  auto it = std::lower_bound(current.begin(), current.end(), app);
-  if (it == current.end() || !(*it == app)) return false;
-  const size_t pos = static_cast<size_t>(it - current.begin());
-  std::vector<GroundApp>& apps = mit->second.Mutable();
-  apps.erase(apps.begin() + pos);
-  --fact_count_;
-  if (apps.empty()) methods_.erase(mit);
+  auto it = LowerBound(facts_.begin(), facts_.end(), method, app);
+  if (it == facts_.end() || it->method != method ||
+      !(static_cast<const GroundApp&>(*it) == app)) {
+    return false;
+  }
+  facts_.erase(it);
   return true;
 }
 
 bool VersionState::Contains(MethodId method, const GroundApp& app) const {
-  const std::vector<GroundApp>* apps = Find(method);
-  if (apps == nullptr) return false;
-  auto it = std::lower_bound(apps->begin(), apps->end(), app);
-  return it != apps->end() && *it == app;
+  auto it = LowerBound(facts_.begin(), facts_.end(), method, app);
+  return it != facts_.end() && it->method == method &&
+         static_cast<const GroundApp&>(*it) == app;
+}
+
+const VersionState::Fact* VersionState::FindBare(Run run, Oid result,
+                                                 const Fact** bare_end) {
+  // An empty argument list sorts first, so the argument-free facts are
+  // the run's prefix, ordered by result.
+  *bare_end = std::partition_point(
+      run.begin(), run.end(),
+      [](const Fact& fact) { return fact.args.empty(); });
+  const Fact* hit = std::lower_bound(
+      run.begin(), *bare_end, result,
+      [](const Fact& fact, Oid r) { return fact.result < r; });
+  return hit != *bare_end && hit->result == result ? hit : nullptr;
 }
 
 bool VersionState::HoldsResult(MethodId method, Oid result) const {
-  const std::vector<GroundApp>* apps = Find(method);
-  if (apps == nullptr) return false;
-  // Sorted by (args, result): the argument-free facts come first, in
-  // result order, so only the facts with arguments need a scan.
-  GroundApp bare;
-  bare.result = result;
-  auto it = std::lower_bound(apps->begin(), apps->end(), bare);
-  if (it != apps->end() && *it == bare) return true;
-  it = std::partition_point(it, apps->end(), [](const GroundApp& app) {
-    return app.args.empty();
-  });
-  return std::any_of(it, apps->end(), [&](const GroundApp& app) {
-    return app.result == result;
+  const Run run = Find(method);
+  const Fact* bare_end = nullptr;
+  if (FindBare(run, result, &bare_end) != nullptr) return true;
+  return std::any_of(bare_end, run.end(), [&](const Fact& fact) {
+    return fact.result == result;
   });
 }
 
-const std::vector<GroundApp>* VersionState::Find(MethodId method) const {
-  const SharedApps* apps = FindShared(method);
-  return apps == nullptr ? nullptr : &apps->get();
-}
-
-const SharedApps* VersionState::FindShared(MethodId method) const {
-  auto mit = LowerBound(method);
-  return mit == methods_.end() || mit->first != method ? nullptr
-                                                       : &mit->second;
+VersionState::Run VersionState::Find(MethodId method) const {
+  const Fact* first = facts_.data();
+  const Fact* last = first + facts_.size();
+  auto [lo, hi] = std::equal_range(first, last, method, ByMethod());
+  return Run(lo, hi);
 }
 
 bool VersionState::OnlyExists(MethodId exists_method) const {
-  if (methods_.empty()) return true;
-  return methods_.size() == 1 && methods_.front().first == exists_method;
+  return facts_.empty() || (facts_.front().method == exists_method &&
+                            facts_.back().method == exists_method);
 }
 
 bool ObjectBase::Insert(Vid version, MethodId method, GroundApp app) {
@@ -148,10 +139,8 @@ bool ObjectBase::Insert(Vid version, MethodId method, GroundApp app) {
   // Membership on the read path first: a duplicate insert must neither
   // path-copy the trie nor detach a shared state.
   const VersionState& state = **current;
-  const std::vector<GroundApp>* apps = state.Find(method);
-  if (apps != nullptr && std::binary_search(apps->begin(), apps->end(), app)) {
-    return false;
-  }
+  if (state.Contains(method, app)) return false;
+  const bool new_method = !state.HasMethod(method);
   // The plain-version counts can move only when the state gains an
   // `exists` fact or holds nothing but `exists` facts.
   const bool recount =
@@ -160,11 +149,13 @@ bool ObjectBase::Insert(Vid version, MethodId method, GroundApp app) {
   // with another base holds the same handle without counting twice.
   StatePtr& slot = states_.Slot(version);
   if (recount) CountPlain(version, *slot, /*entering=*/false);
-  if (slot.use_count() > 1) slot = std::make_shared<VersionState>(*slot);
+  if (slot.use_count() > 1) {
+    slot = std::make_shared<VersionState>(*slot, /*room=*/1);
+  }
   slot->Insert(method, std::move(app));
   if (recount) CountPlain(version, *slot, /*entering=*/true);
   ++fact_count_;
-  if (apps == nullptr) IndexAdd(version, method);
+  if (new_method) IndexAdd(version, method);
   return true;
 }
 
@@ -176,7 +167,7 @@ bool ObjectBase::Erase(Vid version, MethodId method, const GroundApp& app) {
   if (slot.use_count() > 1) slot = std::make_shared<VersionState>(*slot);
   slot->Erase(method, app);
   --fact_count_;
-  const bool lost_method = slot->FindShared(method) == nullptr;
+  const bool lost_method = !slot->HasMethod(method);
   // Args-bearing methods can keep another fact with the same result.
   if (ResultIndexOf(method) != nullptr) {
     ListUnderResult(version, method, app.result,
@@ -227,8 +218,7 @@ bool ObjectBase::InstallVersion(Vid version, StatePtr incoming,
   const VersionState* old_state = slot == nullptr ? nullptr : slot->get();
   if (old_state == incoming.get()) return false;  // same handle (or none)
 
-  // One merge walk finds the fact-level changes; under T_P step-2
-  // sharing only the methods the updates touched cost work. A version
+  // One merge walk of the two blocks finds the fact-level changes. A version
   // new to a base with no result index needs no walk: every fact of
   // `incoming` (non-empty here) is an addition nobody lists.
   bool changed = old_state == nullptr && diff == nullptr &&
@@ -252,25 +242,29 @@ bool ObjectBase::InstallVersion(Vid version, StatePtr incoming,
   if (!changed) return false;
 
   // The method sets change only where one state has a method the other
-  // lacks: merge the two sorted method lists.
-  static const VersionState::MethodList kNone;
-  const VersionState::MethodList& old_methods =
-      old_state == nullptr ? kNone : old_state->methods();
-  const VersionState::MethodList& new_methods =
-      incoming == nullptr ? kNone : incoming->methods();
-  size_t oi = 0;
-  size_t ni = 0;
-  while (oi < old_methods.size() || ni < new_methods.size()) {
-    if (ni == new_methods.size() ||
-        (oi < old_methods.size() &&
-         old_methods[oi].first < new_methods[ni].first)) {
-      IndexRemove(version, old_methods[oi++].first);
-    } else if (oi == old_methods.size() ||
-               new_methods[ni].first < old_methods[oi].first) {
-      IndexAdd(version, new_methods[ni++].first);
+  // lacks: merge the two blocks method run by method run.
+  using Fact = VersionState::Fact;
+  const VersionState::Run old_facts =
+      old_state == nullptr ? VersionState::Run() : old_state->facts();
+  const VersionState::Run new_facts =
+      incoming == nullptr ? VersionState::Run() : incoming->facts();
+  auto skip_run = [](const Fact*& at, const Fact* end) {
+    const MethodId method = at->method;
+    while (at != end && at->method == method) ++at;
+  };
+  const Fact* o = old_facts.begin();
+  const Fact* n = new_facts.begin();
+  while (o != old_facts.end() || n != new_facts.end()) {
+    if (n == new_facts.end() ||
+        (o != old_facts.end() && o->method < n->method)) {
+      IndexRemove(version, o->method);
+      skip_run(o, old_facts.end());
+    } else if (o == old_facts.end() || n->method < o->method) {
+      IndexAdd(version, n->method);
+      skip_run(n, new_facts.end());
     } else {
-      ++oi;
-      ++ni;
+      skip_run(o, old_facts.end());
+      skip_run(n, new_facts.end());
     }
   }
 
@@ -354,7 +348,7 @@ void ObjectBase::IndexResults(MethodId method) {
   const VidSet* vids = VidsWithMethod(method);
   if (vids == nullptr) return;
   for (Vid vid : *vids) {
-    for (const GroundApp& app : *StateOf(vid)->Find(method)) {
+    for (const GroundApp& app : StateOf(vid)->Find(method)) {
       index.Slot(app.result).Insert(vid);
     }
   }

@@ -2,7 +2,6 @@
 #define VERSO_CORE_OBJECT_BASE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -17,19 +16,19 @@
 
 namespace verso {
 
-/// Counters for bound-result lookups answered through the result-keyed
-/// index (ForEachAppWithResult). Filled by the matcher's MatchContext and
-/// added into StratumStats, QueryStats, and ViewStats (each of which is
-/// an IndexStats), so every layer that probes with a ground result
-/// reports how much scanning the index saved it.
+/// Counters for bound-result lookups (ForEachAppWithResult). Filled by
+/// the matcher's MatchContext and added into StratumStats, QueryStats,
+/// and ViewStats (each of which is an IndexStats), so every layer that
+/// probes with a ground result reports how much scanning the probe saved
+/// it.
 struct IndexStats {
-  /// Bound-result lookups launched (indexed or ablation-scan mode).
+  /// Bound-result lookups launched.
   size_t index_probes = 0;
   /// Probes that enumerated at least one matching fact.
   size_t index_hits = 0;
-  /// Facts a full per-method scan would have visited but the index
-  /// skipped (sum over probes of method-fact-count minus facts
-  /// enumerated); stays 0 when the index is disabled for ablation.
+  /// Facts of the probed method that the probe never visited: the
+  /// argument-free facts its binary search skipped (a probe scans the
+  /// argument-bearing facts).
   size_t indexed_scan_avoided_facts = 0;
 
   IndexStats& operator+=(const IndexStats& other) {
@@ -40,205 +39,69 @@ struct IndexStats {
   }
 };
 
-/// The shared storage node of one method's applications: the sorted
-/// application vector plus a lazily built result-keyed index
-/// (result constant -> ascending offsets into the vector). The paper's
-/// hottest literal form is `X.m -> c` with the result already bound;
-/// the index answers it without scanning the full vector.
+/// The state of one version: every ground method-application that holds
+/// for it, as one sorted run of facts in one heap block. The facts are
+/// ordered by (method, args, result), so one method's facts are a
+/// contiguous run, membership is a binary search, and states compare
+/// with ==. Within a method's run the argument-free facts come first,
+/// ordered by result: a bound-result probe binary-searches them and
+/// scans only the argument-bearing rest.
 ///
-/// The index is NOT part of the node's value: it is derived state,
-/// rebuilt on demand after any mutation, built through a const handle
-/// (a lazy build must never count as a write, or it would detach COW
-/// sharing), and ignored by equality. Between commits a node is
-/// immutable.
-class IndexedApps {
- public:
-  /// Flat (result, offset) pairs sorted lexicographically: a lookup is
-  /// one binary search over contiguous memory (no per-result bucket
-  /// allocations, no hash chasing), and offsets per result come out
-  /// ascending — indexed enumeration visits facts in scan order. The
-  /// application vector is sorted by (args, result), so equal results
-  /// are scattered through it and the index genuinely reorders.
-  using ResultIndex = std::vector<std::pair<Oid, uint32_t>>;
-
-  IndexedApps() = default;
-  /// Detach copy: clones the applications only. The copy rebuilds its
-  /// own index on first demand — the source's (possibly built) index is
-  /// derived state, not value.
-  IndexedApps(const IndexedApps& other) : apps_(other.apps_) {}
-  IndexedApps& operator=(const IndexedApps&) = delete;
-
-  const std::vector<GroundApp>& apps() const { return apps_; }
-
-  /// Write access to the vector; invalidates the index (the caller is
-  /// the sole owner by the SharedApps detach discipline).
-  std::vector<GroundApp>& MutableApps() {
-    InvalidateIndex();
-    return apps_;
-  }
-
-  /// The result index, built on first use. The build runs under a
-  /// process-wide mutex and publishes through an acquire/release flag,
-  /// so concurrent first probes of one node would see either "not built"
-  /// (and take the lock) or the fully built index. That synchronisation
-  /// is kept although no code path shares nodes across threads today.
-  /// Mutation paths (InvalidateIndex) have a sole owner by the COW
-  /// detach discipline.
-  const ResultIndex& result_index() const {
-    if (!index_built_.load(std::memory_order_acquire)) BuildIndex();
-    return by_result_;
-  }
-
-  /// True iff the lazy index has been materialized (tests/benches).
-  bool index_built() const {
-    return index_built_.load(std::memory_order_acquire);
-  }
-
- private:
-  void BuildIndex() const;
-  void InvalidateIndex() {
-    index_built_.store(false, std::memory_order_relaxed);
-    by_result_.clear();
-  }
-
-  std::vector<GroundApp> apps_;
-  mutable ResultIndex by_result_;
-  mutable std::atomic<bool> index_built_{false};
-};
-
-/// Refcounted copy-on-write handle to one method's IndexedApps node.
-/// Copying a SharedApps shares the node (a pointer bump); Mutable()
-/// detaches — clones the application vector — the first time a shared
-/// handle is written through. All reads go through the const view, so
-/// two VersionStates produced by a T_P step-2 copy keep sharing every
-/// method the updates never touch; a lazily built result index rides
-/// along with the shared node for free.
-///
-/// The refcount discipline is single-threaded (like everything below the
-/// Connection facade): use_count() == 1 means "sole owner, mutate in
-/// place".
-class SharedApps {
- public:
-  SharedApps() : node_(std::make_shared<IndexedApps>()) {}
-
-  const std::vector<GroundApp>& get() const { return node_->apps(); }
-  std::vector<GroundApp>::const_iterator begin() const {
-    return get().begin();
-  }
-  std::vector<GroundApp>::const_iterator end() const { return get().end(); }
-  size_t size() const { return get().size(); }
-  bool empty() const { return get().empty(); }
-
-  /// Detach-before-write: clones the node iff it is shared, and
-  /// invalidates its lazily built index either way.
-  std::vector<GroundApp>& Mutable() {
-    if (node_.use_count() > 1) {
-      node_ = std::make_shared<IndexedApps>(*node_);
-    }
-    return node_->MutableApps();
-  }
-
-  /// Vectors below this size answer bound-result probes by a direct
-  /// scan instead of building an index node: a one-compare scan beats
-  /// any index, and the hottest invalidation churn (DRed maintenance
-  /// mutating singleton edge vectors between probes) never pays a
-  /// rebuild.
-  static constexpr size_t kResultIndexMinFacts = 2;
-
-  /// Enumerates the applications whose result is exactly `result`, in
-  /// scan order, invoking `fn(const GroundApp&)` per fact; `fn` may
-  /// return an error to abort. Uses the node's result index (building
-  /// it on first probe — not a write); tiny vectors, and all vectors
-  /// with the index disabled for ablation, fall back to the full scan
-  /// the pre-index code did. `stats`, when given, records the probe.
-  template <typename Fn>
-  Status ForEachWithResult(Oid result, IndexStats* stats, Fn&& fn) const {
-    if (stats != nullptr) ++stats->index_probes;
-    size_t visited = 0;
-    if (result_index_enabled_ &&
-        node_->apps().size() >= kResultIndexMinFacts) {
-      const IndexedApps::ResultIndex& index = node_->result_index();
-      auto it = std::lower_bound(
-          index.begin(), index.end(), result,
-          [](const std::pair<Oid, uint32_t>& entry, Oid r) {
-            return entry.first < r;
-          });
-      for (; it != index.end() && it->first == result; ++it) {
-        ++visited;
-        VERSO_RETURN_IF_ERROR(fn(node_->apps()[it->second]));
-      }
-      if (stats != nullptr) {
-        if (visited != 0) ++stats->index_hits;
-        stats->indexed_scan_avoided_facts += node_->apps().size() - visited;
-      }
-      return Status::Ok();
-    }
-    for (const GroundApp& app : node_->apps()) {
-      if (!(app.result == result)) continue;
-      ++visited;
-      VERSO_RETURN_IF_ERROR(fn(app));
-    }
-    if (stats != nullptr && visited != 0) ++stats->index_hits;
-    return Status::Ok();
-  }
-
-  /// The shared node (tests/benches inspect index_built()).
-  const IndexedApps& node() const { return *node_; }
-
-  /// Ablation switch: with the result index disabled,
-  /// ForEachAppWithResult degrades to the pre-index full scan (counters
-  /// still count probes, but nothing is avoided). Benchmarks and the
-  /// index-consistency property test flip this; production code never
-  /// should.
-  static void EnableResultIndex(bool enabled) {
-    result_index_enabled_ = enabled;
-  }
-  static bool result_index_enabled() { return result_index_enabled_; }
-
-  /// True iff both handles point at the same node — equal for free.
-  friend bool SharesStorage(const SharedApps& a, const SharedApps& b) {
-    return a.node_ == b.node_;
-  }
-
-  /// Equality is application-vector equality only: a state whose lazy
-  /// index was materialized still compares equal to (and keeps sharing
-  /// storage with) its pre-index copy.
-  friend bool operator==(const SharedApps& a, const SharedApps& b) {
-    return a.node_ == b.node_ || a.node_->apps() == b.node_->apps();
-  }
-
- private:
-  std::shared_ptr<IndexedApps> node_;
-
-  static bool result_index_enabled_;
-};
-
-/// The state of one version: all ground method-applications that hold for
-/// it. Methods are kept in a flat vector sorted by MethodId (versions
-/// carry a handful of methods, so binary search over contiguous storage
-/// beats ordered-map node hops); per method the applications are kept
-/// sorted, so membership is a binary search and states compare with ==.
-///
-/// Application vectors are copy-on-write (SharedApps over IndexedApps):
-/// copying a VersionState — the paper's T_P step-2 "copy v*'s state" —
-/// is O(#methods) pointer bumps, and applying updates to the copy clones
-/// only the vectors of the methods actually written.
+/// A state is copied as a whole. T_P step 2's "copy v*'s state" copies
+/// the block, and so does ObjectBase when it writes a state another base
+/// still shares (its StatePtr is the copy-on-write unit).
 ///
 /// Access API (shared by the matcher, T_P seeding/residual re-matching,
 /// DRed maintenance, and the query fixpoint):
 ///   * ForEachApp(method, fn)            — enumerate one method's facts;
-///   * ForEachAppWithResult(m, r, s, fn) — only facts with result r,
-///                                         answered by the result index;
+///   * ForEachAppWithResult(m, r, s, fn) — only facts with result r;
 ///   * ContainsApp(method, app)          — membership, binary search.
 class VersionState {
  public:
-  using MethodEntry = std::pair<MethodId, SharedApps>;
-  using MethodList = std::vector<MethodEntry>;
+  /// One fact `method@args -> result` of the state. The application is
+  /// the base class, so readers (the matcher, ResultSet rows) hold a
+  /// plain `const GroundApp&` into the block, and the method fills the
+  /// application's tail padding.
+  struct Fact : GroundApp {
+    MethodId method;
+
+    friend bool operator==(const Fact& a, const Fact& b) {
+      return a.method == b.method && static_cast<const GroundApp&>(a) ==
+                                         static_cast<const GroundApp&>(b);
+    }
+    friend bool operator<(const Fact& a, const Fact& b) {
+      if (a.method != b.method) return a.method < b.method;
+      return static_cast<const GroundApp&>(a) <
+             static_cast<const GroundApp&>(b);
+    }
+  };
+
+  /// A contiguous run of the block: the whole state or one method's
+  /// facts, in sorted order.
+  class Run {
+   public:
+    Run() = default;
+    Run(const Fact* begin, const Fact* end) : begin_(begin), end_(end) {}
+    const Fact* begin() const { return begin_; }
+    const Fact* end() const { return end_; }
+    size_t size() const { return static_cast<size_t>(end_ - begin_); }
+    bool empty() const { return begin_ == end_; }
+    const Fact& operator[](size_t i) const { return begin_[i]; }
+
+   private:
+    const Fact* begin_ = nullptr;
+    const Fact* end_ = nullptr;
+  };
+
+  VersionState() = default;
+  /// A copy of `other` with room for `room` more facts, so a write that
+  /// detaches a shared state allocates its block once.
+  VersionState(const VersionState& other, size_t room);
 
   /// The state holding exactly `facts` (duplicates collapse): the bulk
-  /// form of Insert, one sort instead of a sorted insert per fact.
-  static VersionState FromFacts(
-      std::vector<std::pair<MethodId, GroundApp>> facts);
+  /// form of Insert, one sort instead of a sorted insert per fact. The
+  /// vector becomes the state's block.
+  static VersionState FromFacts(std::vector<Fact> facts);
 
   /// Returns true if the application was new.
   bool Insert(MethodId method, GroundApp app);
@@ -249,115 +112,106 @@ class VersionState {
   bool ContainsApp(MethodId method, const GroundApp& app) const {
     return Contains(method, app);
   }
-  /// True iff some application of `method` has result `result`: a binary
-  /// search among the argument-free applications, a scan of the others
-  /// (no index is built).
+  /// True iff some application of `method` has result `result`.
   bool HoldsResult(MethodId method, Oid result) const;
+  /// True iff the state holds some application of `method`.
+  bool HasMethod(MethodId method) const { return !Find(method).empty(); }
 
   /// Enumerates every application of `method` in sorted order, invoking
   /// `fn(const GroundApp&)`; `fn` may return an error to abort.
   template <typename Fn>
   Status ForEachApp(MethodId method, Fn&& fn) const {
-    const SharedApps* apps = FindShared(method);
-    if (apps == nullptr) return Status::Ok();
-    for (const GroundApp& app : apps->get()) {
+    for (const GroundApp& app : Find(method)) {
       VERSO_RETURN_IF_ERROR(fn(app));
     }
     return Status::Ok();
   }
 
   /// Enumerates only the applications of `method` whose result is
-  /// `result` (the bound-result hot path), through the lazily built
-  /// result index. Probe counters accumulate into `stats` when given.
+  /// `result` (the bound-result hot path), in sorted order: a binary
+  /// search of the method's argument-free facts, then a scan of its
+  /// argument-bearing ones. Probe counters accumulate into `stats` when
+  /// given, once the enumeration completes.
   template <typename Fn>
   Status ForEachAppWithResult(MethodId method, Oid result, IndexStats* stats,
                               Fn&& fn) const {
-    const SharedApps* apps = FindShared(method);
-    if (apps == nullptr) return Status::Ok();
-    return apps->ForEachWithResult(result, stats, std::forward<Fn>(fn));
+    if (stats != nullptr) ++stats->index_probes;
+    const Run run = Find(method);
+    const Fact* bare_end = nullptr;
+    const Fact* hit = FindBare(run, result, &bare_end);
+    size_t bare_hits = 0;
+    if (hit != nullptr) {
+      bare_hits = 1;
+      VERSO_RETURN_IF_ERROR(fn(static_cast<const GroundApp&>(*hit)));
+    }
+    size_t visited = bare_hits;
+    for (const Fact* fact = bare_end; fact != run.end(); ++fact) {
+      if (!(fact->result == result)) continue;
+      ++visited;
+      VERSO_RETURN_IF_ERROR(fn(static_cast<const GroundApp&>(*fact)));
+    }
+    if (stats != nullptr) {
+      if (visited != 0) ++stats->index_hits;
+      stats->indexed_scan_avoided_facts +=
+          static_cast<size_t>(bare_end - run.begin()) - bare_hits;
+    }
+    return Status::Ok();
   }
 
-  /// All applications of one method, or nullptr.
-  const std::vector<GroundApp>* Find(MethodId method) const;
-  /// The COW handle of one method's applications, or nullptr — lets
-  /// diff-style consumers skip methods whose storage two states share.
-  const SharedApps* FindShared(MethodId method) const;
+  /// The facts of one method (an empty run when it has none).
+  Run Find(MethodId method) const;
+  /// Every fact, sorted by (method, args, result).
+  Run facts() const {
+    return Run(facts_.data(), facts_.data() + facts_.size());
+  }
 
-  size_t fact_count() const { return fact_count_; }
-  bool empty() const { return fact_count_ == 0; }
-
-  /// Entries sorted by MethodId (iteration order matches the previous
-  /// std::map-based layout).
-  const MethodList& methods() const { return methods_; }
+  size_t fact_count() const { return facts_.size(); }
+  bool empty() const { return facts_.empty(); }
 
   /// True iff the state carries no information beyond `exists` — such a
   /// version contributes no object to the new object base (Section 5).
   bool OnlyExists(MethodId exists_method) const;
 
   friend bool operator==(const VersionState& a, const VersionState& b) {
-    // SharedApps::operator== short-circuits on shared storage and
-    // ignores lazily built index state.
-    return a.methods_ == b.methods_;
+    return a.facts_ == b.facts_;
   }
 
  private:
-  MethodList::iterator LowerBound(MethodId method);
-  MethodList::const_iterator LowerBound(MethodId method) const;
+  /// The argument-free fact of a method's `run` whose result is
+  /// `result`, or nullptr; `bare_end` receives the end of the run's
+  /// argument-free prefix. Two binary searches.
+  static const Fact* FindBare(Run run, Oid result, const Fact** bare_end);
 
-  MethodList methods_;
-  size_t fact_count_ = 0;
+  std::vector<Fact> facts_;
 };
 
+static_assert(sizeof(VersionState::Fact) == sizeof(GroundApp),
+              "a fact's method fills its application's tail padding");
+
 /// Calls fn(method, app, added) for every fact held by exactly one of
-/// two states (nullptr = the empty state): method by method in ascending
-/// order, and within a method in sorted application order, removals and
-/// additions interleaved. Methods whose application storage both states
-/// share are skipped without comparing their contents.
+/// two states (nullptr = the empty state), in sorted (method, app) order,
+/// removals and additions interleaved. Two handles on one state cost
+/// nothing.
 template <typename Fn>
 void ForEachFactChange(const VersionState* before, const VersionState* after,
                        Fn&& fn) {
-  using Entry = VersionState::MethodEntry;
-  const Entry* o = nullptr;
-  const Entry* o_end = nullptr;
-  const Entry* n = nullptr;
-  const Entry* n_end = nullptr;
-  if (before != nullptr) {
-    o = before->methods().data();
-    o_end = o + before->methods().size();
-  }
-  if (after != nullptr) {
-    n = after->methods().data();
-    n_end = n + after->methods().size();
-  }
-  while (o != o_end || n != n_end) {
-    if (n == n_end || (o != o_end && o->first < n->first)) {
-      for (const GroundApp& app : o->second) fn(o->first, app, /*added=*/false);
+  if (before == after) return;
+  const VersionState::Run old_facts =
+      before == nullptr ? VersionState::Run() : before->facts();
+  const VersionState::Run new_facts =
+      after == nullptr ? VersionState::Run() : after->facts();
+  const VersionState::Fact* o = old_facts.begin();
+  const VersionState::Fact* n = new_facts.begin();
+  while (o != old_facts.end() || n != new_facts.end()) {
+    if (n == new_facts.end() || (o != old_facts.end() && *o < *n)) {
+      fn(o->method, static_cast<const GroundApp&>(*o), /*added=*/false);
       ++o;
-      continue;
-    }
-    if (o == o_end || n->first < o->first) {
-      for (const GroundApp& app : n->second) fn(n->first, app, /*added=*/true);
+    } else if (o == old_facts.end() || *n < *o) {
+      fn(n->method, static_cast<const GroundApp&>(*n), /*added=*/true);
       ++n;
-      continue;
-    }
-    const MethodId method = o->first;
-    const SharedApps& old_shared = (o++)->second;
-    const SharedApps& new_shared = (n++)->second;
-    if (SharesStorage(old_shared, new_shared)) continue;
-    const std::vector<GroundApp>& old_apps = old_shared.get();
-    const std::vector<GroundApp>& new_apps = new_shared.get();
-    size_t oa = 0;
-    size_t na = 0;
-    while (oa < old_apps.size() || na < new_apps.size()) {
-      if (na == new_apps.size() ||
-          (oa < old_apps.size() && old_apps[oa] < new_apps[na])) {
-        fn(method, old_apps[oa++], /*added=*/false);
-      } else if (oa == old_apps.size() || new_apps[na] < old_apps[oa]) {
-        fn(method, new_apps[na++], /*added=*/true);
-      } else {
-        ++oa;
-        ++na;
-      }
+    } else {
+      ++o;
+      ++n;
     }
   }
 }
@@ -378,8 +232,7 @@ void ForEachFactChange(const VersionState* before, const VersionState* after,
 ///     (IndexResults). It answers `X.m -> r` with X free and r ground
 ///     in what the hits cost, not the method's extent. It is derived
 ///     state: ==, ComputeDelta and the codec ignore it.
-/// Per-version (method, result) lookups go through the lazily built
-/// index inside each method's IndexedApps node.
+/// Per-version (method, result) lookups binary-search the state's block.
 ///
 /// Copying an ObjectBase bumps one root count per trie: no node, state or
 /// fact is copied (a snapshot pin of a 4096-object base takes about 1 µs
@@ -439,7 +292,7 @@ class ObjectBase {
   }
 
   /// Enumerates only the facts of (version, method) whose result is
-  /// `result`, through the state's result index.
+  /// `result` (VersionState::ForEachAppWithResult).
   template <typename Fn>
   Status ForEachAppWithResult(Vid version, MethodId method, Oid result,
                               IndexStats* stats, Fn&& fn) const {
@@ -464,8 +317,7 @@ class ObjectBase {
   /// of T_P replaces the states of all relevant VIDs). An empty state
   /// removes the version. Returns true iff anything changed; when `diff`
   /// is given, the fact-level changes (ForEachFactChange of the old and
-  /// new states) are appended to it. Methods whose application storage
-  /// the old and new state share are skipped without comparing contents.
+  /// new states) are appended to it.
   bool ReplaceVersion(Vid version, VersionState state,
                       DeltaLog* diff = nullptr);
 

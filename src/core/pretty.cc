@@ -202,10 +202,8 @@ std::string ObjectBaseToString(const ObjectBase& base,
   std::vector<std::string> lines;
   lines.reserve(base.fact_count());
   for (const auto& [vid, state] : base.versions()) {
-    for (const auto& [method, apps] : state->methods()) {
-      for (const GroundApp& app : apps) {
-        lines.push_back(FactToString(vid, method, app, symbols, versions));
-      }
+    for (const VersionState::Fact& fact : state->facts()) {
+      lines.push_back(FactToString(vid, fact.method, fact, symbols, versions));
     }
   }
   std::sort(lines.begin(), lines.end());

@@ -32,7 +32,7 @@ struct Rule {
 
   /// Body literal indices that are plain membership tests (positive
   /// version-terms and positive ins-update-terms): an added delta fact
-  /// matching one of them can seed ForEachBodyMatchFrom.
+  /// matching one of them can seed Matcher::RunFrom.
   std::vector<uint32_t> seed_literals;
 
   /// True iff delta-seeding through `seed_literals` finds every match the

@@ -1,6 +1,10 @@
 #ifndef VERSO_CORE_TERM_H_
 #define VERSO_CORE_TERM_H_
 
+#include <algorithm>
+#include <cstddef>
+#include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include "core/ids.h"
@@ -77,9 +81,91 @@ struct VidTerm {
   }
 };
 
+/// The arguments of a ground application. Most facts carry none, so the
+/// list is one pointer: null when empty, else a heap block whose first
+/// two slots hold the count and the capacity and whose rest holds the
+/// OIDs. A GroundApp is thus 16 bytes, and an argument-free one owns no
+/// heap memory.
+class OidList {
+ public:
+  OidList() = default;
+  OidList(std::initializer_list<Oid> oids) {
+    Append(oids.begin(), oids.size());
+  }
+  OidList(const std::vector<Oid>& oids) { Append(oids.data(), oids.size()); }
+  OidList(const OidList& other) { Append(other.begin(), other.size()); }
+  OidList(OidList&& other) noexcept : block_(other.block_) {
+    other.block_ = nullptr;
+  }
+  OidList& operator=(const OidList& other) {
+    if (this != &other) {
+      clear();
+      Append(other.begin(), other.size());
+    }
+    return *this;
+  }
+  OidList& operator=(OidList&& other) noexcept {
+    std::swap(block_, other.block_);
+    return *this;
+  }
+  ~OidList() { delete[] block_; }
+
+  size_t size() const { return block_ == nullptr ? 0 : block_[0].value; }
+  bool empty() const { return size() == 0; }
+  const Oid* begin() const { return block_ == nullptr ? nullptr : block_ + 2; }
+  const Oid* end() const { return begin() + size(); }
+  const Oid& operator[](size_t i) const { return block_[2 + i]; }
+  Oid& operator[](size_t i) { return block_[2 + i]; }
+
+  void clear() {
+    if (block_ != nullptr) block_[0].value = 0;
+  }
+  void reserve(size_t n) {
+    if (n > capacity()) Grow(n);
+  }
+  void push_back(Oid oid) { Append(&oid, 1); }
+  template <typename It>
+  void assign(It first, It last) {
+    clear();
+    for (; first != last; ++first) push_back(*first);
+  }
+
+  friend bool operator==(const OidList& a, const OidList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  friend bool operator!=(const OidList& a, const OidList& b) {
+    return !(a == b);
+  }
+  friend bool operator<(const OidList& a, const OidList& b) {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  }
+
+ private:
+  size_t capacity() const { return block_ == nullptr ? 0 : block_[1].value; }
+  void Grow(size_t n) {
+    Oid* grown = new Oid[2 + n];
+    const size_t count = size();
+    grown[0] = Oid(static_cast<uint32_t>(count));
+    grown[1] = Oid(static_cast<uint32_t>(n));
+    std::copy(begin(), end(), grown + 2);
+    delete[] block_;
+    block_ = grown;
+  }
+  void Append(const Oid* oids, size_t n) {
+    if (n == 0) return;
+    const size_t count = size();
+    if (count + n > capacity()) Grow(std::max(count + n, 2 * capacity()));
+    std::copy(oids, oids + n, block_ + 2 + count);
+    block_[0] = Oid(static_cast<uint32_t>(count + n));
+  }
+
+  Oid* block_ = nullptr;
+};
+
 /// Ground method application: the `m@a1,...,ak -> r` part of a fact.
 struct GroundApp {
-  std::vector<Oid> args;
+  OidList args;
   Oid result;
 
   friend bool operator==(const GroundApp& a, const GroundApp& b) {

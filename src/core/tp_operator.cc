@@ -31,11 +31,7 @@ bool UpdateAddition(const GroundUpdate& update, GroundApp* out) {
 /// inserts can reach the fresh branch, since head truth of del/mod
 /// requires a materialized stage). Emits the materialization trace event.
 ///
-/// The "copy" is structural: VersionState shares its per-method
-/// application vectors copy-on-write, so materializing the target costs
-/// O(#methods) pointer bumps here, and applying the updates below clones
-/// only the vectors of the methods actually written — everything else
-/// stays shared with v*'s state in the base.
+/// The copy is of v*'s whole block of facts, as the paper's step 2 reads.
 VersionState PrepareInactiveState(Vid target, const ObjectBase& base,
                                   const VersionTable& versions,
                                   TraceSink* trace, bool* copied_from_prior) {
@@ -108,16 +104,14 @@ Status TpOperator::DeriveFromBindings(const Rule& rule,
     if (!vstar.valid()) return Status::Ok();
     const VersionState* vstate = base.StateOf(vstar);
     if (vstate == nullptr) return Status::Ok();
-    for (const auto& [method, apps] : vstate->methods()) {
-      if (method == base.exists_method()) continue;
-      for (const GroundApp& app : apps) {
-        GroundUpdate update;
-        update.kind = UpdateKind::kDelete;
-        update.version = v;
-        update.method = method;
-        update.app = app;
-        derive(std::move(update));
-      }
+    for (const VersionState::Fact& fact : vstate->facts()) {
+      if (fact.method == base.exists_method()) continue;
+      GroundUpdate update;
+      update.kind = UpdateKind::kDelete;
+      update.version = v;
+      update.method = fact.method;
+      update.app = fact;
+      derive(std::move(update));
     }
     return Status::Ok();
   }
@@ -185,6 +179,8 @@ Status TpOperator::DeriveSeeded(const Program& program,
     auto sink = [&](const Bindings& bindings) -> Status {
       return DeriveFromBindings(rule, bindings, base, state, stats, trace);
     };
+    // One matcher serves every seed of the rule (and its residual run).
+    Matcher<decltype(sink)> matcher(rule, ctx, sink);
     if (rule.fully_seedable) {
       // Every way this rule can newly match goes through an added fact at
       // one of its membership literals.
@@ -206,8 +202,7 @@ Status TpOperator::DeriveSeeded(const Program& program,
             continue;
           }
           ++stats.seed_probes;
-          VERSO_RETURN_IF_ERROR(ForEachBodyMatchFrom(
-              rule, ctx, seed, static_cast<int>(li), sink));
+          VERSO_RETURN_IF_ERROR(matcher.RunFrom(seed, static_cast<int>(li)));
         }
       }
       continue;
@@ -221,7 +216,7 @@ Status TpOperator::DeriveSeeded(const Program& program,
     }
     if (!relevant) continue;
     ++stats.residual_rules;
-    VERSO_RETURN_IF_ERROR(ForEachBodyMatch(rule, ctx, sink));
+    VERSO_RETURN_IF_ERROR(matcher.Run());
   }
   return Status::Ok();
 }

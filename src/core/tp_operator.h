@@ -41,9 +41,7 @@ struct TpRoundStats {
                                   // frontier's (method, shape) index
   size_t residual_rules = 0;  // rules re-matched in full in a delta round
   size_t states_changed = 0;  // targets whose state effectively changed
-  size_t copied_facts = 0;    // facts SHARED into new targets (step-2
-                              // states are COW; only written methods
-                              // physically copy)
+  size_t copied_facts = 0;    // facts copied into new targets (step 2)
   size_t versions_prepared = 0;  // inactive targets given a step-2 state
                                  // (one OnVersionMaterialized each)
   IndexStats index;           // bound-result probes answered by the
@@ -105,7 +103,7 @@ class TpOperator {
 
   /// Semi-naive rounds: derive only contributions reachable from `delta`,
   /// the previous round's fact-level changes. Fully seedable rules are
-  /// driven through ForEachBodyMatchFrom from added delta facts; residual
+  /// driven through Matcher::RunFrom from added delta facts; residual
   /// rules are re-matched in full, but only when the delta touches one of
   /// their relevant methods.
   Status DeriveSeeded(const Program& program,

@@ -22,7 +22,7 @@ namespace verso {
 /// A method-application whose result changed between two stages.
 struct ModifiedApp {
   MethodId method;
-  std::vector<Oid> args;
+  OidList args;
   Oid old_result;
   Oid new_result;
 };

@@ -155,8 +155,8 @@ Status SolveRecursiveStratum(const QueryProgram& program,
   MatchContext ctx{symbols, versions, working, &istats};
   DeltaLog frontier;
   DeltaLog delta;
-  // Rounds are frozen: head facts are buffered during derivation (the
-  // matcher holds pointers into the base's fact vectors) and installed
+  // Rounds are frozen: head facts are buffered during derivation (a
+  // matcher reads facts in place in the states' blocks) and installed
   // only at the round boundary. The fixpoint is monotone, so batching
   // installs changes round packaging but not the result.
   std::vector<DeltaFact> pending;
@@ -194,6 +194,7 @@ Status SolveRecursiveStratum(const QueryProgram& program,
   frontier = std::move(delta);
   delta = DeltaLog();
   DeltaIndex index;
+  Bindings seed;
   for (uint32_t round = 1; !frontier.empty(); ++round) {
     if (round >= max_rounds) {
       return Status::Divergence("query stratum exceeded round bound");
@@ -237,20 +238,21 @@ Status SolveRecursiveStratum(const QueryProgram& program,
       }
     }
 
+    // One matcher per spec serves every seed of its bucket.
     for (const ProbeSpec& spec : specs) {
       const Rule& rule = *spec.rule;
+      auto sink = [&](const Bindings& bindings) {
+        return derive_head(rule, bindings);
+      };
+      Matcher<decltype(sink)> matcher(rule, ctx, sink);
       for (const DeltaFact* fact : *spec.bucket) {
-        Bindings seed;
         if (!SeedBindingsFromDelta(rule, spec.literal, *fact, versions,
                                    seed)) {
           continue;
         }
         ++stats.delta_joins;
-        VERSO_RETURN_IF_ERROR(ForEachBodyMatchFrom(
-            rule, ctx, seed, static_cast<int>(spec.literal),
-            [&](const Bindings& bindings) {
-              return derive_head(rule, bindings);
-            }));
+        VERSO_RETURN_IF_ERROR(
+            matcher.RunFrom(seed, static_cast<int>(spec.literal)));
       }
     }
     install_pending();

@@ -105,8 +105,7 @@ Result<QueryStratification> AnalyzeQueryProgram(QueryProgram& program,
                                                 const SymbolTable& symbols);
 
 /// Query evaluation counters; the IndexStats base counts bound-result
-/// literals answered through ForEachAppWithResult instead of a full
-/// per-method scan.
+/// literals answered through ForEachAppWithResult.
 struct QueryStats : IndexStats {
   uint32_t strata = 0;
   uint32_t rounds = 0;          // total fixpoint rounds across strata

@@ -122,40 +122,44 @@ const MethodSig* Schema::Find(MethodId method) const {
 Status Schema::CheckBase(const ObjectBase& base, const SymbolTable& symbols,
                          const VersionTable& versions) const {
   for (const auto& [vid, state] : base.versions()) {
-    for (const auto& [method, apps] : state->methods()) {
+    // The facts of one method are adjacent, sorted by (args, result).
+    const VersionState::Fact* prev = nullptr;  // last fact, same method
+    const MethodSig* sig = nullptr;
+    for (const VersionState::Fact& app : state->facts()) {
+      const MethodId method = app.method;
       if (method == base.exists_method()) continue;
-      const MethodSig* sig = Find(method);
-      if (sig == nullptr) {
-        return SigMismatch("is not declared", method, symbols,
-                           "first fact on version " +
-                               versions.ToString(vid, symbols));
+      if (prev == nullptr || prev->method != method) {
+        prev = nullptr;
+        sig = Find(method);
+        if (sig == nullptr) {
+          return SigMismatch("is not declared", method, symbols,
+                             "first fact on version " +
+                                 versions.ToString(vid, symbols));
+        }
       }
-      const GroundApp* prev = nullptr;
-      for (const GroundApp& app : apps) {
-        if (app.args.size() != sig->arity) {
-          return SigMismatch("arity mismatch", method, symbols,
-                             "expected " + std::to_string(sig->arity) +
-                                 " arguments, found " +
-                                 std::to_string(app.args.size()));
-        }
-        if (!KindMatches(sig->result, app.result, symbols)) {
-          return SigMismatch(
-              "result kind mismatch", method, symbols,
-              "expected " + std::string(ResultKindName(sig->result)) +
-                  ", found " + symbols.OidToString(app.result));
-        }
-        // apps are sorted by (args, result): duplicates of (args) with
-        // different results are adjacent.
-        if (sig->single_valued && prev != nullptr &&
-            prev->args == app.args) {
-          return SigMismatch(
-              "declared single-valued", method, symbols,
-              "version " + versions.ToString(vid, symbols) +
-                  " holds results " + symbols.OidToString(prev->result) +
-                  " and " + symbols.OidToString(app.result));
-        }
-        prev = &app;
+      if (app.args.size() != sig->arity) {
+        return SigMismatch("arity mismatch", method, symbols,
+                           "expected " + std::to_string(sig->arity) +
+                               " arguments, found " +
+                               std::to_string(app.args.size()));
       }
+      if (!KindMatches(sig->result, app.result, symbols)) {
+        return SigMismatch(
+            "result kind mismatch", method, symbols,
+            "expected " + std::string(ResultKindName(sig->result)) +
+                ", found " + symbols.OidToString(app.result));
+      }
+      // Facts are sorted by (args, result): duplicates of (args) with
+      // different results are adjacent.
+      if (sig->single_valued && prev != nullptr &&
+          prev->args == app.args) {
+        return SigMismatch(
+            "declared single-valued", method, symbols,
+            "version " + versions.ToString(vid, symbols) +
+                " holds results " + symbols.OidToString(prev->result) +
+                " and " + symbols.OidToString(app.result));
+      }
+      prev = &app;
     }
   }
   return Status::Ok();

@@ -233,10 +233,8 @@ std::string EncodeVersionRecord(Vid vid, const VersionState& state,
                                 const VersionTable& versions) {
   BufferWriter writer;
   writer.Varint(state.fact_count());
-  for (const auto& [method, apps] : state.methods()) {
-    for (const GroundApp& app : apps) {
-      EncodeFact(writer, vid, method, app, symbols, versions);
-    }
+  for (const VersionState::Fact& fact : state.facts()) {
+    EncodeFact(writer, vid, fact.method, fact, symbols, versions);
   }
   return writer.Take();
 }
@@ -257,7 +255,9 @@ Result<size_t> DecodeVersionRecordInto(std::string_view key,
   VERSO_ASSIGN_OR_RETURN(Vid vid, DecodeVersionKey(key, decoder));
   BufferReader reader(data);
   VERSO_ASSIGN_OR_RETURN(uint64_t count, reader.Varint());
-  std::vector<std::pair<MethodId, GroundApp>> facts;
+  // The decoded facts are the state's block: one allocation, sorted
+  // once (a record lists them in the writer's method order).
+  std::vector<VersionState::Fact> facts;
   facts.reserve(std::min<uint64_t>(count, reader.remaining()));
   for (uint64_t i = 0; i < count; ++i) {
     VERSO_ASSIGN_OR_RETURN(FactImage image, ScanFact(reader));
@@ -266,7 +266,7 @@ Result<size_t> DecodeVersionRecordInto(std::string_view key,
                                 "fact");
     }
     VERSO_ASSIGN_OR_RETURN(GroundApp app, decoder.App(image));
-    facts.emplace_back(decoder.Method(image.method), std::move(app));
+    facts.push_back({std::move(app), decoder.Method(image.method)});
   }
   if (!reader.AtEnd()) {
     return Status::Corruption("version record has trailing bytes");
@@ -279,9 +279,8 @@ Result<size_t> DecodeVersionRecordInto(std::string_view key,
 FactDelta ComputeDelta(const ObjectBase& before, const ObjectBase& after) {
   // One walk over both version tries: subtrees and states the two bases
   // share cannot contribute a delta fact and are skipped by pointer
-  // equality, and inside a changed state so are the methods whose
-  // application storage both sides share. A commit's ob' descends from
-  // the committed base by O(1) copies, so this costs what it changed.
+  // equality. A commit's ob' descends from the committed base by O(1)
+  // copies, so this costs what it changed.
   FactDelta delta;
   ObjectBase::VersionMap::Diff(
       before.versions(), after.versions(),

@@ -1,6 +1,7 @@
 #include "util/io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -8,7 +9,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <system_error>
 
 namespace verso {
@@ -66,12 +66,29 @@ Env* Env::Default() {
 }
 
 Result<std::string> PosixEnv::ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open '" + path + "' for reading");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("read failure on '" + path + "'");
-  return buffer.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IoError("cannot open '" + path + "' for reading");
+  // One string sized from the file as it stands at open, filled by
+  // read(); a file that shrank meanwhile ends where read() stops.
+  std::string contents;
+  struct stat st;
+  bool failed = ::fstat(fd, &st) != 0 || S_ISDIR(st.st_mode);
+  if (!failed) contents.resize(static_cast<size_t>(st.st_size));
+  size_t filled = 0;
+  while (!failed && filled < contents.size()) {
+    const ssize_t n =
+        ::read(fd, contents.data() + filled, contents.size() - filled);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      failed = n < 0;
+      break;
+    }
+    filled += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  if (failed) return Status::IoError("read failure on '" + path + "'");
+  contents.resize(filled);
+  return contents;
 }
 
 Status PosixEnv::WriteFile(const std::string& path, std::string_view contents) {

@@ -1,6 +1,7 @@
 #include "views/view.h"
 
 #include <algorithm>
+#include <deque>
 
 #include "core/match.h"
 #include "obs/metrics.h"
@@ -41,6 +42,28 @@ struct ViewMetrics {
 DeltaFact ToDeltaFact(const ViewFactKey& key, bool added) {
   return DeltaFact{key.vid, key.method, key.app, added};
 }
+
+/// The sink of one rule's maintenance probes: appends each match's head
+/// fact to `heads` (a trigger probe), or, with `heads` null, records that
+/// a match exists and stops the enumeration (a rederivation probe).
+struct HeadSink {
+  const Rule* rule;
+  VersionTable* versions;
+  std::vector<ViewFactKey>* heads = nullptr;
+  bool found = false;
+
+  Status operator()(const Bindings& bindings) {
+    if (heads == nullptr) {
+      found = true;
+      // Abort enumeration: one derivation is enough.
+      return Status::NotFound("derivation found");
+    }
+    VERSO_ASSIGN_OR_RETURN(DeltaFact head,
+                           ResolveHeadFact(*rule, bindings, *versions));
+    heads->push_back({head.vid, head.method, std::move(head.app)});
+    return Status::Ok();
+  }
+};
 
 /// The methods of the positive version literals that maintenance reaches
 /// with an unbound object variable and a ground result. It walks the
@@ -131,6 +154,32 @@ Result<std::unique_ptr<MaterializedView>> MaterializedView::Create(
   return view;
 }
 
+/// One matcher per rule of a stratum, built once per maintenance run of
+/// the stratum and reused by every trigger and rederivation probe it
+/// makes. Each matcher holds `ctx` and its rule's sink by reference:
+/// both are members, and the deque never moves an element.
+struct MaterializedView::StratumProbes {
+  struct RuleProbe {
+    RuleProbe(const Rule& rule, MatchContext& ctx, VersionTable& versions)
+        : sink{&rule, &versions}, matcher(rule, ctx, sink) {}
+    HeadSink sink;
+    Matcher<HeadSink> matcher;
+  };
+
+  StratumProbes(MaterializedView& view, const QueryStratum& stratum)
+      : ctx{view.symbols_, view.versions_, view.working_, &view.istats_} {
+    for (uint32_t r : stratum.rules) {
+      rules.emplace_back(view.program_.rules[r], ctx, view.versions_);
+    }
+  }
+  StratumProbes(const StratumProbes&) = delete;
+  StratumProbes& operator=(const StratumProbes&) = delete;
+
+  MatchContext ctx;
+  std::deque<RuleProbe> rules;
+  Bindings seed;
+};
+
 std::unordered_set<uint32_t> MaterializedView::ReadMethods(
     const QueryStratum& stratum) const {
   std::unordered_set<uint32_t> methods;
@@ -151,54 +200,41 @@ void MaterializedView::IndexFreeObjectProbes(const QueryStratum& stratum) {
   }
 }
 
-Status MaterializedView::ProbeTrigger(const QueryStratum& stratum,
+Status MaterializedView::ProbeTrigger(StratumProbes& probes,
                                       const Trigger& trigger,
                                       std::vector<ViewFactKey>& heads) {
-  MatchContext ctx{symbols_, versions_, working_, &istats_};
-  Bindings seed;
-  for (uint32_t r : stratum.rules) {
-    const Rule& rule = program_.rules[r];
+  for (StratumProbes::RuleProbe& probe : probes.rules) {
+    const Rule& rule = *probe.sink.rule;
     for (uint32_t li = 0; li < rule.body.size(); ++li) {
       const Literal& lit = rule.body[li];
       if (lit.kind != Literal::Kind::kVersion) continue;
       if (lit.negated != trigger.through_negation) continue;
       if (lit.version.app.method != trigger.fact.method) continue;
-      if (!UnifyLiteralPattern(rule, li, trigger.fact, versions_, seed)) {
+      if (!UnifyLiteralPattern(rule, li, trigger.fact, versions_,
+                               probes.seed)) {
         continue;
       }
       ++stats_.seed_probes;
-      VERSO_RETURN_IF_ERROR(ForEachBodyMatchFrom(
-          rule, ctx, seed, static_cast<int>(li),
-          [&](const Bindings& bindings) -> Status {
-            VERSO_ASSIGN_OR_RETURN(
-                DeltaFact head, ResolveHeadFact(rule, bindings, versions_));
-            heads.push_back({head.vid, head.method, std::move(head.app)});
-            return Status::Ok();
-          }));
+      probe.sink.heads = &heads;
+      VERSO_RETURN_IF_ERROR(
+          probe.matcher.RunFrom(probes.seed, static_cast<int>(li)));
     }
   }
   return Status::Ok();
 }
 
-Result<bool> MaterializedView::HasDerivation(const QueryStratum& stratum,
+Result<bool> MaterializedView::HasDerivation(StratumProbes& probes,
                                              const ViewFactKey& fact) {
-  MatchContext ctx{symbols_, versions_, working_, &istats_};
-  DeltaFact probe = ToDeltaFact(fact, /*added=*/true);
-  Bindings seed;
-  for (uint32_t r : stratum.rules) {
-    const Rule& rule = program_.rules[r];
+  DeltaFact goal = ToDeltaFact(fact, /*added=*/true);
+  for (StratumProbes::RuleProbe& probe : probes.rules) {
+    const Rule& rule = *probe.sink.rule;
     if (rule.head.app.method != fact.method) continue;
-    if (!SeedBindingsFromHead(rule, probe, versions_, seed)) continue;
+    if (!SeedBindingsFromHead(rule, goal, versions_, probes.seed)) continue;
     ++stats_.rederive_probes;
-    bool found = false;
-    Status status = ForEachBodyMatchFrom(
-        rule, ctx, seed, /*skip_literal=*/-1,
-        [&](const Bindings&) -> Status {
-          found = true;
-          // Abort enumeration: one derivation is enough.
-          return Status::NotFound("derivation found");
-        });
-    if (found) return true;
+    probe.sink.heads = nullptr;
+    probe.sink.found = false;
+    Status status = probe.matcher.RunFrom(probes.seed, /*skip_literal=*/-1);
+    if (probe.sink.found) return true;
     VERSO_RETURN_IF_ERROR(status);
   }
   return false;
@@ -213,6 +249,7 @@ Status MaterializedView::MaintainDRed(const QueryStratum& stratum,
   }
   if (facts.empty()) return Status::Ok();
   IndexFreeObjectProbes(stratum);
+  StratumProbes probes(*this, stratum);
 
   // ---- Phase A: overdelete, evaluated against the old base state. ----
   // Restore the old state of this stratum's inputs (the commit and lower
@@ -244,7 +281,7 @@ Status MaterializedView::MaintainDRed(const QueryStratum& stratum,
   for (size_t qi = 0; qi < queue.size(); ++qi) {
     Trigger trigger = queue[qi];
     heads.clear();
-    VERSO_RETURN_IF_ERROR(ProbeTrigger(stratum, trigger, heads));
+    VERSO_RETURN_IF_ERROR(ProbeTrigger(probes, trigger, heads));
     for (ViewFactKey& head : heads) {
       if (!InWorking(head) || overdeleted.count(head)) continue;
       overdeleted.insert(head);
@@ -283,7 +320,7 @@ Status MaterializedView::MaintainDRed(const QueryStratum& stratum,
   }
   std::vector<const ViewFactKey*> rederivable;
   for (const ViewFactKey& fact : overdeleted_order) {
-    VERSO_ASSIGN_OR_RETURN(bool derivable, HasDerivation(stratum, fact));
+    VERSO_ASSIGN_OR_RETURN(bool derivable, HasDerivation(probes, fact));
     if (derivable) rederivable.push_back(&fact);
   }
   for (const ViewFactKey* fact : rederivable) {
@@ -299,7 +336,7 @@ Status MaterializedView::MaintainDRed(const QueryStratum& stratum,
   for (size_t qi = 0; qi < insert_queue.size(); ++qi) {
     Trigger trigger = insert_queue[qi];
     heads.clear();
-    VERSO_RETURN_IF_ERROR(ProbeTrigger(stratum, trigger, heads));
+    VERSO_RETURN_IF_ERROR(ProbeTrigger(probes, trigger, heads));
     for (ViewFactKey& head : heads) {
       if (InWorking(head)) continue;
       working_.Insert(head.vid, head.method, head.app);

@@ -156,20 +156,23 @@ class MaterializedView {
   /// Methods read by the stratum's rule bodies (positive or negated).
   std::unordered_set<uint32_t> ReadMethods(const QueryStratum& stratum) const;
 
+  /// The matchers of one stratum's rules, shared by every probe of one
+  /// maintenance run (view.cc).
+  struct StratumProbes;
+
   /// Derivations gained/lost when `fact` changes, through the
   /// occurrences selected by `trigger.through_negation`: each match's head
   /// fact is appended to `heads`, once per occurrence the match uses the
   /// fact at (callers deduplicate heads by set). Enumerates against the
   /// current working base; callers stage presence/absence of the fact
   /// around the call.
-  Status ProbeTrigger(const QueryStratum& stratum, const Trigger& trigger,
+  Status ProbeTrigger(StratumProbes& probes, const Trigger& trigger,
                       std::vector<ViewFactKey>& heads);
 
   /// True iff `fact` (a view fact of this stratum) has a derivation in the
   /// current working base: goal-directed probe unifying the fact with each
   /// defining rule's head.
-  Result<bool> HasDerivation(const QueryStratum& stratum,
-                             const ViewFactKey& fact);
+  Result<bool> HasDerivation(StratumProbes& probes, const ViewFactKey& fact);
 
   /// Builds, on the working base, the cross-version result index of
   /// every method `stratum`'s maintenance probes with a free object and

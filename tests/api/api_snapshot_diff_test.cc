@@ -129,6 +129,15 @@ TEST(ApiSnapshotDiffTest, PinnedReadsSurviveOneHundredCommits) {
   std::unique_ptr<Session> writer = conn.OpenSession();
   int rewires = 0;
   for (int i = 0; i < 120; ++i) {
+    // A session opened at the head reads both views, then this commit
+    // maintains them: the rows point into the facts of the result the
+    // session pinned, which the view's next write must leave in place.
+    std::unique_ptr<Session> latest = conn.OpenSession();
+    Result<ResultSet> latest_chain = latest->Execute("QUERY chain");
+    Result<ResultSet> latest_grade = latest->Execute("QUERY grade");
+    ASSERT_TRUE(latest_chain.ok() && latest_grade.ok());
+    const std::string latest_chain_rows = RenderRows(*latest_chain);
+    const std::string latest_grade_rows = RenderRows(*latest_grade);
     std::string text;
     if (i % 3 == 0) {
       text = (rewires++ % 2 == 0)
@@ -142,6 +151,8 @@ TEST(ApiSnapshotDiffTest, PinnedReadsSurviveOneHundredCommits) {
     Result<ResultSet> rs = writer->Execute(text);
     ASSERT_TRUE(rs.ok()) << "txn " << i << ": " << rs.status().ToString();
     ASSERT_FALSE(rs->empty()) << "txn " << i << " was a no-op";
+    EXPECT_EQ(RenderRows(*latest_chain), latest_chain_rows) << "txn " << i;
+    EXPECT_EQ(RenderRows(*latest_grade), latest_grade_rows) << "txn " << i;
 
     // Every tenth commit, re-check the pinned reader end to end.
     if (i % 10 == 9) {
@@ -152,6 +163,9 @@ TEST(ApiSnapshotDiffTest, PinnedReadsSurviveOneHundredCommits) {
       again = reader->Execute("QUERY grade");
       ASSERT_TRUE(again.ok());
       EXPECT_EQ(RenderRows(*again), grade_rows0) << "after txn " << i;
+      // The result sets read at the pin still hold their rows.
+      EXPECT_EQ(RenderRows(*chain_rs), chain_rows0) << "after txn " << i;
+      EXPECT_EQ(RenderRows(*grade_rs), grade_rows0) << "after txn " << i;
     }
   }
   ASSERT_GE(conn.epoch() - pinned, 100u);

@@ -36,9 +36,7 @@ bool Holds(const Connection& conn, const ObjectBase& base, const char* object,
   if (vids == nullptr) return false;
   for (Vid vid : *vids) {
     const VersionState* state = base.StateOf(vid);
-    const std::vector<GroundApp>* apps = state->Find(m);
-    if (apps == nullptr) continue;
-    for (const GroundApp& app : *apps) {
+    for (const GroundApp& app : state->Find(m)) {
       if (app.result == r && app.args.empty() &&
           base.version_table()->ToString(vid, symbols) == object) {
         return true;

@@ -46,12 +46,11 @@ TEST_F(BaselinesTest, NaiveSalaryRaiseDiverges) {
   EXPECT_EQ(out->rounds, 16u);
   // The salary kept doubling: 100 * 2^15 after 15 effective rounds.
   Vid henry = engine_.versions().OfOid(engine_.symbols().Symbol("henry"));
-  const auto* apps =
+  VersionState::Run apps =
       out->base.StateOf(henry)->Find(engine_.symbols().Method("salary"));
-  ASSERT_NE(apps, nullptr);
-  ASSERT_EQ(apps->size(), 1u);
+  ASSERT_EQ(apps.size(), 1u);
   EXPECT_GT(Numeric::Compare(
-                engine_.symbols().NumberValue(apps->front().result),
+                engine_.symbols().NumberValue(apps[0].result),
                 Numeric::FromInt(100000)),
             0);
 }

@@ -70,12 +70,42 @@ class MatchTest : public ::testing::Test {
       out.push_back(bindings);
       return Status::Ok();
     };
-    Status status = seed.empty()
-                        ? ForEachBodyMatch(rule, ctx, sink)
-                        : ForEachBodyMatchFrom(rule, ctx, seed, skip_literal,
-                                               sink);
+    Matcher<decltype(sink)> matcher(rule, ctx, sink);
+    Status status =
+        seed.empty() ? matcher.Run() : matcher.RunFrom(seed, skip_literal);
     EXPECT_TRUE(status.ok()) << status.ToString();
     *probes = stats.index_probes;
+    return out;
+  }
+
+  /// The brute-force filter the bound-result probes are checked against:
+  /// every binding of `var` under `rule_text`, whose body leaves a result
+  /// free in variable `free_var`, kept where `free_var` is bound to
+  /// `want` (another variable's name, or a constant's text).
+  std::multiset<std::string> FilteredMatches(const char* rule_text,
+                                             const char* var,
+                                             const char* free_var,
+                                             const char* want) {
+    Rule rule = Analyzed(rule_text);
+    const size_t out_var = static_cast<size_t>(VarIndex(rule, var));
+    const size_t filter_var = static_cast<size_t>(VarIndex(rule, free_var));
+    int want_var = -1;
+    for (size_t i = 0; i < rule.var_names.size(); ++i) {
+      if (rule.var_names[i] == want) want_var = static_cast<int>(i);
+    }
+    std::multiset<std::string> out;
+    MatchContext ctx{symbols_, versions_, base_, nullptr};
+    Status status = ForEachBodyMatch(
+        rule, ctx, [&](const Bindings& bindings) -> Status {
+          const Oid value = bindings[filter_var];
+          const bool keep =
+              want_var >= 0
+                  ? value == bindings[static_cast<size_t>(want_var)]
+                  : symbols_.OidToString(value) == want;
+          if (keep) out.insert(symbols_.OidToString(bindings[out_var]));
+          return Status::Ok();
+        });
+    EXPECT_TRUE(status.ok()) << status.ToString();
     return out;
   }
 
@@ -92,15 +122,6 @@ class MatchTest : public ::testing::Test {
   ObjectBase base_;
   Rule rule_;
   IndexStats istats_;
-};
-
-/// Forces ForEachAppWithResult onto the pre-index full scan for the
-/// duration of a scope (the ablation toggle; diffed against the indexed
-/// default below).
-class ScanModeGuard {
- public:
-  ScanModeGuard() { SharedApps::EnableResultIndex(false); }
-  ~ScanModeGuard() { SharedApps::EnableResultIndex(true); }
 };
 
 TEST_F(MatchTest, PlainVersionTermEnumerates) {
@@ -208,7 +229,10 @@ TEST_F(MatchTest, ModifyBodyGroundNegation) {
             (std::multiset<std::string>{"b"}));
 }
 
-// ---- Bound-result literals: indexed path vs scan path ----------------
+// ---- Bound-result literals: the probe vs a filtered scan -------------
+//
+// Each bound-result rule is checked against the same body with that
+// result left free, enumerated in full and filtered in the test.
 
 TEST_F(MatchTest, GroundResultLiteralMatchesScanPath) {
   Facts("a.likes -> jazz.  a.likes -> rock.  b.likes -> jazz. "
@@ -218,8 +242,9 @@ TEST_F(MatchTest, GroundResultLiteralMatchesScanPath) {
   EXPECT_EQ(indexed, (std::multiset<std::string>{"a", "b"}));
   EXPECT_GT(istats_.index_probes, 0u);
   EXPECT_GT(istats_.indexed_scan_avoided_facts, 0u);
-  ScanModeGuard scan;
-  EXPECT_EQ(MatchesOf(rule, "E"), indexed);
+  EXPECT_EQ(FilteredMatches("r: ins[x].m -> E <- E.likes -> L.", "E", "L",
+                            "jazz"),
+            indexed);
 }
 
 TEST_F(MatchTest, ResultBoundEarlierInBodyMatchesScanPath) {
@@ -232,8 +257,10 @@ TEST_F(MatchTest, ResultBoundEarlierInBodyMatchesScanPath) {
   std::multiset<std::string> indexed = MatchesOf(rule, "F");
   EXPECT_EQ(indexed, (std::multiset<std::string>{"a", "boss", "c"}));
   EXPECT_GT(istats_.index_probes, 0u);
-  ScanModeGuard scan;
-  EXPECT_EQ(MatchesOf(rule, "F"), indexed);
+  EXPECT_EQ(FilteredMatches(
+                "r: ins[x].m -> F <- boss.likes -> T, F.likes -> U.", "F",
+                "U", "T"),
+            indexed);
 }
 
 TEST_F(MatchTest, NegatedBoundResultLiteralMatchesScanPath) {
@@ -243,8 +270,15 @@ TEST_F(MatchTest, NegatedBoundResultLiteralMatchesScanPath) {
       "r: ins[x].m -> E <- E.isa -> fan, not E.likes -> jazz.";
   std::multiset<std::string> indexed = MatchesOf(rule, "E");
   EXPECT_EQ(indexed, (std::multiset<std::string>{"b", "c"}));
-  ScanModeGuard scan;
-  EXPECT_EQ(MatchesOf(rule, "E"), indexed);
+  // The negated literal is a ground membership check: the fans minus the
+  // (filtered) jazz likers.
+  std::multiset<std::string> fans =
+      MatchesOf("r: ins[x].m -> E <- E.isa -> fan.", "E");
+  for (const std::string& liker : FilteredMatches(
+           "r: ins[x].m -> E <- E.likes -> L.", "E", "L", "jazz")) {
+    fans.erase(liker);
+  }
+  EXPECT_EQ(fans, indexed);
 }
 
 TEST_F(MatchTest, BoundResultUpdateLiteralsMatchScanPath) {
@@ -265,9 +299,12 @@ TEST_F(MatchTest, BoundResultUpdateLiteralsMatchScanPath) {
   std::multiset<std::string> mod_indexed = MatchesOf(mod_rule, "S2");
   EXPECT_EQ(mod_indexed, (std::multiset<std::string>{"110"}));
   EXPECT_GT(istats_.index_probes, 0u);
-  ScanModeGuard scan;
-  EXPECT_EQ(MatchesOf(del_rule, "E"), del_indexed);
-  EXPECT_EQ(MatchesOf(mod_rule, "S2"), mod_indexed);
+  EXPECT_EQ(FilteredMatches("r: ins[x].m -> E <- del[E].sal -> S.", "E",
+                            "S", "10"),
+            del_indexed);
+  EXPECT_EQ(FilteredMatches("r: ins[x].m -> S2 <- mod[E].sal -> (S1, S2).",
+                            "S2", "S1", "100"),
+            mod_indexed);
 }
 
 // ---- Free-object literals: the cross-version result index ------------
@@ -424,15 +461,20 @@ TEST_F(MatchTest, SemiNaiveSeededMatch) {
   seed[static_cast<size_t>(z)] = symbols_.Symbol("c");
   MatchContext ctx{symbols_, versions_, base_};
   int matches = 0;
-  Status s = ForEachBodyMatchFrom(
-      rule, ctx, seed, /*skip_literal=*/1,
-      [&](const Bindings& bindings) -> Status {
-        ++matches;
-        EXPECT_EQ(bindings[0], symbols_.Symbol("a"));  // X
-        return Status::Ok();
-      });
-  ASSERT_TRUE(s.ok());
+  auto sink = [&](const Bindings& bindings) -> Status {
+    ++matches;
+    EXPECT_EQ(bindings[0], symbols_.Symbol("a"));  // X
+    return Status::Ok();
+  };
+  Matcher<decltype(sink)> matcher(rule, ctx, sink);
+  ASSERT_TRUE(matcher.RunFrom(seed, /*skip_literal=*/1).ok());
   EXPECT_EQ(matches, 1);
+  // One matcher serves many seeds: a second run from the same seed finds
+  // the same match, and a full run after it starts from no bindings.
+  ASSERT_TRUE(matcher.RunFrom(seed, /*skip_literal=*/1).ok());
+  EXPECT_EQ(matches, 2);
+  ASSERT_TRUE(matcher.Run().ok());
+  EXPECT_EQ(matches, 3);
 }
 
 TEST_F(MatchTest, ErrorsPropagateFromSink) {

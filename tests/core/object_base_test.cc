@@ -43,9 +43,7 @@ TEST_F(ObjectBaseTest, MethodsAreSetValued) {
   MethodId anc = symbols_.Method("anc");
   EXPECT_TRUE(base_.Insert(p, anc, App(symbols_.Symbol("p2"))));
   EXPECT_TRUE(base_.Insert(p, anc, App(symbols_.Symbol("p3"))));
-  const std::vector<GroundApp>* apps = base_.StateOf(p)->Find(anc);
-  ASSERT_NE(apps, nullptr);
-  EXPECT_EQ(apps->size(), 2u);
+  EXPECT_EQ(base_.StateOf(p)->Find(anc).size(), 2u);
 }
 
 TEST_F(ObjectBaseTest, ArgsDistinguishApplications) {
@@ -269,25 +267,24 @@ TEST_F(ObjectBaseTest, EraseThroughCopyLeavesOriginalIntact) {
   EXPECT_EQ(copy.VidsWithMethod(m), nullptr);
 }
 
-TEST_F(ObjectBaseTest, VersionStateCopySharesPerMethodVectors) {
+TEST_F(ObjectBaseTest, VersionStateCopyIsIndependentOfItsSource) {
   VersionState s1;
   MethodId m1 = symbols_.Method("m1");
   MethodId m2 = symbols_.Method("m2");
   s1.Insert(m1, App(symbols_.Int(1)));
   s1.Insert(m2, App(symbols_.Int(2)));
 
-  VersionState s2 = s1;  // T_P step-2 copy: per-method pointer bumps
-  ASSERT_NE(s2.FindShared(m1), nullptr);
-  EXPECT_TRUE(SharesStorage(*s1.FindShared(m1), *s2.FindShared(m1)));
-  EXPECT_TRUE(SharesStorage(*s1.FindShared(m2), *s2.FindShared(m2)));
+  VersionState s2 = s1;  // T_P step-2 copy: the whole block
+  EXPECT_TRUE(s1 == s2);
+  EXPECT_NE(s1.facts().begin(), s2.facts().begin());
 
-  // Writing method m1 through the copy detaches m1's vector only.
+  // A write to either side leaves the other as it was.
   s2.Insert(m1, App(symbols_.Int(3)));
-  EXPECT_FALSE(SharesStorage(*s1.FindShared(m1), *s2.FindShared(m1)));
-  EXPECT_TRUE(SharesStorage(*s1.FindShared(m2), *s2.FindShared(m2)));
+  s1.Erase(m2, App(symbols_.Int(2)));
   EXPECT_FALSE(s1.Contains(m1, App(symbols_.Int(3))));
   EXPECT_TRUE(s2.Contains(m1, App(symbols_.Int(3))));
-  EXPECT_EQ(s1.fact_count(), 2u);
+  EXPECT_TRUE(s2.Contains(m2, App(symbols_.Int(2))));
+  EXPECT_EQ(s1.fact_count(), 1u);
   EXPECT_EQ(s2.fact_count(), 3u);
   EXPECT_FALSE(s1 == s2);
 }
@@ -347,7 +344,7 @@ TEST_F(ObjectBaseTest, AdoptVersionSharesAcrossBases) {
   EXPECT_FALSE(third.AdoptVersion(b, base_.SharedStateOf(a)));
 }
 
-// ---- Result-keyed index (IndexedApps) --------------------------------
+// ---- Bound-result probes -------------------------------------------
 
 /// Collects ForEachAppWithResult's enumeration into a vector.
 std::vector<GroundApp> IndexLookup(const VersionState& state, MethodId method,
@@ -372,65 +369,38 @@ TEST_F(ObjectBaseTest, ForEachAppWithResultEnumeratesExactlyMatching) {
   base_.Insert(a, m, App(hot, {one}));
   base_.Insert(a, m, App(cold, {one}));
   base_.Insert(a, m, App(hot, {two}));
+  base_.Insert(a, m, App(cold));
+  base_.Insert(a, m, App(hot));
 
   IndexStats stats;
   std::vector<GroundApp> hits =
       IndexLookup(*base_.StateOf(a), m, hot, &stats);
-  ASSERT_EQ(hits.size(), 2u);
-  // Scan order: sorted by args then result.
-  EXPECT_EQ(hits[0], App(hot, {one}));
-  EXPECT_EQ(hits[1], App(hot, {two}));
+  ASSERT_EQ(hits.size(), 3u);
+  // Scan order: sorted by args then result, argument-free facts first.
+  EXPECT_EQ(hits[0], App(hot));
+  EXPECT_EQ(hits[1], App(hot, {one}));
+  EXPECT_EQ(hits[2], App(hot, {two}));
   EXPECT_EQ(stats.index_probes, 1u);
   EXPECT_EQ(stats.index_hits, 1u);
-  EXPECT_EQ(stats.indexed_scan_avoided_facts, 1u);  // skipped the cold fact
+  // The binary search skipped the argument-free cold fact; the three
+  // argument-bearing facts were scanned.
+  EXPECT_EQ(stats.indexed_scan_avoided_facts, 1u);
 
-  // A missing result is a probe without a hit that avoids the full scan.
+  // A missing result is a probe without a hit.
   EXPECT_TRUE(IndexLookup(*base_.StateOf(a), m, symbols_.Int(99),
                           &stats).empty());
   EXPECT_EQ(stats.index_probes, 2u);
   EXPECT_EQ(stats.index_hits, 1u);
-  EXPECT_EQ(stats.indexed_scan_avoided_facts, 4u);
+  EXPECT_EQ(stats.indexed_scan_avoided_facts, 3u);
 
-  // The lookup stays correct after mutations invalidate the lazy index.
+  // The lookup stays correct after writes move facts in the block.
   base_.Insert(a, m, App(hot, {symbols_.Int(3)}));
   base_.Erase(a, m, App(hot, {one}));
+  base_.Erase(a, m, App(hot));
   hits = IndexLookup(*base_.StateOf(a), m, hot);
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0], App(hot, {two}));
   EXPECT_EQ(hits[1], App(hot, {symbols_.Int(3)}));
-}
-
-TEST_F(ObjectBaseTest, EqualityAndSharingIgnoreLazyIndexState) {
-  Vid a = versions_.OfOid(symbols_.Symbol("a"));
-  MethodId m = symbols_.Method("m");
-  Oid hot = symbols_.Symbol("hot");
-  base_.Insert(a, m, App(hot));
-  base_.Insert(a, m, App(symbols_.Symbol("cold")));
-
-  // The step-2 pattern: a COW copy of the state, then a bound-result
-  // probe that materializes the lazy index on ONE side only.
-  VersionState copy = *base_.StateOf(a);
-  EXPECT_FALSE(base_.StateOf(a)->FindShared(m)->node().index_built());
-  EXPECT_EQ(IndexLookup(copy, m, hot).size(), 1u);
-  EXPECT_TRUE(copy.FindShared(m)->node().index_built());
-
-  // Building the index is not a write: storage is still shared and the
-  // states still compare equal.
-  EXPECT_TRUE(SharesStorage(*base_.StateOf(a)->FindShared(m),
-                            *copy.FindShared(m)));
-  EXPECT_TRUE(*base_.StateOf(a) == copy);
-
-  // A state rebuilt from scratch (distinct storage, no index) also
-  // compares equal to the probed one: equality ignores index state.
-  VersionState rebuilt;
-  rebuilt.Insert(m, App(symbols_.Symbol("cold")));
-  rebuilt.Insert(m, App(hot));
-  EXPECT_FALSE(rebuilt.FindShared(m)->node().index_built());
-  EXPECT_TRUE(rebuilt == copy);
-
-  // ReplaceVersion's shared-storage skip keeps holding after the lazy
-  // build: swapping the probed copy back in reports "no change".
-  EXPECT_FALSE(base_.ReplaceVersion(a, copy));
 }
 
 TEST_F(ObjectBaseTest, IndexDetachesWithWriterNotWithReader) {
@@ -441,12 +411,12 @@ TEST_F(ObjectBaseTest, IndexDetachesWithWriterNotWithReader) {
   base_.Insert(a, m, App(hot, {symbols_.Int(2)}));
 
   ObjectBase copy = base_;
-  // Reader probes through the copy: index built on the shared node.
+  // Reader probes through the copy: a probe is not a write.
   EXPECT_EQ(IndexLookup(*copy.StateOf(a), m, hot).size(), 2u);
   EXPECT_EQ(copy.SharedStateOf(a), base_.SharedStateOf(a));
 
   // Writer mutates the original: it detaches; the copy keeps answering
-  // from the (still valid) shared node it retained.
+  // from the block it retained.
   base_.Insert(a, m, App(hot, {symbols_.Int(3)}));
   EXPECT_NE(copy.SharedStateOf(a), base_.SharedStateOf(a));
   EXPECT_EQ(IndexLookup(*copy.StateOf(a), m, hot).size(), 2u);

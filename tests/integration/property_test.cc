@@ -91,10 +91,9 @@ TEST_P(EnterpriseSweep, RunningExampleInvariants) {
     }
     ASSERT_NE(state, nullptr) << enterprise.names[i];
     // Salary raised exactly once.
-    const std::vector<GroundApp>* sal_apps = state->Find(sal);
-    ASSERT_NE(sal_apps, nullptr);
-    ASSERT_EQ(sal_apps->size(), 1u);
-    EXPECT_EQ(sym.NumberValue(sal_apps->front().result), raised[i])
+    VersionState::Run sal_apps = state->Find(sal);
+    ASSERT_EQ(sal_apps.size(), 1u);
+    EXPECT_EQ(sym.NumberValue(sal_apps[0].result), raised[i])
         << enterprise.names[i];
     // hpe membership.
     GroundApp hpe;
@@ -115,8 +114,9 @@ TEST_P(EnterpriseSweep, RunningExampleInvariants) {
     const VersionState* after = outcome->new_base.StateOf(rock);
     ASSERT_NE(before, nullptr);
     ASSERT_NE(after, nullptr);
-    EXPECT_EQ(before->Find(mass)->front().result,
-              after->Find(mass)->front().result);
+    ASSERT_FALSE(before->Find(mass).empty());
+    ASSERT_FALSE(after->Find(mass).empty());
+    EXPECT_EQ(before->Find(mass)[0].result, after->Find(mass)[0].result);
   }
 }
 
@@ -153,8 +153,7 @@ TEST_P(GenealogySweep, AncestorsAreTransitiveClosure) {
     Vid v = engine.versions().OfOid(engine.symbols().Symbol(g.names[i]));
     const VersionState* state = outcome->new_base.StateOf(v);
     ASSERT_NE(state, nullptr);
-    const std::vector<GroundApp>* apps = state->Find(anc);
-    size_t got = apps == nullptr ? 0 : apps->size();
+    size_t got = state->Find(anc).size();
     EXPECT_EQ(got, closure[i].size()) << g.names[i];
     for (int a : closure[i]) {
       GroundApp app;
@@ -175,11 +174,23 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.seed);
     });
 
-// Index consistency: after any randomized sequence of inserts, erases,
+// The facts of `method` in `state` whose result is `result`, found by a
+// walk over the whole block: the brute-force filter the bound-result
+// probe (binary search of the argument-free facts, scan of the rest) is
+// checked against.
+std::vector<GroundApp> FilterByResult(const VersionState& state,
+                                      MethodId method, Oid result) {
+  std::vector<GroundApp> out;
+  for (const VersionState::Fact& fact : state.facts()) {
+    if (fact.method == method && fact.result == result) out.push_back(fact);
+  }
+  return out;
+}
+
+// Probe consistency: after any randomized sequence of inserts, erases,
 // COW copies (detach points), and version replacements, a bound-result
-// lookup through the lazily built result index enumerates exactly the
-// facts a full scan filtered by result does — and building the index on
-// one side never breaks equality or structural sharing with the other.
+// lookup (ForEachAppWithResult) and HoldsResult agree with the
+// brute-force filter, on methods mixing facts of 0-3 arguments.
 TEST(PropertyTest, ResultIndexLookupsMatchFullScans) {
   for (uint64_t seed : {7ull, 77ull, 777ull}) {
     std::mt19937_64 rng(seed);
@@ -207,36 +218,38 @@ TEST(PropertyTest, ResultIndexLookupsMatchFullScans) {
 
     auto random_app = [&]() {
       GroundApp app;
-      app.args.push_back(symbols.Int(static_cast<int64_t>(rng() % kArgs)));
+      const size_t arity = rng() % 4;
+      for (size_t a = 0; a < arity; ++a) {
+        app.args.push_back(symbols.Int(static_cast<int64_t>(rng() % kArgs)));
+      }
       app.result = results[rng() % kResults];
       return app;
     };
 
     // `shadow` holds COW copies taken mid-sequence: every copy is a
     // detach point for later writes to `base`, and each copy's lookups
-    // must keep agreeing with its own scans after the original moves on.
+    // must keep agreeing with the filter after the original moves on.
     std::vector<ObjectBase> shadow;
     auto check_one = [&](const ObjectBase& b) {
       for (Vid vid : vids) {
         const VersionState* state = b.StateOf(vid);
         if (state == nullptr) continue;
         for (MethodId method : methods) {
-          const std::vector<GroundApp>* apps = state->Find(method);
           for (Oid result : results) {
-            std::vector<GroundApp> via_index;
+            std::vector<GroundApp> probed;
+            IndexStats stats;
             Status s = state->ForEachAppWithResult(
-                method, result, nullptr, [&](const GroundApp& app) {
-                  via_index.push_back(app);
+                method, result, &stats, [&](const GroundApp& app) {
+                  probed.push_back(app);
                   return Status::Ok();
                 });
             ASSERT_TRUE(s.ok());
-            std::vector<GroundApp> via_scan;
-            if (apps != nullptr) {
-              for (const GroundApp& app : *apps) {
-                if (app.result == result) via_scan.push_back(app);
-              }
-            }
-            EXPECT_EQ(via_index, via_scan);
+            const std::vector<GroundApp> filtered =
+                FilterByResult(*state, method, result);
+            EXPECT_EQ(probed, filtered);
+            EXPECT_EQ(state->HoldsResult(method, result), !filtered.empty());
+            EXPECT_EQ(stats.index_probes, 1u);
+            EXPECT_EQ(stats.index_hits, filtered.empty() ? 0u : 1u);
           }
         }
       }
@@ -257,7 +270,7 @@ TEST(PropertyTest, ResultIndexLookupsMatchFullScans) {
           if (shadow.size() < 4) shadow.push_back(base);
           break;
         }
-        case 4: {  // Replace a version with a mutated COW copy.
+        case 4: {  // Replace a version with a mutated copy.
           const VersionState* cur = base.StateOf(vid);
           VersionState next = cur == nullptr ? VersionState() : *cur;
           next.Insert(method, random_app());
@@ -265,7 +278,7 @@ TEST(PropertyTest, ResultIndexLookupsMatchFullScans) {
           base.ReplaceVersion(vid, std::move(next));
           break;
         }
-        case 5: {  // Probe now: builds lazy indexes mid-sequence.
+        case 5: {  // Probe mid-sequence.
           const VersionState* state = base.StateOf(vid);
           if (state != nullptr) {
             Status s = state->ForEachAppWithResult(
@@ -284,17 +297,192 @@ TEST(PropertyTest, ResultIndexLookupsMatchFullScans) {
     check_one(base);
     for (const ObjectBase& copy : shadow) {
       check_one(copy);
-      // Lazy index builds above must not have broken value equality:
-      // a fact-by-fact rebuild (distinct storage, no indexes) still
-      // compares equal to the probed copy.
+      // A fact-by-fact rebuild (distinct storage) compares equal.
       ObjectBase rebuilt(copy.exists_method(), copy.version_table());
       for (const auto& [vid, state] : copy.versions()) {
-        for (const auto& [method, apps] : state->methods()) {
-          for (const GroundApp& app : apps) rebuilt.Insert(vid, method, app);
+        for (const VersionState::Fact& fact : state->facts()) {
+          rebuilt.Insert(vid, fact.method, fact);
         }
       }
       EXPECT_TRUE(copy == rebuilt);
     }
+  }
+}
+
+// One version's state against a std::set model: generated sequences of
+// inserts (duplicates included) and erases, in phases that grow methods
+// past 64 facts and shrink them to nothing, run on a VersionState and on
+// an ObjectBase's one version. Methods mix facts of 0-3 arguments. After
+// every step both must hold exactly the model's facts in its order;
+// bound-result probes and HoldsResult must equal a filter of the model;
+// ForEachFactChange from the previous state must list exactly the
+// changed facts in sorted order; and copies taken along the way must
+// stay as they were taken while either side is written.
+TEST(PropertyTest, VersionStateMatchesSetModel) {
+  // (method, args, result): the state's own order.
+  using Fact = std::tuple<uint32_t, std::vector<uint32_t>, uint32_t>;
+  using Model = std::set<Fact>;
+  for (uint64_t seed : {3ull, 33ull, 333ull}) {
+    std::mt19937_64 rng(seed);
+    SymbolTable symbols;
+    VersionTable versions;
+    const Vid vid = versions.OfOid(symbols.Symbol("o"));
+    std::vector<MethodId> methods;
+    for (int i = 0; i < 3; ++i) {
+      methods.push_back(symbols.Method("m" + std::to_string(i)));
+    }
+    std::vector<Oid> values;
+    for (int i = 0; i < 6; ++i) values.push_back(symbols.Int(i));
+
+    auto app_of = [](const Fact& fact) {
+      GroundApp app;
+      for (uint32_t arg : std::get<1>(fact)) app.args.push_back(Oid(arg));
+      app.result = Oid(std::get<2>(fact));
+      return app;
+    };
+    auto fact_of = [](MethodId method, const GroundApp& app) {
+      std::vector<uint32_t> args;
+      for (Oid arg : app.args) args.push_back(arg.value);
+      return Fact{method.value, std::move(args), app.result.value};
+    };
+    auto random_fact = [&]() {
+      std::vector<uint32_t> args(rng() % 4);
+      for (uint32_t& arg : args) arg = values[rng() % 4].value;
+      return Fact{methods[rng() % methods.size()].value, std::move(args),
+                  values[rng() % values.size()].value};
+    };
+    auto facts_in = [&](const VersionState* state) {
+      std::vector<Fact> out;
+      if (state == nullptr) return out;
+      for (const VersionState::Fact& fact : state->facts()) {
+        out.push_back(fact_of(fact.method, fact));
+      }
+      return out;
+    };
+    auto check = [&](const VersionState* state, const Model& model) {
+      ASSERT_EQ(facts_in(state), std::vector<Fact>(model.begin(), model.end()));
+      const size_t count = state == nullptr ? 0 : state->fact_count();
+      ASSERT_EQ(count, model.size());
+      if (state == nullptr) return;
+      for (MethodId method : methods) {
+        std::vector<Fact> run;
+        for (const GroundApp& app : state->Find(method)) {
+          run.push_back(fact_of(method, app));
+        }
+        std::vector<Fact> expected;
+        for (const Fact& fact : model) {
+          if (std::get<0>(fact) == method.value) expected.push_back(fact);
+        }
+        EXPECT_EQ(run, expected);
+        EXPECT_EQ(state->HasMethod(method), !expected.empty());
+        for (Oid result : values) {
+          std::vector<Fact> probed;
+          Status status = state->ForEachAppWithResult(
+              method, result, nullptr, [&](const GroundApp& app) {
+                probed.push_back(fact_of(method, app));
+                return Status::Ok();
+              });
+          ASSERT_TRUE(status.ok());
+          std::vector<Fact> filtered;
+          for (const Fact& fact : expected) {
+            if (std::get<2>(fact) == result.value) filtered.push_back(fact);
+          }
+          EXPECT_EQ(probed, filtered);
+          EXPECT_EQ(state->HoldsResult(method, result), !filtered.empty());
+        }
+      }
+      for (int probe = 0; probe < 8; ++probe) {
+        const Fact fact = random_fact();
+        EXPECT_EQ(state->Contains(MethodId(std::get<0>(fact)), app_of(fact)),
+                  model.count(fact) == 1);
+      }
+    };
+
+    VersionState state;
+    Model model;
+    ObjectBase base(symbols.exists_method(), &versions);
+    // Copies taken along the way, each with the model it was taken at.
+    std::vector<std::pair<VersionState, Model>> copies;
+    std::vector<std::pair<ObjectBase, Model>> base_copies;
+    size_t longest_run = 0;
+    bool emptied = false;
+    for (int phase = 0; phase < 6; ++phase) {
+      // Growing phases insert nine times in ten; shrinking phases erase
+      // held facts nineteen times in twenty, until the state is empty.
+      const bool grow = phase % 2 == 0;
+      for (int step = 0; step < 400; ++step) {
+        const VersionState before = state;
+        const Model before_model = model;
+        Fact fact = random_fact();
+        const bool insert = grow ? rng() % 10 != 0 : rng() % 20 == 0;
+        if (!insert && !model.empty() && (!grow || rng() % 2 == 0)) {
+          // Erase a fact that is there, so shrinking reaches empty.
+          auto it = model.begin();
+          std::advance(it, static_cast<long>(rng() % model.size()));
+          fact = *it;
+        }
+        const MethodId method(std::get<0>(fact));
+        const GroundApp app = app_of(fact);
+        if (insert) {
+          const bool fresh = model.insert(fact).second;
+          EXPECT_EQ(state.Insert(method, app), fresh);
+          EXPECT_EQ(base.Insert(vid, method, app), fresh);
+        } else {
+          const bool held = model.erase(fact) == 1;
+          EXPECT_EQ(state.Erase(method, app), held);
+          EXPECT_EQ(base.Erase(vid, method, app), held);
+        }
+        check(&state, model);
+        check(base.StateOf(vid), model);
+        EXPECT_EQ(base.StateOf(vid) == nullptr, model.empty());
+        for (MethodId m : methods) {
+          const ObjectBase::VidSet* holders = base.VidsWithMethod(m);
+          EXPECT_EQ(holders != nullptr && holders->Contains(vid),
+                    state.HasMethod(m));
+        }
+        emptied = emptied || (model.empty() && step > 0);
+        for (MethodId m : methods) {
+          longest_run = std::max(longest_run, state.Find(m).size());
+        }
+
+        // The change list from the previous state: the symmetric
+        // difference of the two models, in sorted order.
+        std::vector<std::pair<Fact, bool>> changes;
+        ForEachFactChange(&before, &state,
+                          [&](MethodId m, const GroundApp& a, bool added) {
+                            changes.emplace_back(fact_of(m, a), added);
+                          });
+        std::vector<std::pair<Fact, bool>> expected;
+        for (const Fact& f : before_model) {
+          if (model.count(f) == 0) expected.emplace_back(f, false);
+        }
+        for (const Fact& f : model) {
+          if (before_model.count(f) == 0) expected.emplace_back(f, true);
+        }
+        std::sort(expected.begin(), expected.end(),
+                  [](const auto& a, const auto& b) { return a.first < b.first; });
+        EXPECT_EQ(changes, expected);
+
+        if (rng() % 40 == 0 && copies.size() < 6) {
+          copies.emplace_back(state, model);
+          base_copies.emplace_back(base, model);
+          // Write the copy at once: the original must not see it.
+          Fact extra = random_fact();
+          VersionState& copy = copies.back().first;
+          Model& copy_model = copies.back().second;
+          EXPECT_EQ(copy.Insert(MethodId(std::get<0>(extra)), app_of(extra)),
+                    copy_model.insert(extra).second);
+          check(&copy, copy_model);
+          check(&state, model);
+        }
+      }
+      for (auto& [copy, copy_model] : copies) check(&copy, copy_model);
+      for (auto& [copy, copy_model] : base_copies) {
+        check(copy.StateOf(vid), copy_model);
+      }
+    }
+    EXPECT_GT(longest_run, 64u);
+    EXPECT_TRUE(emptied);
   }
 }
 
@@ -370,8 +558,8 @@ TEST(PropertyTest, PersistentBaseMatchesMapModel) {
     auto state_facts = [&](Vid vid, const VersionState* state) {
       Model out;
       if (state == nullptr) return out;
-      for (const auto& [method, apps] : state->methods()) {
-        for (const GroundApp& app : apps) out.insert(fact_of(vid, method, app));
+      for (const VersionState::Fact& fact : state->facts()) {
+        out.insert(fact_of(vid, fact.method, fact));
       }
       return out;
     };
@@ -846,12 +1034,13 @@ TEST(PropertyTest, GuardedModularBaselineAgreesWithVerso) {
     MethodId sal = engine.symbols().Method("sal");
     MethodId isa = engine.symbols().Method("isa");
     for (const auto& [vid, state] : verso_out->new_base.versions()) {
-      const std::vector<GroundApp>* vs = state->Find(sal);
-      if (vs == nullptr) continue;
+      VersionState::Run vs = state->Find(sal);
+      if (vs.empty()) continue;
       const VersionState* ms = modular->base.StateOf(vid);
       ASSERT_NE(ms, nullptr);
-      ASSERT_NE(ms->Find(sal), nullptr);
-      EXPECT_EQ(*ms->Find(sal), *vs);
+      EXPECT_EQ(std::vector<GroundApp>(ms->Find(sal).begin(),
+                                       ms->Find(sal).end()),
+                std::vector<GroundApp>(vs.begin(), vs.end()));
       GroundApp hpe;
       hpe.result = engine.symbols().Symbol("hpe");
       EXPECT_EQ(ms->Contains(isa, hpe), state->Contains(isa, hpe));

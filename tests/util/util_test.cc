@@ -196,6 +196,32 @@ TEST_F(IoTest, AppendAccumulates) {
   EXPECT_EQ(*ReadFile(path), "abc");
 }
 
+TEST_F(IoTest, ReadFileReturnsEmptyAndLargeFilesWhole) {
+  std::string empty = dir_ + "/empty";
+  ASSERT_TRUE(WriteFile(empty, "").ok());
+  Result<std::string> none = ReadFile(empty);
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(*none, "");
+
+  // Over 1 MiB, every byte value, and no zero-length tail.
+  std::string big((1u << 20) + 12345, '\0');
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>((i * 131 + i / 7) & 0xff);
+  }
+  std::string path = dir_ + "/big";
+  ASSERT_TRUE(WriteFile(path, big).ok());
+  Result<std::string> read = ReadFile(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->size(), big.size());
+  EXPECT_TRUE(*read == big);
+  EXPECT_TRUE(RemoveFile(path).ok());
+
+  EXPECT_EQ(ReadFile(dir_ + "/missing").status().code(),
+            StatusCode::kIoError);
+  // A directory opens but cannot be read.
+  EXPECT_EQ(ReadFile(dir_).status().code(), StatusCode::kIoError);
+}
+
 TEST_F(IoTest, SyncsReachTheRealFilesystem) {
   Env* env = Env::Default();
   std::string path = dir_ + "/synced";

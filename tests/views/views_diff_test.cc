@@ -64,9 +64,7 @@ class ViewsDiffTest : public ::testing::Test {
     if (vids == nullptr) return facts;
     for (Vid vid : *vids) {
       if (engine_.versions().depth(vid) != 0) continue;
-      const std::vector<GroundApp>* apps = base.StateOf(vid)->Find(m);
-      if (apps == nullptr) continue;
-      for (const GroundApp& app : *apps) {
+      for (const GroundApp& app : base.StateOf(vid)->Find(m)) {
         facts.emplace_back(
             engine_.symbols().OidToString(engine_.versions().root(vid)),
             engine_.symbols().OidToString(app.result));
