@@ -1,7 +1,8 @@
-// Store backend throughput (src/store) and the restart economics the
+// Checkpoint store throughput (src/store) and the restart economics the
 // subsystem exists for:
 //
-//   * put/scan per backend — the raw component API cost;
+//   * put/scan — the raw component API cost (a put commits a whole-image
+//     rewrite);
 //   * BM_CheckpointAfterPointCommits / BM_CheckpointAfterFullChurn — a
 //     checkpoint writes the versions changed since the last one, so its
 //     cost follows the churn behind it: 32 one-object commits (what
@@ -47,8 +48,8 @@ constexpr const char* kDir = "/bench";
 
 std::string Key(size_t i) { return "b/key" + std::to_string(i); }
 
-std::unique_ptr<Store> MustOpen(StoreBackend backend, Env* env) {
-  Result<std::unique_ptr<Store>> store = OpenStore(backend, kDir, env);
+std::unique_ptr<Store> MustOpen(Env* env) {
+  Result<std::unique_ptr<Store>> store = Store::Open(kDir, env);
   return store.ok() ? std::move(store).value() : nullptr;
 }
 
@@ -64,9 +65,9 @@ Status Preload(Store& store, size_t n, size_t value_bytes) {
   return Status::Ok();
 }
 
-void BM_StorePut(benchmark::State& state, StoreBackend backend) {
+void BM_StorePut(benchmark::State& state) {
   FaultInjectingEnv env;
-  std::unique_ptr<Store> store = MustOpen(backend, &env);
+  std::unique_ptr<Store> store = MustOpen(&env);
   if (store == nullptr) {
     state.SkipWithError("open failed");
     return;
@@ -76,8 +77,7 @@ void BM_StorePut(benchmark::State& state, StoreBackend backend) {
   size_t next = 0;
   for (auto _ : state) {
     // One transaction of 8 puts over a rotating key window: overwrites
-    // dominate once the window wraps, so the page-log backend also pays
-    // its compaction amortization here.
+    // dominate once the window wraps.
     WriteTransaction txn = store->BeginWrite();
     for (size_t k = 0; k < 8; ++k) {
       txn.Put(Key(next), value);
@@ -91,14 +91,11 @@ void BM_StorePut(benchmark::State& state, StoreBackend backend) {
   }
   state.SetItemsProcessed(state.iterations() * 8);
 }
-BENCHMARK_CAPTURE(BM_StorePut, mem, StoreBackend::kMem)->Arg(256)->Arg(4096);
-BENCHMARK_CAPTURE(BM_StorePut, pagelog, StoreBackend::kPageLog)
-    ->Arg(256)
-    ->Arg(4096);
+BENCHMARK(BM_StorePut)->Arg(256)->Arg(4096);
 
-void BM_StoreScan(benchmark::State& state, StoreBackend backend) {
+void BM_StoreScan(benchmark::State& state) {
   FaultInjectingEnv env;
-  std::unique_ptr<Store> store = MustOpen(backend, &env);
+  std::unique_ptr<Store> store = MustOpen(&env);
   const size_t keys = static_cast<size_t>(state.range(0));
   if (store == nullptr || !Preload(*store, keys, 128).ok()) {
     state.SkipWithError("setup failed");
@@ -120,10 +117,7 @@ void BM_StoreScan(benchmark::State& state, StoreBackend backend) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(keys));
 }
-BENCHMARK_CAPTURE(BM_StoreScan, mem, StoreBackend::kMem)->Arg(256)->Arg(4096);
-BENCHMARK_CAPTURE(BM_StoreScan, pagelog, StoreBackend::kPageLog)
-    ->Arg(256)
-    ->Arg(4096);
+BENCHMARK(BM_StoreScan)->Arg(256)->Arg(4096);
 
 // ---- database-level restart economics --------------------------------------
 
@@ -131,11 +125,10 @@ BENCHMARK_CAPTURE(BM_StoreScan, pagelog, StoreBackend::kPageLog)
 /// four full-base update-churn rounds, so the WAL carries ~5x the base in
 /// replay work — the history a checkpoint folds away.
 std::unique_ptr<Database> BuildHistory(FaultInjectingEnv& env, Engine& engine,
-                                       StoreBackend backend, size_t objects) {
+                                       size_t objects) {
   DatabaseOptions options;
   options.env = &env;
   options.retry_backoff_us = 0;
-  options.store_backend = backend;
   Result<std::unique_ptr<Database>> db = Database::Open(kDir, engine, options);
   if (!db.ok()) return nullptr;
   ObjectBase base = engine.MakeBase();
@@ -167,13 +160,13 @@ std::unique_ptr<Database> BuildHistory(FaultInjectingEnv& env, Engine& engine,
 /// Timed checkpoints, each after `per_checkpoint` commits that run the
 /// `sources` programs in rotation with the timer paused; reports the
 /// store puts per checkpoint.
-void CheckpointAfter(benchmark::State& state, StoreBackend backend,
+void CheckpointAfter(benchmark::State& state,
                      const std::vector<std::string>& sources,
                      size_t per_checkpoint) {
   FaultInjectingEnv env;
   Engine engine;
-  std::unique_ptr<Database> db = BuildHistory(
-      env, engine, backend, static_cast<size_t>(state.range(0)));
+  std::unique_ptr<Database> db =
+      BuildHistory(env, engine, static_cast<size_t>(state.range(0)));
   std::vector<Program> programs;
   for (const std::string& source : sources) {
     Result<Program> program = ParseProgram(source, engine);
@@ -209,8 +202,7 @@ void CheckpointAfter(benchmark::State& state, StoreBackend backend,
                          benchmark::Counter::kAvgIterations);
 }
 
-void BM_CheckpointAfterPointCommits(benchmark::State& state,
-                                    StoreBackend backend) {
+void BM_CheckpointAfterPointCommits(benchmark::State& state) {
   // One-object salary bumps on a window that walks the base: every
   // checkpoint follows 32 commits on 32 objects.
   std::vector<std::string> bumps;
@@ -219,39 +211,26 @@ void BM_CheckpointAfterPointCommits(benchmark::State& state,
     bumps.push_back("r: mod[" + o + "].sal -> (S, S2) <- " + o +
                     ".sal -> S, S2 = S + 1.");
   }
-  CheckpointAfter(state, backend, bumps, 32);
+  CheckpointAfter(state, bumps, 32);
 }
-BENCHMARK_CAPTURE(BM_CheckpointAfterPointCommits, mem, StoreBackend::kMem)
-    ->Arg(256)
-    ->Arg(4096);
-BENCHMARK_CAPTURE(BM_CheckpointAfterPointCommits, pagelog,
-                  StoreBackend::kPageLog)
-    ->Arg(256)
-    ->Arg(4096);
+BENCHMARK(BM_CheckpointAfterPointCommits)->Arg(256)->Arg(4096);
 
-void BM_CheckpointAfterFullChurn(benchmark::State& state,
-                                 StoreBackend backend) {
+void BM_CheckpointAfterFullChurn(benchmark::State& state) {
   // One commit that raises every salary: every version changes.
-  CheckpointAfter(state, backend,
+  CheckpointAfter(state,
                   {"r: mod[E].sal -> (S, S2) <- E.isa -> thing, "
                    "E.sal -> S, S2 = S + 1."},
                   1);
 }
-BENCHMARK_CAPTURE(BM_CheckpointAfterFullChurn, mem, StoreBackend::kMem)
-    ->Arg(256)
-    ->Arg(4096);
-BENCHMARK_CAPTURE(BM_CheckpointAfterFullChurn, pagelog, StoreBackend::kPageLog)
-    ->Arg(256)
-    ->Arg(4096);
+BENCHMARK(BM_CheckpointAfterFullChurn)->Arg(256)->Arg(4096);
 
-void ColdOpen(benchmark::State& state, StoreBackend backend,
-              bool checkpointed) {
+void ColdOpen(benchmark::State& state, bool checkpointed) {
   FaultInjectingEnv env;
   size_t facts = 0;
   {
     Engine engine;
-    std::unique_ptr<Database> db = BuildHistory(
-        env, engine, backend, static_cast<size_t>(state.range(0)));
+    std::unique_ptr<Database> db =
+        BuildHistory(env, engine, static_cast<size_t>(state.range(0)));
     if (db == nullptr || (checkpointed && !db->Checkpoint().ok())) {
       state.SkipWithError("setup failed");
       return;
@@ -261,7 +240,6 @@ void ColdOpen(benchmark::State& state, StoreBackend backend,
   DatabaseOptions options;
   options.env = &env;
   options.retry_backoff_us = 0;
-  options.store_backend = backend;
   size_t replayed = 0;
   for (auto _ : state) {
     {
@@ -283,24 +261,14 @@ void ColdOpen(benchmark::State& state, StoreBackend backend,
                           static_cast<int64_t>(facts));
 }
 
-void BM_ColdOpenCheckpointed(benchmark::State& state, StoreBackend backend) {
-  ColdOpen(state, backend, /*checkpointed=*/true);
+void BM_ColdOpenCheckpointed(benchmark::State& state) {
+  ColdOpen(state, /*checkpointed=*/true);
 }
-void BM_ColdOpenFullWalReplay(benchmark::State& state, StoreBackend backend) {
-  ColdOpen(state, backend, /*checkpointed=*/false);
+void BM_ColdOpenFullWalReplay(benchmark::State& state) {
+  ColdOpen(state, /*checkpointed=*/false);
 }
-BENCHMARK_CAPTURE(BM_ColdOpenCheckpointed, mem, StoreBackend::kMem)
-    ->Arg(256)
-    ->Arg(4096);
-BENCHMARK_CAPTURE(BM_ColdOpenCheckpointed, pagelog, StoreBackend::kPageLog)
-    ->Arg(256)
-    ->Arg(4096);
-BENCHMARK_CAPTURE(BM_ColdOpenFullWalReplay, mem, StoreBackend::kMem)
-    ->Arg(256)
-    ->Arg(4096);
-BENCHMARK_CAPTURE(BM_ColdOpenFullWalReplay, pagelog, StoreBackend::kPageLog)
-    ->Arg(256)
-    ->Arg(4096);
+BENCHMARK(BM_ColdOpenCheckpointed)->Arg(256)->Arg(4096);
+BENCHMARK(BM_ColdOpenFullWalReplay)->Arg(256)->Arg(4096);
 
 /// Counts the fact operations the WAL in `env` logs and the distinct
 /// facts among them.

@@ -12,9 +12,10 @@
 # and DRed rederive probes), bench_obs (the always-on metrics
 # registry: fixpoint + commit workloads with metrics enabled vs the
 # registry-disabled ablation — the On/Off pairs bound the
-# instrumentation's overhead), bench_store (src/store backends:
-# put/scan, checkpoint cost, checkpointed cold-open vs full-WAL-replay
-# restart, and WAL-suffix replay with and without repeated facts),
+# instrumentation's overhead), bench_store (the src/store checkpoint
+# store: put/scan, checkpoint cost, checkpointed cold-open vs
+# full-WAL-replay restart, and WAL-suffix replay with and without
+# repeated facts),
 # bench_analysis (the static rule-program analyzer: full analysis runs
 # at 256-4096 generated rules and the prepare overhead it adds to a
 # Statement, on vs off), and bench_query (the derived-method query

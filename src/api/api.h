@@ -77,12 +77,6 @@ struct ConnectionOptions {
   /// Monotonic clock the WAL retry backoff sleeps through; nullptr means
   /// Clock::Default() (see DatabaseOptions::clock).
   Clock* clock = nullptr;
-  /// Checkpoint/recovery store backend for persistent connections
-  /// (src/store): kMem rewrites one whole-base image per checkpoint,
-  /// kPageLog appends O(delta) records and compacts itself. Reopen a
-  /// directory with the backend that checkpointed it. In-memory
-  /// connections ignore it.
-  StoreBackend store_backend = StoreBackend::kMem;
   /// When > 0, a commit that leaves the WAL at or past this many bytes
   /// triggers an automatic Checkpoint(), bounding recovery replay (see
   /// DatabaseOptions::checkpoint_wal_bytes). 0 disables.

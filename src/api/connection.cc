@@ -60,7 +60,6 @@ Result<std::unique_ptr<Connection>> Connection::Open(
   db_options.wal_retry_limit = options.wal_retry_limit;
   db_options.retry_backoff_us = options.retry_backoff_us;
   db_options.clock = options.clock;
-  db_options.store_backend = options.store_backend;
   db_options.checkpoint_wal_bytes = options.checkpoint_wal_bytes;
   VERSO_ASSIGN_OR_RETURN(conn->db_,
                          Database::Open(dir, *conn->engine_, db_options));

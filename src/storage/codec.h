@@ -20,7 +20,7 @@ namespace verso {
 ///
 /// Primitives: unsigned LEB128 varints, zigzag for signed, length-prefixed
 /// strings. Integrity (CRC, framing) is layered on top by the WAL frame
-/// (storage/wal.h), which the store backends reuse.
+/// (storage/wal.h), which the checkpoint store reuses.
 ///
 /// Decoding has one parser of fact images, ScanFact, which checks an
 /// image's bytes without interning anything; FactDecoder then resolves

@@ -120,17 +120,19 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
   std::unique_ptr<Database> db(new Database(dir, engine, options));
   StorageMetrics& smetrics = StorageMetrics::Get();
   Env* env = db->env_;
-  if (env->FileExists(dir + "/snapshot.vsnp")) {
-    // The pre-store checkpoint: its commits are in no store and no longer
-    // in the WAL, so recovering without it would lose them.
-    return Status::InvalidArgument(
-        "'" + dir + "' holds a snapshot.vsnp checkpoint, which this build "
-        "no longer reads");
+  for (const char* legacy : {"snapshot.vsnp", "store.plog"}) {
+    // A checkpoint this build does not read: its commits are in no
+    // store.img and no longer in the WAL, so recovering without it would
+    // lose them.
+    if (env->FileExists(dir + "/" + legacy)) {
+      return Status::InvalidArgument("'" + dir + "' holds a " + legacy +
+                                     " checkpoint, which this build no "
+                                     "longer reads");
+    }
   }
   VERSO_RETURN_IF_ERROR(env->EnsureDirectory(dir));
   const uint64_t recover_start = db->clock_->NowNanos();
-  VERSO_ASSIGN_OR_RETURN(db->store_,
-                         OpenStore(options.store_backend, dir, env));
+  VERSO_ASSIGN_OR_RETURN(db->store_, Store::Open(dir, env));
   Result<uint64_t> generation = db->store_->GetMeta("generation");
   size_t facts_decoded = 0;
   if (generation.ok()) {
@@ -534,8 +536,8 @@ Status Database::Checkpoint() {
     Status committed = txn.Commit();
     if (!committed.ok()) {
       // Nothing lost: the WAL still holds every commit and the store's
-      // maps (at the old generation) are untouched — both backends
-      // commit atomically. Stay healthy.
+      // maps (at the old generation) are untouched — a store commit is
+      // atomic. Stay healthy.
       ++stats_.io_failures;
       store_in_doubt_ = true;
       TraceFault("checkpoint-store", committed, 0, false);

@@ -62,12 +62,6 @@ struct DatabaseOptions {
   /// Storage-fault events (OnStorageFault) go here (not owned). The
   /// per-call TraceSink of Execute/ExecuteBatch traces evaluation only.
   TraceSink* trace = nullptr;
-  /// Checkpoint/recovery store backend (src/store): kMem rewrites one
-  /// whole-base image per checkpoint, kPageLog appends O(delta) records
-  /// and compacts itself. Fixed at open; reopen a directory with the
-  /// backend that checkpointed it (recovery reads the backend's own
-  /// file, it does not migrate between formats).
-  StoreBackend store_backend = StoreBackend::kMem;
   /// When > 0, a successful commit that leaves the WAL at or past this
   /// many bytes triggers an automatic Checkpoint(), bounding recovery
   /// replay to O(base + threshold) regardless of commit count.
@@ -92,14 +86,15 @@ struct StorageStats {
 /// A persistent object base: update-programs execute as transactions.
 ///
 /// Directory layout:
-///     <dir>/store.img | store.plog   checkpoint store (src/store; which
-///                                    file exists depends on the backend)
-///     <dir>/wal.log                  fact deltas committed since the
-///                                    last checkpoint
+///     <dir>/store.img   checkpoint store (src/store): the whole base
+///                       as of the last checkpoint, one image
+///     <dir>/wal.log     fact deltas committed since the last checkpoint
 ///
-/// Open() refuses a directory that holds `snapshot.vsnp`, the checkpoint
-/// image of builds before the store existed: replaying the WAL suffix
-/// without that checkpoint would build a state no commit produced.
+/// Open() refuses a directory that holds a checkpoint this build no
+/// longer reads — `snapshot.vsnp`, from builds before the store existed,
+/// or `store.plog`, the page-log store of builds that offered a second
+/// store — before it touches any file: replaying the WAL suffix without
+/// that checkpoint would build a state no commit produced.
 ///
 /// Open() recovers from the latest store generation — the base is stored
 /// one version per key under "b/", rebuilt by a single range scan that
@@ -209,7 +204,7 @@ class Database {
   /// since, and the bumped generation — then truncates the WAL behind
   /// it. O(changed versions), not O(base): the database keeps an O(1)
   /// copy of the base the store holds and diffs against it. Crash-safe:
-  /// both backends commit atomically and sync the commit before it
+  /// the store commits atomically and syncs the commit before it
   /// returns, and the WAL is removed only after; a crash between the two
   /// steps leaves store + stale WAL, which recovery replays idempotently
   /// (fact-level deltas have set semantics), losing nothing. A failed
@@ -307,7 +302,7 @@ class Database {
   /// suffix that nets to nothing leaves every state shared with it.
   ObjectBase checkpointed_;
   /// Set by a failed store commit, cleared by a successful one: the
-  /// store's file may then hold what its maps do not (a mem image renamed
+  /// store's file may then hold what its maps do not (an image renamed
   /// into place before a sync failed), so the next checkpoint commits even
   /// with nothing to write, and the commit rewrites it.
   bool store_in_doubt_ = false;

@@ -56,11 +56,10 @@ struct WalReadResult {
 Result<WalReadResult> ReadWal(const std::string& path, Env* env = nullptr);
 
 /// Encodes one frame — the exact byte image WalWriter::Append writes.
-/// Exposed so other persistence layers (src/store) frame their records
-/// identically and recover them with ReadWal: the page-log backend appends
-/// these frames, and the mem backend's image file is one such frame
-/// installed by atomic rename. Fails for payloads at or past the 1 GiB
-/// frame limit (the two high length bits are the tag).
+/// Exposed so the checkpoint store (src/store) frames its image
+/// identically and reads it back with ReadWal: `store.img` is one such
+/// frame installed by atomic rename. Fails for payloads at or past the
+/// 1 GiB frame limit (the two high length bits are the tag).
 Result<std::string> EncodeWalFrame(std::string_view payload);
 
 }  // namespace verso

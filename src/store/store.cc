@@ -1,136 +1,111 @@
 #include "store/store.h"
 
+#include <optional>
+#include <utility>
+
 #include "obs/metrics.h"
 #include "storage/codec.h"
-#include "store/internal.h"
-#include "store/mem_store.h"
-#include "store/page_log_store.h"
+#include "storage/wal.h"
 
 namespace verso {
 
-namespace store_internal {
+namespace {
 
-std::string EncodeOps(const std::vector<WriteTransaction::Op>& ops) {
-  BufferWriter writer;
-  writer.Varint(ops.size());
-  for (const WriteTransaction::Op& op : ops) {
-    writer.Byte(static_cast<uint8_t>(op.kind));
-    writer.Str(op.key);
-    switch (op.kind) {
-      case WriteTransaction::Op::Kind::kPut:
-        writer.Str(op.value);
-        break;
-      case WriteTransaction::Op::Kind::kDelete:
-        break;
-      case WriteTransaction::Op::Kind::kPutMeta:
-        writer.Varint(op.meta);
-        break;
-    }
-  }
-  return writer.Take();
-}
+using Kind = WriteTransaction::Op::Kind;
 
+/// On-disk format version. Every commit stamps it into the meta table
+/// (WriteTransaction::Commit adds the entry if the caller didn't), so any
+/// non-empty store names the format it was written by and a newer-format
+/// store is refused at open instead of misread.
+constexpr uint64_t kFormatVersion = 1;
+constexpr char kFormatMetaKey[] = "format";
+
+/// Image payload: varint entry count, then per entry a kind byte
+/// (WriteTransaction::Op::Kind: kPut or kPutMeta), the key, and the value
+/// (length-prefixed string for data, varint for meta): every data entry
+/// in key order, then every meta entry.
 std::string EncodeImage(const Store::DataMap& data,
                         const Store::MetaMap& meta) {
   BufferWriter writer;
   writer.Varint(data.size() + meta.size());
   for (const auto& [key, value] : data) {
-    writer.Byte(static_cast<uint8_t>(WriteTransaction::Op::Kind::kPut));
+    writer.Byte(static_cast<uint8_t>(Kind::kPut));
     writer.Str(key);
     writer.Str(value);
   }
   for (const auto& [name, value] : meta) {
-    writer.Byte(static_cast<uint8_t>(WriteTransaction::Op::Kind::kPutMeta));
+    writer.Byte(static_cast<uint8_t>(Kind::kPutMeta));
     writer.Str(name);
     writer.Varint(value);
   }
   return writer.Take();
 }
 
-Status ApplyRecord(std::string_view payload, Store::DataMap& data,
+Status DecodeImage(std::string_view payload, Store::DataMap& data,
                    Store::MetaMap& meta) {
   BufferReader reader(payload);
   VERSO_ASSIGN_OR_RETURN(uint64_t count, reader.Varint());
   for (uint64_t i = 0; i < count; ++i) {
     VERSO_ASSIGN_OR_RETURN(uint8_t kind, reader.Byte());
     VERSO_ASSIGN_OR_RETURN(std::string key, reader.Str());
-    switch (static_cast<WriteTransaction::Op::Kind>(kind)) {
-      case WriteTransaction::Op::Kind::kPut: {
+    switch (static_cast<Kind>(kind)) {
+      case Kind::kPut: {
         VERSO_ASSIGN_OR_RETURN(std::string value, reader.Str());
         data[std::move(key)] = std::move(value);
         break;
       }
-      case WriteTransaction::Op::Kind::kDelete:
-        data.erase(key);
-        break;
-      case WriteTransaction::Op::Kind::kPutMeta: {
+      case Kind::kPutMeta: {
         VERSO_ASSIGN_OR_RETURN(uint64_t value, reader.Varint());
         meta[std::move(key)] = value;
         break;
       }
-      default:
-        return Status::Corruption("store: unknown op kind " +
+      default:  // an image holds no deletes
+        return Status::Corruption("store: unknown entry kind " +
                                   std::to_string(kind));
     }
   }
   if (!reader.AtEnd()) {
     return Status::Corruption("store: record has trailing bytes");
   }
-  return Status::Ok();
-}
-
-Status CheckFormat(const Store::MetaMap& meta, const char* backend) {
-  auto it = meta.find(kFormatMetaKey);
-  if (it == meta.end()) {
+  auto format = meta.find(kFormatMetaKey);
+  if (format == meta.end()) {
     // Legal only for an empty store; a populated store always carries
     // the stamp (Commit adds it), so its absence means a damaged or
     // hand-edited meta table.
     if (meta.empty()) return Status::Ok();
-    return Status::Corruption(std::string(backend) +
-                              " store has meta entries but no format stamp");
+    return Status::Corruption("store has meta entries but no format stamp");
   }
-  if (it->second > kFormatVersion) {
+  if (format->second > kFormatVersion) {
     return Status::InvalidArgument(
-        std::string(backend) + " store has format version " +
-        std::to_string(it->second) + ", newer than this build's " +
-        std::to_string(kFormatVersion));
+        "store has format version " + std::to_string(format->second) +
+        ", newer than this build's " + std::to_string(kFormatVersion));
   }
   return Status::Ok();
 }
 
-Metrics& Metrics::Get() {
-  static Metrics* metrics =
-      new Metrics(MetricsRegistry::Global());  // never dies
-  return *metrics;
-}
+/// store.* handles into the global registry, bound once (registration
+/// takes a mutex; store ops must not).
+struct StoreMetrics {
+  Counter& puts;
+  Counter& deletes;
+  Counter& scans;
+  Counter& commits;
+  Histogram& commit_us;
 
-Metrics::Metrics(MetricsRegistry& registry)
-    : puts(registry.GetCounter("store.puts")),
-      deletes(registry.GetCounter("store.deletes")),
-      scans(registry.GetCounter("store.scans")),
-      commits(registry.GetCounter("store.commits")),
-      compactions(registry.GetCounter("store.compactions")),
-      commit_us(registry.GetHistogram("store.commit_us")) {}
-
-}  // namespace store_internal
-
-const char* StoreBackendName(StoreBackend backend) {
-  switch (backend) {
-    case StoreBackend::kMem:
-      return "mem";
-    case StoreBackend::kPageLog:
-      return "pagelog";
+  static StoreMetrics& Get() {
+    static StoreMetrics* metrics =
+        new StoreMetrics(MetricsRegistry::Global());  // never dies
+    return *metrics;
   }
-  return "unknown";
-}
+  explicit StoreMetrics(MetricsRegistry& registry)
+      : puts(registry.GetCounter("store.puts")),
+        deletes(registry.GetCounter("store.deletes")),
+        scans(registry.GetCounter("store.scans")),
+        commits(registry.GetCounter("store.commits")),
+        commit_us(registry.GetHistogram("store.commit_us")) {}
+};
 
-Result<StoreBackend> ParseStoreBackend(std::string_view name) {
-  if (name == "mem") return StoreBackend::kMem;
-  if (name == "pagelog") return StoreBackend::kPageLog;
-  return Status::InvalidArgument("unknown store backend '" +
-                                 std::string(name) +
-                                 "' (expected mem or pagelog)");
-}
+}  // namespace
 
 void WriteTransaction::Put(std::string key, std::string value) {
   ops_.push_back({Op::Kind::kPut, std::move(key), std::move(value), 0});
@@ -144,40 +119,6 @@ void WriteTransaction::PutMeta(std::string name, uint64_t value) {
   ops_.push_back({Op::Kind::kPutMeta, std::move(name), std::string(), value});
 }
 
-Status Store::Scan(std::string_view prefix, const ScanFn& fn) const {
-  store_internal::Metrics::Get().scans.Add();
-  for (auto it = data_.lower_bound(prefix); it != data_.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    VERSO_RETURN_IF_ERROR(fn(it->first, it->second));
-  }
-  return Status::Ok();
-}
-
-Result<uint64_t> Store::GetMeta(std::string_view name) const {
-  auto it = meta_.find(name);
-  if (it == meta_.end()) {
-    return Status::NotFound("no store meta entry for name");
-  }
-  return it->second;
-}
-
-void Store::ApplyOps(const WriteTransaction& txn, DataMap& data,
-                     MetaMap& meta) {
-  for (const WriteTransaction::Op& op : txn.ops()) {
-    switch (op.kind) {
-      case WriteTransaction::Op::Kind::kPut:
-        data[op.key] = op.value;
-        break;
-      case WriteTransaction::Op::Kind::kDelete:
-        data.erase(op.key);
-        break;
-      case WriteTransaction::Op::Kind::kPutMeta:
-        meta[op.key] = op.meta;
-        break;
-    }
-  }
-}
-
 Status WriteTransaction::Commit() {
   if (committed_) {
     return Status::InvalidArgument("write transaction already committed");
@@ -186,18 +127,15 @@ Status WriteTransaction::Commit() {
   // store names the format that wrote it.
   bool stamped = false;
   for (const Op& op : ops_) {
-    if (op.kind == Op::Kind::kPutMeta &&
-        op.key == store_internal::kFormatMetaKey) {
+    if (op.kind == Op::Kind::kPutMeta && op.key == kFormatMetaKey) {
       stamped = true;
       break;
     }
   }
-  if (!stamped) {
-    PutMeta(store_internal::kFormatMetaKey, store_internal::kFormatVersion);
-  }
-  store_internal::Metrics& metrics = store_internal::Metrics::Get();
+  if (!stamped) PutMeta(kFormatMetaKey, kFormatVersion);
+  StoreMetrics& metrics = StoreMetrics::Get();
   ScopedTimer timer(MetricsRegistry::Global(), metrics.commit_us);
-  VERSO_RETURN_IF_ERROR(store_->ApplyCommit(*this));
+  VERSO_RETURN_IF_ERROR(store_->Apply(*this));
   committed_ = true;
   metrics.commits.Add();
   for (const Op& op : ops_) {
@@ -215,26 +153,87 @@ Status WriteTransaction::Commit() {
   return Status::Ok();
 }
 
-Result<std::unique_ptr<Store>> OpenStore(StoreBackend backend,
-                                         const std::string& dir, Env* env) {
+Result<std::unique_ptr<Store>> Store::Open(const std::string& dir, Env* env) {
   if (dir.empty()) {
     return Status::InvalidArgument("store directory must not be empty");
   }
   if (env == nullptr) env = Env::Default();
   VERSO_RETURN_IF_ERROR(env->EnsureDirectory(dir));
-  switch (backend) {
-    case StoreBackend::kMem: {
-      VERSO_ASSIGN_OR_RETURN(std::unique_ptr<MemStore> store,
-                             MemStore::Open(dir, env));
-      return std::unique_ptr<Store>(std::move(store));
+  std::unique_ptr<Store> store(new Store(dir + "/store.img", env));
+  if (env->FileExists(store->path_)) {
+    // The image is exactly one frame; WriteFileAtomic installed it, so
+    // anything else — a torn frame, trailing bytes, several frames — is
+    // damage, not a crash artifact, and must fail the open. That holds
+    // for a power cut too: the image is synced before its rename, so the
+    // name cannot reach disk ahead of the bytes, and a zero-filled tail
+    // (a length that reached disk before its data) cannot be installed.
+    VERSO_ASSIGN_OR_RETURN(WalReadResult image, ReadWal(store->path_, env));
+    if (image.truncated_tail || image.records.size() != 1) {
+      return Status::Corruption("store image '" + store->path_ +
+                                "' is damaged");
     }
-    case StoreBackend::kPageLog: {
-      VERSO_ASSIGN_OR_RETURN(std::unique_ptr<PageLogStore> store,
-                             PageLogStore::Open(dir, env));
-      return std::unique_ptr<Store>(std::move(store));
+    VERSO_RETURN_IF_ERROR(
+        DecodeImage(image.records[0], store->data_, store->meta_));
+  }
+  return store;
+}
+
+Status Store::Scan(std::string_view prefix, const ScanFn& fn) const {
+  StoreMetrics::Get().scans.Add();
+  for (auto it = data_.lower_bound(prefix); it != data_.end(); ++it) {
+    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
+    VERSO_RETURN_IF_ERROR(fn(it->first, it->second));
+  }
+  return Status::Ok();
+}
+
+Result<uint64_t> Store::GetMeta(std::string_view name) const {
+  auto it = meta_.find(name);
+  if (it == meta_.end()) {
+    return Status::NotFound("no store meta entry for name");
+  }
+  return it->second;
+}
+
+Status Store::Apply(const WriteTransaction& txn) {
+  // The ops go into the live maps in place, each data op remembering the
+  // entry it replaced (meta holds a handful of entries and is copied);
+  // a failed write puts them back in reverse order, so the maps (and the
+  // old image, untouched by WriteFileAtomic) end exactly as they were.
+  // No copy of the data map: a commit costs its ops plus the image encode.
+  MetaMap meta = meta_;
+  std::vector<std::pair<const std::string*, std::optional<std::string>>> undo;
+  for (const WriteTransaction::Op& op : txn.ops()) {
+    if (op.kind == Kind::kPutMeta) {
+      meta_[op.key] = op.meta;
+      continue;
+    }
+    auto it = data_.find(op.key);
+    if (it == data_.end()) {
+      undo.emplace_back(&op.key, std::nullopt);
+      if (op.kind == Kind::kPut) data_.emplace(op.key, op.value);
+      continue;
+    }
+    undo.emplace_back(&op.key, std::move(it->second));
+    if (op.kind == Kind::kPut) {
+      it->second = op.value;
+    } else {
+      data_.erase(it);
     }
   }
-  return Status::InvalidArgument("unknown store backend");
+  Result<std::string> frame = EncodeWalFrame(EncodeImage(data_, meta_));
+  Status written =
+      frame.ok() ? env_->WriteFileAtomic(path_, *frame) : frame.status();
+  if (written.ok()) return Status::Ok();
+  meta_ = std::move(meta);
+  for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
+    if (it->second.has_value()) {
+      data_[*it->first] = std::move(*it->second);
+    } else {
+      data_.erase(*it->first);
+    }
+  }
+  return written;
 }
 
 }  // namespace verso

@@ -7,34 +7,13 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/io.h"
 #include "util/result.h"
 
 namespace verso {
-
-/// Which Store implementation backs a database directory.
-enum class StoreBackend : uint8_t {
-  /// Every commit applies its ops to the maps in place and rewrites
-  /// `<dir>/store.img` — one CRC'd WAL frame holding the whole image —
-  /// synced, then installed by atomic rename, then the directory synced.
-  /// O(base) bytes per commit however few ops it carries, simplest crash
-  /// story (the rename is the only commit point): the right trade for
-  /// small bases.
-  kMem = 0,
-  /// Append-only page log `<dir>/store.plog`: each commit appends one
-  /// CRC'd WAL frame of put/delete ops and syncs it, the maps are rebuilt
-  /// by replay on open, and the log compacts itself once dead bytes
-  /// dominate. O(delta) per commit — the backend shape for bases that
-  /// outgrow whole-image rewrites.
-  kPageLog = 1,
-};
-
-/// "mem" / "pagelog" — stable names used by env knobs and test output.
-const char* StoreBackendName(StoreBackend backend);
-/// Inverse of StoreBackendName; kInvalidArgument for unknown names.
-Result<StoreBackend> ParseStoreBackend(std::string_view name);
 
 class Store;
 
@@ -44,6 +23,7 @@ class Store;
 class WriteTransaction {
  public:
   struct Op {
+    /// kPut and kPutMeta are also the entry kind bytes of the image.
     enum class Kind : uint8_t { kPut = 0, kDelete = 1, kPutMeta = 2 };
     Kind kind;
     std::string key;
@@ -61,9 +41,8 @@ class WriteTransaction {
   void PutMeta(std::string name, uint64_t value);
 
   /// Makes the staged ops durable (synced) and visible, in staging
-  /// order, through the owning backend. At most once per transaction; a
-  /// failed commit, a failed sync included, leaves the store's maps
-  /// unchanged (both backends commit atomically) and the transaction may
+  /// order. At most once per transaction; a failed commit, a failed sync
+  /// included, leaves the store's maps unchanged and the transaction may
   /// not be retried — stage a fresh one.
   Status Commit();
 
@@ -91,8 +70,13 @@ using ScanFn =
 /// key) and tracks its checkpoint generation in the meta table; the
 /// evaluator never sees the store.
 ///
-/// Both backends serve reads from the same in-memory maps, held here; a
-/// backend only loads them at open and makes each commit durable.
+/// Reads are served from in-memory maps. Every commit applies its ops to
+/// them in place and rewrites `<dir>/store.img` — one CRC'd WAL frame
+/// holding the whole image — installed by Env::WriteFileAtomic: the image
+/// is synced, renamed into place, then the directory synced. The rename
+/// is the only commit point, so a crash anywhere leaves the old image or
+/// the new one, never a blend, and a failed write undoes the in-place
+/// apply.
 ///
 /// Not thread-safe; one writer per directory (the embedded contract the
 /// Database layer already imposes).
@@ -103,10 +87,14 @@ class Store {
   using DataMap = std::map<std::string, std::string, std::less<>>;
   using MetaMap = std::map<std::string, uint64_t, std::less<>>;
 
-  virtual ~Store() = default;
-
-  /// StoreBackendName of this backend.
-  virtual const char* name() const = 0;
+  /// Opens the store rooted in `dir` (created if needed; every byte
+  /// through `env`, nullptr = Env::Default()). Refuses an empty `dir`
+  /// (kInvalidArgument), an image that is not exactly one intact frame
+  /// (kCorruption: the image is the checkpoint of record, so damage must
+  /// not read as an empty store), and an image whose format version is
+  /// newer than this build understands (kInvalidArgument).
+  static Result<std::unique_ptr<Store>> Open(const std::string& dir,
+                                             Env* env = nullptr);
 
   WriteTransaction BeginWrite() { return WriteTransaction(this); }
 
@@ -118,26 +106,19 @@ class Store {
   /// Live data keys (meta entries not counted).
   size_t key_count() const { return data_.size(); }
 
- protected:
+ private:
   friend class WriteTransaction;
-  /// Applies one staged batch atomically: durable first, visible after.
-  virtual Status ApplyCommit(const WriteTransaction& txn) = 0;
-  /// Applies `txn`'s ops to the maps in staging order (deletes of absent
-  /// keys are no-ops).
-  static void ApplyOps(const WriteTransaction& txn, DataMap& data,
-                       MetaMap& meta);
+  Store(std::string path, Env* env) : path_(std::move(path)), env_(env) {}
 
+  /// Applies one staged batch to the maps and rewrites the image; a
+  /// failed write undoes the apply.
+  Status Apply(const WriteTransaction& txn);
+
+  std::string path_;
+  Env* env_;
   DataMap data_;
   MetaMap meta_;
 };
-
-/// Opens the chosen backend rooted in `dir` (created if needed; every
-/// byte through `env`, nullptr = Env::Default()). Refuses an empty `dir`
-/// (kInvalidArgument), and a store whose on-disk format version is newer
-/// than this build understands.
-Result<std::unique_ptr<Store>> OpenStore(StoreBackend backend,
-                                         const std::string& dir,
-                                         Env* env = nullptr);
 
 }  // namespace verso
 

@@ -46,14 +46,14 @@ std::string DirName(const std::string& path) {
 Status Env::WriteFileAtomic(const std::string& path,
                             std::string_view contents) {
   std::string tmp = path + ".tmp";
-  VERSO_RETURN_IF_ERROR(WriteFile(tmp, contents));
+  Status status = WriteFile(tmp, contents);
   // The data first: a rename that reached disk ahead of it could install
   // a name over unwritten (zero-filled) blocks after a power cut.
-  Status status = SyncFile(tmp);
+  if (status.ok()) status = SyncFile(tmp);
   if (status.ok()) status = RenameFile(tmp, path);
   if (!status.ok()) {
-    // Best-effort cleanup; the sync or rename error is what the caller
-    // acts on.
+    // Best-effort cleanup; the write, sync or rename error is what the
+    // caller acts on.
     RemoveFile(tmp);
     return status;
   }

@@ -14,13 +14,15 @@ namespace verso {
 /// backend (util/fault_env.h) and prove crash-recovery properties without
 /// a real disk. PosixEnv is the production backend; Env::Default() returns
 /// a process-wide PosixEnv.
-////// Durability: AppendFile/WriteFile flush to the OS before returning, so
+///
+/// Durability: AppendFile/WriteFile flush to the OS before returning, so
 /// a process crash loses only an in-flight operation (a short write), and
 /// the torture harness crashes both between and inside operations. A
 /// power cut can also lose flushed bytes that no sync covered: SyncFile
 /// makes one file's data durable and SyncDir its directory's entries
-/// (creates, renames, removes). WriteFileAtomic and the checkpoint store
-/// sync before the WAL they fold is removed; WAL appends are not synced.
+/// (creates, renames, removes). The checkpoint store installs its image
+/// with WriteFileAtomic, which syncs, before the WAL it folds is removed;
+/// WAL appends are not synced.
 class Env {
  public:
   virtual ~Env() = default;
@@ -66,7 +68,9 @@ class Env {
   /// the directory, so readers observe either the old or the new
   /// contents, never a torn file, and the new name never reaches disk
   /// ahead of its data. Built on the primitives above, so fault injection
-  /// sees every step separately.
+  /// sees every step separately. On failure the temp sibling is removed
+  /// (best-effort), so a short write does not hold the space the next
+  /// attempt needs.
   Status WriteFileAtomic(const std::string& path, std::string_view contents);
 
   /// The process-wide real-filesystem backend.

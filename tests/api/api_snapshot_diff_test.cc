@@ -220,24 +220,22 @@ TEST(ApiSnapshotDiffTest, PinnedReadsSurviveOneHundredCommits) {
             EvalFromScratch(kGradeRules, head->base(), conn));
 }
 
-TEST(ApiSnapshotDiffTest, StoreBackendsStayBitIdentical) {
-  // Three lanes run the same transaction script: an ephemeral in-memory
-  // connection and one persistent connection per store backend. After
-  // every commit the committed base and the live view result must render
-  // bit-identically across all lanes; at the end each persistent lane
-  // checkpoints, reopens cold, and must still match.
+TEST(ApiSnapshotDiffTest, PersistentConnectionStaysBitIdenticalToEphemeral) {
+  // Two lanes run the same transaction script: an ephemeral in-memory
+  // connection and a persistent one. After every commit the committed
+  // base and the live view result must render bit-identically in both;
+  // at the end the persistent lane checkpoints, reopens cold, and must
+  // still match.
   struct Lane {
     const char* name;
     bool persistent;
-    StoreBackend backend;
     std::unique_ptr<FaultInjectingEnv> env;
     std::unique_ptr<Connection> conn;
     std::unique_ptr<Session> session;
   };
   Lane lanes[] = {
-      {"ephemeral", false, StoreBackend::kMem, nullptr, nullptr, nullptr},
-      {"mem", true, StoreBackend::kMem, nullptr, nullptr, nullptr},
-      {"pagelog", true, StoreBackend::kPageLog, nullptr, nullptr, nullptr},
+      {"ephemeral", false, nullptr, nullptr, nullptr},
+      {"persistent", true, nullptr, nullptr, nullptr},
   };
 
   std::string base_text;
@@ -255,7 +253,6 @@ TEST(ApiSnapshotDiffTest, StoreBackendsStayBitIdentical) {
       ConnectionOptions options;
       options.env = lane.env.get();
       options.retry_backoff_us = 0;
-      options.store_backend = lane.backend;
       Result<std::unique_ptr<Connection>> opened =
           Connection::Open("/db", options);
       ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -316,7 +313,7 @@ TEST(ApiSnapshotDiffTest, StoreBackendsStayBitIdentical) {
     }
   }
 
-  // Checkpoint + cold reopen: the recovered persistent lanes must still
+  // Checkpoint + cold reopen: the recovered persistent lane must still
   // render exactly like the ephemeral reference.
   lanes[0].session = lanes[0].conn->OpenSession();
   const std::string reference = lane_render(lanes[0]);
@@ -329,7 +326,6 @@ TEST(ApiSnapshotDiffTest, StoreBackendsStayBitIdentical) {
     ConnectionOptions options;
     options.env = lane.env.get();
     options.retry_backoff_us = 0;
-    options.store_backend = lane.backend;
     Result<std::unique_ptr<Connection>> reopened =
         Connection::Open("/db", options);
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();

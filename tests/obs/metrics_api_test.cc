@@ -490,7 +490,6 @@ TEST(MetricsApiTest, RecoveryAndCheckpointCountersAreReported) {
   ConnectionOptions options;
   options.env = &env;
   options.retry_backoff_us = 0;
-  options.store_backend = StoreBackend::kPageLog;
   {
     Result<std::unique_ptr<Connection>> conn =
         Connection::Open("/db", options);

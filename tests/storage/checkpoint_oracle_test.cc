@@ -13,8 +13,7 @@
 // checkpoints whose store commit fails under an injected I/O fault,
 // followed by one that succeeds. A checkpoint with nothing to write
 // makes no store commit, unless the last one failed: it removes the WAL
-// and keeps the generation, which counts store commits. Both store
-// backends run every sequence.
+// and keeps the generation, which counts store commits.
 
 #include <gtest/gtest.h>
 
@@ -105,11 +104,10 @@ struct Coverage {
 /// every checkpoint.
 class CheckpointOracle {
  public:
-  CheckpointOracle(StoreBackend backend, uint64_t seed, Coverage& coverage)
-      : backend_(backend), rng_{seed * 2 + 1}, coverage_(coverage) {
+  CheckpointOracle(uint64_t seed, Coverage& coverage)
+      : rng_{seed * 2 + 1}, coverage_(coverage) {
     options_.env = &env_;
     options_.retry_backoff_us = 0;
-    options_.store_backend = backend;
   }
 
   void Run() {
@@ -294,8 +292,7 @@ class CheckpointOracle {
     EXPECT_EQ(Stored(*db_->store()), expected);
     // The store's file reads back the same records.
     std::unique_ptr<FaultInjectingEnv> disk = env_.CloneSurvivingFiles();
-    Result<std::unique_ptr<Store>> reread =
-        OpenStore(backend_, "/db", disk.get());
+    Result<std::unique_ptr<Store>> reread = Store::Open("/db", disk.get());
     ASSERT_TRUE(reread.ok()) << reread.status().ToString();
     EXPECT_EQ(Stored(**reread), expected);
     EXPECT_EQ(registry.GetCounter("store.puts").value() - puts +
@@ -329,20 +326,12 @@ class CheckpointOracle {
       uint64_t nth;
       size_t partial;
     };
-    static const Point kMemPoints[] = {
+    static const Point kPoints[] = {
         {OpFilter::kWrite, 0, 0},   {OpFilter::kWrite, 0, 5},
         {OpFilter::kSync, 0, 0},    {OpFilter::kRename, 0, 0},
         {OpFilter::kRename, 0, 1},  {OpFilter::kSync, 1, 0},
     };
-    static const Point kPageLogPoints[] = {
-        {OpFilter::kAppend, 0, 0},
-        {OpFilter::kAppend, 0, 5},
-        {OpFilter::kSync, 0, 0},
-    };
-    const bool mem = backend_ == StoreBackend::kMem;
-    const Point& point =
-        mem ? kMemPoints[rng_.Next(std::size(kMemPoints))]
-            : kPageLogPoints[rng_.Next(std::size(kPageLogPoints))];
+    const Point& point = kPoints[rng_.Next(std::size(kPoints))];
     const size_t records = db_->wal_records_since_checkpoint();
     const uint64_t generation = db_->checkpoint_generation();
     FaultInjectingEnv::FaultPlan plan;
@@ -377,7 +366,6 @@ class CheckpointOracle {
     ++coverage_.failed_checkpoints;
   }
 
-  StoreBackend backend_;
   Lcg rng_;
   FaultInjectingEnv env_;
   DatabaseOptions options_;
@@ -395,34 +383,29 @@ class CheckpointOracle {
 };
 
 TEST(CheckpointOracleTest, StoreEqualsAFromScratchEncodingAfterEveryCheckpoint) {
-  for (StoreBackend backend : {StoreBackend::kMem, StoreBackend::kPageLog}) {
-    Coverage coverage;
-    for (uint64_t seed : kSeeds) {
-      SCOPED_TRACE(std::string(StoreBackendName(backend)) + " seed " +
-                   std::to_string(seed));
-      CheckpointOracle(backend, seed, coverage).Run();
-      if (::testing::Test::HasFailure()) return;
-    }
-    SCOPED_TRACE(StoreBackendName(backend));
-    EXPECT_GT(coverage.checkpoints, 0u);
-    EXPECT_GT(coverage.failed_checkpoints, 0u);
-    EXPECT_GT(coverage.noop_checkpoints, 0u);
-    EXPECT_GT(coverage.reopens, 0u);
-    EXPECT_GT(coverage.batches, 0u);
-    EXPECT_GT(coverage.deletes, 0u);
-    EXPECT_GT(coverage.equal_by_value, 0u);
-    std::printf("%s: %llu checkpoints (%llu failed first, %llu with "
-                "nothing to write), %llu reopens, %llu batches, %llu "
-                "deletes, %llu equal-by-value rebuilds\n",
-                StoreBackendName(backend),
-                static_cast<unsigned long long>(coverage.checkpoints),
-                static_cast<unsigned long long>(coverage.failed_checkpoints),
-                static_cast<unsigned long long>(coverage.noop_checkpoints),
-                static_cast<unsigned long long>(coverage.reopens),
-                static_cast<unsigned long long>(coverage.batches),
-                static_cast<unsigned long long>(coverage.deletes),
-                static_cast<unsigned long long>(coverage.equal_by_value));
+  Coverage coverage;
+  for (uint64_t seed : kSeeds) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    CheckpointOracle(seed, coverage).Run();
+    if (::testing::Test::HasFailure()) return;
   }
+  EXPECT_GT(coverage.checkpoints, 0u);
+  EXPECT_GT(coverage.failed_checkpoints, 0u);
+  EXPECT_GT(coverage.noop_checkpoints, 0u);
+  EXPECT_GT(coverage.reopens, 0u);
+  EXPECT_GT(coverage.batches, 0u);
+  EXPECT_GT(coverage.deletes, 0u);
+  EXPECT_GT(coverage.equal_by_value, 0u);
+  std::printf("%llu checkpoints (%llu failed first, %llu with nothing to "
+              "write), %llu reopens, %llu batches, %llu deletes, %llu "
+              "equal-by-value rebuilds\n",
+              static_cast<unsigned long long>(coverage.checkpoints),
+              static_cast<unsigned long long>(coverage.failed_checkpoints),
+              static_cast<unsigned long long>(coverage.noop_checkpoints),
+              static_cast<unsigned long long>(coverage.reopens),
+              static_cast<unsigned long long>(coverage.batches),
+              static_cast<unsigned long long>(coverage.deletes),
+              static_cast<unsigned long long>(coverage.equal_by_value));
 }
 
 }  // namespace

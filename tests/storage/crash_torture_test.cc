@@ -12,7 +12,6 @@
 //   VERSO_TORTURE_SEED           workload seed            (default 12345)
 //   VERSO_TORTURE_OP_STRIDE      crash-op sampling stride (default 1)
 //   VERSO_TORTURE_PREFIX_STRIDE  WAL byte-prefix stride   (default 1)
-//   VERSO_TORTURE_BACKEND        "mem" / "pagelog"        (default: both)
 
 #include <gtest/gtest.h>
 
@@ -88,23 +87,10 @@ std::vector<std::string> MakeWorkload(uint64_t seed) {
   return txns;
 }
 
-/// Backends the sweep runs against — both by default, narrowable via the
-/// VERSO_TORTURE_BACKEND knob so CI can split them across matrix jobs.
-std::vector<StoreBackend> TortureBackends() {
-  const char* value = std::getenv("VERSO_TORTURE_BACKEND");
-  if (value == nullptr || *value == '\0') {
-    return {StoreBackend::kMem, StoreBackend::kPageLog};
-  }
-  Result<StoreBackend> parsed = ParseStoreBackend(value);
-  EXPECT_TRUE(parsed.ok()) << "bad VERSO_TORTURE_BACKEND: " << value;
-  return {parsed.ok() ? *parsed : StoreBackend::kMem};
-}
-
-ConnectionOptions TortureOptions(Env* env, StoreBackend backend) {
+ConnectionOptions TortureOptions(Env* env) {
   ConnectionOptions options;
   options.env = env;
   options.retry_backoff_us = 0;
-  options.store_backend = backend;
   return options;
 }
 
@@ -147,9 +133,9 @@ struct Reference {
 /// failure (after a crash fault everything fails). When `ref` is given,
 /// records expected states; `checkpoint_at` < 0 disables the checkpoint.
 size_t RunWorkload(FaultInjectingEnv& env, const std::vector<std::string>& txns,
-                   int checkpoint_at, StoreBackend backend, Reference* ref) {
+                   int checkpoint_at, Reference* ref) {
   Result<std::unique_ptr<Connection>> conn =
-      Connection::Open(kDir, TortureOptions(&env, backend));
+      Connection::Open(kDir, TortureOptions(&env));
   if (!conn.ok()) return 0;
   auto session = (*conn)->OpenSession();
   if (!session->Execute(kViewDdl).ok()) return 0;
@@ -223,9 +209,9 @@ size_t RunWorkload(FaultInjectingEnv& env, const std::vector<std::string>& txns,
 /// committed transactions. Returns that prefix length k (nullopt = the
 /// recovered state matched NO committed prefix: atomicity is broken).
 std::optional<size_t> RecoverAndMatch(Env* disk, const Reference& ref,
-                                      StoreBackend backend, bool check_view) {
+                                      bool check_view) {
   Result<std::unique_ptr<Connection>> conn =
-      Connection::Open(kDir, TortureOptions(disk, backend));
+      Connection::Open(kDir, TortureOptions(disk));
   if (!conn.ok()) {
     ADD_FAILURE() << "recovery failed: " << conn.status().ToString();
     return std::nullopt;
@@ -265,11 +251,11 @@ std::optional<size_t> RecoverAndMatch(Env* disk, const Reference& ref,
 /// Opens a disk that holds only `wal` as the WAL. Returns the recovered
 /// record count and base rendering (nullopt = recovery failed).
 std::optional<std::pair<size_t, std::string>> RecoverWal(
-    const std::string& wal, StoreBackend backend) {
+    const std::string& wal) {
   FaultInjectingEnv env;
   env.SetFileContents(std::string(kDir) + "/wal.log", wal);
   Result<std::unique_ptr<Connection>> conn =
-      Connection::Open(kDir, TortureOptions(&env, backend));
+      Connection::Open(kDir, TortureOptions(&env));
   if (!conn.ok()) {
     ADD_FAILURE() << "recovery failed: " << conn.status().ToString();
     return std::nullopt;
@@ -284,44 +270,38 @@ TEST(CrashTortureTest, CrashAtEveryMutatingOpRecoversToACommittedPrefix) {
   const std::vector<std::string> txns = MakeWorkload(seed);
   const int checkpoint_at = static_cast<int>(txns.size()) / 2;
 
-  for (StoreBackend backend : TortureBackends()) {
-    SCOPED_TRACE(std::string("backend ") + StoreBackendName(backend));
-    // Fault-free reference run: records the committed-prefix truth and
-    // the size of the crash-point space (and validates subscription
-    // replay). The op space differs per backend — the page-log store
-    // appends (and may compact), the mem store rewrites one image — so
-    // each backend sweeps its own space, which for pagelog includes the
-    // mid-checkpoint WAL-truncation windows behind a live store log.
-    FaultInjectingEnv clean;
-    Reference ref;
-    size_t all = RunWorkload(clean, txns, checkpoint_at, backend, &ref);
-    ASSERT_EQ(all, txns.size());
-    ASSERT_EQ(ref.states.size(), txns.size() + 1);
-    ASSERT_GT(ref.total_ops, 0u);
+  // Fault-free reference run: records the committed-prefix truth and
+  // the size of the crash-point space (and validates subscription
+  // replay).
+  FaultInjectingEnv clean;
+  Reference ref;
+  size_t all = RunWorkload(clean, txns, checkpoint_at, &ref);
+  ASSERT_EQ(all, txns.size());
+  ASSERT_EQ(ref.states.size(), txns.size() + 1);
+  ASSERT_GT(ref.total_ops, 0u);
 
-    // Crash at every mutating I/O point, twice: once with nothing of the
-    // crashing op landing, once with a partial payload (short write / the
-    // op completing right before the crash).
-    for (uint64_t op = 0; op < ref.total_ops; op += stride) {
-      for (size_t partial : {size_t{0}, size_t{6}}) {
-        SCOPED_TRACE("crash at op " + std::to_string(op) + " partial " +
-                     std::to_string(partial) + " seed " +
-                     std::to_string(seed));
-        FaultInjectingEnv env;
-        FaultInjectingEnv::FaultPlan plan;
-        plan.fail_at = op;
-        plan.kind = FaultKind::kCrash;
-        plan.partial_bytes = partial;
-        env.SetPlan(plan);
-        size_t acked = RunWorkload(env, txns, checkpoint_at, backend, nullptr);
-        ASSERT_TRUE(env.crashed());
-        auto disk = env.CloneSurvivingFiles();
-        std::optional<size_t> k = RecoverAndMatch(disk.get(), ref, backend,
-                                                  /*check_view=*/true);
-        ASSERT_TRUE(k.has_value());
-        // Durability: every acknowledged commit survived the crash.
-        EXPECT_GE(*k, acked) << "acked commit lost";
-      }
+  // Crash at every mutating I/O point, twice: once with nothing of the
+  // crashing op landing, once with a partial payload (short write / the
+  // op completing right before the crash).
+  for (uint64_t op = 0; op < ref.total_ops; op += stride) {
+    for (size_t partial : {size_t{0}, size_t{6}}) {
+      SCOPED_TRACE("crash at op " + std::to_string(op) + " partial " +
+                   std::to_string(partial) + " seed " +
+                   std::to_string(seed));
+      FaultInjectingEnv env;
+      FaultInjectingEnv::FaultPlan plan;
+      plan.fail_at = op;
+      plan.kind = FaultKind::kCrash;
+      plan.partial_bytes = partial;
+      env.SetPlan(plan);
+      size_t acked = RunWorkload(env, txns, checkpoint_at, nullptr);
+      ASSERT_TRUE(env.crashed());
+      auto disk = env.CloneSurvivingFiles();
+      std::optional<size_t> k =
+          RecoverAndMatch(disk.get(), ref, /*check_view=*/true);
+      ASSERT_TRUE(k.has_value());
+      // Durability: every acknowledged commit survived the crash.
+      EXPECT_GE(*k, acked) << "acked commit lost";
     }
   }
 }
@@ -331,68 +311,64 @@ TEST(CrashTortureTest, EveryWalBytePrefixRecoversToACommittedPrefix) {
   const uint64_t stride = EnvKnob("VERSO_TORTURE_PREFIX_STRIDE", 1);
   const std::vector<std::string> txns = MakeWorkload(seed);
 
-  for (StoreBackend backend : TortureBackends()) {
-    SCOPED_TRACE(std::string("backend ") + StoreBackendName(backend));
-    // Reference run WITHOUT a checkpoint, so the WAL alone carries every
-    // transaction and truncating it to L bytes models a crash with
-    // exactly L bytes durable.
-    FaultInjectingEnv clean;
-    Reference ref;
-    ASSERT_EQ(RunWorkload(clean, txns, /*checkpoint_at=*/-1, backend, &ref),
-              txns.size());
-    ASSERT_FALSE(ref.wal_bytes.empty());
+  // Reference run WITHOUT a checkpoint, so the WAL alone carries every
+  // transaction and truncating it to L bytes models a crash with
+  // exactly L bytes durable.
+  FaultInjectingEnv clean;
+  Reference ref;
+  ASSERT_EQ(RunWorkload(clean, txns, /*checkpoint_at=*/-1, &ref),
+            txns.size());
+  ASSERT_FALSE(ref.wal_bytes.empty());
 
-    std::vector<size_t> lengths;
-    for (size_t len = 0; len < ref.wal_bytes.size(); len += stride) {
-      lengths.push_back(len);
-    }
-    lengths.push_back(ref.wal_bytes.size());  // the stride never skips "all"
-
-    size_t last_records = 0;
-    for (size_t len : lengths) {
-      SCOPED_TRACE("wal prefix " + std::to_string(len) + "/" +
-                   std::to_string(ref.wal_bytes.size()) + " bytes, seed " +
-                   std::to_string(seed));
-      const std::string prefix = ref.wal_bytes.substr(0, len);
-      auto bare = RecoverWal(prefix, backend);
-      ASSERT_TRUE(bare.has_value());
-      // Recovery replays exactly the full frames of the prefix; the state
-      // must be the one the reference run had at that record count — not
-      // merely "some equal-looking state".
-      const auto& [records, state] = *bare;
-      ASSERT_LT(records, ref.state_by_records.size());
-      EXPECT_EQ(state, ref.state_by_records[records]);
-      // More durable bytes can only mean more recovered records.
-      EXPECT_GE(records, last_records) << "recovery went backwards";
-      last_records = records;
-      // The prefix followed by zeros stands in for a power cut that made
-      // the file's length durable before its data (FaultInjectingEnv has
-      // no power-cut mode yet). The zeros are a torn tail, so it recovers
-      // what the bare prefix does — extended over any zeros the log holds
-      // right there, since those rebuild the log's own bytes (a frame
-      // whose missing bytes are all zero is complete again).
-      const size_t zero_bytes = 16;
-      size_t same = len;
-      while (same < ref.wal_bytes.size() && same < len + zero_bytes &&
-             ref.wal_bytes[same] == '\0') {
-        ++same;
-      }
-      auto zero_tail =
-          RecoverWal(prefix + std::string(zero_bytes, '\0'), backend);
-      auto expected =
-          same == len ? bare : RecoverWal(ref.wal_bytes.substr(0, same), backend);
-      ASSERT_TRUE(zero_tail.has_value() && expected.has_value());
-      EXPECT_EQ(*zero_tail, *expected) << "zero-filled tail";
-    }
-    // The full log recovers the full run.
-    EXPECT_EQ(last_records, ref.state_by_records.size() - 1);
-    FaultInjectingEnv full;
-    full.SetFileContents(std::string(kDir) + "/wal.log", ref.wal_bytes);
-    Result<std::unique_ptr<Connection>> conn =
-        Connection::Open(kDir, TortureOptions(&full, backend));
-    ASSERT_TRUE(conn.ok());
-    EXPECT_EQ(BaseString(**conn), ref.states.back());
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len < ref.wal_bytes.size(); len += stride) {
+    lengths.push_back(len);
   }
+  lengths.push_back(ref.wal_bytes.size());  // the stride never skips "all"
+
+  size_t last_records = 0;
+  for (size_t len : lengths) {
+    SCOPED_TRACE("wal prefix " + std::to_string(len) + "/" +
+                 std::to_string(ref.wal_bytes.size()) + " bytes, seed " +
+                 std::to_string(seed));
+    const std::string prefix = ref.wal_bytes.substr(0, len);
+    auto bare = RecoverWal(prefix);
+    ASSERT_TRUE(bare.has_value());
+    // Recovery replays exactly the full frames of the prefix; the state
+    // must be the one the reference run had at that record count — not
+    // merely "some equal-looking state".
+    const auto& [records, state] = *bare;
+    ASSERT_LT(records, ref.state_by_records.size());
+    EXPECT_EQ(state, ref.state_by_records[records]);
+    // More durable bytes can only mean more recovered records.
+    EXPECT_GE(records, last_records) << "recovery went backwards";
+    last_records = records;
+    // The prefix followed by zeros stands in for a power cut that made
+    // the file's length durable before its data (FaultInjectingEnv has
+    // no power-cut mode yet). The zeros are a torn tail, so it recovers
+    // what the bare prefix does — extended over any zeros the log holds
+    // right there, since those rebuild the log's own bytes (a frame
+    // whose missing bytes are all zero is complete again).
+    const size_t zero_bytes = 16;
+    size_t same = len;
+    while (same < ref.wal_bytes.size() && same < len + zero_bytes &&
+           ref.wal_bytes[same] == '\0') {
+      ++same;
+    }
+    auto zero_tail = RecoverWal(prefix + std::string(zero_bytes, '\0'));
+    auto expected =
+        same == len ? bare : RecoverWal(ref.wal_bytes.substr(0, same));
+    ASSERT_TRUE(zero_tail.has_value() && expected.has_value());
+    EXPECT_EQ(*zero_tail, *expected) << "zero-filled tail";
+  }
+  // The full log recovers the full run.
+  EXPECT_EQ(last_records, ref.state_by_records.size() - 1);
+  FaultInjectingEnv full;
+  full.SetFileContents(std::string(kDir) + "/wal.log", ref.wal_bytes);
+  Result<std::unique_ptr<Connection>> conn =
+      Connection::Open(kDir, TortureOptions(&full));
+  ASSERT_TRUE(conn.ok());
+  EXPECT_EQ(BaseString(**conn), ref.states.back());
 }
 
 TEST(CrashTortureTest, DifferentSeedsDifferentWorkloads) {

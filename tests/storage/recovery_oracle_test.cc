@@ -9,11 +9,10 @@
 // engine handed out (the order of query rows follows them).
 //
 // The inputs:
-//   * seed-generated histories on both store backends: one-object edits,
-//     edit-and-revert pairs, creates and deletes, ExecuteBatch groups
-//     that remove a fact and add it back, checkpoints, reopens, and
-//     crash-window frames the store already folds (the WAL a checkpoint
-//     crashed before removing);
+//   * seed-generated histories: one-object edits, edit-and-revert
+//     pairs, creates and deletes, ExecuteBatch groups that remove a fact
+//     and add it back, checkpoints, reopens, and crash-window frames the
+//     store already folds (the WAL a checkpoint crashed before removing);
 //   * hand-built frames that spell one fact several ways (a padded
 //     varint, a number as 2/2), so the order in which the net replay
 //     applies its survivors decides the result;
@@ -43,8 +42,6 @@ namespace {
 
 constexpr char kDir[] = "/db";
 constexpr char kWal[] = "/db/wal.log";
-constexpr StoreBackend kBackends[] = {StoreBackend::kMem,
-                                      StoreBackend::kPageLog};
 
 /// Deterministic PRNG, so a failing seed replays exactly.
 struct Lcg {
@@ -109,11 +106,11 @@ Status InsertRecord(std::string_view key, std::string_view value,
 }
 
 /// The reference: fact-by-fact recovery of the directory in `env`.
-Recovered FactByFact(const FaultInjectingEnv& disk, StoreBackend backend) {
+Recovered FactByFact(const FaultInjectingEnv& disk) {
   std::unique_ptr<FaultInjectingEnv> env = disk.CloneSurvivingFiles();
   Engine engine;
   ObjectBase base = engine.MakeBase();
-  Result<std::unique_ptr<Store>> store = OpenStore(backend, kDir, env.get());
+  Result<std::unique_ptr<Store>> store = Store::Open(kDir, env.get());
   if (!store.ok()) return {store.status(), "", ""};
   if ((*store)->GetMeta("generation").ok()) {
     Status scanned = (*store)->Scan(
@@ -134,11 +131,10 @@ Recovered FactByFact(const FaultInjectingEnv& disk, StoreBackend backend) {
 }
 
 /// The path under test: Database::Open of the same bytes.
-Recovered Bulk(const FaultInjectingEnv& disk, StoreBackend backend) {
+Recovered Bulk(const FaultInjectingEnv& disk) {
   std::unique_ptr<FaultInjectingEnv> env = disk.CloneSurvivingFiles();
   DatabaseOptions options;
   options.env = env.get();
-  options.store_backend = backend;
   Engine engine;
   Result<std::unique_ptr<Database>> db = Database::Open(kDir, engine, options);
   if (!db.ok()) return {db.status(), "", ""};
@@ -147,10 +143,9 @@ Recovered Bulk(const FaultInjectingEnv& disk, StoreBackend backend) {
 
 /// Both recoveries of `disk`; returns the bulk one after checking they
 /// agree.
-Recovered RecoverBothWays(const FaultInjectingEnv& disk,
-                          StoreBackend backend) {
-  const Recovered reference = FactByFact(disk, backend);
-  const Recovered bulk = Bulk(disk, backend);
+Recovered RecoverBothWays(const FaultInjectingEnv& disk) {
+  const Recovered reference = FactByFact(disk);
+  const Recovered bulk = Bulk(disk);
   EXPECT_EQ(bulk.status.ok(), reference.status.ok())
       << "bulk: " << bulk.status.ToString()
       << "\nfact by fact: " << reference.status.ToString();
@@ -179,11 +174,10 @@ struct Coverage {
 
 class HistoryOracle {
  public:
-  HistoryOracle(StoreBackend backend, uint64_t seed, Coverage& coverage)
-      : backend_(backend), rng_{seed * 2 + 1}, coverage_(coverage) {
+  HistoryOracle(uint64_t seed, Coverage& coverage)
+      : rng_{seed * 2 + 1}, coverage_(coverage) {
     options_.env = &env_;
     options_.retry_backoff_us = 0;
-    options_.store_backend = backend;
   }
 
   void Run() {
@@ -317,7 +311,7 @@ class HistoryOracle {
     Result<WalReadResult> wal = ReadWal(kWal, &env_);
     ASSERT_TRUE(wal.ok());
     if (Repeats(wal->records)) ++coverage_.netted;
-    const Recovered bulk = RecoverBothWays(env_, backend_);
+    const Recovered bulk = RecoverBothWays(env_);
     ASSERT_TRUE(bulk.status.ok()) << bulk.status.ToString();
     EXPECT_EQ(bulk.base, model);
     ++coverage_.recoveries;
@@ -361,7 +355,6 @@ class HistoryOracle {
     return false;
   }
 
-  StoreBackend backend_;
   Lcg rng_;
   Coverage& coverage_;
   FaultInjectingEnv env_;
@@ -373,27 +366,22 @@ class HistoryOracle {
 };
 
 TEST(RecoveryOracleTest, GeneratedHistoriesRecoverAsFactByFactReplay) {
-  for (StoreBackend backend : kBackends) {
-    Coverage coverage;
-    for (uint64_t seed : kSeeds) {
-      SCOPED_TRACE(std::string(StoreBackendName(backend)) + " seed " +
-                   std::to_string(seed));
-      HistoryOracle(backend, seed, coverage).Run();
-      if (::testing::Test::HasFailure()) return;
-    }
-    SCOPED_TRACE(StoreBackendName(backend));
-    EXPECT_GT(coverage.recoveries, 0u);
-    EXPECT_GT(coverage.crash_windows, 0u);
-    EXPECT_GT(coverage.readd_groups, 0u);
-    EXPECT_GT(coverage.netted, 0u);
-    std::printf("%s: %llu recoveries (%llu with repeated facts), %llu crash "
-                "windows, %llu remove-and-re-add groups\n",
-                StoreBackendName(backend),
-                static_cast<unsigned long long>(coverage.recoveries),
-                static_cast<unsigned long long>(coverage.netted),
-                static_cast<unsigned long long>(coverage.crash_windows),
-                static_cast<unsigned long long>(coverage.readd_groups));
+  Coverage coverage;
+  for (uint64_t seed : kSeeds) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    HistoryOracle(seed, coverage).Run();
+    if (::testing::Test::HasFailure()) return;
   }
+  EXPECT_GT(coverage.recoveries, 0u);
+  EXPECT_GT(coverage.crash_windows, 0u);
+  EXPECT_GT(coverage.readd_groups, 0u);
+  EXPECT_GT(coverage.netted, 0u);
+  std::printf("%llu recoveries (%llu with repeated facts), %llu crash "
+              "windows, %llu remove-and-re-add groups\n",
+              static_cast<unsigned long long>(coverage.recoveries),
+              static_cast<unsigned long long>(coverage.netted),
+              static_cast<unsigned long long>(coverage.crash_windows),
+              static_cast<unsigned long long>(coverage.readd_groups));
 }
 
 // ---- one fact, several spellings -------------------------------------------
@@ -456,85 +444,81 @@ TEST(RecoveryOracleTest, OneFactSpelledSeveralWaysEndsAtItsLastOperation) {
       {true, true, 3}};
   uint64_t cases = 0;
   uint64_t mixed_txns = 0;
-  for (StoreBackend backend : kBackends) {
-    for (uint64_t seed = 1; seed <= 8; ++seed) {
-      SCOPED_TRACE(std::string(StoreBackendName(backend)) + " seed " +
-                   std::to_string(seed));
-      Lcg rng{seed * 7 + 3};
-      FaultInjectingEnv env;
-      DatabaseOptions options;
-      options.env = &env;
-      options.store_backend = backend;
-      // The checkpointed base holds some of the facts.
-      bool present[kFacts] = {};
-      {
-        Engine engine;
-        Result<std::unique_ptr<Database>> db =
-            Database::Open(kDir, engine, options);
-        ASSERT_TRUE(db.ok());
-        ObjectBase base = engine.MakeBase();
-        for (int i = 0; i < kFacts; ++i) {
-          present[i] = rng.Next(2) == 0;
-          engine.AddFact(base, "keep" + std::to_string(i), "v",
-                         static_cast<int64_t>(i));
-          if (present[i]) {
-            engine.AddFact(base, "o" + std::to_string(i), "v",
-                           static_cast<int64_t>(1 + i % 5));
-          }
-        }
-        ASSERT_TRUE((*db)->ImportBase(base).ok());
-        ASSERT_TRUE((*db)->Checkpoint().ok());
-      }
-      // Frames of transactions that add and remove the facts under
-      // random spellings; the model applies each transaction's removals,
-      // then its additions.
-      std::string wal;
-      for (int frame = 0; frame < 4; ++frame) {
-        std::vector<Txn> txns(1 + rng.Next(3));
-        for (Txn& txn : txns) {
-          for (int i = 0; i < kFacts; ++i) {
-            const uint32_t roll = rng.Next(6);
-            if (roll >= 3) continue;
-            const int64_t value = 1 + i % 5;
-            const Spelling& a = kSpellings[rng.Next(5)];
-            const Spelling& b = kSpellings[rng.Next(5)];
-            if (roll == 0) {
-              txn.added.push_back(Spell(i, value, a));
-              present[i] = true;
-            } else if (roll == 1) {
-              txn.removed.push_back(Spell(i, value, a));
-              present[i] = false;
-            } else {
-              // Both in one transaction: the addition wins.
-              txn.removed.push_back(Spell(i, value, a));
-              txn.added.push_back(Spell(i, value, b));
-              present[i] = true;
-              ++mixed_txns;
-            }
-          }
-        }
-        Result<std::string> framed = EncodeWalFrame(Payload(txns));
-        ASSERT_TRUE(framed.ok());
-        wal += *framed;
-      }
-      env.SetFileContents(kWal, wal);
-
-      const Recovered bulk = RecoverBothWays(env, backend);
-      ASSERT_TRUE(bulk.status.ok()) << bulk.status.ToString();
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Lcg rng{seed * 7 + 3};
+    FaultInjectingEnv env;
+    DatabaseOptions options;
+    options.env = &env;
+    // The checkpointed base holds some of the facts.
+    bool present[kFacts] = {};
+    {
       Engine engine;
-      ObjectBase expected = engine.MakeBase();
+      Result<std::unique_ptr<Database>> db =
+          Database::Open(kDir, engine, options);
+      ASSERT_TRUE(db.ok());
+      ObjectBase base = engine.MakeBase();
       for (int i = 0; i < kFacts; ++i) {
-        engine.AddFact(expected, "keep" + std::to_string(i), "v",
+        present[i] = rng.Next(2) == 0;
+        engine.AddFact(base, "keep" + std::to_string(i), "v",
                        static_cast<int64_t>(i));
         if (present[i]) {
-          engine.AddFact(expected, "o" + std::to_string(i), "v",
+          engine.AddFact(base, "o" + std::to_string(i), "v",
                          static_cast<int64_t>(1 + i % 5));
         }
       }
-      EXPECT_EQ(bulk.base, ObjectBaseToString(expected, engine.symbols(),
-                                              engine.versions()));
-      ++cases;
+      ASSERT_TRUE((*db)->ImportBase(base).ok());
+      ASSERT_TRUE((*db)->Checkpoint().ok());
     }
+    // Frames of transactions that add and remove the facts under
+    // random spellings; the model applies each transaction's removals,
+    // then its additions.
+    std::string wal;
+    for (int frame = 0; frame < 4; ++frame) {
+      std::vector<Txn> txns(1 + rng.Next(3));
+      for (Txn& txn : txns) {
+        for (int i = 0; i < kFacts; ++i) {
+          const uint32_t roll = rng.Next(6);
+          if (roll >= 3) continue;
+          const int64_t value = 1 + i % 5;
+          const Spelling& a = kSpellings[rng.Next(5)];
+          const Spelling& b = kSpellings[rng.Next(5)];
+          if (roll == 0) {
+            txn.added.push_back(Spell(i, value, a));
+            present[i] = true;
+          } else if (roll == 1) {
+            txn.removed.push_back(Spell(i, value, a));
+            present[i] = false;
+          } else {
+            // Both in one transaction: the addition wins.
+            txn.removed.push_back(Spell(i, value, a));
+            txn.added.push_back(Spell(i, value, b));
+            present[i] = true;
+            ++mixed_txns;
+          }
+        }
+      }
+      Result<std::string> framed = EncodeWalFrame(Payload(txns));
+      ASSERT_TRUE(framed.ok());
+      wal += *framed;
+    }
+    env.SetFileContents(kWal, wal);
+
+    const Recovered bulk = RecoverBothWays(env);
+    ASSERT_TRUE(bulk.status.ok()) << bulk.status.ToString();
+    Engine engine;
+    ObjectBase expected = engine.MakeBase();
+    for (int i = 0; i < kFacts; ++i) {
+      engine.AddFact(expected, "keep" + std::to_string(i), "v",
+                     static_cast<int64_t>(i));
+      if (present[i]) {
+        engine.AddFact(expected, "o" + std::to_string(i), "v",
+                       static_cast<int64_t>(1 + i % 5));
+      }
+    }
+    EXPECT_EQ(bulk.base, ObjectBaseToString(expected, engine.symbols(),
+                                            engine.versions()));
+    ++cases;
   }
   EXPECT_GT(mixed_txns, 0u);
   std::printf("%llu directories, %llu transactions removing and adding one "
@@ -553,11 +537,10 @@ struct Contents {
 
 /// A checkpointed base of a few objects plus a WAL suffix of several
 /// frames, one of them an ExecuteBatch group.
-Contents BuildContents(StoreBackend backend) {
+Contents BuildContents() {
   FaultInjectingEnv env;
   DatabaseOptions options;
   options.env = &env;
-  options.store_backend = backend;
   Engine engine;
   Result<std::unique_ptr<Database>> db = Database::Open(kDir, engine, options);
   EXPECT_TRUE(db.ok());
@@ -600,10 +583,9 @@ Contents BuildContents(StoreBackend backend) {
 
 /// Writes `image` as a fresh directory: one store commit, one WAL frame
 /// per payload (so every payload reaches its decoder).
-std::unique_ptr<FaultInjectingEnv> WriteContents(const Contents& image,
-                                              StoreBackend backend) {
+std::unique_ptr<FaultInjectingEnv> WriteContents(const Contents& image) {
   auto env = std::make_unique<FaultInjectingEnv>();
-  Result<std::unique_ptr<Store>> store = OpenStore(backend, kDir, env.get());
+  Result<std::unique_ptr<Store>> store = Store::Open(kDir, env.get());
   EXPECT_TRUE(store.ok());
   WriteTransaction txn = (*store)->BeginWrite();
   for (const auto& [key, value] : image.records) txn.Put(key, value);
@@ -642,61 +624,55 @@ bool Mutate(std::string& bytes, Lcg& rng) {
 
 TEST(RecoveryOracleTest, ByteMutationsRecoverAsTheFactByFactReplayDoes) {
   constexpr int kTrials = 600;
-  for (StoreBackend backend : kBackends) {
-    SCOPED_TRACE(StoreBackendName(backend));
-    const Contents original = BuildContents(backend);
-    ASSERT_FALSE(::testing::Test::HasFailure());
-    ASSERT_GE(original.records.size(), 5u);
-    ASSERT_GE(original.payloads.size(), 5u);
-    Lcg rng{static_cast<uint64_t>(backend) + 11};
-    uint64_t failed = 0;
-    uint64_t recovered = 0;
-    uint64_t changed = 0;
-    const std::string pristine =
-        Bulk(*WriteContents(original, backend), backend).base;
-    for (int trial = 0; trial < kTrials; ++trial) {
-      SCOPED_TRACE("trial " + std::to_string(trial));
-      Contents image = original;
-      const uint32_t target = rng.Next(10);
-      if (target < 5) {
-        std::string& payload = image.payloads[rng.Next(
-            static_cast<uint32_t>(image.payloads.size()))];
-        if (!Mutate(payload, rng)) continue;
+  const Contents original = BuildContents();
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  ASSERT_GE(original.records.size(), 5u);
+  ASSERT_GE(original.payloads.size(), 5u);
+  Lcg rng{11};
+  uint64_t failed = 0;
+  uint64_t recovered = 0;
+  uint64_t changed = 0;
+  const std::string pristine = Bulk(*WriteContents(original)).base;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    Contents image = original;
+    const uint32_t target = rng.Next(10);
+    if (target < 5) {
+      std::string& payload = image.payloads[rng.Next(
+          static_cast<uint32_t>(image.payloads.size()))];
+      if (!Mutate(payload, rng)) continue;
+    } else {
+      auto it = image.records.begin();
+      std::advance(it, rng.Next(static_cast<uint32_t>(image.records.size())));
+      if (target < 9) {
+        if (!Mutate(it->second, rng)) continue;
       } else {
-        auto it = image.records.begin();
-        std::advance(it, rng.Next(static_cast<uint32_t>(image.records.size())));
-        if (target < 9) {
-          if (!Mutate(it->second, rng)) continue;
-        } else {
-          // The key after its "b/" prefix.
-          std::string key = it->first.substr(2);
-          const std::string value = it->second;
-          if (!Mutate(key, rng)) continue;
-          image.records.erase(it);
-          image.records["b/" + key] = value;
-        }
-      }
-      const Recovered bulk =
-          RecoverBothWays(*WriteContents(image, backend), backend);
-      if (::testing::Test::HasFailure()) return;
-      if (!bulk.status.ok()) {
-        ++failed;
-      } else {
-        ++recovered;
-        if (bulk.base != pristine) ++changed;
+        // The key after its "b/" prefix.
+        std::string key = it->first.substr(2);
+        const std::string value = it->second;
+        if (!Mutate(key, rng)) continue;
+        image.records.erase(it);
+        image.records["b/" + key] = value;
       }
     }
-    // The sweep reaches both outcomes, and mutations that decode to
-    // another base.
-    EXPECT_GT(failed, 0u);
-    EXPECT_GT(changed, 0u);
-    std::printf("%s: %llu mutations refused by both, %llu recovered by both "
-                "(%llu to another base)\n",
-                StoreBackendName(backend),
-                static_cast<unsigned long long>(failed),
-                static_cast<unsigned long long>(recovered),
-                static_cast<unsigned long long>(changed));
+    const Recovered bulk = RecoverBothWays(*WriteContents(image));
+    if (::testing::Test::HasFailure()) return;
+    if (!bulk.status.ok()) {
+      ++failed;
+    } else {
+      ++recovered;
+      if (bulk.base != pristine) ++changed;
+    }
   }
+  // The sweep reaches both outcomes, and mutations that decode to
+  // another base.
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(changed, 0u);
+  std::printf("%llu mutations refused by both, %llu recovered by both "
+              "(%llu to another base)\n",
+              static_cast<unsigned long long>(failed),
+              static_cast<unsigned long long>(recovered),
+              static_cast<unsigned long long>(changed));
 }
 
 }  // namespace

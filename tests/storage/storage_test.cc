@@ -661,12 +661,12 @@ TEST_F(StorageFixture, DeltaBatchRoundTrip) {
 
 TEST_F(StorageFixture, CheckpointCrashWindowLosesNothing) {
   // Checkpoint is two durability steps: (1) commit the base into the
-  // store — for the default mem backend, install the new image by atomic
-  // rename — (2) remove the WAL. A crash anywhere in that sequence must
-  // lose nothing: before the rename the old image + full WAL recover;
-  // after it the new image + stale WAL recover (replaying the
-  // already-folded records idempotently). This is the regression test for
-  // the crash window between the two steps.
+  // store — install the new image by atomic rename — (2) remove the WAL.
+  // A crash anywhere in that sequence must lose nothing: before the
+  // rename the old image + full WAL recover; after it the new image +
+  // stale WAL recover (replaying the already-folded records
+  // idempotently). This is the regression test for the crash window
+  // between the two steps.
   using FaultKind = FaultInjectingEnv::FaultKind;
   using OpFilter = FaultInjectingEnv::OpFilter;
   struct Window {
@@ -733,103 +733,23 @@ TEST_F(StorageFixture, CheckpointCrashWindowLosesNothing) {
   }
 }
 
-TEST_F(StorageFixture, PageLogCheckpointCrashWindowLosesNothing) {
-  // The page-log twin of CheckpointCrashWindowLosesNothing: here step (1)
-  // is an APPEND of one ops frame to store.plog (possibly followed by a
-  // compaction rewrite) and its sync — plus a directory sync when the
-  // append creates the log — step (2) the WAL removal. A torn append
-  // frame must be chopped on reopen and the stale WAL replayed over the
-  // old store generation.
-  using FaultKind = FaultInjectingEnv::FaultKind;
-  using OpFilter = FaultInjectingEnv::OpFilter;
-  struct Window {
-    OpFilter filter;
-    uint64_t nth;  // which op of that kind, counted from the checkpoint
-    size_t partial;
-    const char* what;
-    bool creates_log = false;  // no earlier checkpoint: the append creates
-                               // store.plog, so a directory sync follows
-  };
-  const Window windows[] = {
-      {OpFilter::kAppend, 0, 0, "crash before the store append"},
-      {OpFilter::kAppend, 0, 7, "crash mid store append (torn frame)"},
-      {OpFilter::kSync, 0, 0, "crash at the store log sync"},
-      {OpFilter::kSync, 1, 0, "crash at the directory sync of a new log",
-       true},
-      {OpFilter::kRemove, 0, 0, "crash before the WAL removal"},
-      {OpFilter::kRemove, 0, 1, "crash after the WAL removal"},
-  };
-  for (const Window& w : windows) {
-    SCOPED_TRACE(w.what);
-    FaultInjectingEnv env;
-    DatabaseOptions options;
-    options.env = &env;
-    options.retry_backoff_us = 0;
-    options.store_backend = StoreBackend::kPageLog;
-    std::string expected;
-    {
-      Engine engine;
-      Result<std::unique_ptr<Database>> db =
-          Database::Open("/db", engine, options);
-      ASSERT_TRUE(db.ok());
-      ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 1.", engine)).ok());
-      // An earlier checkpoint, so the torture'd one EXTENDS a live log.
-      if (!w.creates_log) {
-        ASSERT_TRUE((*db)->Checkpoint().ok());
-      }
-      ASSERT_TRUE(
-          (*db)->ImportBase(Base("a.m -> 1. b.m -> 2.", engine)).ok());
-      expected = ObjectBaseToString((*db)->current(), engine.symbols(),
-                                    engine.versions());
-      FaultInjectingEnv::FaultPlan plan;
-      plan.fail_at = w.nth;
-      plan.kind = FaultKind::kCrash;
-      plan.partial_bytes = w.partial;
-      plan.filter = w.filter;
-      env.SetPlan(plan);
-      EXPECT_FALSE((*db)->Checkpoint().ok());
-      ASSERT_TRUE(env.crashed());
-    }
-    auto disk = env.CloneSurvivingFiles();
-    DatabaseOptions reopen;
-    reopen.env = disk.get();
-    reopen.retry_backoff_us = 0;
-    reopen.store_backend = StoreBackend::kPageLog;
-    Engine engine;
-    Result<std::unique_ptr<Database>> db =
-        Database::Open("/db", engine, reopen);
-    ASSERT_TRUE(db.ok()) << db.status().ToString();
-    EXPECT_EQ(ObjectBaseToString((*db)->current(), engine.symbols(),
-                                 engine.versions()),
-              expected);
-    EXPECT_TRUE(db->get()->health().ok());
-    ASSERT_TRUE(
-        (*db)->ImportBase(Base("a.m -> 1. b.m -> 2. c.m -> 3.", engine))
-            .ok());
-  }
-}
-
 TEST_F(StorageFixture, FailedCheckpointSyncLeavesTheWalAndAHealthyDatabase) {
   // A sync that fails inside the store commit fails the checkpoint like
   // any store error: the WAL stays, the database stays healthy, and the
   // store keeps serving the last checkpoint. The commit after it reverts
   // one version the failed checkpoint staged and drops one it added, so a
-  // store that kept the failed commit's bytes (a page-log frame left
-  // behind its failed sync) would reopen to a stale state once the next
-  // checkpoint removes the WAL.
+  // store that kept the failed commit's bytes (an image renamed into
+  // place before its directory sync failed) would reopen to a stale
+  // state once the next checkpoint removes the WAL.
   using FaultKind = FaultInjectingEnv::FaultKind;
   using OpFilter = FaultInjectingEnv::OpFilter;
   struct Point {
-    StoreBackend backend;
-    uint64_t nth;      // which sync of the checkpoint fails
-    bool creates_log;  // no earlier checkpoint (page log: first append)
+    uint64_t nth;  // which sync of the checkpoint fails
     const char* what;
   };
   const Point points[] = {
-      {StoreBackend::kMem, 0, false, "mem: image sync"},
-      {StoreBackend::kMem, 1, false, "mem: directory sync after the rename"},
-      {StoreBackend::kPageLog, 0, false, "pagelog: log sync"},
-      {StoreBackend::kPageLog, 1, true, "pagelog: directory sync of a new log"},
+      {0, "image sync"},
+      {1, "directory sync after the rename"},
   };
   for (const Point& p : points) {
     SCOPED_TRACE(p.what);
@@ -837,7 +757,6 @@ TEST_F(StorageFixture, FailedCheckpointSyncLeavesTheWalAndAHealthyDatabase) {
     DatabaseOptions options;
     options.env = &env;
     options.retry_backoff_us = 0;
-    options.store_backend = p.backend;
     std::string expected;
     {
       Engine engine;
@@ -845,9 +764,7 @@ TEST_F(StorageFixture, FailedCheckpointSyncLeavesTheWalAndAHealthyDatabase) {
           Database::Open("/db", engine, options);
       ASSERT_TRUE(db.ok());
       ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 1. b.m -> 2.", engine)).ok());
-      if (!p.creates_log) {
-        ASSERT_TRUE((*db)->Checkpoint().ok());
-      }
+      ASSERT_TRUE((*db)->Checkpoint().ok());
       const uint64_t generation = (*db)->checkpoint_generation();
       ASSERT_TRUE(
           (*db)->ImportBase(Base("a.m -> 1. b.m -> 3. c.m -> 4.", engine))
@@ -892,49 +809,44 @@ TEST_F(StorageFixture, CheckpointWithNothingToWriteMakesNoStoreCommit) {
   // holds: the checkpoint writes no byte of the store, keeps the
   // generation (it counts store commits), and removes the WAL, and the
   // store alone reopens to the same base.
-  for (StoreBackend backend : {StoreBackend::kMem, StoreBackend::kPageLog}) {
-    SCOPED_TRACE(StoreBackendName(backend));
-    FaultInjectingEnv env;
-    DatabaseOptions options;
-    options.env = &env;
-    options.retry_backoff_us = 0;
-    options.store_backend = backend;
-    const std::string store_file =
-        backend == StoreBackend::kMem ? "/db/store.img" : "/db/store.plog";
-    std::string expected;
-    {
-      Engine engine;
-      Result<std::unique_ptr<Database>> db =
-          Database::Open("/db", engine, options);
-      ASSERT_TRUE(db.ok());
-      ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 1. b.m -> 2.", engine)).ok());
-      ASSERT_TRUE((*db)->Checkpoint().ok());
-      const uint64_t generation = (*db)->checkpoint_generation();
-      EXPECT_EQ(generation, 1u);
-      ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 5. b.m -> 2.", engine)).ok());
-      ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 1. b.m -> 2.", engine)).ok());
-      EXPECT_EQ((*db)->wal_records_since_checkpoint(), 2u);
-      const std::string stored = env.files().at(store_file);
-      const uint64_t ops = env.mutating_ops();
-      ASSERT_TRUE((*db)->Checkpoint().ok());
-      EXPECT_EQ(env.files().at(store_file), stored);
-      EXPECT_EQ(env.mutating_ops(), ops + 1);  // the WAL's removal only
-      EXPECT_EQ((*db)->checkpoint_generation(), generation);
-      EXPECT_FALSE(env.FileExists("/db/wal.log"));
-      EXPECT_EQ((*db)->wal_records_since_checkpoint(), 0u);
-      expected = ObjectBaseToString((*db)->current(), engine.symbols(),
-                                    engine.versions());
-    }
+  FaultInjectingEnv env;
+  DatabaseOptions options;
+  options.env = &env;
+  options.retry_backoff_us = 0;
+  const std::string store_file = "/db/store.img";
+  std::string expected;
+  {
     Engine engine;
     Result<std::unique_ptr<Database>> db =
         Database::Open("/db", engine, options);
-    ASSERT_TRUE(db.ok()) << db.status().ToString();
-    EXPECT_EQ((*db)->checkpoint_generation(), 1u);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 1. b.m -> 2.", engine)).ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+    const uint64_t generation = (*db)->checkpoint_generation();
+    EXPECT_EQ(generation, 1u);
+    ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 5. b.m -> 2.", engine)).ok());
+    ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 1. b.m -> 2.", engine)).ok());
+    EXPECT_EQ((*db)->wal_records_since_checkpoint(), 2u);
+    const std::string stored = env.files().at(store_file);
+    const uint64_t ops = env.mutating_ops();
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+    EXPECT_EQ(env.files().at(store_file), stored);
+    EXPECT_EQ(env.mutating_ops(), ops + 1);  // the WAL's removal only
+    EXPECT_EQ((*db)->checkpoint_generation(), generation);
+    EXPECT_FALSE(env.FileExists("/db/wal.log"));
     EXPECT_EQ((*db)->wal_records_since_checkpoint(), 0u);
-    EXPECT_EQ(ObjectBaseToString((*db)->current(), engine.symbols(),
-                                 engine.versions()),
-              expected);
+    expected = ObjectBaseToString((*db)->current(), engine.symbols(),
+                                  engine.versions());
   }
+  Engine engine;
+  Result<std::unique_ptr<Database>> db =
+      Database::Open("/db", engine, options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->checkpoint_generation(), 1u);
+  EXPECT_EQ((*db)->wal_records_since_checkpoint(), 0u);
+  EXPECT_EQ(ObjectBaseToString((*db)->current(), engine.symbols(),
+                               engine.versions()),
+            expected);
 }
 
 TEST_F(StorageFixture, CheckpointBoundsRecoveryToTheWalSuffix) {
@@ -946,49 +858,45 @@ TEST_F(StorageFixture, CheckpointBoundsRecoveryToTheWalSuffix) {
       "storage.recovery_replayed_frames");
   Counter& store_keys =
       MetricsRegistry::Global().GetCounter("storage.recovery_store_keys");
-  for (StoreBackend backend : {StoreBackend::kMem, StoreBackend::kPageLog}) {
-    SCOPED_TRACE(StoreBackendName(backend));
-    FaultInjectingEnv env;
-    DatabaseOptions options;
-    options.env = &env;
-    options.retry_backoff_us = 0;
-    options.store_backend = backend;
-    std::string expected;
-    {
-      Engine engine;
-      Result<std::unique_ptr<Database>> db =
-          Database::Open("/db", engine, options);
-      ASSERT_TRUE(db.ok());
-      // 6 pre-checkpoint commits, then the fold, then a 2-commit suffix.
-      std::string text;
-      for (int i = 0; i < 6; ++i) {
-        text += "o" + std::to_string(i) + ".m -> " + std::to_string(i) + ". ";
-        ASSERT_TRUE((*db)->ImportBase(Base(text.c_str(), engine)).ok());
-      }
-      ASSERT_TRUE((*db)->Checkpoint().ok());
-      EXPECT_EQ((*db)->checkpoint_generation(), 1u);
-      for (int i = 6; i < 8; ++i) {
-        text += "o" + std::to_string(i) + ".m -> " + std::to_string(i) + ". ";
-        ASSERT_TRUE((*db)->ImportBase(Base(text.c_str(), engine)).ok());
-      }
-      EXPECT_EQ((*db)->wal_records_since_checkpoint(), 2u);
-      expected = ObjectBaseToString((*db)->current(), engine.symbols(),
-                                    engine.versions());
-    }
-    uint64_t frames_before = frames.value();
-    uint64_t keys_before = store_keys.value();
+  FaultInjectingEnv env;
+  DatabaseOptions options;
+  options.env = &env;
+  options.retry_backoff_us = 0;
+  std::string expected;
+  {
     Engine engine;
     Result<std::unique_ptr<Database>> db =
         Database::Open("/db", engine, options);
-    ASSERT_TRUE(db.ok()) << db.status().ToString();
-    EXPECT_EQ((*db)->wal_records_since_checkpoint(), 2u);
-    EXPECT_EQ(frames.value() - frames_before, 2u);  // suffix only
-    EXPECT_EQ(store_keys.value() - keys_before, 6u);  // o0..o5 from store
+    ASSERT_TRUE(db.ok());
+    // 6 pre-checkpoint commits, then the fold, then a 2-commit suffix.
+    std::string text;
+    for (int i = 0; i < 6; ++i) {
+      text += "o" + std::to_string(i) + ".m -> " + std::to_string(i) + ". ";
+      ASSERT_TRUE((*db)->ImportBase(Base(text.c_str(), engine)).ok());
+    }
+    ASSERT_TRUE((*db)->Checkpoint().ok());
     EXPECT_EQ((*db)->checkpoint_generation(), 1u);
-    EXPECT_EQ(ObjectBaseToString((*db)->current(), engine.symbols(),
-                                 engine.versions()),
-              expected);
+    for (int i = 6; i < 8; ++i) {
+      text += "o" + std::to_string(i) + ".m -> " + std::to_string(i) + ". ";
+      ASSERT_TRUE((*db)->ImportBase(Base(text.c_str(), engine)).ok());
+    }
+    EXPECT_EQ((*db)->wal_records_since_checkpoint(), 2u);
+    expected = ObjectBaseToString((*db)->current(), engine.symbols(),
+                                  engine.versions());
   }
+  uint64_t frames_before = frames.value();
+  uint64_t keys_before = store_keys.value();
+  Engine engine;
+  Result<std::unique_ptr<Database>> db =
+      Database::Open("/db", engine, options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->wal_records_since_checkpoint(), 2u);
+  EXPECT_EQ(frames.value() - frames_before, 2u);  // suffix only
+  EXPECT_EQ(store_keys.value() - keys_before, 6u);  // o0..o5 from store
+  EXPECT_EQ((*db)->checkpoint_generation(), 1u);
+  EXPECT_EQ(ObjectBaseToString((*db)->current(), engine.symbols(),
+                               engine.versions()),
+            expected);
 }
 
 TEST_F(StorageFixture, RecoveryDecodesEachStoredFactAndEachDistinctLoggedFact) {
@@ -999,46 +907,42 @@ TEST_F(StorageFixture, RecoveryDecodesEachStoredFactAndEachDistinctLoggedFact) {
       "storage.recovery_facts_decoded");
   Counter& frames = MetricsRegistry::Global().GetCounter(
       "storage.recovery_replayed_frames");
-  for (StoreBackend backend : {StoreBackend::kMem, StoreBackend::kPageLog}) {
-    SCOPED_TRACE(StoreBackendName(backend));
-    FaultInjectingEnv env;
-    DatabaseOptions options;
-    options.env = &env;
-    options.retry_backoff_us = 0;
-    options.store_backend = backend;
-    constexpr const char* kStored = "o0.m -> 0. o1.m -> 1. o1.n -> x.";
-    std::string expected;
-    {
-      Engine engine;
-      Result<std::unique_ptr<Database>> db =
-          Database::Open("/db", engine, options);
-      ASSERT_TRUE(db.ok());
-      // Stored: 2 records, 3 facts.
-      ASSERT_TRUE((*db)->ImportBase(Base(kStored, engine)).ok());
-      ASSERT_TRUE((*db)->Checkpoint().ok());
-      // The suffix: 3 frames, 5 fact operations on 3 distinct facts
-      // (o0.m -> 0 removed and added back, o0.m -> 5 added and removed,
-      // o2.m -> 2 added).
-      ASSERT_TRUE((*db)->ImportBase(
-          Base("o0.m -> 5. o1.m -> 1. o1.n -> x.", engine)).ok());
-      ASSERT_TRUE((*db)->ImportBase(Base(kStored, engine)).ok());
-      ASSERT_TRUE((*db)->ImportBase(
-          Base("o0.m -> 0. o1.m -> 1. o1.n -> x. o2.m -> 2.", engine)).ok());
-      expected = ObjectBaseToString((*db)->current(), engine.symbols(),
-                                    engine.versions());
-    }
-    const uint64_t decoded_before = decoded.value();
-    const uint64_t frames_before = frames.value();
+  FaultInjectingEnv env;
+  DatabaseOptions options;
+  options.env = &env;
+  options.retry_backoff_us = 0;
+  constexpr const char* kStored = "o0.m -> 0. o1.m -> 1. o1.n -> x.";
+  std::string expected;
+  {
     Engine engine;
     Result<std::unique_ptr<Database>> db =
         Database::Open("/db", engine, options);
-    ASSERT_TRUE(db.ok()) << db.status().ToString();
-    EXPECT_EQ(frames.value() - frames_before, 3u);
-    EXPECT_EQ(decoded.value() - decoded_before, 3u + 3u);
-    EXPECT_EQ(ObjectBaseToString((*db)->current(), engine.symbols(),
-                                 engine.versions()),
-              expected);
+    ASSERT_TRUE(db.ok());
+    // Stored: 2 records, 3 facts.
+    ASSERT_TRUE((*db)->ImportBase(Base(kStored, engine)).ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+    // The suffix: 3 frames, 5 fact operations on 3 distinct facts
+    // (o0.m -> 0 removed and added back, o0.m -> 5 added and removed,
+    // o2.m -> 2 added).
+    ASSERT_TRUE((*db)->ImportBase(
+        Base("o0.m -> 5. o1.m -> 1. o1.n -> x.", engine)).ok());
+    ASSERT_TRUE((*db)->ImportBase(Base(kStored, engine)).ok());
+    ASSERT_TRUE((*db)->ImportBase(
+        Base("o0.m -> 0. o1.m -> 1. o1.n -> x. o2.m -> 2.", engine)).ok());
+    expected = ObjectBaseToString((*db)->current(), engine.symbols(),
+                                  engine.versions());
   }
+  const uint64_t decoded_before = decoded.value();
+  const uint64_t frames_before = frames.value();
+  Engine engine;
+  Result<std::unique_ptr<Database>> db =
+      Database::Open("/db", engine, options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(frames.value() - frames_before, 3u);
+  EXPECT_EQ(decoded.value() - decoded_before, 3u + 3u);
+  EXPECT_EQ(ObjectBaseToString((*db)->current(), engine.symbols(),
+                               engine.versions()),
+            expected);
 }
 
 TEST_F(StorageFixture, StoredRecordMustNameExactlyOneVersion) {
@@ -1082,35 +986,32 @@ TEST_F(StorageFixture, StoredRecordMustNameExactlyOneVersion) {
       {"another version's record", key_a, record_b, false},
       {"one fact of another version", key_a, mixed_record, false},
   };
-  for (StoreBackend backend : {StoreBackend::kMem, StoreBackend::kPageLog}) {
-    for (const Case& c : cases) {
-      SCOPED_TRACE(std::string(StoreBackendName(backend)) + ": " + c.name);
-      FaultInjectingEnv env;
-      {
-        Result<std::unique_ptr<Store>> store = OpenStore(backend, "/db", &env);
-        ASSERT_TRUE(store.ok());
-        WriteTransaction txn = (*store)->BeginWrite();
-        txn.Put("b/" + c.key, c.record);
-        txn.PutMeta("generation", 1);
-        ASSERT_TRUE(txn.Commit().ok());
-      }
-      const std::map<std::string, std::string> files = env.files();
-      DatabaseOptions options;
-      options.env = &env;
-      options.store_backend = backend;
-      Engine fresh;
-      Result<std::unique_ptr<Database>> db =
-          Database::Open("/db", fresh, options);
-      if (c.ok) {
-        ASSERT_TRUE(db.ok()) << db.status().ToString();
-        EXPECT_EQ((*db)->current().fact_count(), 2u);
-        continue;
-      }
-      ASSERT_FALSE(db.ok());
-      EXPECT_EQ(db.status().code(), StatusCode::kCorruption)
-          << db.status().ToString();
-      EXPECT_EQ(env.files(), files);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    FaultInjectingEnv env;
+    {
+      Result<std::unique_ptr<Store>> store = Store::Open("/db", &env);
+      ASSERT_TRUE(store.ok());
+      WriteTransaction txn = (*store)->BeginWrite();
+      txn.Put("b/" + c.key, c.record);
+      txn.PutMeta("generation", 1);
+      ASSERT_TRUE(txn.Commit().ok());
     }
+    const std::map<std::string, std::string> files = env.files();
+    DatabaseOptions options;
+    options.env = &env;
+    Engine fresh;
+    Result<std::unique_ptr<Database>> db =
+        Database::Open("/db", fresh, options);
+    if (c.ok) {
+      ASSERT_TRUE(db.ok()) << db.status().ToString();
+      EXPECT_EQ((*db)->current().fact_count(), 2u);
+      continue;
+    }
+    ASSERT_FALSE(db.ok());
+    EXPECT_EQ(db.status().code(), StatusCode::kCorruption)
+        << db.status().ToString();
+    EXPECT_EQ(env.files(), files);
   }
 }
 
@@ -1127,7 +1028,6 @@ TEST_F(StorageFixture, AutoCheckpointKeepsRecoveryReplayBounded) {
   DatabaseOptions options;
   options.env = &env;
   options.retry_backoff_us = 0;
-  options.store_backend = StoreBackend::kPageLog;
   options.checkpoint_wal_bytes = 256;
   std::string expected;
   {
@@ -1189,18 +1089,88 @@ TEST_F(StorageFixture, LegacySnapshotDirectoryIsRefused) {
   env.SetFileContents("/db/snapshot.vsnp", "VSNP1 checkpoint image");
   env.SetFileContents("/db/wal.log", "suffix frames");
   const auto before = env.files();
-  for (StoreBackend backend : {StoreBackend::kMem, StoreBackend::kPageLog}) {
-    SCOPED_TRACE(StoreBackendName(backend));
-    DatabaseOptions options;
-    options.env = &env;
-    options.store_backend = backend;
-    Engine engine;
-    Result<std::unique_ptr<Database>> db =
-        Database::Open("/db", engine, options);
-    EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument)
-        << db.status().ToString();
-    EXPECT_EQ(env.files(), before);
-  }
+  DatabaseOptions options;
+  options.env = &env;
+  Engine engine;
+  Result<std::unique_ptr<Database>> db =
+      Database::Open("/db", engine, options);
+  EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument)
+      << db.status().ToString();
+  EXPECT_EQ(env.files(), before);
+}
+
+TEST_F(StorageFixture, PageLogDirectoryIsRefused) {
+  // Builds that offered a second store checkpointed into an append-only
+  // page log, store.plog, and removed the WAL behind each checkpoint.
+  // Opened as an empty store plus the WAL suffix, such a directory would
+  // silently drop every commit folded into the log: Open refuses it
+  // before it touches any file.
+  FaultInjectingEnv env;
+  env.SetFileContents("/db/store.plog", "page-log frames");
+  env.SetFileContents("/db/wal.log", "suffix frames");
+  const auto before = env.files();
+  DatabaseOptions options;
+  options.env = &env;
+  Engine engine;
+  Result<std::unique_ptr<Database>> db =
+      Database::Open("/db", engine, options);
+  EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument)
+      << db.status().ToString();
+  EXPECT_EQ(env.files(), before);
+  EXPECT_EQ(env.mutating_ops(), 0u);
+}
+
+TEST_F(StorageFixture, GoldenDirectoryOpensToTheSameBase) {
+  // store.img and wal.log as the build that also shipped a page-log store
+  // wrote them at its default options: ImportBase of
+  // "ann.sal -> 10. ann.boss -> bob. bob.sal -> 20. bob.isa -> mgr.",
+  // "mod[bob].sal -> (X, Y) <- bob.sal -> X, Y = X + 5.", a checkpoint,
+  // then "ins[cid].sal -> 7. ins[cid].boss -> ann." and
+  // "del[ann].boss -> X <- ann.boss -> X." in the WAL suffix. The image
+  // format and the WAL frames are unchanged, so it opens to the base that
+  // build recovered.
+  const std::string image(
+      "\x92\x00\x00\xc0\x83\x34\x69\xad\xd8\x17\x7c\xf3\x04\x00\x08\x62"
+      "\x2f\x00\x00\x03\x61\x6e\x6e\x33\x03\x00\x00\x03\x61\x6e\x6e\x06"
+      "\x65\x78\x69\x73\x74\x73\x00\x00\x03\x61\x6e\x6e\x00\x00\x03\x61"
+      "\x6e\x6e\x03\x73\x61\x6c\x00\x01\x14\x01\x00\x00\x03\x61\x6e\x6e"
+      "\x04\x62\x6f\x73\x73\x00\x00\x03\x62\x6f\x62\x00\x08\x62\x2f\x00"
+      "\x00\x03\x62\x6f\x62\x32\x03\x00\x00\x03\x62\x6f\x62\x06\x65\x78"
+      "\x69\x73\x74\x73\x00\x00\x03\x62\x6f\x62\x00\x00\x03\x62\x6f\x62"
+      "\x03\x73\x61\x6c\x00\x01\x32\x01\x00\x00\x03\x62\x6f\x62\x03\x69"
+      "\x73\x61\x00\x00\x03\x6d\x67\x72\x02\x06\x66\x6f\x72\x6d\x61\x74"
+      "\x01\x02\x0a\x67\x65\x6e\x65\x72\x61\x74\x69\x6f\x6e\x01",
+      158);
+  const std::string wal(
+      "\x35\x00\x00\xc0\x3f\x15\xd5\x7d\xdd\x4e\xc0\x2b\x01\x03\x00\x00"
+      "\x03\x63\x69\x64\x06\x65\x78\x69\x73\x74\x73\x00\x00\x03\x63\x69"
+      "\x64\x00\x00\x03\x63\x69\x64\x03\x73\x61\x6c\x00\x01\x0e\x01\x00"
+      "\x00\x03\x63\x69\x64\x04\x62\x6f\x73\x73\x00\x00\x03\x61\x6e\x6e"
+      "\x00\x14\x00\x00\xc0\x64\xdd\x5b\x65\x37\x09\x48\xb1\x01\x00\x01"
+      "\x00\x00\x03\x61\x6e\x6e\x04\x62\x6f\x73\x73\x00\x00\x03\x62\x6f"
+      "\x62",
+      97);
+  FaultInjectingEnv env;
+  env.SetFileContents("/db/store.img", image);
+  env.SetFileContents("/db/wal.log", wal);
+  DatabaseOptions options;
+  options.env = &env;
+  Engine engine;
+  Result<std::unique_ptr<Database>> db =
+      Database::Open("/db", engine, options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->checkpoint_generation(), 1u);
+  EXPECT_EQ((*db)->wal_records_since_checkpoint(), 2u);
+  EXPECT_EQ(ObjectBaseToString((*db)->current(), engine.symbols(),
+                               engine.versions()),
+            "ann.exists -> ann.\n"
+            "ann.sal -> 10.\n"
+            "bob.exists -> bob.\n"
+            "bob.isa -> mgr.\n"
+            "bob.sal -> 25.\n"
+            "cid.boss -> ann.\n"
+            "cid.exists -> cid.\n"
+            "cid.sal -> 7.\n");
 }
 
 TEST_F(StorageFixture, FailedProgramLeavesDatabaseUntouched) {

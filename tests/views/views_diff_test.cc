@@ -5,8 +5,6 @@
 // mod-heavy mixes over the enterprise and graph workloads, through
 // non-recursive (incl. negation) and recursive strata, all maintained by
 // DRed.
-// Every mix runs once per store backend (mem, pagelog); the final
-// committed base must be bit-identical across backends.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/pretty.h"
 #include "parser/parser.h"
 #include "query/query.h"
 #include "storage/database.h"
@@ -40,18 +37,10 @@ class ViewsDiffTest : public ::testing::Test {
     std::filesystem::remove_all(dir_);
   }
 
-  std::unique_ptr<Database> OpenDb(StoreBackend backend) {
-    DatabaseOptions options;
-    options.store_backend = backend;
-    Result<std::unique_ptr<Database>> db =
-        Database::Open(dir_, engine_, options);
+  std::unique_ptr<Database> OpenDb() {
+    Result<std::unique_ptr<Database>> db = Database::Open(dir_, engine_);
     EXPECT_TRUE(db.ok()) << db.status().ToString();
     return std::move(db).value();
-  }
-
-  std::string Render(const Database& db) {
-    return ObjectBaseToString(db.current(), engine_.symbols(),
-                              engine_.versions());
   }
 
   /// Deterministic sorted snapshot of (object, result) pairs carrying
@@ -170,37 +159,23 @@ TEST_F(ViewsDiffTest, GraphMixes) {
 
   uint64_t seed = 0;
   for (const Mix& mix : kMixes) {
-    // The same deterministic mix runs once per store backend; the final
-    // committed base must come out bit-identical regardless of how it
-    // was persisted along the way.
-    std::string mem_render;
-    for (StoreBackend backend :
-         {StoreBackend::kMem, StoreBackend::kPageLog}) {
-      SCOPED_TRACE(std::string(mix.name) + " on " +
-                   StoreBackendName(backend));
-      std::filesystem::remove_all(dir_);
-      std::unique_ptr<Database> db = OpenDb(backend);
-      ObjectBase base = engine_.MakeBase();
-      MakeGraph(nodes, /*edges=*/24, /*seed=*/7 + seed, engine_, base);
-      ASSERT_TRUE(db->ImportBase(base).ok());
+    SCOPED_TRACE(mix.name);
+    std::filesystem::remove_all(dir_);
+    std::unique_ptr<Database> db = OpenDb();
+    ObjectBase base = engine_.MakeBase();
+    MakeGraph(nodes, /*edges=*/24, /*seed=*/7 + seed, engine_, base);
+    ASSERT_TRUE(db->ImportBase(base).ok());
 
-      ViewCatalog catalog(engine_);
-      for (size_t v = 0; v < kViews.size(); ++v) {
-        ASSERT_TRUE(catalog
-                        .RegisterText("v" + std::to_string(v), kViews[v],
-                                      db->current())
-                        .ok());
-      }
-      catalog.Attach(*db);
-      RunSequence(*db, catalog, kViews, mix, /*txns=*/40, 1000 + seed,
-                  objects, "edge", /*numeric_method=*/false);
-      if (backend == StoreBackend::kMem) {
-        mem_render = Render(*db);
-      } else {
-        EXPECT_EQ(Render(*db), mem_render)
-            << mix.name << ": backends diverged";
-      }
+    ViewCatalog catalog(engine_);
+    for (size_t v = 0; v < kViews.size(); ++v) {
+      ASSERT_TRUE(catalog
+                      .RegisterText("v" + std::to_string(v), kViews[v],
+                                    db->current())
+                      .ok());
     }
+    catalog.Attach(*db);
+    RunSequence(*db, catalog, kViews, mix, /*txns=*/40, 1000 + seed,
+                objects, "edge", /*numeric_method=*/false);
     ++seed;
   }
 }
@@ -255,7 +230,7 @@ TEST_F(ViewsDiffTest, GeneratedPrograms) {
 
     SCOPED_TRACE("round " + std::to_string(round));
     std::filesystem::remove_all(dir_);
-    std::unique_ptr<Database> db = OpenDb(StoreBackend::kMem);
+    std::unique_ptr<Database> db = OpenDb();
     ObjectBase base = engine_.MakeBase();
     MakeGraph(kNodes, /*edges=*/14, /*seed=*/500 + round, engine_, base);
     ASSERT_TRUE(db->ImportBase(base).ok());
@@ -302,38 +277,27 @@ TEST_F(ViewsDiffTest, EnterpriseMixes) {
 
   uint64_t seed = 0;
   for (const Mix& mix : kMixes) {
-    std::string mem_render;
-    for (StoreBackend backend :
-         {StoreBackend::kMem, StoreBackend::kPageLog}) {
-      SCOPED_TRACE(std::string(mix.name) + " on " +
-                   StoreBackendName(backend));
-      std::filesystem::remove_all(dir_);
-      std::unique_ptr<Database> db = OpenDb(backend);
-      ObjectBase base = engine_.MakeBase();
-      options.seed = 42 + seed;
-      MakeEnterprise(options, engine_, base);
-      ASSERT_TRUE(db->ImportBase(base).ok());
+    SCOPED_TRACE(mix.name);
+    std::filesystem::remove_all(dir_);
+    std::unique_ptr<Database> db = OpenDb();
+    ObjectBase base = engine_.MakeBase();
+    options.seed = 42 + seed;
+    MakeEnterprise(options, engine_, base);
+    ASSERT_TRUE(db->ImportBase(base).ok());
 
-      ViewCatalog catalog(engine_);
-      for (size_t v = 0; v < kViews.size(); ++v) {
-        ASSERT_TRUE(catalog
-                        .RegisterText("v" + std::to_string(v), kViews[v],
-                                      db->current())
-                        .ok());
-      }
-      catalog.Attach(*db);
-      // Alternate between the salary column and the boss forest.
-      RunSequence(*db, catalog, kViews, mix, /*txns=*/20, 2000 + seed,
-                  objects, "sal", /*numeric_method=*/true);
-      RunSequence(*db, catalog, kViews, mix, /*txns=*/20, 3000 + seed,
-                  objects, "boss", /*numeric_method=*/false);
-      if (backend == StoreBackend::kMem) {
-        mem_render = Render(*db);
-      } else {
-        EXPECT_EQ(Render(*db), mem_render)
-            << mix.name << ": backends diverged";
-      }
+    ViewCatalog catalog(engine_);
+    for (size_t v = 0; v < kViews.size(); ++v) {
+      ASSERT_TRUE(catalog
+                      .RegisterText("v" + std::to_string(v), kViews[v],
+                                    db->current())
+                      .ok());
     }
+    catalog.Attach(*db);
+    // Alternate between the salary column and the boss forest.
+    RunSequence(*db, catalog, kViews, mix, /*txns=*/20, 2000 + seed,
+                objects, "sal", /*numeric_method=*/true);
+    RunSequence(*db, catalog, kViews, mix, /*txns=*/20, 3000 + seed,
+                objects, "boss", /*numeric_method=*/false);
     ++seed;
   }
 }
